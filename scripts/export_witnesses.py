@@ -11,16 +11,39 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from memlit.axiomatic import enumerate_cxx11
-from memlit.dot import execution_dot, trace_dot
-from memlit.dsl import parse_litmus
-from memlit.sc import enumerate_sc
-from memlit.tso import enumerate_tso
+from memlit import (
+    ParseError,
+    Program,
+    enumerate_cxx11,
+    enumerate_sc,
+    enumerate_tso,
+    execution_dot,
+    parse_litmus,
+    trace_dot,
+    validate,
+)
 
 ENUMERATE = {"sc": enumerate_sc, "tso": enumerate_tso, "cxx11": enumerate_cxx11}
+
+
+def load(name: str) -> Optional[Program]:
+    """The parsed, valid program, or None after printing why it is not one."""
+    try:
+        program = parse_litmus(Path(name).read_bytes())
+    except ParseError as exc:
+        for d in exc.diagnostics:
+            where = f":{d.span.line}:{d.span.column}" if d.span else ""
+            print(f"{name}{where}: error: {d.message}", file=sys.stderr)
+        return None
+    problems = validate(program)
+    for d in problems:
+        place = "" if d.thread is None else f" (thread {d.thread}, instruction {d.instruction})"
+        print(f"{name}: error: {d.rule}: {d.message}{place}", file=sys.stderr)
+    return None if problems else program
 
 
 def main() -> int:
@@ -33,12 +56,14 @@ def main() -> int:
     args = parser.parse_args()
 
     models = tuple(ENUMERATE) if args.model == "all" else (args.model,)
+    programs = [load(name) for name in args.files]
+    if any(program is None for program in programs):
+        return 2
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
     written = 0
-    for name in args.files:
-        program = parse_litmus(Path(name).read_bytes())
+    for program in programs:
         for model in models:
             outcomes = ENUMERATE[model](program)
             for i, outcome in enumerate(outcomes.sorted_outcomes()):

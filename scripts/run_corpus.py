@@ -14,11 +14,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from memlit.axiomatic import enumerate_cxx11
-from memlit.dsl import ParseError, parse_expectations, parse_litmus
-from memlit.model import eval_assertion, validate
-from memlit.sc import enumerate_sc
-from memlit.tso import enumerate_tso
+from memlit import (
+    ParseError,
+    enumerate_cxx11,
+    enumerate_sc,
+    enumerate_tso,
+    eval_assertion,
+    parse_expectations,
+    parse_litmus,
+    validate,
+)
 
 ENUMERATE = {"sc": enumerate_sc, "tso": enumerate_tso, "cxx11": enumerate_cxx11}
 

@@ -32,8 +32,7 @@ from .model import (
     eval_assertion,
     validate,
 )
-from .sc import enumerate_sc
-from .tso import enumerate_tso
+from .operational import enumerate_sc, enumerate_tso
 
 MODELS = ("sc", "tso", "cxx11")
 VERDICTS = ("allowed", "forbidden", "holds", "fails", "racy", "race-free")

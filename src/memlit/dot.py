@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .axiomatic import CandidateExecution, compute_sw
-from .model import Event, Program, TraceStep
+from .model import Event, Kind, Program, TraceStep
 
 
 def _quote(text: str) -> str:
@@ -86,7 +86,9 @@ def trace_dot(program: Program, trace: Sequence[TraceStep], *, title: str = "tra
             label = f"{i + 1}. {name}: {step.text}"
             lines.append(f"  s{i} [label={_quote(label)}];")
 
-    last_exec: dict[int, int] = {}
+    # The k-th exec step of thread t runs program.threads[t][k]; a store step
+    # waits for its thread's next dequeue (SC traces have none).
+    executed: dict[int, list[int]] = {}
     pending: dict[int, list[int]] = {}
     edges: list[tuple[int, int, str]] = []
     for i, step in enumerate(trace):
@@ -95,12 +97,12 @@ def trace_dot(program: Program, trace: Sequence[TraceStep], *, title: str = "tra
             if queue:
                 edges.append((queue.pop(0), i, "prop"))
             continue
-        prev = last_exec.get(step.thread)
-        if prev is not None:
-            edges.append((prev, i, "po"))
-        last_exec[step.thread] = i
-        if step.text.endswith("-> buffer"):
+        done = executed.setdefault(step.thread, [])
+        if done:
+            edges.append((done[-1], i, "po"))
+        if program.threads[step.thread][len(done)].kind in (Kind.STORE, Kind.NA_STORE):
             pending.setdefault(step.thread, []).append(i)
+        done.append(i)
 
     style = {"po": "", "prop": ", color=blue, fontcolor=blue, style=dashed"}
     for a, b, name in sorted(edges, key=lambda e: (e[2], e[0], e[1])):

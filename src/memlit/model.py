@@ -265,16 +265,6 @@ class Program:
     def initial_value(self, location: str) -> int:
         return self.init.get(location, 0)
 
-    def thread_registers(self, thread: int) -> tuple[str, ...]:
-        seen: list[str] = []
-        for instr in self.threads[thread]:
-            if instr.dest is not None and instr.dest not in seen:
-                seen.append(instr.dest)
-        return tuple(seen)
-
-    def thread_index(self, name: str) -> int:
-        return self.thread_names.index(name)
-
 
 @dataclass(frozen=True)
 class Diagnostic:

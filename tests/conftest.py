@@ -9,8 +9,7 @@ import pytest
 from memlit.dsl import parse_expectations, parse_litmus
 from memlit.model import OutcomeSet, Program, Verdict, eval_assertion, validate
 from memlit.axiomatic import enumerate_cxx11
-from memlit.sc import enumerate_sc
-from memlit.tso import enumerate_tso
+from memlit.operational import enumerate_sc, enumerate_tso
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
 

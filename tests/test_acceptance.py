@@ -12,7 +12,7 @@ import random
 from memlit.axiomatic import AXIOMS, compute_sw, detect_races, enumerate_cxx11
 from memlit.dsl import ParseError, parse_litmus, print_litmus
 from memlit.model import Kind, force_seq_cst
-from memlit.sc import enumerate_sc
+from memlit.operational import enumerate_sc
 
 from test_axiomatic import SINGLE_AXIOM_CASES, judge
 

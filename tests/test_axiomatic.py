@@ -41,7 +41,7 @@ from memlit.model import (
     validate,
 )
 from memlit.relation import is_irreflexive_and_acyclic
-from memlit.sc import enumerate_sc
+from memlit.operational import enumerate_sc
 
 from support import programs
 

@@ -5,8 +5,7 @@ from __future__ import annotations
 from memlit.axiomatic import enumerate_cxx11
 from memlit.dot import execution_dot, trace_dot
 from memlit.dsl import parse_litmus
-from memlit.sc import enumerate_sc
-from memlit.tso import enumerate_tso
+from memlit.operational import enumerate_sc, enumerate_tso
 
 MP_REL_ACQ = """\
 name: mp

@@ -290,8 +290,7 @@ def test_validate_repeats_diagnostics_for_bad_programs():
 @settings(max_examples=25, deadline=None)
 def test_outcome_values_are_written_or_initial(p):
     from memlit.axiomatic import enumerate_cxx11
-    from memlit.sc import enumerate_sc
-    from memlit.tso import enumerate_tso
+    from memlit.operational import enumerate_sc, enumerate_tso
 
     universe = value_universe(p)
     for result in (enumerate_sc(p), enumerate_tso(p), enumerate_cxx11(p)):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from memlit.dsl import parse_litmus
 from memlit.model import Assertion, MemAtom, ResourceLimitError, eval_assertion
-from memlit.sc import enumerate_sc, initial_state, sc_step
+from memlit.operational import Transition, apply, enumerate_sc, initial_state
 
 from support import programs, sc_outcomes
 
@@ -115,17 +115,17 @@ class TestStepApi:
     def test_step_on_finished_thread_rejected(self):
         program = parse_litmus("name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 1\n")
         state = initial_state(program)
-        (after,) = sc_step(program, state, 0)
+        (after,) = apply(program, state, Transition("exec", 0), buffered=False)
         with pytest.raises(ValueError):
-            sc_step(program, after, 0)
+            apply(program, after, Transition("exec", 0), buffered=False)
 
     def test_weak_cas_yields_two_successors(self):
         program = parse_litmus(
             "name: t\ninit: x = 0\nthread P0:\n  r1 = cas_weak x 0 1\nexists: x = 1\n"
         )
         state = initial_state(program)
-        assert len(sc_step(program, state, 0)) == 2
-        assert len(sc_step(program, state, 0, weak_spurious=False)) == 1
+        assert len(apply(program, state, Transition("exec", 0), buffered=False)) == 2
+        assert len(apply(program, state, Transition("exec", 0), buffered=False, weak_spurious=False)) == 1
 
 
 class TestLimits:

@@ -1,7 +1,7 @@
 """Store-buffer machine tests.
 
 Frozen outcome sets below come from the independent search in support.py;
-unit tests drive tso_enabled/tso_apply directly to pin buffer mechanics.
+unit tests drive enabled/apply directly to pin buffer mechanics.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from memlit.dsl import parse_litmus
 from memlit.model import ResourceLimitError, eval_assertion, with_fences_after_stores
-from memlit.sc import enumerate_sc
-from memlit.tso import (
-    TsoTransition,
+from memlit.operational import (
+    Transition,
+    apply,
+    enabled,
+    enumerate_sc,
     enumerate_tso,
     initial_state,
-    tso_apply,
-    tso_enabled,
 )
 
 from support import programs, tso_outcomes
@@ -124,20 +124,20 @@ class TestMachineSteps:
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  fence seq_cst\nexists: x = 1\n"
         )
         state = initial_state(program)
-        (state,) = tso_apply(program, state, TsoTransition("exec", 0))
+        (state,) = apply(program, state, Transition("exec", 0))
         assert state.buffers[0] == (("x", 1),)
-        assert tso_enabled(program, state) == (TsoTransition("dequeue", 0),)
-        (state,) = tso_apply(program, state, TsoTransition("dequeue", 0))
+        assert enabled(program, state) == (Transition("dequeue", 0),)
+        (state,) = apply(program, state, Transition("dequeue", 0))
         assert state.buffers[0] == ()
-        assert tso_enabled(program, state) == (TsoTransition("exec", 0),)
+        assert enabled(program, state) == (Transition("exec", 0),)
 
     def test_weaker_fences_do_not_wait(self):
         program = parse_litmus(
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  fence acquire\nexists: x = 1\n"
         )
         state = initial_state(program)
-        (state,) = tso_apply(program, state, TsoTransition("exec", 0))
-        assert TsoTransition("exec", 0) in tso_enabled(program, state)
+        (state,) = apply(program, state, Transition("exec", 0))
+        assert Transition("exec", 0) in enabled(program, state)
 
     def test_locked_rmw_drains_buffer(self):
         program = parse_litmus(
@@ -145,17 +145,16 @@ class TestMachineSteps:
             "exists: y = 3\n"
         )
         state = initial_state(program)
-        (state,) = tso_apply(program, state, TsoTransition("exec", 0))
-        (state,) = tso_apply(program, state, TsoTransition("exec", 0))
+        (state,) = apply(program, state, Transition("exec", 0))
+        (state,) = apply(program, state, Transition("exec", 0))
         assert state.buffers[0] == ()
         assert dict(state.memory) == {"x": 1, "y": 3}
-        assert state.lock_owner is None
 
     def test_disabled_transition_rejected(self):
         program = parse_litmus("name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 1\n")
         state = initial_state(program)
         with pytest.raises(ValueError):
-            tso_apply(program, state, TsoTransition("dequeue", 0))
+            apply(program, state, Transition("dequeue", 0))
 
 
 class TestWitnessTraces:
@@ -199,8 +198,8 @@ class TestStoreOrderPreserved:
             seen.add(state)
             if dict(state.memory).get("b") == 1:
                 assert ("a", 1) not in state.buffers[0]
-            for transition in tso_enabled(program, state):
-                frontier.extend(tso_apply(program, state, transition))
+            for transition in enabled(program, state):
+                frontier.extend(apply(program, state, transition))
         assert len(seen) > 1
 
 
@@ -217,6 +216,52 @@ class TestCorpusDiscipline:
             if entry.results["sc"].outcomes < entry.results["tso"].outcomes
         }
         assert gains == {"dekker", "dekker_relaxed", "forall_mutex", "sb_fence_one", "sb_rel_acq"}
+
+
+def ladder(lengths: tuple[int, ...]) -> str:
+    """Thread t, instruction i: even i stores to xy[(t+i//2)%2], odd i loads the other, all relaxed."""
+    lines = ["name: ladder", "init: x = 0 y = 0"]
+    for t, length in enumerate(lengths):
+        lines.append(f"thread P{t}:")
+        for i in range(length):
+            side = (t + i // 2) % 2
+            if i % 2 == 0:
+                lines.append(f"  store {'xy'[side]} {t + 1} relaxed")
+            else:
+                lines.append(f"  r{i} = load {'xy'[1 - side]} relaxed")
+    lines.append("exists: x = 0")
+    return "\n".join(lines) + "\n"
+
+
+class TestStateSpace:
+    """Explored counts on the synthetic ladder: a change to deduplication shows here."""
+
+    @pytest.mark.parametrize(
+        "model, lengths, explored",
+        [("sc", (6, 6), 365), ("tso", (6, 6), 2_154), ("sc", (4, 4, 4), 3_489), ("tso", (4, 4, 4), 24_467)],
+        ids=["sc-2x6", "tso-2x6", "sc-3x4", "tso-3x4"],
+    )
+    def test_ladder_explored_counts(self, model, lengths, explored):
+        run = enumerate_sc if model == "sc" else enumerate_tso
+        assert run(parse_litmus(ladder(lengths))).stats.explored == explored
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(), st.booleans())
+    def test_unbuffered_machine_never_buffers(self, program, spurious):
+        # SC is the machine whose stores commit at once: every reachable state
+        # has empty buffers, so no dequeue is ever enabled.
+        seen = set()
+        frontier = [initial_state(program)]
+        while frontier:
+            state = frontier.pop()
+            if state in seen:
+                continue
+            seen.add(state)
+            assert all(buffer == () for buffer in state.buffers)
+            transitions = enabled(program, state)
+            assert all(kind == "exec" for kind, _ in transitions)
+            for transition in transitions:
+                frontier.extend(apply(program, state, transition, buffered=False, weak_spurious=spurious))
 
 
 class TestAgainstOracle:
