@@ -41,12 +41,19 @@ thread or atomic RMWs by any thread.
 Reads may only return grounded values: a candidate whose data flow is
 circular (a load feeding a store that the load itself observes) is rejected
 rather than allowed to conjure values out of thin air.
+
+One kernel evaluates the axioms for both check_axioms and the enumerator.
+Relations are bitmask rows: row[a] has bit b set when (a, b) is in the
+relation.  What depends only on the events (sb, locations, which events can
+synchronize) is computed once per CAS branching, what depends on mo once per
+modification order of each location, and only sw, the hb closure and the
+axiom tests once per candidate.  `Relation` appears only at the API boundary.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -67,7 +74,7 @@ from .model import (
     make_outcome,
     rmw_written_value,
 )
-from .relation import Relation, linear_extensions, transitive_closure
+from .relation import Relation, ordered_extensions
 
 AXIOMS = (
     "HB-IRREFLEXIVE",
@@ -88,9 +95,9 @@ RELEASE_CLASS = frozenset({MemoryOrder.RELEASE, MemoryOrder.ACQ_REL, MemoryOrder
 @dataclass(frozen=True)
 class CandidateExecution:
     """events must be ordered by id (events[i].id == i), initialization
-    pseudo-writes included.  rf maps read event ids to write event ids; mo
-    maps each location to its write ids, initialization first; sc_order is
-    a permutation of the seq_cst event ids."""
+    pseudo-writes included.  rf maps every read event id to a write event id;
+    mo maps each location to its write ids, initialization first; sc_order
+    is a permutation of the seq_cst event ids."""
 
     events: tuple[Event, ...]
     rf: Mapping[int, int]
@@ -113,6 +120,8 @@ class CandidateExecution:
                 raise ValueError(f"rf pair ({w_id} -> {r_id}) disagrees on the value")
         writes_by_loc: dict[str, set[int]] = {}
         for e in self.events:
+            if e.reads_memory and e.id not in self.rf:
+                raise ValueError("rf must give every read exactly one source")
             if e.writes_memory:
                 writes_by_loc.setdefault(e.location, set()).add(e.id)
         if set(self.mo) != set(writes_by_loc):
@@ -191,6 +200,17 @@ def _init_events(program: Program, lay: _Layout) -> list[Event]:
     ]
 
 
+def _check_layout(program: Program, events: Sequence[Event]) -> None:
+    """The kernel reads sb off each event's (thread, index), so those must be
+    the program's."""
+    lay = _layout(program)
+    if len(events) != lay.n_events or any(
+        e.id != (lay.init_ids.get(e.location) if e.is_init else lay.event_ids.get((e.thread, e.index)))
+        for e in events
+    ):
+        raise ValueError("candidate does not match the program's event layout")
+
+
 def compute_sb(program: Program) -> Relation:
     """Sequenced-before: the per-thread total order, transitively closed.
     The universe covers every event id, initialization writes included."""
@@ -204,321 +224,344 @@ def compute_sb(program: Program) -> Relation:
     return Relation(frozenset(range(lay.n_events)), frozenset(pairs))
 
 
-def _sequenced(a: Event, b: Event) -> bool:
-    return a.thread == b.thread and a.thread != INIT_THREAD and a.index < b.index
-
-
-# ---------------------------------------------------------------------------
-# release sequences and synchronizes-with
-
-
-def _sequence_from(events: tuple[Event, ...], mo: Mapping[str, tuple[int, ...]], head: Event) -> tuple[int, ...]:
-    order = mo[head.location]
-    start = order.index(head.id)
-    seq = [head.id]
-    for w_id in order[start + 1 :]:
-        e = events[w_id]
-        if e.atomic and (e.kind is EventKind.RMW or e.thread == head.thread):
-            seq.append(w_id)
-        else:
-            break
-    return tuple(seq)
-
-
 def release_sequence(candidate: CandidateExecution, head_id: int) -> tuple[int, ...]:
     """Maximal release sequence headed by a release-class atomic write:
     contiguous mo-successors that are same-thread atomic writes or RMWs from
     any thread."""
-    head = candidate.events[head_id]
+    events = candidate.events
+    head = events[head_id]
     if not (head.writes_memory and head.atomic and head.order in RELEASE_CLASS):
         raise ValueError(f"event {head_id} does not head a release sequence")
-    return _sequence_from(candidate.events, candidate.mo, head)
+    order = candidate.mo[head.location]
+    seq = [head_id]
+    for w_id in order[order.index(head_id) + 1 :]:
+        e = events[w_id]
+        if not (e.atomic and (e.kind is EventKind.RMW or e.thread == head.thread)):
+            break
+        seq.append(w_id)
+    return tuple(seq)
 
 
-def _sw_pairs(
-    events: tuple[Event, ...],
-    rf: Mapping[int, int],
-    mo: Mapping[str, tuple[int, ...]],
-) -> frozenset[tuple[int, int]]:
-    atomic_writes = [e for e in events if e.writes_memory and e.atomic and not e.is_init]
-    atomic_reads = [e for e in events if e.reads_memory and e.atomic]
-    release_writes = [e for e in atomic_writes if e.order in RELEASE_CLASS]
-    acquire_reads = [e for e in atomic_reads if e.order in ACQUIRE_CLASS]
-    release_fences = [e for e in events if e.kind is EventKind.FENCE and e.order in RELEASE_CLASS]
-    acquire_fences = [e for e in events if e.kind is EventKind.FENCE and e.order in ACQUIRE_CLASS]
-
-    # hypothetical release sequences, keyed by head; actual sequences are the
-    # same walk and release_sequence() guards the head's class.
-    hyp = {w.id: _sequence_from(events, mo, w) for w in atomic_writes}
-
-    pairs: set[tuple[int, int]] = set()
-    for w in release_writes:
-        seq = hyp[w.id]
-        for r in acquire_reads:
-            if rf.get(r.id) in seq:
-                pairs.add((w.id, r.id))
-
-    for fa in release_fences:
-        for fb in acquire_fences:
-            if fa.id == fb.id:
-                continue
-            if _fence_fence_sync(events, rf, hyp, atomic_writes, atomic_reads, fa, fb):
-                pairs.add((fa.id, fb.id))
-
-    for fa in release_fences:
-        for r in acquire_reads:
-            for x in atomic_writes:
-                if x.location == r.location and _sequenced(fa, x) and rf.get(r.id) in hyp[x.id]:
-                    pairs.add((fa.id, r.id))
-                    break
-
-    for w in release_writes:
-        seq = hyp[w.id]
-        for fb in acquire_fences:
-            for y in atomic_reads:
-                if y.location == w.location and _sequenced(y, fb) and rf.get(y.id) in seq:
-                    pairs.add((w.id, fb.id))
-                    break
-
-    return frozenset(pairs)
+# ---------------------------------------------------------------------------
+# the kernel: bitmask rows, bit i standing for event id i
 
 
-def _fence_fence_sync(events, rf, hyp, atomic_writes, atomic_reads, fa: Event, fb: Event) -> bool:
-    for x in atomic_writes:
-        if not _sequenced(fa, x):
-            continue
-        seq = hyp[x.id]
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Frame:
+    """What the axioms read from the events before rf, mo and S are chosen.
+
+    Built from events ordered by id, or from one CAS branching's skeletons
+    behind the initialization writes: only kind, order, atomicity, location,
+    thread and index are read, and those a branching fixes.
+    """
+
+    def __init__(self, events: Sequence[Union[Event, "_Skeleton"]]) -> None:
+        self.n = len(events)
+        reads = [e.reads_memory for e in events]
+        writes = [e.writes_memory for e in events]
+        init = [e.thread == INIT_THREAD for e in events]
+        by_thread: dict[int, list] = {}
+        by_loc: dict[str, list] = {}
+        for e in events:
+            if not init[e.id]:
+                by_thread.setdefault(e.thread, []).append(e)
+            if e.location is not None:
+                by_loc.setdefault(e.location, []).append(e)
+
+        # sb rows, and hb's base rows: sb plus initialization before every
+        # program event.  Both are already transitive.
+        self.sb = [0] * self.n
+        for same_thread in by_thread.values():
+            for a in same_thread:
+                self.sb[a.id] = sum(1 << b.id for b in same_thread if b.index > a.index)
+        program_events = sum(1 << e.id for e in events if not init[e.id])
+        self.base = [program_events if init[e] else self.sb[e] for e in range(self.n)]
+
+        self.locations: tuple[str, ...] = tuple(dict.fromkeys(e.location for e in events if writes[e.id]))
+        loc_index = {loc: i for i, loc in enumerate(self.locations)}
+        self.loc_writes = [sum(1 << e.id for e in by_loc[loc] if writes[e.id]) for loc in self.locations]
+        self.thread = [e.thread for e in events]
+        self.atomic = sum(1 << e.id for e in events if e.atomic)
+        self.rmw = sum(1 << e.id for e in events if e.kind is EventKind.RMW)
+        self.sc_ids = tuple(e.id for e in events if e.order is MemoryOrder.SEQ_CST)
+        self.sc_mask = sum(1 << e for e in self.sc_ids)
+
+        # COHERENT-READ: each read with the other writes to its location.
+        self.read_checks = tuple(
+            (e.id, self.loc_writes[loc_index[e.location]] & ~(1 << e.id)) for e in events if reads[e.id]
+        )
+
+        atomic_writes = [e for e in events if writes[e.id] and e.atomic and not init[e.id]]
+        atomic_reads = [e for e in events if reads[e.id] and e.atomic]
+        fences = [e for e in events if e.kind is EventKind.FENCE]
+
+        # sw: each atomic write tags the release heads its (hypothetical)
+        # release sequence carries: itself if release-class, and every
+        # release fence sequenced before it.  Each atomic read that can
+        # acquire lists the acquire fences sequenced after it.
+        release_fences = [f.id for f in fences if f.order in RELEASE_CLASS]
+        acquire_fences = [f.id for f in fences if f.order in ACQUIRE_CLASS]
+        self.tags: dict[int, int] = {}
+        for x in atomic_writes:
+            tag = (1 << x.id if x.order in RELEASE_CLASS else 0) | sum(
+                1 << f for f in release_fences if self.sb[f] >> x.id & 1
+            )
+            if tag:
+                self.tags[x.id] = tag
+        self.sync_reads = []
         for y in atomic_reads:
-            if y.location == x.location and _sequenced(y, fb) and rf.get(y.id) in seq:
+            after = tuple(f for f in acquire_fences if self.sb[y.id] >> f & 1)
+            acquire = y.order in ACQUIRE_CLASS
+            if acquire or after:
+                self.sync_reads.append((y.id, loc_index[y.location], acquire, after))
+        # Without both a tag and a read to carry it there is no sw edge, and
+        # hb is the base rows for every candidate.
+        self.static_hb = not (self.tags and self.sync_reads)
+
+        # Races: conflicting pairs, lower id first, that only hb can order.
+        self.conflicts = tuple(
+            sorted(
+                (a.id, b.id)
+                for same_loc in by_loc.values()
+                for i, a in enumerate(same_loc)
+                for b in same_loc[i + 1 :]
+                if b.thread != a.thread and (writes[a.id] or writes[b.id]) and not (a.atomic and b.atomic)
+            )
+        )
+
+        # S: one step per seq_cst event.  Accesses are (False, reads,
+        # writes, location index, atomic); fences are (True, atomic reads and
+        # atomic writes sequenced after it with their location indices, mask
+        # of atomic writes sequenced before it).
+        self.sc_writes = tuple((e, loc_index[events[e].location]) for e in self.sc_ids if writes[e])
+        self.sc_steps: dict[int, tuple] = {}
+        for e in self.sc_ids:
+            after = self.sb[e]
+            if events[e].kind is EventKind.FENCE:
+                self.sc_steps[e] = (
+                    True,
+                    tuple((b.id, loc_index[b.location]) for b in atomic_reads if after >> b.id & 1),
+                    tuple((b.id, loc_index[b.location]) for b in atomic_writes if after >> b.id & 1),
+                    sum(1 << a.id for a in atomic_writes if self.sb[a.id] >> e & 1),
+                )
+            else:
+                self.sc_steps[e] = (False, reads[e], writes[e], loc_index[events[e].location], events[e].atomic)
+
+    def mo_orders(self, mo: Mapping[str, tuple[int, ...]]) -> tuple["_MoOrder", ...]:
+        return tuple(_MoOrder(self, mo[loc]) for loc in self.locations)
+
+
+class _MoOrder:
+    """One location's modification order and the masks the axioms read from
+    it.  A candidate's mo is one _MoOrder per location, in frame order."""
+
+    __slots__ = ("order", "before", "after", "rmw_preds", "heads")
+
+    def __init__(self, frame: _Frame, order: tuple[int, ...]) -> None:
+        self.order = order
+        self.before: dict[int, int] = {}  # write -> its mo-earlier writes
+        self.after: dict[int, int] = {}  # write -> its mo-later writes
+        seen = 0
+        for w in order:
+            self.before[w] = seen
+            seen |= 1 << w
+        for w in order:
+            self.after[w] = seen & ~self.before[w] & ~(1 << w)
+        self.rmw_preds = tuple(
+            (w, order[i - 1] if i else None) for i, w in enumerate(order) if frame.rmw >> w & 1
+        )
+        # write -> release heads whose hypothetical release sequence holds it
+        self.heads: dict[int, int] = {}
+        for i, x in enumerate(order):
+            tag = frame.tags.get(x)
+            if not tag:
+                continue
+            self.heads[x] = self.heads.get(x, 0) | tag
+            for z in order[i + 1 :]:
+                if not (frame.atomic >> z & 1 and (frame.rmw >> z & 1 or frame.thread[z] == frame.thread[x])):
+                    break
+                self.heads[z] = self.heads.get(z, 0) | tag
+
+
+def _sw_edges(frame: _Frame, mo: Sequence[_MoOrder], rf: Mapping[int, int]) -> dict[int, int]:
+    """Synchronizes-with, as target -> mask of sources."""
+    sw: dict[int, int] = {}
+    for y, li, acquire, fences_after in frame.sync_reads:
+        heads = mo[li].heads.get(rf[y], 0)
+        if heads:
+            if acquire:
+                sw[y] = sw.get(y, 0) | heads
+            for fb in fences_after:
+                sources = heads & ~(1 << fb)
+                if sources:
+                    sw[fb] = sw.get(fb, 0) | sources
+    return sw
+
+
+def _hb_rows(frame: _Frame, sw: Mapping[int, int]) -> tuple[list[int], bool]:
+    """hb rows (the base rows closed under the sw edges) and whether hb is
+    cyclic.  Adding the edges a -> b for every a in `sources` extends each
+    row that reaches some a by b and everything b reaches; the new edges
+    close a cycle exactly when b already reaches some a."""
+    rows = list(frame.base)
+    cyclic = False
+    for b, sources in sw.items():
+        reach = rows[b] | 1 << b
+        if reach & sources:
+            cyclic = True
+        for x in range(frame.n):
+            if (rows[x] | 1 << x) & sources:
+                rows[x] |= reach
+    return rows, cyclic
+
+
+def _hb_mo_violated(mo: Sequence[_MoOrder], hb: Sequence[int]) -> bool:
+    return any(hb[w] & earlier for t in mo for w, earlier in t.before.items())
+
+
+def _coherent_read_violated(frame: _Frame, rf: Mapping[int, int], hb: Sequence[int]) -> bool:
+    for r, others in frame.read_checks:
+        w = rf[r]
+        if hb[r] >> w & 1:
+            return True
+        for c in _bits(hb[w] & others & ~(1 << w)):
+            if hb[c] >> r & 1:
                 return True
     return False
 
 
+def _rmw_immediate_violated(mo: Sequence[_MoOrder], rf: Mapping[int, int]) -> bool:
+    return any(rf[e] != pred for t in mo for e, pred in t.rmw_preds)
+
+
+def _sc_violations(
+    frame: _Frame,
+    mo: Sequence[_MoOrder],
+    rf: Mapping[int, int],
+    hb: Optional[Sequence[int]],
+    s: Sequence[int],
+) -> list[str]:
+    """SC-READ (skipped when hb is None) and SC-FENCE-1..4, in one pass over S."""
+    last: dict[int, int] = {}  # location index -> last seq_cst write so far in S
+    fenced = 0  # atomic writes sequenced before a seq_cst fence passed so far
+    sc_read = f1 = f2 = f3 = f4 = False
+    for e in s:
+        step = frame.sc_steps[e]
+        if step[0]:
+            _, reads_after, writes_after, writes_before = step
+            for b, li in reads_after:
+                src = rf[b]
+                a = last.get(li)
+                if a is not None and mo[li].before[a] >> src & 1:
+                    f1 = True
+                if fenced & mo[li].after[src] & ~(1 << b):
+                    f3 = True
+            for b, li in writes_after:
+                if fenced & mo[li].after[b] & ~(1 << b):
+                    f4 = True
+            fenced |= writes_before
+            continue
+        _, reads, writes, li, atomic = step
+        if reads:
+            w = rf[e]
+            if hb is not None:
+                a = last.get(li)
+                plain = not frame.sc_mask >> w & 1
+                if not (plain if a is None else w == a or (plain and not hb[w] >> a & 1)):
+                    sc_read = True
+            if atomic and fenced & mo[li].after[w] & ~(1 << e):
+                f2 = True
+        if writes:
+            last[li] = e
+    flags = (sc_read, f1, f2, f3, f4)
+    names = ("SC-READ", "SC-FENCE-1", "SC-FENCE-2", "SC-FENCE-3", "SC-FENCE-4")
+    return [name for name, hit in zip(names, flags) if hit]
+
+
+def _s_constraint(frame: _Frame, mo: Sequence[_MoOrder], hb: Sequence[int]) -> dict[int, int]:
+    """Under strict_s, S embeds hb and mo between seq_cst events: each
+    seq_cst event's mask of required predecessors."""
+    preds = dict.fromkeys(frame.sc_ids, 0)
+    for e, li in frame.sc_writes:
+        preds[e] = mo[li].before[e] & frame.sc_mask
+    for a in frame.sc_ids:
+        for b in _bits(hb[a] & frame.sc_mask):
+            preds[b] |= 1 << a
+    return preds
+
+
+def _races(frame: _Frame, hb: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((a, b) for a, b in frame.conflicts if not (hb[a] >> b & 1 or hb[b] >> a & 1))
+
+
+def _rows_relation(rows: Sequence[int]) -> Relation:
+    return Relation(frozenset(range(len(rows))), frozenset((a, b) for a, row in enumerate(rows) for b in _bits(row)))
+
+
+def _sw_relation(n: int, sw: Mapping[int, int]) -> Relation:
+    return Relation(frozenset(range(n)), frozenset((a, b) for b, sources in sw.items() for a in _bits(sources)))
+
+
+def _candidate_hb(program: Program, candidate: CandidateExecution):
+    """The kernel's view of a candidate: its frame, mo orders, sw edges, hb
+    rows and whether hb is cyclic."""
+    _check_layout(program, candidate.events)
+    frame = _Frame(candidate.events)
+    mo = frame.mo_orders(candidate.mo)
+    sw = _sw_edges(frame, mo, candidate.rf)
+    return (frame, mo, sw) + _hb_rows(frame, sw)
+
+
 def compute_sw(candidate: CandidateExecution) -> Relation:
-    universe = frozenset(range(len(candidate.events)))
-    return Relation(universe, _sw_pairs(candidate.events, candidate.rf, candidate.mo))
-
-
-def _hb(sb: Relation, sw_pairs: frozenset[tuple[int, int]], events: tuple[Event, ...]) -> Relation:
-    init_edges = {
-        (i.id, e.id) for i in events if i.is_init for e in events if not e.is_init
-    }
-    return transitive_closure(Relation(sb.universe, sb.pairs | sw_pairs | init_edges))
+    frame = _Frame(candidate.events)
+    return _sw_relation(frame.n, _sw_edges(frame, frame.mo_orders(candidate.mo), candidate.rf))
 
 
 def compute_hb(program: Program, candidate: CandidateExecution) -> Relation:
     """Transitive closure of sb, sw, and the initialization edges."""
-    sb = compute_sb(program)
-    if len(candidate.events) != len(sb.universe):
-        raise ValueError("candidate does not match the program's event layout")
-    return _hb(sb, _sw_pairs(candidate.events, candidate.rf, candidate.mo), candidate.events)
-
-
-# ---------------------------------------------------------------------------
-# axiom checks (each returns True when violated)
-
-
-def _hb_mo_violated(events, mo_pos, hb_pairs) -> bool:
-    for a, b in hb_pairs:
-        ea, eb = events[a], events[b]
-        if (
-            ea.writes_memory
-            and eb.writes_memory
-            and ea.location == eb.location
-            and mo_pos[a] > mo_pos[b]
-        ):
-            return True
-    return False
-
-
-def _coherent_read_violated(events, rf, hb_pairs) -> bool:
-    for r_id, w_id in rf.items():
-        if (r_id, w_id) in hb_pairs:
-            return True
-        loc = events[r_id].location
-        for c in events:
-            if (
-                c.writes_memory
-                and c.location == loc
-                and c.id != w_id
-                and c.id != r_id
-                and (w_id, c.id) in hb_pairs
-                and (c.id, r_id) in hb_pairs
-            ):
-                return True
-    return False
-
-
-def _rmw_immediate_violated(events, rf, mo) -> bool:
-    for e in events:
-        if e.kind is EventKind.RMW:
-            order = mo[e.location]
-            i = order.index(e.id)
-            if i == 0 or order[i - 1] != rf.get(e.id):
-                return True
-    return False
-
-
-def _last_sc_write_before(events, s, limit_pos, location) -> Optional[int]:
-    found = None
-    for eid in s[:limit_pos]:
-        e = events[eid]
-        if e.writes_memory and e.location == location:
-            found = eid
-    return found
-
-
-def _sc_read_violated(events, rf, s, s_pos, hb_pairs) -> bool:
-    for b_id in s:
-        b = events[b_id]
-        if not b.reads_memory:
-            continue
-        w_id = rf[b_id]
-        a_id = _last_sc_write_before(events, s, s_pos[b_id], b.location)
-        w = events[w_id]
-        if a_id is None:
-            ok = w.order is not MemoryOrder.SEQ_CST
-        else:
-            ok = w_id == a_id or (
-                w.order is not MemoryOrder.SEQ_CST and (w_id, a_id) not in hb_pairs
-            )
-        if not ok:
-            return True
-    return False
-
-
-def _sc_fence_violations(events, rf, mo_pos, s, s_pos) -> list[str]:
-    fences = [events[i] for i in s if events[i].kind is EventKind.FENCE]
-    if not fences:
-        return []
-    atomic_reads = [e for e in events if e.reads_memory and e.atomic]
-    atomic_writes = [e for e in events if e.writes_memory and e.atomic and not e.is_init]
-    violated = []
-
-    # 1: fence X sequenced before read B constrains B by the last seq_cst
-    #    write preceding X in S.
-    hit = False
-    for x in fences:
-        for b in atomic_reads:
-            if not _sequenced(x, b):
-                continue
-            a_id = _last_sc_write_before(events, s, s_pos[x.id], b.location)
-            if a_id is not None and mo_pos[rf[b.id]] < mo_pos[a_id]:
-                hit = True
-    if hit:
-        violated.append("SC-FENCE-1")
-
-    # 2: write A sequenced before fence X, X S-before seq_cst read B.
-    hit = False
-    for b in atomic_reads:
-        if b.order is not MemoryOrder.SEQ_CST:
-            continue
-        for a in atomic_writes:
-            if a.location != b.location or a.id == b.id:
-                continue
-            for x in fences:
-                if _sequenced(a, x) and s_pos[x.id] < s_pos[b.id] and mo_pos[rf[b.id]] < mo_pos[a.id]:
-                    hit = True
-    if hit:
-        violated.append("SC-FENCE-2")
-
-    # 3: write A sb fence X, fence Y sb read B, X S-before Y.
-    hit = False
-    for a in atomic_writes:
-        for b in atomic_reads:
-            if b.location != a.location or b.id == a.id:
-                continue
-            if mo_pos[rf[b.id]] >= mo_pos[a.id]:
-                continue
-            if _fence_bracket(fences, s_pos, a, b):
-                hit = True
-    if hit:
-        violated.append("SC-FENCE-3")
-
-    # 4: write A sb fence X, fence Y sb write B, X S-before Y forces mo order.
-    hit = False
-    for a in atomic_writes:
-        for b in atomic_writes:
-            if b.location != a.location or b.id == a.id:
-                continue
-            if mo_pos[b.id] > mo_pos[a.id]:
-                continue
-            if _fence_bracket(fences, s_pos, a, b):
-                hit = True
-    if hit:
-        violated.append("SC-FENCE-4")
-
-    return violated
-
-
-def _fence_bracket(fences, s_pos, a: Event, b: Event) -> bool:
-    for x in fences:
-        if not _sequenced(a, x):
-            continue
-        for y in fences:
-            if _sequenced(y, b) and s_pos[x.id] < s_pos[y.id]:
-                return True
-    return False
-
-
-def _race_pairs(events, hb_pairs) -> tuple[tuple[int, int], ...]:
-    races = []
-    for i, a in enumerate(events):
-        if a.location is None:
-            continue
-        for b in events[i + 1 :]:
-            if (
-                b.location == a.location
-                and b.thread != a.thread
-                and (a.writes_memory or b.writes_memory)
-                and not (a.atomic and b.atomic)
-                and (a.id, b.id) not in hb_pairs
-                and (b.id, a.id) not in hb_pairs
-            ):
-                races.append((a.id, b.id))
-    return tuple(sorted(races))
+    return _rows_relation(_candidate_hb(program, candidate)[3])
 
 
 def detect_races(program: Program, candidate: CandidateExecution) -> tuple[tuple[int, int], ...]:
     """Conflicting same-location accesses from different threads, at least
     one non-atomic, unordered by happens-before.  Pairs are (lower id,
     higher id), sorted."""
-    hb = compute_hb(program, candidate)
-    return _race_pairs(candidate.events, hb.pairs)
+    frame, _, _, hb, _ = _candidate_hb(program, candidate)
+    return _races(frame, hb)
 
 
 def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJudgment:
-    sb = compute_sb(program)
-    if len(candidate.events) != len(sb.universe):
-        raise ValueError("candidate does not match the program's event layout")
-    events = candidate.events
+    frame, mo, sw, hb, cyclic = _candidate_hb(program, candidate)
     rf = candidate.rf
-    mo = candidate.mo
-    mo_pos = candidate._mo_pos
-    sw_pairs = _sw_pairs(events, rf, mo)
-    sw = Relation(sb.universe, sw_pairs)
-    hb = _hb(sb, sw_pairs, events)
-    s = candidate.sc_order
-    s_pos = {eid: i for i, eid in enumerate(s)}
-
     violated: list[str] = []
-    cyclic = any(a == b for a, b in hb.pairs)
     if cyclic:
         violated.append("HB-IRREFLEXIVE")
     else:
-        if _hb_mo_violated(events, mo_pos, hb.pairs):
+        if _hb_mo_violated(mo, hb):
             violated.append("HB-MO")
-        if _coherent_read_violated(events, rf, hb.pairs):
+        if _coherent_read_violated(frame, rf, hb):
             violated.append("COHERENT-READ")
-        if _sc_read_violated(events, rf, s, s_pos, hb.pairs):
-            violated.append("SC-READ")
-    if _rmw_immediate_violated(events, rf, mo):
+    if _rmw_immediate_violated(mo, rf):
         violated.append("RMW-IMMEDIATE")
-    violated.extend(_sc_fence_violations(events, rf, mo_pos, s, s_pos))
+    violated.extend(_sc_violations(frame, mo, rf, None if cyclic else hb, candidate.sc_order))
+    violated.sort(key=AXIOMS.index)
 
     consistent = not violated
-    races = _race_pairs(events, hb.pairs) if consistent else ()
-    return ExecutionJudgment(consistent, tuple(violated), races, sb, sw, hb)
+    races = _races(frame, hb) if consistent else ()
+    return ExecutionJudgment(
+        consistent,
+        tuple(violated),
+        races,
+        compute_sb(program),
+        _sw_relation(frame.n, sw),
+        _rows_relation(hb),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -671,22 +714,18 @@ def _static_write_value(skel: _Skeleton) -> Optional[int]:
     return None
 
 
-def _mo_extensions(loc_writes: list[_Skeleton], init_id: int, universe_size: int) -> list[tuple[int, ...]]:
-    ids = [init_id] + [w.id for w in loc_writes]
-    pairs = {(init_id, w.id) for w in loc_writes}
-    for a, b in itertools.combinations(loc_writes, 2):
-        if a.thread == b.thread:
-            pairs.add((a.id, b.id) if a.index < b.index else (b.id, a.id))
-    partial = Relation(frozenset(range(universe_size)), frozenset(pairs))
-    return list(linear_extensions(partial, ids))
+def _mo_extensions(loc_writes: list[_Skeleton], init_id: int) -> list[tuple[int, ...]]:
+    """Modification orders of one location: initialization first, each
+    thread's writes in program order."""
+    preds = {init_id: 0}
+    for w in loc_writes:
+        preds[w.id] = 1 << init_id | sum(
+            1 << v.id for v in loc_writes if v.thread == w.thread and v.index < w.index
+        )
+    return list(ordered_extensions(preds))
 
 
-def _candidate_outcome(
-    program: Program,
-    lay: _Layout,
-    events: list[Event],
-    mo: Mapping[str, tuple[int, ...]],
-) -> Outcome:
+def _registers(program: Program, lay: _Layout, events: list[Event]) -> list[dict[str, int]]:
     regs: list[dict[str, int]] = []
     for t, body in enumerate(program.threads):
         values: dict[str, int] = {}
@@ -694,8 +733,7 @@ def _candidate_outcome(
             if instr.dest is not None:
                 values[instr.dest] = events[lay.event_ids[(t, i)]].value_read
         regs.append(values)
-    memory = {loc: events[mo[loc][-1]].value_written for loc in mo}
-    return make_outcome(program, regs, memory)
+    return regs
 
 
 def enumerate_cxx11(
@@ -716,10 +754,7 @@ def enumerate_cxx11(
     how underconstrained S rewrites seq_cst programs.
     """
     lay = _layout(program)
-    sb = compute_sb(program)
-    universe = sb.universe
     init_events = _init_events(program, lay)
-    init_edge_ids = [e.id for e in init_events]
     defs = _defining_events(program, lay)
     stats = ExplorationStats()
     witnesses: dict[Outcome, CandidateExecution] = {}
@@ -741,6 +776,7 @@ def enumerate_cxx11(
         branching = dict(zip(cas_sites, combo))
         skels = _skeletons(program, lay, branching)
         by_id: dict[int, _Skeleton] = {s.id: s for s in skels}
+        frame = _Frame(init_events + skels)
 
         writers: dict[str, list[int]] = {loc: [lay.init_ids[loc]] for loc in lay.locations}
         static_value: dict[int, Optional[int]] = {
@@ -772,10 +808,10 @@ def enumerate_cxx11(
         if choices is None:
             continue
 
-        mo_lists = [
-            _mo_extensions([s for s in skels if s.writes_memory and s.location == loc], lay.init_ids[loc], lay.n_events)
-            for loc in lay.locations
-        ]
+        mo_choices = []
+        for loc in frame.locations:
+            loc_writes = [s for s in skels if s.writes_memory and s.location == loc]
+            mo_choices.append([_MoOrder(frame, order) for order in _mo_extensions(loc_writes, lay.init_ids[loc])])
 
         for rf_combo in itertools.product(*choices):
             rf = dict(zip([r.id for r in reads], rf_combo))
@@ -783,49 +819,41 @@ def enumerate_cxx11(
             if events is None:
                 continue
             events_t = tuple(events)
-            for mo_combo in itertools.product(*mo_lists):
+            regs = _registers(program, lay, events)
+            # With no sw edge possible hb is the base rows, so COHERENT-READ
+            # depends on rf alone.
+            incoherent = frame.static_hb and _coherent_read_violated(frame, rf, frame.base)
+            for mo in itertools.product(*mo_choices):
                 bump()
-                mo = dict(zip(lay.locations, mo_combo))
-                mo_pos = {w: i for order in mo.values() for i, w in enumerate(order)}
-                sw_pairs = _sw_pairs(events_t, rf, mo)
-                hb = _hb(sb, sw_pairs, events_t)
-                if any(a == b for a, b in hb.pairs):
+                if incoherent or _rmw_immediate_violated(mo, rf):
                     continue
-                if _hb_mo_violated(events_t, mo_pos, hb.pairs):
-                    continue
-                if _coherent_read_violated(events_t, rf, hb.pairs):
-                    continue
-                if _rmw_immediate_violated(events_t, rf, mo):
+                if frame.static_hb:
+                    hb = frame.base
+                else:
+                    hb, cyclic = _hb_rows(frame, _sw_edges(frame, mo, rf))
+                    if cyclic or _coherent_read_violated(frame, rf, hb):
+                        continue
+                if _hb_mo_violated(mo, hb):
                     continue
 
-                sc_ids = [e.id for e in events_t if e.order is MemoryOrder.SEQ_CST]
-                if strict_s:
-                    sc_set = set(sc_ids)
-                    constraint = {(a, b) for a, b in hb.pairs if a in sc_set and b in sc_set}
-                    for order in mo.values():
-                        in_s = [w for w in order if w in sc_set]
-                        constraint.update(itertools.combinations(in_s, 2))
-                    sc_partial = Relation(frozenset(sc_ids), frozenset(constraint))
+                s_orders: Iterable[tuple[int, ...]] = ((),)
+                if frame.sc_ids:
+                    preds = _s_constraint(frame, mo, hb) if strict_s else dict.fromkeys(frame.sc_ids, 0)
                     try:
-                        extensions = linear_extensions(sc_partial, sc_ids)
+                        s_orders = ordered_extensions(preds)
                     except ValueError:
                         continue  # hb and mo already contradict on S events
-                else:
-                    extensions = linear_extensions(Relation.empty(sc_ids), sc_ids)
-
-                for s_order in extensions:
+                for s_order in s_orders:
                     bump()
-                    s_pos = {eid: i for i, eid in enumerate(s_order)}
-                    if _sc_read_violated(events_t, rf, s_order, s_pos, hb.pairs):
+                    if _sc_violations(frame, mo, rf, hb, s_order):
                         continue
-                    if _sc_fence_violations(events_t, rf, mo_pos, s_order, s_pos):
-                        continue
-                    candidate = CandidateExecution(events_t, dict(rf), mo, s_order)
-                    outcome = _candidate_outcome(program, lay, events, mo)
-                    if _race_pairs(events_t, hb.pairs):
+                    if not racy and _races(frame, hb):
                         racy = True
+                    memory = {loc: events_t[t.order[-1]].value_written for loc, t in zip(frame.locations, mo)}
+                    outcome = make_outcome(program, regs, memory)
                     if outcome not in witnesses:
-                        witnesses[outcome] = candidate
+                        mo_map = {loc: t.order for loc, t in zip(frame.locations, mo)}
+                        witnesses[outcome] = CandidateExecution(events_t, rf, mo_map, s_order)
                     break
 
     return OutcomeSet(frozenset(witnesses), racy=racy, stats=stats, witnesses=dict(witnesses))

@@ -188,6 +188,13 @@ def _write_dots(report: RunReport, program: Program, directory: Path, out) -> No
             print(f"wrote {target}", file=out)
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse turns a ValueError into a usage error too
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="memlit", description="litmus test checker for SC, x86-TSO, and C++11 atomics")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -196,8 +203,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     check.add_argument("--model", choices=MODELS + ("all",), default="all")
     check.add_argument("--compare", action="store_true", help="per-model summary table plus the SC-within-TSO check")
     check.add_argument("--dot", metavar="DIR", help="write one witness graph per (model, outcome)")
-    check.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES, metavar="N")
-    check.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES, metavar="N")
+    check.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES, metavar="N")
+    check.add_argument("--max-candidates", type=_positive_int, default=DEFAULT_MAX_CANDIDATES, metavar="N")
     check.add_argument("--no-weak-spurious", dest="weak_spurious", action="store_false",
                        help="forbid spurious cas_weak failures")
     check.add_argument("--strict-s", dest="strict_s", action=argparse.BooleanOptionalAction, default=True,

@@ -7,7 +7,7 @@ few dozen at most), so closures run on dense bitmasks.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 
@@ -102,27 +102,43 @@ def linear_extensions(partial: Relation, elements: Iterable[int]) -> Iterator[tu
     elems = sorted(set(elements))
     if not set(elems) <= partial.universe:
         raise ValueError("elements outside universe")
-    keep = set(elems)
-    edges = [(a, b) for a, b in partial.pairs if a in keep and b in keep and a != b]
-    if not is_irreflexive_and_acyclic(Relation.of(elems, edges)):
-        raise ValueError("cyclic constraint has no linear extension")
-    preds: dict[int, set[int]] = {e: set() for e in elems}
-    for a, b in edges:
-        preds[b].add(a)
+    index = {e: i for i, e in enumerate(elems)}
+    preds = dict.fromkeys(range(len(elems)), 0)
+    for a, b in partial.pairs:
+        if a in index and b in index and a != b:
+            preds[index[b]] |= 1 << index[a]
+    # ordered_extensions is called, and a cycle reported, right here
+    return (tuple(elems[i] for i in order) for order in ordered_extensions(preds))
 
-    def generate(remaining: list[int], placed: set[int], acc: list[int]) -> Iterator[tuple[int, ...]]:
+
+def ordered_extensions(preds: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
+    """All total orders over the keys of `preds` that place each key after
+    every key whose bit its mask sets, lazily and in lexicographic order.
+
+    Keys are non-negative and masks set only bits of keys.  Raises
+    ValueError at once if the constraint is cyclic.
+    """
+    elems = sorted(preds)
+    placed = 0
+    left = elems
+    while left:
+        ready = [e for e in left if not preds[e] & ~placed]
+        if not ready:
+            raise ValueError("cyclic constraint has no linear extension")
+        for e in ready:
+            placed |= 1 << e
+        left = [e for e in left if not placed >> e & 1]
+
+    acc: list[int] = []
+
+    def generate(remaining: list[int], placed: int) -> Iterator[tuple[int, ...]]:
         if not remaining:
             yield tuple(acc)
             return
-        for e in list(remaining):
-            if preds[e] <= placed:
-                remaining.remove(e)
-                placed.add(e)
+        for e in remaining:
+            if not preds[e] & ~placed:
                 acc.append(e)
-                yield from generate(remaining, placed, acc)
+                yield from generate([x for x in remaining if x != e], placed | 1 << e)
                 acc.pop()
-                placed.remove(e)
-                remaining.append(e)
-                remaining.sort()
 
-    return generate(elems, set(), [])
+    return generate(elems, 0)

@@ -1,16 +1,37 @@
-"""Reference oracles and random-program strategies.
+"""Reference oracles, candidate spaces and random-program strategies.
 
-The oracles re-derive the operational semantics from scratch on plain dicts
-so the backends are checked against an independent implementation, not
-against themselves.
+The operational oracles re-derive the semantics from scratch on plain dicts,
+and the axiomatic oracle judges candidates on pair sets with the `Relation`
+helpers, so the backends are checked against an independent implementation,
+not against themselves.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
+from typing import Optional
+
 from hypothesis import strategies as st
 
+from memlit.axiomatic import (
+    ACQUIRE_CLASS,
+    RELEASE_CLASS,
+    CandidateExecution,
+    ExecutionJudgment,
+    compute_sb,
+    _defining_events,
+    _ground,
+    _init_events,
+    _layout,
+    _skeletons,
+)
 from memlit.model import (
+    CAS_KINDS,
+    INIT_THREAD,
     Assertion,
+    Event,
+    EventKind,
     Instruction,
     Kind,
     MemAtom,
@@ -20,6 +41,7 @@ from memlit.model import (
     make_outcome,
     validate,
 )
+from memlit.relation import Relation, compose, restrict, transitive_closure, union
 
 _FETCH = {
     Kind.FETCH_ADD: lambda a, b: (a + b) % 256,
@@ -237,6 +259,278 @@ def reachable_pairs(universe, pairs) -> frozenset[tuple[int, int]]:
             out.add((a, b))
             stack.extend(succ[b])
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# axiomatic oracle: every axiom on pair sets, one loop per rule
+
+
+def reference_judgment(program: Program, candidate: CandidateExecution) -> ExecutionJudgment:
+    """The axioms of memlit.axiomatic evaluated on `Relation` pair sets."""
+    events = candidate.events
+    rf = candidate.rf
+    mo = candidate.mo
+    mo_pos = {w: i for order in mo.values() for i, w in enumerate(order)}
+    sb = compute_sb(program)
+    universe = sb.universe
+    sw = Relation(universe, _sw_pairs(events, rf, mo))
+    init = Relation(universe, frozenset((i.id, e.id) for i in events if i.is_init for e in events if not e.is_init))
+    hb = transitive_closure(union(union(sb, sw), init))
+    s = candidate.sc_order
+    s_pos = {eid: i for i, eid in enumerate(s)}
+
+    violated: list[str] = []
+    if any(a == b for a, b in hb.pairs):
+        violated.append("HB-IRREFLEXIVE")
+    else:
+        if _hb_mo_violated(events, mo_pos, hb.pairs):
+            violated.append("HB-MO")
+        if _coherent_read_violated(events, rf, hb):
+            violated.append("COHERENT-READ")
+        if _sc_read_violated(events, rf, s, s_pos, hb.pairs):
+            violated.append("SC-READ")
+    if _rmw_immediate_violated(events, rf, mo):
+        violated.append("RMW-IMMEDIATE")
+    violated.extend(_sc_fence_violations(events, rf, mo_pos, s, s_pos))
+
+    consistent = not violated
+    races = _race_pairs(events, hb.pairs) if consistent else ()
+    return ExecutionJudgment(consistent, tuple(violated), races, sb, sw, hb)
+
+
+def _sequenced(a: Event, b: Event) -> bool:
+    return a.thread == b.thread and a.thread != INIT_THREAD and a.index < b.index
+
+
+def _sequence_from(events, mo, head: Event) -> tuple[int, ...]:
+    order = mo[head.location]
+    seq = [head.id]
+    for w_id in order[order.index(head.id) + 1 :]:
+        e = events[w_id]
+        if not (e.atomic and (e.kind is EventKind.RMW or e.thread == head.thread)):
+            break
+        seq.append(w_id)
+    return tuple(seq)
+
+
+def _sw_pairs(events, rf, mo) -> frozenset[tuple[int, int]]:
+    atomic_writes = [e for e in events if e.writes_memory and e.atomic and not e.is_init]
+    atomic_reads = [e for e in events if e.reads_memory and e.atomic]
+    release_writes = [e for e in atomic_writes if e.order in RELEASE_CLASS]
+    acquire_reads = [e for e in atomic_reads if e.order in ACQUIRE_CLASS]
+    release_fences = [e for e in events if e.kind is EventKind.FENCE and e.order in RELEASE_CLASS]
+    acquire_fences = [e for e in events if e.kind is EventKind.FENCE and e.order in ACQUIRE_CLASS]
+    hyp = {w.id: _sequence_from(events, mo, w) for w in atomic_writes}
+
+    def carried(y: Event, x: Event) -> bool:
+        # y reads from the hypothetical release sequence headed by x
+        return y.location == x.location and rf.get(y.id) in hyp[x.id]
+
+    pairs: set[tuple[int, int]] = set()
+    for w in release_writes:
+        for r in acquire_reads:
+            if carried(r, w):
+                pairs.add((w.id, r.id))
+    for fa in release_fences:
+        for fb in acquire_fences:
+            if fa.id != fb.id and any(
+                _sequenced(fa, x) and _sequenced(y, fb) and carried(y, x) for x in atomic_writes for y in atomic_reads
+            ):
+                pairs.add((fa.id, fb.id))
+    for fa in release_fences:
+        for r in acquire_reads:
+            if any(_sequenced(fa, x) and carried(r, x) for x in atomic_writes):
+                pairs.add((fa.id, r.id))
+    for w in release_writes:
+        for fb in acquire_fences:
+            if any(_sequenced(y, fb) and carried(y, w) for y in atomic_reads):
+                pairs.add((w.id, fb.id))
+    return frozenset(pairs)
+
+
+def _hb_mo_violated(events, mo_pos, hb_pairs) -> bool:
+    return any(
+        events[a].writes_memory
+        and events[b].writes_memory
+        and events[a].location == events[b].location
+        and mo_pos[a] > mo_pos[b]
+        for a, b in hb_pairs
+    )
+
+
+def _coherent_read_violated(events, rf, hb: Relation) -> bool:
+    """Only called on an acyclic hb, so a write interposed between w and r
+    is neither of them."""
+    for loc in {e.location for e in events if e.reads_memory}:
+        at_loc = restrict(hb, lambda e: events[e].location == loc)
+        between_writes = restrict(hb, lambda e: events[e].location == loc and events[e].writes_memory)
+        interposed = compose(between_writes, at_loc)
+        for r_id, w_id in rf.items():
+            if events[r_id].location == loc and ((r_id, w_id) in hb or (w_id, r_id) in interposed):
+                return True
+    return False
+
+
+def _rmw_immediate_violated(events, rf, mo) -> bool:
+    for e in events:
+        if e.kind is EventKind.RMW:
+            order = mo[e.location]
+            i = order.index(e.id)
+            if i == 0 or order[i - 1] != rf.get(e.id):
+                return True
+    return False
+
+
+def _last_sc_write_before(events, s, limit_pos, location) -> Optional[int]:
+    found = None
+    for eid in s[:limit_pos]:
+        e = events[eid]
+        if e.writes_memory and e.location == location:
+            found = eid
+    return found
+
+
+def _sc_read_violated(events, rf, s, s_pos, hb_pairs) -> bool:
+    for b_id in s:
+        b = events[b_id]
+        if not b.reads_memory:
+            continue
+        w_id = rf[b_id]
+        a_id = _last_sc_write_before(events, s, s_pos[b_id], b.location)
+        plain = events[w_id].order is not MemoryOrder.SEQ_CST
+        if a_id is None:
+            ok = plain
+        else:
+            ok = w_id == a_id or (plain and (w_id, a_id) not in hb_pairs)
+        if not ok:
+            return True
+    return False
+
+
+def _sc_fence_violations(events, rf, mo_pos, s, s_pos) -> list[str]:
+    fences = [events[i] for i in s if events[i].kind is EventKind.FENCE]
+    if not fences:
+        return []
+    atomic_reads = [e for e in events if e.reads_memory and e.atomic]
+    atomic_writes = [e for e in events if e.writes_memory and e.atomic and not e.is_init]
+
+    def bracketed(a: Event, b: Event) -> bool:
+        # a sb fence X, fence Y sb b, X before Y in S
+        return any(
+            _sequenced(a, x) and _sequenced(y, b) and s_pos[x.id] < s_pos[y.id] for x in fences for y in fences
+        )
+
+    violated = []
+    # 1: fence X sequenced before read B constrains B by the last seq_cst
+    #    write preceding X in S.
+    if any(
+        _sequenced(x, b)
+        and (a_id := _last_sc_write_before(events, s, s_pos[x.id], b.location)) is not None
+        and mo_pos[rf[b.id]] < mo_pos[a_id]
+        for x in fences
+        for b in atomic_reads
+    ):
+        violated.append("SC-FENCE-1")
+    # 2: write A sequenced before fence X, X S-before seq_cst read B.
+    if any(
+        a.location == b.location
+        and a.id != b.id
+        and _sequenced(a, x)
+        and s_pos[x.id] < s_pos[b.id]
+        and mo_pos[rf[b.id]] < mo_pos[a.id]
+        for b in atomic_reads
+        if b.order is MemoryOrder.SEQ_CST
+        for a in atomic_writes
+        for x in fences
+    ):
+        violated.append("SC-FENCE-2")
+    # 3: write A sb fence X, fence Y sb read B, X S-before Y.
+    if any(
+        b.location == a.location and b.id != a.id and mo_pos[rf[b.id]] < mo_pos[a.id] and bracketed(a, b)
+        for a in atomic_writes
+        for b in atomic_reads
+    ):
+        violated.append("SC-FENCE-3")
+    # 4: write A sb fence X, fence Y sb write B, X S-before Y forces mo order.
+    if any(
+        b.location == a.location and b.id != a.id and mo_pos[b.id] <= mo_pos[a.id] and bracketed(a, b)
+        for a in atomic_writes
+        for b in atomic_writes
+    ):
+        violated.append("SC-FENCE-4")
+    return violated
+
+
+def _race_pairs(events, hb_pairs) -> tuple[tuple[int, int], ...]:
+    return tuple(
+        sorted(
+            (a.id, b.id)
+            for i, a in enumerate(events)
+            if a.location is not None
+            for b in events[i + 1 :]
+            if b.location == a.location
+            and b.thread != a.thread
+            and (a.writes_memory or b.writes_memory)
+            and not (a.atomic and b.atomic)
+            and (a.id, b.id) not in hb_pairs
+            and (b.id, a.id) not in hb_pairs
+        )
+    )
+
+
+def grounded_candidates(program: Program, weak_spurious: bool, limit: int) -> Optional[list[CandidateExecution]]:
+    """Every grounded candidate of `program`, unpruned: each CAS branching,
+    every rf choice of a same-location write, every modification order with
+    initialization first, every order S of the seq_cst events.  None when
+    there are more than `limit`."""
+    lay = _layout(program)
+    init_events = _init_events(program, lay)
+    defs = _defining_events(program, lay)
+    cas_sites = [
+        (t, i) for t, body in enumerate(program.threads) for i, instr in enumerate(body) if instr.kind in CAS_KINDS
+    ]
+
+    def space() -> Iterator[CandidateExecution]:
+        for combo in itertools.product((True, False), repeat=len(cas_sites)):
+            skels = _skeletons(program, lay, dict(zip(cas_sites, combo)))
+            writes = {
+                loc: [lay.init_ids[loc]] + [s.id for s in skels if s.writes_memory and s.location == loc]
+                for loc in lay.locations
+            }
+            reads = [s for s in skels if s.reads_memory]
+            choices = [[w for w in writes[r.location] if w != r.id] for r in reads]
+            mos = [[(order[0],) + rest for rest in itertools.permutations(order[1:])] for order in writes.values()]
+            sc_ids = [s.id for s in skels if s.order is MemoryOrder.SEQ_CST]
+            for rf_combo in itertools.product(*choices):
+                rf = dict(zip([r.id for r in reads], rf_combo))
+                events = _ground(skels, init_events, rf, defs, weak_spurious)
+                if events is None:
+                    continue
+                for mo_combo in itertools.product(*mos):
+                    for s in itertools.permutations(sc_ids):
+                        yield CandidateExecution(tuple(events), rf, dict(zip(lay.locations, mo_combo)), s)
+
+    found = list(itertools.islice(space(), limit + 1))
+    return None if len(found) > limit else found
+
+
+# ---------------------------------------------------------------------------
+# synthetic programs
+
+
+def ladder(lengths: tuple[int, ...], stores: str = "relaxed", loads: str = "relaxed") -> str:
+    """Thread t, instruction i: even i stores t+1 to xy[(t+i//2)%2], odd i loads the other."""
+    lines = ["name: ladder", "init: x = 0 y = 0"]
+    for t, length in enumerate(lengths):
+        lines.append(f"thread P{t}:")
+        for i in range(length):
+            side = (t + i // 2) % 2
+            if i % 2 == 0:
+                lines.append(f"  store {'xy'[side]} {t + 1} {stores}")
+            else:
+                lines.append(f"  r{i} = load {'xy'[1 - side]} {loads}")
+    lines.append("exists: x = 0")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from memlit.axiomatic import (
     ACQUIRE_CLASS,
@@ -39,11 +40,12 @@ from memlit.model import (
     eval_assertion,
     force_seq_cst,
     validate,
+    with_fences_after_stores,
 )
 from memlit.relation import is_irreflexive_and_acyclic
 from memlit.operational import enumerate_sc
 
-from support import programs
+from support import grounded_candidates, ladder, programs, reference_judgment
 
 R, W, RMW, F = EventKind.READ, EventKind.WRITE, EventKind.RMW, EventKind.FENCE
 RLX, ACQ, REL, SC = (
@@ -137,6 +139,12 @@ class TestCandidateValidation:
         events = (init_w(0, "x"), ev(1, 0, 0, W, SC, "x", written=1))
         with pytest.raises(ValueError, match="sc_order"):
             CandidateExecution(events, {}, {"x": (0, 1)}, ())
+
+    def test_every_read_needs_a_source(self):
+        # Without the check this read would take a value no write wrote.
+        events = (init_w(0, "x"), ev(1, 0, 0, R, RLX, "x", read=5))
+        with pytest.raises(ValueError, match="rf must give every read exactly one source"):
+            CandidateExecution(events, {}, {"x": (0,)}, ())
 
 
 class TestSequencedBefore:
@@ -566,6 +574,69 @@ class TestEnumeration:
             for outcome, cand in result.witnesses.items():
                 judgment = check_axioms(program, cand)
                 assert judgment.consistent, outcome.format()
+
+
+class TestCandidateSpace:
+    """Candidates explored and outcomes found on the synthetic ladder: a
+    change to the rf, mo or S search shows here."""
+
+    @pytest.mark.parametrize(
+        "lengths, stores, loads, explored, outcomes",
+        [
+            ((4, 4), "relaxed", "relaxed", 208, 64),
+            ((2, 2, 3), "relaxed", "relaxed", 144, 72),
+            ((2, 3, 3), "relaxed", "relaxed", 432, 108),
+            ((6, 6), "relaxed", "relaxed", 14_580, 256),
+            ((2, 3, 3), "release", "acquire", 324, 63),
+            ((4, 4), "seq_cst", "seq_cst", 637, 13),
+            ((2, 2, 3), "seq_cst", "seq_cst", 1_437, 30),
+            ((2, 3, 3), "seq_cst", "seq_cst", 3_851, 32),
+        ],
+        ids=["relaxed-2x4", "relaxed-2+2+3", "relaxed-2+3+3", "relaxed-2x6", "relacq-2+3+3",
+             "seq_cst-2x4", "seq_cst-2+2+3", "seq_cst-2+3+3"],
+    )
+    def test_ladder_counts(self, lengths, stores, loads, explored, outcomes):
+        result = enumerate_cxx11(parse_litmus(ladder(lengths, stores, loads)))
+        assert (result.stats.explored, len(result.outcomes)) == (explored, outcomes)
+
+    def test_fenced_ladder_counts(self):
+        result = enumerate_cxx11(with_fences_after_stores(parse_litmus(ladder((3, 4)))))
+        assert (result.stats.explored, len(result.outcomes)) == (205, 12)
+
+
+class TestAgainstReference:
+    @settings(max_examples=100, deadline=None)
+    @given(programs(max_total=4), st.booleans())
+    def test_check_axioms_matches_pair_set_judge(self, program, spurious):
+        candidates = grounded_candidates(program, spurious, limit=2_000)
+        assume(candidates is not None)
+        for candidate in candidates:
+            got = check_axioms(program, candidate)
+            want = reference_judgment(program, candidate)
+            assert (got.violated, got.races, got.sw, got.hb) == (want.violated, want.races, want.sw, want.hb)
+
+    def test_every_axiom_seen_on_corpus_and_single_axiom_programs(self, corpus):
+        # Random programs rarely build the seq_cst fence shapes, so the whole
+        # candidate space of each small enough corpus program and of each
+        # TestSingleAxiom program is compared too, until every axiom has
+        # rejected some candidate.  The last program puts an acq_rel fence
+        # between a load and a store that another thread's RMW extends: a
+        # fence must never synchronize with itself.
+        self_sync = (
+            "name: t\ninit: x = 0\nthread P0:\n  r1 = load x relaxed\n  fence acq_rel\n  store x 1 relaxed\n"
+            "thread P1:\n  r2 = fetch_add x 1 relaxed\nexists: P0:r1 = 2\n"
+        )
+        texts = [entry.text for entry in corpus.values()] + [case[1] for case in SINGLE_AXIOM_CASES] + [self_sync]
+        seen: set[str] = set()
+        for text in texts:
+            program = parse_litmus(text)
+            candidates = grounded_candidates(program, True, limit=2_000)
+            for candidate in candidates or ():
+                got = check_axioms(program, candidate)
+                want = reference_judgment(program, candidate)
+                assert (got.violated, got.races, got.sw, got.hb) == (want.violated, want.races, want.sw, want.hb)
+                seen.update(want.violated)
+        assert seen == set(AXIOMS)
 
 
 class TestAgainstOperationalModels:

@@ -75,6 +75,13 @@ class TestExitCodes:
             main(["check", str(DEKKER), "--model", "ppc"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--max-candidates", "-5"), ("--max-states", "0")])
+    def test_non_positive_budget_is_usage_error(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(DEKKER), flag, value])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_resource_limit_is_three(self, capsys):
         assert main(["check", str(DEKKER), "--model", "cxx11", "--max-candidates", "1"]) == 3
         assert "limit" in capsys.readouterr().err

@@ -21,7 +21,7 @@ from memlit.operational import (
     initial_state,
 )
 
-from support import programs, tso_outcomes
+from support import ladder, programs, tso_outcomes
 
 DEKKER = """\
 name: dekker
@@ -216,21 +216,6 @@ class TestCorpusDiscipline:
             if entry.results["sc"].outcomes < entry.results["tso"].outcomes
         }
         assert gains == {"dekker", "dekker_relaxed", "forall_mutex", "sb_fence_one", "sb_rel_acq"}
-
-
-def ladder(lengths: tuple[int, ...]) -> str:
-    """Thread t, instruction i: even i stores to xy[(t+i//2)%2], odd i loads the other, all relaxed."""
-    lines = ["name: ladder", "init: x = 0 y = 0"]
-    for t, length in enumerate(lengths):
-        lines.append(f"thread P{t}:")
-        for i in range(length):
-            side = (t + i // 2) % 2
-            if i % 2 == 0:
-                lines.append(f"  store {'xy'[side]} {t + 1} relaxed")
-            else:
-                lines.append(f"  r{i} = load {'xy'[1 - side]} relaxed")
-    lines.append("exists: x = 0")
-    return "\n".join(lines) + "\n"
 
 
 class TestStateSpace:
