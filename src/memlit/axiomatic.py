@@ -48,6 +48,13 @@ relation.  What depends only on the events (sb, locations, which events can
 synchronize) is computed once per CAS branching, what depends on mo once per
 modification order of each location, and only sw, the hb closure and the
 axiom tests once per candidate.  `Relation` appears only at the API boundary.
+
+Under strict_s, S embeds hb and mo between seq_cst events, so most ways an S
+could break SC-READ or SC-FENCE-1..4 come down to S edges that rf, mo and hb
+fix.
+The enumerator adds those edges before it generates any S: a cycle rules the
+candidate out at once, and otherwise only orders that keep them are tried.
+Each order tried is still judged by the axioms in full.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .model import (
@@ -258,21 +266,19 @@ class _Frame:
 
     Built from events ordered by id, or from one CAS branching's skeletons
     behind the initialization writes: only kind, order, atomicity, location,
-    thread and index are read, and those a branching fixes.
+    thread and index are read, and those a branching fixes.  sb, hb's base
+    rows and the sw tables are built at once; what only the axioms read is
+    built on first use, so `compute_sw` never builds it.
     """
 
     def __init__(self, events: Sequence[Union[Event, "_Skeleton"]]) -> None:
+        self.events = events
         self.n = len(events)
-        reads = [e.reads_memory for e in events]
-        writes = [e.writes_memory for e in events]
         init = [e.thread == INIT_THREAD for e in events]
         by_thread: dict[int, list] = {}
-        by_loc: dict[str, list] = {}
         for e in events:
             if not init[e.id]:
                 by_thread.setdefault(e.thread, []).append(e)
-            if e.location is not None:
-                by_loc.setdefault(e.location, []).append(e)
 
         # sb rows, and hb's base rows: sb plus initialization before every
         # program event.  Both are already transitive.
@@ -283,75 +289,115 @@ class _Frame:
         program_events = sum(1 << e.id for e in events if not init[e.id])
         self.base = [program_events if init[e] else self.sb[e] for e in range(self.n)]
 
-        self.locations: tuple[str, ...] = tuple(dict.fromkeys(e.location for e in events if writes[e.id]))
-        loc_index = {loc: i for i, loc in enumerate(self.locations)}
-        self.loc_writes = [sum(1 << e.id for e in by_loc[loc] if writes[e.id]) for loc in self.locations]
+        self.locations: tuple[str, ...] = tuple(dict.fromkeys(e.location for e in events if e.writes_memory))
+        self.loc_index = {loc: i for i, loc in enumerate(self.locations)}
         self.thread = [e.thread for e in events]
         self.atomic = sum(1 << e.id for e in events if e.atomic)
         self.rmw = sum(1 << e.id for e in events if e.kind is EventKind.RMW)
         self.sc_ids = tuple(e.id for e in events if e.order is MemoryOrder.SEQ_CST)
         self.sc_mask = sum(1 << e for e in self.sc_ids)
 
-        # COHERENT-READ: each read with the other writes to its location.
-        self.read_checks = tuple(
-            (e.id, self.loc_writes[loc_index[e.location]] & ~(1 << e.id)) for e in events if reads[e.id]
-        )
-
-        atomic_writes = [e for e in events if writes[e.id] and e.atomic and not init[e.id]]
-        atomic_reads = [e for e in events if reads[e.id] and e.atomic]
-        fences = [e for e in events if e.kind is EventKind.FENCE]
-
         # sw: each atomic write tags the release heads its (hypothetical)
         # release sequence carries: itself if release-class, and every
         # release fence sequenced before it.  Each atomic read that can
         # acquire lists the acquire fences sequenced after it.
+        fences = [e for e in events if e.kind is EventKind.FENCE]
         release_fences = [f.id for f in fences if f.order in RELEASE_CLASS]
         acquire_fences = [f.id for f in fences if f.order in ACQUIRE_CLASS]
         self.tags: dict[int, int] = {}
-        for x in atomic_writes:
+        for x in self._atomic_writes:
             tag = (1 << x.id if x.order in RELEASE_CLASS else 0) | sum(
                 1 << f for f in release_fences if self.sb[f] >> x.id & 1
             )
             if tag:
                 self.tags[x.id] = tag
         self.sync_reads = []
-        for y in atomic_reads:
+        for y in self._atomic_reads:
             after = tuple(f for f in acquire_fences if self.sb[y.id] >> f & 1)
             acquire = y.order in ACQUIRE_CLASS
             if acquire or after:
-                self.sync_reads.append((y.id, loc_index[y.location], acquire, after))
+                self.sync_reads.append((y.id, self.loc_index[y.location], acquire, after))
         # Without both a tag and a read to carry it there is no sw edge, and
         # hb is the base rows for every candidate.
         self.static_hb = not (self.tags and self.sync_reads)
 
-        # Races: conflicting pairs, lower id first, that only hb can order.
-        self.conflicts = tuple(
+    @property
+    def _atomic_writes(self) -> list:
+        return [e for e in self.events if e.writes_memory and e.atomic and e.thread != INIT_THREAD]
+
+    @property
+    def _atomic_reads(self) -> list:
+        return [e for e in self.events if e.reads_memory and e.atomic]
+
+    @cached_property
+    def read_checks(self) -> tuple[tuple[int, int], ...]:
+        """COHERENT-READ: each read with the other writes to its location."""
+        loc_writes = dict.fromkeys(self.locations, 0)
+        for e in self.events:
+            if e.writes_memory:
+                loc_writes[e.location] |= 1 << e.id
+        return tuple((e.id, loc_writes[e.location] & ~(1 << e.id)) for e in self.events if e.reads_memory)
+
+    @cached_property
+    def conflicts(self) -> tuple[tuple[int, int], ...]:
+        """Races: conflicting pairs, lower id first, that only hb can order."""
+        by_loc: dict[str, list] = {}
+        for e in self.events:
+            if e.location is not None:
+                by_loc.setdefault(e.location, []).append(e)
+        return tuple(
             sorted(
                 (a.id, b.id)
                 for same_loc in by_loc.values()
                 for i, a in enumerate(same_loc)
                 for b in same_loc[i + 1 :]
-                if b.thread != a.thread and (writes[a.id] or writes[b.id]) and not (a.atomic and b.atomic)
+                if b.thread != a.thread and (a.writes_memory or b.writes_memory) and not (a.atomic and b.atomic)
             )
         )
 
-        # S: one step per seq_cst event.  Accesses are (False, reads,
-        # writes, location index, atomic); fences are (True, atomic reads and
-        # atomic writes sequenced after it with their location indices, mask
-        # of atomic writes sequenced before it).
-        self.sc_writes = tuple((e, loc_index[events[e].location]) for e in self.sc_ids if writes[e])
-        self.sc_steps: dict[int, tuple] = {}
+    @cached_property
+    def sc_steps(self) -> dict[int, tuple]:
+        """S: one step per seq_cst event.  Accesses are (False, reads,
+        writes, location index, atomic); fences are (True, atomic reads and
+        atomic writes sequenced after it with their location indices, mask
+        of atomic writes sequenced before it)."""
+        events = self.events
+        atomic_writes = self._atomic_writes
+        atomic_reads = self._atomic_reads
+        steps: dict[int, tuple] = {}
         for e in self.sc_ids:
             after = self.sb[e]
-            if events[e].kind is EventKind.FENCE:
-                self.sc_steps[e] = (
+            event = events[e]
+            if event.kind is EventKind.FENCE:
+                steps[e] = (
                     True,
-                    tuple((b.id, loc_index[b.location]) for b in atomic_reads if after >> b.id & 1),
-                    tuple((b.id, loc_index[b.location]) for b in atomic_writes if after >> b.id & 1),
+                    tuple((b.id, self.loc_index[b.location]) for b in atomic_reads if after >> b.id & 1),
+                    tuple((b.id, self.loc_index[b.location]) for b in atomic_writes if after >> b.id & 1),
                     sum(1 << a.id for a in atomic_writes if self.sb[a.id] >> e & 1),
                 )
             else:
-                self.sc_steps[e] = (False, reads[e], writes[e], loc_index[events[e].location], events[e].atomic)
+                loc = self.loc_index[event.location]
+                steps[e] = (False, event.reads_memory, event.writes_memory, loc, event.atomic)
+        return steps
+
+    @cached_property
+    def sc_writes(self) -> tuple[tuple[int, int], ...]:
+        """Each seq_cst write with its location index."""
+        return tuple((e, step[3]) for e, step in self.sc_steps.items() if not step[0] and step[2])
+
+    @cached_property
+    def sc_loc_writes(self) -> list[int]:
+        """Per location index, the mask of its seq_cst writes."""
+        masks = [0] * len(self.locations)
+        for e, li in self.sc_writes:
+            masks[li] |= 1 << e
+        return masks
+
+    @cached_property
+    def sc_fences(self) -> tuple[tuple[int, int], ...]:
+        """Each seq_cst fence with atomic writes sequenced before it, and
+        their mask."""
+        return tuple((e, step[3]) for e, step in self.sc_steps.items() if step[0] and step[3])
 
     def mo_orders(self, mo: Mapping[str, tuple[int, ...]]) -> tuple["_MoOrder", ...]:
         return tuple(_MoOrder(self, mo[loc]) for loc in self.locations)
@@ -484,15 +530,63 @@ def _sc_violations(
     return [name for name, hit in zip(names, flags) if hit]
 
 
-def _s_constraint(frame: _Frame, mo: Sequence[_MoOrder], hb: Sequence[int]) -> dict[int, int]:
-    """Under strict_s, S embeds hb and mo between seq_cst events: each
-    seq_cst event's mask of required predecessors."""
+def _s_constraint(
+    frame: _Frame, mo: Sequence[_MoOrder], rf: Mapping[int, int], hb: Sequence[int]
+) -> dict[int, int]:
+    """Under strict_s, each seq_cst event's mask of required predecessors in
+    S: S embeds hb and mo between seq_cst events, and given that, each SC
+    axiom forces further edges for this rf and mo.  Every edge is necessary,
+    so no S that passes `_sc_violations` is ever pruned."""
     preds = dict.fromkeys(frame.sc_ids, 0)
     for e, li in frame.sc_writes:
         preds[e] = mo[li].before[e] & frame.sc_mask
     for a in frame.sc_ids:
         for b in _bits(hb[a] & frame.sc_mask):
             preds[b] |= 1 << a
+    fences = frame.sc_fences
+    for e, step in frame.sc_steps.items():
+        if step[0]:
+            _, reads_after, writes_after, _ = step
+            for b, li in reads_after:
+                later = mo[li].after[rf[b]]
+                # SC-FENCE-1: no seq_cst write mo-after b's source precedes e.
+                for a in _bits(later & frame.sc_loc_writes[li]):
+                    preds[a] |= 1 << e
+                # SC-FENCE-3: e precedes every other fence after such a write.
+                for x, before in fences:
+                    if x != e and before & later & ~(1 << b):
+                        preds[x] |= 1 << e
+            # SC-FENCE-4: likewise for a write mo-after b.
+            for b, li in writes_after:
+                for x, before in fences:
+                    if x != e and before & mo[li].after[b]:
+                        preds[x] |= 1 << e
+            continue
+        _, reads, _, li, atomic = step
+        if not reads:
+            continue
+        w = rf[e]
+        later = mo[li].after[w]
+        others = frame.sc_loc_writes[li] & ~(1 << e)
+        # SC-READ: the last seq_cst write before e in S is w itself, or one w
+        # does not happen-before.  S orders seq_cst writes as mo does, so with
+        # w seq_cst, e falls between w and the next one; otherwise e precedes
+        # the writes w happens-before when they are all the mo-latest ones (a
+        # disjunction when they are not, so nothing is added).
+        if frame.sc_mask >> w & 1:
+            preds[e] |= 1 << w
+            forced = later & others
+        else:
+            forced = hb[w] & others
+            if any(mo[li].after[a] & others & ~forced for a in _bits(forced)):
+                forced = 0
+        for a in _bits(forced):
+            preds[a] |= 1 << e
+        # SC-FENCE-2: e precedes every fence after a write mo-after w.
+        if atomic:
+            for x, before in fences:
+                if before & later & ~(1 << e):
+                    preds[x] |= 1 << e
     return preds
 
 
@@ -578,15 +672,9 @@ class _Skeleton:
     order: Optional[MemoryOrder]
     location: Optional[str]
     instr: Instruction
+    reads_memory: bool
+    writes_memory: bool
     cas_success: Optional[bool] = None
-
-    @property
-    def reads_memory(self) -> bool:
-        return self.kind in (EventKind.READ, EventKind.RMW)
-
-    @property
-    def writes_memory(self) -> bool:
-        return self.kind in (EventKind.WRITE, EventKind.RMW)
 
 
 def _skeletons(program: Program, lay: _Layout, branching: Mapping[tuple[int, int], bool]) -> list[_Skeleton]:
@@ -610,9 +698,9 @@ def _skeletons(program: Program, lay: _Layout, branching: Mapping[tuple[int, int
                     kind, order, atomic = EventKind.READ, instr.failure_order, True
             else:
                 kind, order, atomic = EventKind.RMW, instr.order, True
-            skels.append(
-                _Skeleton(eid, t, i, kind, atomic, order, instr.location, instr, success)
-            )
+            reads = kind in (EventKind.READ, EventKind.RMW)
+            writes = kind in (EventKind.WRITE, EventKind.RMW)
+            skels.append(_Skeleton(eid, t, i, kind, atomic, order, instr.location, instr, reads, writes, success))
     return skels
 
 
@@ -751,7 +839,12 @@ def enumerate_cxx11(
     which consistent S witnessed them.  strict_s additionally requires S to
     embed happens-before and modification order between seq_cst events
     (matching the standard's "consistent with" wording); disabling it shows
-    how underconstrained S rewrites seq_cst programs.
+    how underconstrained S rewrites seq_cst programs.  Under strict_s, S
+    choices are also pruned by the edges each SC axiom forces for the
+    candidate's rf and mo (see `_s_constraint`); the first consistent S is
+    the same either way.
+
+    stats.explored counts the (rf, mo) pairs plus the S orders tried.
     """
     lay = _layout(program)
     init_events = _init_events(program, lay)
@@ -838,7 +931,7 @@ def enumerate_cxx11(
 
                 s_orders: Iterable[tuple[int, ...]] = ((),)
                 if frame.sc_ids:
-                    preds = _s_constraint(frame, mo, hb) if strict_s else dict.fromkeys(frame.sc_ids, 0)
+                    preds = _s_constraint(frame, mo, rf, hb) if strict_s else dict.fromkeys(frame.sc_ids, 0)
                     try:
                         s_orders = ordered_extensions(preds)
                     except ValueError:

@@ -514,6 +514,41 @@ def grounded_candidates(program: Program, weak_spurious: bool, limit: int) -> Op
     return None if len(found) > limit else found
 
 
+def s_embeds(candidate: CandidateExecution, hb: Relation) -> bool:
+    """Whether the candidate's S embeds hb and mo between seq_cst events."""
+    pos = {e: i for i, e in enumerate(candidate.sc_order)}
+    mo_pairs = {(a, b) for order in candidate.mo.values() for i, a in enumerate(order) for b in order[i + 1 :]}
+    return all(pos[a] < pos[b] for a, b in hb.pairs | mo_pairs if a in pos and b in pos)
+
+
+def reference_outcomes(
+    program: Program, weak_spurious: bool, strict_s: bool, limit: int
+) -> Optional[tuple[frozenset[Outcome], bool]]:
+    """Outcomes and racy of `program` by brute force: every candidate of
+    `grounded_candidates` that `reference_judgment` finds consistent and,
+    under strict_s, whose S embeds hb and mo between seq_cst events.  None
+    when there are more than `limit` candidates."""
+    candidates = grounded_candidates(program, weak_spurious, limit)
+    if candidates is None:
+        return None
+    lay = _layout(program)
+    outcomes: set[Outcome] = set()
+    racy = False
+    for candidate in candidates:
+        judgment = reference_judgment(program, candidate)
+        if not judgment.consistent or (strict_s and not s_embeds(candidate, judgment.hb)):
+            continue
+        racy = racy or bool(judgment.races)
+        events = candidate.events
+        regs = [
+            {instr.dest: events[lay.event_ids[(t, i)]].value_read for i, instr in enumerate(body) if instr.dest is not None}
+            for t, body in enumerate(program.threads)
+        ]
+        memory = {loc: events[order[-1]].value_written for loc, order in candidate.mo.items()}
+        outcomes.add(make_outcome(program, regs, memory))
+    return frozenset(outcomes), racy
+
+
 # ---------------------------------------------------------------------------
 # synthetic programs
 

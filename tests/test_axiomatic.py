@@ -19,6 +19,8 @@ from memlit.axiomatic import (
     AXIOMS,
     RELEASE_CLASS,
     CandidateExecution,
+    _candidate_hb,
+    _s_constraint,
     check_axioms,
     compute_hb,
     compute_sb,
@@ -45,7 +47,14 @@ from memlit.model import (
 from memlit.relation import is_irreflexive_and_acyclic
 from memlit.operational import enumerate_sc
 
-from support import grounded_candidates, ladder, programs, reference_judgment
+from support import (
+    grounded_candidates,
+    ladder,
+    programs,
+    reference_judgment,
+    reference_outcomes,
+    s_embeds,
+)
 
 R, W, RMW, F = EventKind.READ, EventKind.WRITE, EventKind.RMW, EventKind.FENCE
 RLX, ACQ, REL, SC = (
@@ -588,12 +597,13 @@ class TestCandidateSpace:
             ((2, 3, 3), "relaxed", "relaxed", 432, 108),
             ((6, 6), "relaxed", "relaxed", 14_580, 256),
             ((2, 3, 3), "release", "acquire", 324, 63),
-            ((4, 4), "seq_cst", "seq_cst", 637, 13),
-            ((2, 2, 3), "seq_cst", "seq_cst", 1_437, 30),
-            ((2, 3, 3), "seq_cst", "seq_cst", 3_851, 32),
+            ((4, 4), "seq_cst", "seq_cst", 157, 13),
+            ((2, 2, 3), "seq_cst", "seq_cst", 102, 30),
+            ((2, 3, 3), "seq_cst", "seq_cst", 262, 32),
+            ((2, 2, 2, 2), "seq_cst", "seq_cst", 444, 120),
         ],
         ids=["relaxed-2x4", "relaxed-2+2+3", "relaxed-2+3+3", "relaxed-2x6", "relacq-2+3+3",
-             "seq_cst-2x4", "seq_cst-2+2+3", "seq_cst-2+3+3"],
+             "seq_cst-2x4", "seq_cst-2+2+3", "seq_cst-2+3+3", "seq_cst-4x2"],
     )
     def test_ladder_counts(self, lengths, stores, loads, explored, outcomes):
         result = enumerate_cxx11(parse_litmus(ladder(lengths, stores, loads)))
@@ -601,7 +611,53 @@ class TestCandidateSpace:
 
     def test_fenced_ladder_counts(self):
         result = enumerate_cxx11(with_fences_after_stores(parse_litmus(ladder((3, 4)))))
-        assert (result.stats.explored, len(result.outcomes)) == (205, 12)
+        assert (result.stats.explored, len(result.outcomes)) == (60, 12)
+
+    def test_seq_cst_4x2_is_sc(self):
+        # DRF-SC: a race-free all-seq_cst program has exactly its SC outcomes.
+        program = parse_litmus(ladder((2, 2, 2, 2), "seq_cst", "seq_cst"))
+        result = enumerate_cxx11(program)
+        assert not result.racy
+        assert result.outcomes == enumerate_sc(program).outcomes
+
+
+# Programs that put the seq_cst order S edges' corner cases in reach of a
+# whole-space comparison; random programs of four instructions rarely build
+# them.
+S_EDGE_PROGRAMS = [
+    # SC-READ from a plain write that happens-before a seq_cst write which
+    # is not mo-last: the edges that would keep the read before both seq_cst
+    # writes are a disjunction, so none is derived.
+    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  store x 2 seq_cst\n"
+    "thread P1:\n  store x 3 seq_cst\nthread P2:\n  r1 = load x seq_cst\nexists: P2:r1 = 1\n",
+    # SC-FENCE-1 only constrains seq_cst writes mo-after the read's source.
+    "name: t\ninit: x = 0\nthread P0:\n  store x 1 seq_cst\n  store x 2 relaxed\n"
+    "thread P1:\n  fence seq_cst\n  r1 = load x relaxed\nexists: P1:r1 = 2\n",
+    # With one fence, SC-FENCE-3 and 4 never apply: a fence is not ordered
+    # against itself.
+    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n  r1 = load x relaxed\n"
+    "thread P1:\n  store x 2 relaxed\nexists: P0:r1 = 2 /\\ x = 1\n",
+    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n  store x 2 relaxed\n"
+    "exists: x = 1\n",
+]
+
+
+def assert_derived_s_edges_necessary(program, candidates) -> int:
+    """For each candidate whose hb is acyclic and whose S embeds hb and mo
+    between seq_cst events, breaking an edge `_s_constraint` derives must be
+    an SC axiom's violation.  Returns how many candidates broke one."""
+    broken = 0
+    for candidate in candidates:
+        frame, mo, _, hb, cyclic = _candidate_hb(program, candidate)
+        judgment = check_axioms(program, candidate)
+        if cyclic or not s_embeds(candidate, judgment.hb):
+            continue
+        pos = {e: i for i, e in enumerate(candidate.sc_order)}
+        preds = _s_constraint(frame, mo, candidate.rf, hb)
+        if any(pos[a] >= pos[b] for b, mask in preds.items() for a in pos if mask >> a & 1):
+            broken += 1
+            assert any(name.startswith("SC-") for name in judgment.violated), candidate
+    return broken
 
 
 class TestAgainstReference:
@@ -637,6 +693,50 @@ class TestAgainstReference:
                 assert (got.violated, got.races, got.sw, got.hb) == (want.violated, want.races, want.sw, want.hb)
                 seen.update(want.violated)
         assert seen == set(AXIOMS)
+
+    # Under strict_s the enumerator only tries orders S that keep the edges
+    # each SC axiom forces.  Each edge must be necessary: an S that breaks
+    # one is rejected by an SC axiom anyway.
+    @settings(max_examples=100, deadline=None)
+    @given(programs(max_total=4), st.booleans())
+    def test_derived_s_edges_are_necessary(self, program, spurious):
+        candidates = grounded_candidates(program, spurious, limit=2_000)
+        assume(candidates is not None)
+        assert_derived_s_edges_necessary(program, candidates)
+
+    def test_derived_s_edges_are_necessary_on_corpus_and_single_axiom_programs(self, corpus):
+        texts = [entry.text for entry in corpus.values()] + [case[1] for case in SINGLE_AXIOM_CASES] + S_EDGE_PROGRAMS
+        broken = 0
+        for text in texts:
+            program = parse_litmus(text)
+            broken += assert_derived_s_edges_necessary(program, grounded_candidates(program, True, limit=2_000) or ())
+        assert broken > 0
+
+
+class TestAgainstEnumeratingOracle:
+    """enumerate_cxx11 prunes rf, mo and S; `reference_outcomes` tries every
+    grounded candidate.  Outcomes and racy must agree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs(max_total=4), st.booleans(), st.booleans())
+    def test_on_random_programs(self, program, spurious, strict_s):
+        want = reference_outcomes(program, spurious, strict_s, limit=2_000)
+        assume(want is not None)
+        got = enumerate_cxx11(program, weak_spurious=spurious, strict_s=strict_s)
+        assert (got.outcomes, got.racy) == want
+
+    @pytest.mark.parametrize("strict_s", [True, False])
+    @pytest.mark.parametrize("spurious", [True, False])
+    def test_on_corpus_and_s_edge_programs(self, corpus, spurious, strict_s):
+        compared = 0
+        for program in [entry.program for entry in corpus.values()] + [parse_litmus(t) for t in S_EDGE_PROGRAMS]:
+            want = reference_outcomes(program, spurious, strict_s, limit=2_000)
+            if want is None:
+                continue
+            got = enumerate_cxx11(program, weak_spurious=spurious, strict_s=strict_s)
+            assert (got.outcomes, got.racy) == want, program.name
+            compared += 1
+        assert compared >= 40
 
 
 class TestAgainstOperationalModels:
