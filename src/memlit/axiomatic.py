@@ -96,6 +96,8 @@ AXIOMS = (
     "SC-FENCE-4",
 )
 
+# acq_rel fences act as both an acquire and a release fence; relaxed fences
+# are accepted and have no effect.
 ACQUIRE_CLASS = frozenset({MemoryOrder.ACQUIRE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST})
 RELEASE_CLASS = frozenset({MemoryOrder.RELEASE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST})
 
@@ -142,20 +144,6 @@ class CandidateExecution:
         sc_ids = {e.id for e in self.events if e.order is MemoryOrder.SEQ_CST}
         if set(self.sc_order) != sc_ids or len(self.sc_order) != len(sc_ids):
             raise ValueError("sc_order must be a permutation of the seq_cst events")
-
-    def event(self, event_id: int) -> Event:
-        return self.events[event_id]
-
-    def mo_position(self, event_id: int) -> int:
-        return self._mo_pos[event_id]
-
-    @property
-    def _mo_pos(self) -> dict[int, int]:
-        pos = self.__dict__.get("_mo_pos_cache")
-        if pos is None:
-            pos = {w: i for order in self.mo.values() for i, w in enumerate(order)}
-            self.__dict__["_mo_pos_cache"] = pos
-        return pos
 
 
 @dataclass(frozen=True)

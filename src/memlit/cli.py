@@ -1,11 +1,13 @@
 """Command line driver.
 
-`memlit check FILE` parses and validates a litmus file, enumerates its final
-outcomes under the selected models, evaluates the assertion, and checks any
-`# expected: MODEL VERDICT` annotations found in comments.
+`memlit check FILE...` parses and validates litmus files, enumerates their
+final outcomes under the selected models, evaluates each assertion, and
+checks any `# expected: MODEL VERDICT` annotations found in comments.  One
+file gets the full report; several get one verdict row each, and no model
+runs unless every file loads.
 
 Exit codes: 0 every expectation matches (or none present), 1 mismatch,
-2 usage/parse/validation error, 3 resource limit exceeded.
+2 usage/I/O/parse/validation error, 3 resource limit exceeded.
 """
 
 from __future__ import annotations
@@ -77,6 +79,37 @@ def _enumerate(model: str, program: Program, args: argparse.Namespace) -> Outcom
     )
 
 
+def _load(path: str) -> Optional[tuple[Program, tuple[tuple[str, str], ...]]]:
+    """The parsed, valid program and its expectations, or None after printing why not."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+
+    try:
+        program = parse_litmus(raw)
+    except ParseError as exc:
+        for d in exc.diagnostics:
+            where = f":{d.span.line}:{d.span.column}" if d.span else ""
+            print(f"{path}{where}: error: {d.message}", file=sys.stderr)
+        return None
+
+    problems = validate(program)
+    if problems:
+        for d in problems:
+            place = "" if d.thread is None else f" (thread {d.thread}, instruction {d.instruction})"
+            print(f"{path}: error: {d.rule}: {d.message}{place}", file=sys.stderr)
+        return None
+
+    expectations = parse_expectations(raw)
+    for model, verdict in expectations:
+        if model not in MODELS or verdict not in VERDICTS:
+            print(f"{path}: error: malformed expectation '{model} {verdict}'", file=sys.stderr)
+            return None
+    return program, expectations
+
+
 def _actual_verdict(report: ModelReport, expected: str) -> str:
     if expected in ("racy", "race-free"):
         return "racy" if report.outcomes.racy else "race-free"
@@ -120,6 +153,25 @@ def _print_report(report: RunReport, out) -> None:
             print(f"expected {model} {expected}: ok", file=out)
         else:
             print(f"expected {model} {expected}: MISMATCH (got {actual})", file=out)
+
+
+def _print_row_header(models: tuple[str, ...], width: int, out) -> None:
+    race = ["race"] if "cxx11" in models else []
+    print(f"{'file':<{width}}  " + " ".join(f"{c:<9}" for c in [*models, *race]) + " time", file=out)
+
+
+def _print_row(report: RunReport, width: int, out) -> None:
+    cells = [m.verdict.kind for m in report.models.values()]
+    if "cxx11" in report.models:
+        cells.append("racy" if report.models["cxx11"].outcomes.racy else "race-free")
+    seconds = sum(m.seconds for m in report.models.values())
+    mismatches = [
+        f"{model}: expected {expected}, got {actual}"
+        for model, expected, actual in report.expectations
+        if actual is not None and actual != expected
+    ]
+    row = f"{report.path:<{width}}  " + " ".join(f"{c:<9}" for c in cells) + f" {seconds:5.2f}s"
+    print(row + ("  <- " + "; ".join(mismatches) if mismatches else ""), file=out)
 
 
 def _print_compare(report: RunReport, out) -> None:
@@ -198,10 +250,11 @@ def _positive_int(text: str) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(prog="memlit", description="litmus test checker for SC, x86-TSO, and C++11 atomics")
     sub = parser.add_subparsers(dest="command", required=True)
-    check = sub.add_parser("check", help="run a litmus file under one or all models")
-    check.add_argument("file", help="litmus file")
+    check = sub.add_parser("check", help="run litmus files under one or all models")
+    check.add_argument("file", nargs="+", help="litmus files; several print one verdict row each")
     check.add_argument("--model", choices=MODELS + ("all",), default="all")
-    check.add_argument("--compare", action="store_true", help="per-model summary table plus the SC-within-TSO check")
+    check.add_argument("--compare", action="store_true",
+                       help="per-model summary table plus the SC-within-TSO check (one file only)")
     check.add_argument("--dot", metavar="DIR", help="write one witness graph per (model, outcome)")
     check.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES, metavar="N")
     check.add_argument("--max-candidates", type=_positive_int, default=DEFAULT_MAX_CANDIDATES, metavar="N")
@@ -209,51 +262,48 @@ def main(argv: Optional[list[str]] = None) -> int:
                        help="forbid spurious cas_weak failures")
     check.add_argument("--strict-s", dest="strict_s", action=argparse.BooleanOptionalAction, default=True,
                        help="require the seq_cst order S to embed hb and mo")
-    check.add_argument("--json-ish", metavar="FILE", help="write a single-document JSON summary")
+    check.add_argument("--json-ish", metavar="FILE", help="write a single-document JSON summary (one file only)")
     args = parser.parse_args(argv)
 
-    try:
-        raw = Path(args.file).read_bytes()
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 2
+    several = len(args.file) > 1
+    if several and (args.compare or args.json_ish):
+        check.error("--compare and --json-ish take a single file")
 
-    try:
-        program = parse_litmus(raw)
-    except ParseError as exc:
-        for d in exc.diagnostics:
-            where = f":{d.span.line}:{d.span.column}" if d.span else ""
-            print(f"{args.file}{where}: error: {d.message}", file=sys.stderr)
+    loaded = [_load(path) for path in args.file]
+    if None in loaded:
         return 2
-
-    problems = validate(program)
-    if problems:
-        for d in problems:
-            place = "" if d.thread is None else f" (thread {d.thread}, instruction {d.instruction})"
-            print(f"{args.file}: error: {d.rule}: {d.message}{place}", file=sys.stderr)
-        return 2
-
-    expectations = parse_expectations(raw)
-    for model, verdict in expectations:
-        if model not in MODELS or verdict not in VERDICTS:
-            print(f"{args.file}: error: malformed expectation '{model} {verdict}'", file=sys.stderr)
-            return 2
 
     models = MODELS if (args.model == "all" or args.compare) else (args.model,)
-    try:
-        report = build_report(program, args.file, models, expectations, args)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    _print_report(report, sys.stdout)
-    if args.compare:
-        _print_compare(report, sys.stdout)
-    if args.json_ish:
-        Path(args.json_ish).write_text(json.dumps(_json_document(report), indent=2) + "\n")
-    if args.dot:
-        _write_dots(report, program, Path(args.dot), sys.stdout)
-    return 0 if report.matched else 1
+    width = max(len(path) for path in args.file)
+    if several:
+        _print_row_header(models, width, sys.stdout)
+    started = time.perf_counter()
+    mismatched = 0
+    for path, (program, expectations) in zip(args.file, loaded):
+        try:
+            report = build_report(program, path, models, expectations, args)
+        except ResourceLimitError as exc:
+            print(f"{path}: error: {exc}", file=sys.stderr)
+            return 3
+        mismatched += not report.matched
+        if several:
+            _print_row(report, width, sys.stdout)
+        else:
+            _print_report(report, sys.stdout)
+            if args.compare:
+                _print_compare(report, sys.stdout)
+        try:
+            if args.json_ish:
+                Path(args.json_ish).write_text(json.dumps(_json_document(report), indent=2) + "\n")
+            if args.dot:
+                _write_dots(report, program, Path(args.dot), sys.stdout)
+        except OSError as exc:
+            print(f"error: cannot write: {exc}", file=sys.stderr)
+            return 2
+    if several:
+        seconds = time.perf_counter() - started
+        print(f"{len(args.file)} tests, {mismatched} mismatched, {seconds:.2f} s")
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":

@@ -103,29 +103,6 @@ _FETCH_FUNCTIONS: dict[Kind, Callable[[int, int], int]] = {
     Kind.FETCH_XOR: lambda a, b: a ^ b,
 }
 
-READ_ORDERS = frozenset({MemoryOrder.RELAXED, MemoryOrder.ACQUIRE, MemoryOrder.SEQ_CST})
-WRITE_ORDERS = frozenset({MemoryOrder.RELAXED, MemoryOrder.RELEASE, MemoryOrder.SEQ_CST})
-RMW_ORDERS = frozenset(
-    {
-        MemoryOrder.RELAXED,
-        MemoryOrder.ACQUIRE,
-        MemoryOrder.RELEASE,
-        MemoryOrder.ACQ_REL,
-        MemoryOrder.SEQ_CST,
-    }
-)
-# acq_rel fences act as both an acquire and a release fence; relaxed fences
-# are accepted and have no effect.
-FENCE_ORDERS = frozenset(
-    {
-        MemoryOrder.RELAXED,
-        MemoryOrder.ACQUIRE,
-        MemoryOrder.RELEASE,
-        MemoryOrder.ACQ_REL,
-        MemoryOrder.SEQ_CST,
-    }
-)
-
 
 @dataclass(frozen=True)
 class Instruction:
@@ -156,14 +133,6 @@ class Instruction:
     @property
     def is_cas(self) -> bool:
         return self.kind in CAS_KINDS
-
-    @property
-    def is_fence(self) -> bool:
-        return self.kind is Kind.FENCE
-
-    @property
-    def is_atomic(self) -> bool:
-        return self.kind not in (Kind.NA_LOAD, Kind.NA_STORE)
 
     @property
     def reads_memory(self) -> bool:

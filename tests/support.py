@@ -9,7 +9,7 @@ not against themselves.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from typing import Optional
 
 from hypothesis import strategies as st
@@ -41,7 +41,7 @@ from memlit.model import (
     make_outcome,
     validate,
 )
-from memlit.relation import Relation, compose, restrict, transitive_closure, union
+from memlit.relation import Relation, ordered_extensions
 
 _FETCH = {
     Kind.FETCH_ADD: lambda a, b: (a + b) % 256,
@@ -259,6 +259,85 @@ def reachable_pairs(universe, pairs) -> frozenset[tuple[int, int]]:
             out.add((a, b))
             stack.extend(succ[b])
     return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# relation algebra: the vocabulary of the axiomatic oracle
+
+
+def _adjacency(r: Relation) -> tuple[list[int], dict[int, int], list[int]]:
+    nodes = sorted(r.universe)
+    index = {n: i for i, n in enumerate(nodes)}
+    adj = [0] * len(nodes)
+    for a, b in r.pairs:
+        adj[index[a]] |= 1 << index[b]
+    return nodes, index, adj
+
+
+def transitive_closure(r: Relation) -> Relation:
+    nodes, _, adj = _adjacency(r)
+    n = len(nodes)
+    # Floyd-Warshall, one bitmask row per node.
+    for k in range(n):
+        bit = 1 << k
+        reach_k = adj[k]
+        for i in range(n):
+            if adj[i] & bit:
+                adj[i] |= reach_k
+    pairs = set()
+    for i in range(n):
+        row = adj[i]
+        j = 0
+        while row:
+            if row & 1:
+                pairs.add((nodes[i], nodes[j]))
+            row >>= 1
+            j += 1
+    return Relation(r.universe, frozenset(pairs))
+
+
+def is_irreflexive_and_acyclic(r: Relation) -> bool:
+    closed = transitive_closure(r)
+    return all(a != b for a, b in closed.pairs)
+
+
+def union(r: Relation, s: Relation) -> Relation:
+    if r.universe != s.universe:
+        raise ValueError("universe mismatch in union")
+    return Relation(r.universe, r.pairs | s.pairs)
+
+
+def compose(r: Relation, s: Relation) -> Relation:
+    if r.universe != s.universe:
+        raise ValueError("universe mismatch in compose")
+    by_src: dict[int, list[int]] = {}
+    for b, c in s.pairs:
+        by_src.setdefault(b, []).append(c)
+    pairs = {(a, c) for a, b in r.pairs for c in by_src.get(b, ())}
+    return Relation(r.universe, frozenset(pairs))
+
+
+def restrict(r: Relation, keep: Callable[[int], bool]) -> Relation:
+    return Relation(r.universe, frozenset((a, b) for a, b in r.pairs if keep(a) and keep(b)))
+
+
+def linear_extensions(partial: Relation, elements: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """All total orders over `elements` consistent with `partial`, lazily.
+
+    Deterministic: at each step candidates are tried in ascending id order.
+    Raises ValueError if `elements` strays outside the universe or the
+    restriction of `partial` to `elements` is cyclic.
+    """
+    elems = sorted(set(elements))
+    if not set(elems) <= partial.universe:
+        raise ValueError("elements outside universe")
+    index = {e: i for i, e in enumerate(elems)}
+    preds = dict.fromkeys(range(len(elems)), 0)
+    for a, b in partial.pairs:
+        if a in index and b in index and a != b:
+            preds[index[b]] |= 1 << index[a]
+    # ordered_extensions is called, and a cycle reported, right here
+    return (tuple(elems[i] for i in order) for order in ordered_extensions(preds))
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,11 @@ from memlit.model import (
     validate,
     with_fences_after_stores,
 )
-from memlit.relation import is_irreflexive_and_acyclic
 from memlit.operational import enumerate_sc
 
 from support import (
     grounded_candidates,
+    is_irreflexive_and_acyclic,
     ladder,
     programs,
     reference_judgment,

@@ -1,8 +1,9 @@
-"""Command-line behaviour: exit codes, reports, dot and json output."""
+"""Command-line behaviour: exit codes, reports, dot and json output, several files."""
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ from memlit.cli import main
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 DEKKER = CORPUS / "dekker.lit"
+
+INVALID = "name: t\ninit: x = 0\nthread P0:\n  store x r9\nexists: x = 0\n"
 
 WEAK_CAS = """\
 name: weak
@@ -55,10 +58,7 @@ class TestExitCodes:
         assert f"{path}:4:" in err
 
     def test_validation_error_is_two(self, tmp_path, capsys):
-        path = write(
-            tmp_path,
-            "name: t\ninit: x = 0\nthread P0:\n  store x r9\nexists: x = 0\n",
-        )
+        path = write(tmp_path, INVALID)
         assert main(["check", path]) == 2
         assert "r9" in capsys.readouterr().err
 
@@ -88,6 +88,15 @@ class TestExitCodes:
 
     def test_state_limit_is_three(self):
         assert main(["check", str(DEKKER), "--model", "tso", "--max-states", "2"]) == 3
+
+    @pytest.mark.parametrize(
+        "flag, target",
+        [("--json-ish", "missing/doc.json"), ("--json-ish", "."), ("--dot", "plain.txt")],
+    )
+    def test_unwritable_output_is_two(self, tmp_path, flag, target, capsys):
+        (tmp_path / "plain.txt").write_text("")
+        assert main(["check", str(DEKKER), "--model", "sc", flag, str(tmp_path / target)]) == 2
+        assert "error: cannot write" in capsys.readouterr().err
 
 
 class TestReport:
@@ -190,3 +199,69 @@ class TestDot:
         main(["check", str(DEKKER), "--model", "tso", "--dot", str(out)])
         text = "".join(p.read_text() for p in sorted(out.iterdir()))
         assert "dequeue" in text and 'label="prop"' in text
+
+
+class TestSeveralFiles:
+    def test_corpus_annotations_hold(self, capsys):
+        paths = [str(p) for p in sorted(CORPUS.glob("*.lit"))]
+        assert main(["check", *paths]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["file", "sc", "tso", "cxx11", "race", "time"]
+        assert len(lines) == len(paths) + 2
+        assert re.fullmatch(r"41 tests, 0 mismatched, \d+\.\d\d s", lines[-1])
+        rows = {line.split()[0]: line.split()[1:5] for line in lines[1:-1]}
+        assert rows[str(DEKKER)] == ["forbidden", "allowed", "forbidden", "race-free"]
+        assert rows[str(CORPUS / "race.lit")] == ["allowed", "allowed", "allowed", "racy"]
+
+    def test_mismatch_row_and_exit_one(self, tmp_path, capsys):
+        wrong = write(
+            tmp_path,
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 1\n"
+            "# expected: sc forbidden\n",
+        )
+        assert main(["check", str(DEKKER), wrong, "--model", "sc"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["file", "sc", "time"]
+        assert lines[1].split()[:2] == [str(DEKKER), "forbidden"]
+        assert "<-" not in lines[1]  # dekker's tso and cxx11 expectations are skipped, not mismatched
+        assert lines[2].startswith(wrong) and lines[2].endswith("  <- sc: expected forbidden, got allowed")
+        assert lines[3].startswith("2 tests, 1 mismatched, ")
+
+    def test_invalid_file_is_reported_and_nothing_runs(self, tmp_path, capsys):
+        bad = write(tmp_path, INVALID, "bad.lit")
+        unparsable = write(tmp_path, "name: t\ninit: x = 0\nthread P0:\n  blargh x 1\nexists: x = 0\n", "ugly.lit")
+        out = tmp_path / "dots"
+        assert main(["check", str(DEKKER), bad, unparsable, "--dot", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "unwritten register" in captured.err and "r9" in captured.err
+        assert f"{unparsable}:4:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_dot_writes_every_files_graphs(self, tmp_path, capsys):
+        paths = [DEKKER, CORPUS / "mp_rel_acq.lit"]
+        together = tmp_path / "together"
+        assert main(["check", *map(str, paths), "--model", "tso", "--dot", str(together)]) == 0
+        names = sorted(p.name for p in together.iterdir())
+        assert [n for n in names if n.startswith("dekker-")] == [f"dekker-tso-{i}.dot" for i in range(4)]
+        apart = tmp_path / "apart"
+        for path in paths:
+            main(["check", str(path), "--model", "tso", "--dot", str(apart)])
+        assert names == sorted(p.name for p in apart.iterdir())
+        for name in names:
+            assert (together / name).read_bytes() == (apart / name).read_bytes()
+
+    def test_budget_names_the_file(self, capsys):
+        iriw = str(CORPUS / "iriw_seq_cst.lit")
+        assert main(["check", iriw, str(DEKKER), "--model", "cxx11", "--max-candidates", "1"]) == 3
+        assert f"{iriw}: error: candidate limit exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--compare", "--json-ish"])
+    def test_single_file_flags_refuse_several(self, tmp_path, flag, capsys):
+        extra = [str(tmp_path / "doc.json")] if flag == "--json-ish" else []
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(DEKKER), str(DEKKER), flag, *extra])
+        assert exc.value.code == 2
+        assert "take a single file" in capsys.readouterr().err
+        assert not (tmp_path / "doc.json").exists()

@@ -5,17 +5,17 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from memlit.relation import (
-    Relation,
+from memlit.relation import Relation
+
+from support import (
     compose,
     is_irreflexive_and_acyclic,
     linear_extensions,
+    reachable_pairs,
     restrict,
     transitive_closure,
     union,
 )
-
-from support import reachable_pairs
 
 
 def rel(universe, pairs=()):
