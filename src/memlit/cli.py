@@ -91,8 +91,7 @@ def _load(path: str) -> Optional[tuple[Program, tuple[tuple[str, str], ...]]]:
         program = parse_litmus(raw)
     except ParseError as exc:
         for d in exc.diagnostics:
-            where = f":{d.span.line}:{d.span.column}" if d.span else ""
-            print(f"{path}{where}: error: {d.message}", file=sys.stderr)
+            print(f"{path}:{d.span.line}:{d.span.column}: error: {d.message}", file=sys.stderr)
         return None
 
     problems = validate(program)
@@ -272,6 +271,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     loaded = [_load(path) for path in args.file]
     if None in loaded:
         return 2
+    if args.dot:
+        # graph files are named after the test, so two tests of one name would collide
+        named: dict[str, str] = {}
+        for path, (program, _) in zip(args.file, loaded):
+            if program.name in named:
+                print(f"error: {named[program.name]} and {path} both name their test {program.name};"
+                      " --dot would overwrite its graphs", file=sys.stderr)
+                return 2
+            named[program.name] = path
 
     models = MODELS if (args.model == "all" or args.compare) else (args.model,)
     width = max(len(path) for path in args.file)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .model import (
     And,
@@ -41,19 +41,19 @@ from .model import (
     MemAtom,
     MemoryOrder,
     Not,
+    OPERANDS,
     Or,
     Program,
     RegAtom,
-    CAS_KINDS,
-    FETCH_KINDS,
     derive_failure_order,
 )
 
 ORDER_TOKENS = {o.value: o for o in MemoryOrder}
+KIND_TOKENS = {k.value: k for k in Kind}
 
 RESERVED = frozenset(
     {"name", "init", "thread", "exists", "forall"}
-    | {k.value for k in Kind}
+    | set(KIND_TOKENS)
     | set(ORDER_TOKENS)
 )
 
@@ -85,20 +85,31 @@ class ParseError(Exception):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class _Token:
+_Line = tuple[int, int, str]  # (line number, byte offset, content)
+
+
+class _Token(NamedTuple):
     type: str  # ident | num | sym
     text: str
-    span: SourceSpan
+    line: int
+    column: int
+    start: int  # byte offset; every character before a token on its line is ASCII
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, self.start, self.start + len(self.text))
+
+
+def _span_at(tokens: list[_Token], i: int) -> SourceSpan:
+    """Span of token i, or of the last token when i is past the end."""
+    return tokens[min(i, len(tokens) - 1)].span
 
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<num>[0-9]+)
-      | (?P<and>/\\)
-      | (?P<or>\\/)
-      | (?P<sym>[=:()!])
+      | (?P<sym>/\\|\\/|[=:()!])
     """,
     re.VERBOSE,
 )
@@ -119,7 +130,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.diagnostics: list[ParseDiagnostic] = []
-        self.lines: list[tuple[int, int, str]] = []  # (line number, byte offset, content)
+        self.lines: list[_Line] = []
         offset = 0
         for n, raw in enumerate(text.split("\n"), start=1):
             self.lines.append((n, offset, raw))
@@ -142,24 +153,16 @@ class _Parser:
         while pos < len(content):
             m = _TOKEN_RE.match(content, pos)
             if m is None:
-                start = line_offset + len(content[:pos].encode("utf-8"))
+                # the first character no token matches ends the line, so
+                # everything before it is ASCII: one byte per character.
                 bad = content[pos]
+                start = line_offset + pos
                 span = SourceSpan(line_no, pos + 1, start, start + len(bad.encode("utf-8")))
                 self.error(f"unexpected character {bad!r}", span)
                 return None
-            kind = m.lastgroup
+            if m.lastgroup != "ws":
+                tokens.append(_Token(m.lastgroup, m.group(), line_no, pos + 1, line_offset + pos))
             pos = m.end()
-            if kind == "ws":
-                continue
-            start = line_offset + len(content[: m.start()].encode("utf-8"))
-            end = line_offset + len(content[: m.end()].encode("utf-8"))
-            span = SourceSpan(line_no, m.start() + 1, start, end)
-            if kind == "ident":
-                tokens.append(_Token("ident", m.group(), span))
-            elif kind == "num":
-                tokens.append(_Token("num", m.group(), span))
-            else:
-                tokens.append(_Token("sym", m.group(), span))
         return tokens
 
     # -- small token-list helpers ------------------------------------------
@@ -167,8 +170,7 @@ class _Parser:
     def _take_value(self, tokens: list[_Token], i: int, what: str) -> tuple[Optional[int], int]:
         """Parse NUM in 0..MAX_VALUE; returns (value, next index)."""
         if i >= len(tokens) or tokens[i].type != "num":
-            span = tokens[i].span if i < len(tokens) else tokens[-1].span
-            self.error(f"expected {what}", span)
+            self.error(f"expected {what}", _span_at(tokens, i))
             return None, i
         value = int(tokens[i].text)
         if value > MAX_VALUE:
@@ -178,8 +180,7 @@ class _Parser:
 
     def _take_ident(self, tokens: list[_Token], i: int, what: str) -> tuple[Optional[str], int]:
         if i >= len(tokens) or tokens[i].type != "ident":
-            span = tokens[i].span if i < len(tokens) else tokens[-1].span
-            self.error(f"expected {what}", span)
+            self.error(f"expected {what}", _span_at(tokens, i))
             return None, i
         name = tokens[i].text
         if name in RESERVED:
@@ -207,8 +208,7 @@ class _Parser:
     def _expect_sym(self, tokens: list[_Token], i: int, sym: str) -> tuple[bool, int]:
         if i < len(tokens) and tokens[i].type == "sym" and tokens[i].text == sym:
             return True, i + 1
-        span = tokens[i].span if i < len(tokens) else tokens[-1].span
-        self.error(f"expected {sym!r}", span)
+        self.error(f"expected {sym!r}", _span_at(tokens, i))
         return False, i
 
     # -- instructions -------------------------------------------------------
@@ -219,96 +219,38 @@ class _Parser:
             self.error("expected an instruction", head.span)
             return None
 
-        if head.text == "store" or head.text == "na_store":
-            loc, i = self._take_ident(tokens, 1, "location")
-            operand, i = self._take_operand(tokens, i)
-            if head.text == "store":
-                order, i = self._take_order(tokens, i)
-                order = order or MemoryOrder.SEQ_CST
-            else:
-                order = None
-            if not self._expect_end(tokens, i) or loc is None or operand is None:
+        kind = KIND_TOKENS.get(head.text)
+        fields: dict[str, object] = {}
+        i = 1
+        if kind is None or OPERANDS[kind][0] == "dest":  # REG = op ...
+            dest, i = self._take_ident(tokens, 0, "destination register")
+            ok, i = self._expect_sym(tokens, i, "=")
+            if dest is None or not ok:
                 return None
-            kind = Kind.STORE if head.text == "store" else Kind.NA_STORE
-            return Instruction(kind, location=loc, operand=operand, order=order)
-
-        if head.text == "fence":
-            order, i = self._take_order(tokens, 1)
-            if order is None:
-                span = tokens[1].span if len(tokens) > 1 else head.span
-                self.error("fence requires a memory order", span)
+            if i >= len(tokens) or tokens[i].type != "ident":
+                self.error("expected an operation name", _span_at(tokens, i))
                 return None
-            if not self._expect_end(tokens, i):
+            kind = KIND_TOKENS.get(tokens[i].text)
+            if kind is None or OPERANDS[kind][0] != "dest":
+                self.error(f"unknown operation {tokens[i].text!r}", tokens[i].span)
                 return None
-            return Instruction(Kind.FENCE, order=order)
-
-        # remaining forms: REG = op ...
-        dest, i = self._take_ident(tokens, 0, "destination register")
-        ok, i = self._expect_sym(tokens, i, "=")
-        if dest is None or not ok:
+            fields["dest"] = dest
+            i += 1
+        for name in OPERANDS[kind][len(fields):]:
+            fields[name], i = _TAKE[name](self, tokens, i)
+        if kind is Kind.FENCE and fields["order"] is None:
+            self.error("fence requires a memory order", _span_at(tokens, i))
             return None
-        if i >= len(tokens) or tokens[i].type != "ident":
-            span = tokens[i].span if i < len(tokens) else tokens[-1].span
-            self.error("expected an operation name", span)
+        missing = any(value is None for name, value in fields.items() if name not in ("order", "failure_order"))
+        if not self._expect_end(tokens, i) or missing:
             return None
-        op = tokens[i]
-        i += 1
-
-        if op.text in ("load", "na_load"):
-            loc, i = self._take_ident(tokens, i, "location")
-            if op.text == "load":
-                order, i = self._take_order(tokens, i)
-                order = order or MemoryOrder.SEQ_CST
-            else:
-                order = None
-            if not self._expect_end(tokens, i) or loc is None:
-                return None
-            kind = Kind.LOAD if op.text == "load" else Kind.NA_LOAD
-            return Instruction(kind, location=loc, dest=dest, order=order)
-
-        if op.text == "exchange" or op.text in {k.value for k in FETCH_KINDS}:
-            loc, i = self._take_ident(tokens, i, "location")
-            operand, i = self._take_operand(tokens, i)
-            order, i = self._take_order(tokens, i)
-            if not self._expect_end(tokens, i) or loc is None or operand is None:
-                return None
-            return Instruction(
-                Kind(op.text),
-                location=loc,
-                dest=dest,
-                operand=operand,
-                order=order or MemoryOrder.SEQ_CST,
-            )
-
-        if op.text in ("cas_strong", "cas_weak"):
-            loc, i = self._take_ident(tokens, i, "location")
-            expected, i = self._take_value(tokens, i, "expected value")
-            desired, i = self._take_value(tokens, i, "desired value")
-            success, i = self._take_order(tokens, i)
-            failure, i = self._take_order(tokens, i)
-            if not self._expect_end(tokens, i):
-                return None
-            if loc is None or expected is None or desired is None:
-                return None
-            success = success or MemoryOrder.SEQ_CST
-            failure = failure or derive_failure_order(success)
-            return Instruction(
-                Kind(op.text),
-                location=loc,
-                dest=dest,
-                expected=expected,
-                desired=desired,
-                order=success,
-                failure_order=failure,
-            )
-
-        self.error(f"unknown operation {op.text!r}", op.span)
-        return None
+        if "order" in fields:
+            fields["order"] = fields["order"] or MemoryOrder.SEQ_CST
+        if "failure_order" in fields:
+            fields["failure_order"] = fields["failure_order"] or derive_failure_order(fields["order"])
+        return Instruction(kind, **fields)
 
     # -- boolean conditions ---------------------------------------------------
-
-    def parse_bexpr(self, tokens: list[_Token], i: int) -> tuple[Optional[BoolExpr], int]:
-        return self._parse_or(tokens, i)
 
     def _parse_or(self, tokens: list[_Token], i: int) -> tuple[Optional[BoolExpr], int]:
         left, i = self._parse_and(tokens, i)
@@ -359,6 +301,18 @@ class _Parser:
 
     # -- whole file -----------------------------------------------------------
 
+    def _take_init_pair(self, tokens: list[_Token], i: int, init: dict[str, int], line: _Line) -> tuple[bool, int]:
+        """LOC = NUM into init; returns (parsed, next index)."""
+        loc, i = self._take_ident(tokens, i, "location")
+        ok, i = self._expect_sym(tokens, i, "=")
+        value, i = self._take_value(tokens, i, "value")
+        if loc is None or not ok or value is None:
+            return False, i
+        if loc in init:
+            self.error(f"duplicate init location {loc!r}", self._line_span(*line))
+        init[loc] = value
+        return True, i
+
     def parse(self) -> Optional[Program]:
         name: Optional[str] = None
         init: dict[str, int] = {}
@@ -367,15 +321,14 @@ class _Parser:
         threads: list[list[Instruction]] = []
         assertion: Optional[Assertion] = None
 
-        for line_no, line_offset, raw in self.lines:
-            tokens = self.tokenize(line_no, line_offset, raw)
+        for line in self.lines:
+            tokens = self.tokenize(*line)
             if not tokens:
                 continue
             head = tokens[0]
-            line_span = self._line_span(line_no, line_offset, raw)
 
             if assertion is not None:
-                self.error("content after the condition line", line_span)
+                self.error("content after the condition line", self._line_span(*line))
                 continue
 
             if head.text == "name":
@@ -394,14 +347,7 @@ class _Parser:
                     self.error("duplicate init section", head.span)
                 init_seen = True
                 while ok and i < len(tokens):
-                    loc, i = self._take_ident(tokens, i, "location")
-                    ok2, i = self._expect_sym(tokens, i, "=")
-                    value, i = self._take_value(tokens, i, "value")
-                    if loc is None or not ok2 or value is None:
-                        break
-                    if loc in init:
-                        self.error(f"duplicate init location {loc!r}", line_span)
-                    init[loc] = value
+                    ok, i = self._take_init_pair(tokens, i, init, line)
                 continue
 
             if head.text == "thread":
@@ -419,7 +365,7 @@ class _Parser:
                 ok, i = self._expect_sym(tokens, 1, ":")
                 if not ok:
                     continue
-                expr, i = self.parse_bexpr(tokens, i)
+                expr, i = self._parse_or(tokens, i)
                 self._expect_end(tokens, i)
                 if expr is not None:
                     assertion = Assertion(head.text, expr)
@@ -428,15 +374,9 @@ class _Parser:
             if not threads:
                 # before the first thread: only init continuation lines.
                 if init_seen and len(tokens) == 3 and tokens[1].text == "=":
-                    loc, i = self._take_ident(tokens, 0, "location")
-                    ok, i = self._expect_sym(tokens, i, "=")
-                    value, i = self._take_value(tokens, i, "value")
-                    if loc is not None and ok and value is not None:
-                        if loc in init:
-                            self.error(f"duplicate init location {loc!r}", line_span)
-                        init[loc] = value
+                    self._take_init_pair(tokens, 0, init, line)
                     continue
-                self.error("expected a thread or section header", line_span)
+                self.error("expected a thread or section header", self._line_span(*line))
                 continue
 
             instr = self.parse_instruction(tokens)
@@ -464,6 +404,17 @@ class _Parser:
         )
 
 
+# How parse_instruction takes each OPERANDS field other than "dest".
+_TAKE = {
+    "location": lambda p, tokens, i: p._take_ident(tokens, i, "location"),
+    "operand": lambda p, tokens, i: p._take_operand(tokens, i),
+    "expected": lambda p, tokens, i: p._take_value(tokens, i, "expected value"),
+    "desired": lambda p, tokens, i: p._take_value(tokens, i, "desired value"),
+    "order": lambda p, tokens, i: p._take_order(tokens, i),
+    "failure_order": lambda p, tokens, i: p._take_order(tokens, i),
+}
+
+
 def parse_litmus(text: Union[str, bytes]) -> Program:
     """Parse a litmus test; raises ParseError carrying every diagnostic."""
     decoded, errors = _decode(text)
@@ -479,28 +430,10 @@ def parse_litmus(text: Union[str, bytes]) -> Program:
 # printing
 
 
-def _format_operand(operand: Union[int, str]) -> str:
-    return str(operand)
-
-
 def format_instruction(instr: Instruction) -> str:
-    k = instr.kind
-    if k is Kind.STORE:
-        return f"store {instr.location} {_format_operand(instr.operand)} {instr.order}"
-    if k is Kind.NA_STORE:
-        return f"na_store {instr.location} {_format_operand(instr.operand)}"
-    if k is Kind.LOAD:
-        return f"{instr.dest} = load {instr.location} {instr.order}"
-    if k is Kind.NA_LOAD:
-        return f"{instr.dest} = na_load {instr.location}"
-    if k in CAS_KINDS:
-        return (
-            f"{instr.dest} = {k.value} {instr.location} "
-            f"{instr.expected} {instr.desired} {instr.order} {instr.failure_order}"
-        )
-    if k is Kind.FENCE:
-        return f"fence {instr.order}"
-    return f"{instr.dest} = {k.value} {instr.location} {_format_operand(instr.operand)} {instr.order}"
+    fields = OPERANDS[instr.kind]
+    text = " ".join([instr.kind.value, *(str(getattr(instr, name)) for name in fields if name != "dest")])
+    return f"{instr.dest} = {text}" if fields[0] == "dest" else text
 
 
 _PREC_OR = 1

@@ -93,7 +93,18 @@ FETCH_KINDS = frozenset(
     {Kind.FETCH_ADD, Kind.FETCH_SUB, Kind.FETCH_AND, Kind.FETCH_OR, Kind.FETCH_XOR}
 )
 CAS_KINDS = frozenset({Kind.CAS_STRONG, Kind.CAS_WEAK})
-RMW_KINDS = FETCH_KINDS | CAS_KINDS | {Kind.EXCHANGE}
+
+# The instruction format, read by the parser, the printer and validate: each
+# kind's fields in source order, "dest" first for `REG = op` forms.
+OPERANDS: dict[Kind, tuple[str, ...]] = {
+    Kind.LOAD: ("dest", "location", "order"),
+    Kind.STORE: ("location", "operand", "order"),
+    Kind.NA_LOAD: ("dest", "location"),
+    Kind.NA_STORE: ("location", "operand"),
+    **{k: ("dest", "location", "operand", "order") for k in (Kind.EXCHANGE, *FETCH_KINDS)},
+    **{k: ("dest", "location", "expected", "desired", "order", "failure_order") for k in CAS_KINDS},
+    Kind.FENCE: ("order",),
+}
 
 _FETCH_FUNCTIONS: dict[Kind, Callable[[int, int], int]] = {
     Kind.FETCH_ADD: lambda a, b: (a + b) & MAX_VALUE,
@@ -106,15 +117,9 @@ _FETCH_FUNCTIONS: dict[Kind, Callable[[int, int], int]] = {
 
 @dataclass(frozen=True)
 class Instruction:
-    """One straight-line instruction.
+    """One straight-line instruction; OPERANDS lists the fields each kind uses.
 
-    Field use by kind:
-      load/na_load        location, dest
-      store/na_store      location, operand (literal or register name)
-      exchange/fetch_*    location, dest, operand
-      cas_strong/cas_weak location, dest, expected, desired, failure_order
-      fence               order only
-    na_load/na_store carry no memory order (order is None).
+    An operand is a literal or a register name.
     """
 
     kind: Kind
@@ -127,20 +132,8 @@ class Instruction:
     failure_order: Optional[MemoryOrder] = None
 
     @property
-    def is_rmw(self) -> bool:
-        return self.kind in RMW_KINDS
-
-    @property
     def is_cas(self) -> bool:
         return self.kind in CAS_KINDS
-
-    @property
-    def reads_memory(self) -> bool:
-        return self.kind in (Kind.LOAD, Kind.NA_LOAD) or self.is_rmw
-
-    @property
-    def writes_memory(self) -> bool:
-        return self.kind in (Kind.STORE, Kind.NA_STORE) or self.is_rmw
 
 
 def rmw_written_value(instr: Instruction, old: int, operand_value: Optional[int]) -> int:
@@ -256,40 +249,25 @@ def _literal_ok(value: Optional[int]) -> bool:
     return value is None or 0 <= value <= MAX_VALUE
 
 
+_SHAPE_FIELDS = ("location", "dest", "operand", "expected", "desired", "failure_order")
+
+
 def _check_shape(instr: Instruction) -> Optional[str]:
-    k = instr.kind
-    if k is Kind.FENCE:
-        if instr.location or instr.dest or instr.operand is not None:
-            return "fence takes no location, register, or operand"
-        return None
-    if instr.location is None:
-        return "missing location"
-    if k in (Kind.LOAD, Kind.NA_LOAD):
-        if instr.dest is None or instr.operand is not None:
-            return "load takes a destination register and no operand"
-    elif k in (Kind.STORE, Kind.NA_STORE):
-        if instr.operand is None or instr.dest is not None:
-            return "store takes an operand and no destination register"
-    elif k in CAS_KINDS:
-        if instr.dest is None or instr.expected is None or instr.desired is None:
-            return "cas takes a destination register and two literals"
-        if instr.operand is not None:
-            return "cas takes no operand"
-    elif k in RMW_KINDS:
-        if instr.dest is None or instr.operand is None:
-            return "rmw takes a destination register and an operand"
-    if k not in CAS_KINDS and (
-        instr.expected is not None or instr.desired is not None
-    ):
-        return "expected/desired are cas-only fields"
-    if k not in CAS_KINDS and instr.failure_order is not None:
-        return "failure order is a cas-only field"
+    """A field is set exactly when OPERANDS lists it; _order_diagnostics
+    judges the orders, but a failure order on a kind without one is malformed."""
+    fields = OPERANDS[instr.kind]
+    for name in _SHAPE_FIELDS:
+        present = getattr(instr, name) is not None
+        if present and name not in fields:
+            return f"{instr.kind} takes no {name}"
+        if not present and name in fields and name != "failure_order":
+            return f"missing {name}"
     return None
 
 
 def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
     k = instr.kind
-    if k in (Kind.NA_LOAD, Kind.NA_STORE):
+    if "order" not in OPERANDS[k]:
         if instr.order is not None:
             yield "order on non-atomic access", f"{k} carries no memory order"
         return

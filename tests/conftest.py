@@ -30,6 +30,7 @@ def _load_corpus() -> dict[str, CorpusEntry]:
     for path in sorted(CORPUS_DIR.glob("*.lit")):
         raw = path.read_bytes()
         program = parse_litmus(raw)
+        assert program.name not in entries, f"{entries[program.name].path} and {path} share the name {program.name}"
         assert not validate(program), f"{path} fails validation"
         started = time.perf_counter()
         results = {

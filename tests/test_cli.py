@@ -252,6 +252,19 @@ class TestSeveralFiles:
         for name in names:
             assert (together / name).read_bytes() == (apart / name).read_bytes()
 
+    def test_dot_refuses_tests_that_share_a_name(self, tmp_path, capsys):
+        mp = (CORPUS / "mp_rel_acq.lit").read_text()
+        assert "name: mp_rel_acq\n" in mp
+        other = write(tmp_path, mp.replace("name: mp_rel_acq\n", "name: dekker\n"), "other.lit")
+        out = tmp_path / "dots"
+        assert main(["check", str(DEKKER), other, "--model", "sc", "--dot", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {DEKKER} and {other} both name their test dekker; --dot would overwrite its graphs\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_budget_names_the_file(self, capsys):
         iriw = str(CORPUS / "iriw_seq_cst.lit")
         assert main(["check", iriw, str(DEKKER), "--model", "cxx11", "--max-candidates", "1"]) == 3

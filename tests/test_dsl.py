@@ -163,6 +163,48 @@ class TestParseErrors:
             assert d.span.line >= 1 and d.span.column >= 1
 
 
+def _one_instruction(line):
+    return f"name: t\ninit: x = 0\nthread P0:\n  {line}\nexists: x = 0\n"
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (_one_instruction("r1 = load"), [("expected location", 4, 8, 38, 42)]),
+        (
+            _one_instruction("seq_cst = load x"),
+            [("'seq_cst' is a reserved word and cannot be a destination register", 4, 3, 33, 40)],
+        ),
+        (_one_instruction("store x"), [("expected operand register", 4, 9, 39, 40)]),
+        (_one_instruction("store x 256"), [("value 256 out of range (0..255)", 4, 11, 41, 44)]),
+        (_one_instruction("r1 = cas_strong x 0"), [("expected desired value", 4, 21, 51, 52)]),
+        (_one_instruction("fence"), [("fence requires a memory order", 4, 3, 33, 38)]),
+        (_one_instruction("fence 1 seq_cst"), [("fence requires a memory order", 4, 9, 39, 40)]),
+        (_one_instruction("r1 = store x 1"), [("unknown operation 'store'", 4, 8, 38, 43)]),
+        (_one_instruction("na_store x 1 relaxed"), [("unexpected trailing input 'relaxed'", 4, 16, 46, 53)]),
+        (_one_instruction("r1 = blargh x"), [("unknown operation 'blargh'", 4, 8, 38, 44)]),
+        (_one_instruction("store x 1 ?"), [("unexpected character '?'", 4, 13, 43, 44)]),
+        (
+            "name: t\ninit: x = 0 y = 256\n  x = 1\nthread P0:\n  store x 1\nexists: x = 0\n",
+            [("value 256 out of range (0..255)", 2, 17, 24, 27), ("duplicate init location 'x'", 3, 1, 28, 35)],
+        ),
+        # byte offsets count the multi-byte characters of an earlier comment line
+        (
+            "# café ✓\n" + _one_instruction("store x 256"),
+            [("value 256 out of range (0..255)", 5, 11, 53, 56)],
+        ),
+        # a non-ASCII bad character spans its whole UTF-8 encoding
+        (_one_instruction("store x é"), [("unexpected character 'é'", 4, 11, 41, 43)]),
+    ],
+)
+def test_diagnostics_pinned(text, expected):
+    for source in (text, text.encode()):
+        with pytest.raises(ParseError) as exc:
+            parse_litmus(source)
+        got = [(d.message, d.span.line, d.span.column, d.span.start, d.span.end) for d in exc.value.diagnostics]
+        assert got == expected
+
+
 class TestPrinting:
     def test_instruction_formats(self):
         assert (

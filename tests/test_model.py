@@ -128,6 +128,14 @@ class TestValidation:
         p = prog([[Instruction(Kind.LOAD, location="x", dest="r1")]])
         assert "missing memory order" in _rules(p)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("location", ""), ("dest", ""), ("expected", 0), ("desired", 1), ("failure_order", MemoryOrder.RELAXED)],
+    )
+    def test_fence_with_any_field_but_order_is_malformed(self, field, value):
+        fence = Instruction(Kind.FENCE, order=MemoryOrder.SEQ_CST, **{field: value})
+        assert _rules(prog([[fence]])) == {"malformed instruction"}
+
     def test_operand_register_must_be_written(self):
         p = prog([[Instruction(Kind.STORE, location="x", operand="r9", order=MemoryOrder.SEQ_CST)]])
         assert "unwritten register" in _rules(p)
