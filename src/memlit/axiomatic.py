@@ -44,10 +44,12 @@ rather than allowed to conjure values out of thin air.
 
 One kernel evaluates the axioms for both check_axioms and the enumerator.
 Relations are bitmask rows: row[a] has bit b set when (a, b) is in the
-relation.  What depends only on the events (sb, locations, which events can
-synchronize) is computed once per CAS branching, what depends on mo once per
+relation.  `_events` builds each CAS branching's events once, without
+values; what depends only on them (sb, locations, which events can
+synchronize) is computed once per branching, what depends on mo once per
 modification order of each location, and only sw, the hb closure and the
-axiom tests once per candidate.  `Relation` appears only at the API boundary.
+axiom tests once per candidate.  The judging functions reject events that
+disagree with the program.  `Relation` appears only at the API boundary.
 
 Under strict_s, S embeds hb and mo between seq_cst events, so most ways an S
 could break SC-READ or SC-FENCE-1..4 come down to S edges that rf, mo and hb
@@ -63,7 +65,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 from .model import (
     CAS_KINDS,
@@ -157,67 +159,53 @@ class ExecutionJudgment:
 
 
 # ---------------------------------------------------------------------------
-# event layout
+# events
 
 
-@dataclass(frozen=True)
-class _Layout:
-    locations: tuple[str, ...]
-    init_ids: dict[str, int]
-    event_ids: dict[tuple[int, int], int]
-    n_events: int
-
-
-def _layout(program: Program) -> _Layout:
-    locations = program.locations
-    init_ids = {loc: i for i, loc in enumerate(locations)}
-    event_ids: dict[tuple[int, int], int] = {}
-    next_id = len(locations)
-    for t, body in enumerate(program.threads):
-        for i in range(len(body)):
-            event_ids[(t, i)] = next_id
-            next_id += 1
-    return _Layout(locations, init_ids, event_ids, next_id)
-
-
-def _init_events(program: Program, lay: _Layout) -> list[Event]:
-    return [
-        Event(
-            id=lay.init_ids[loc],
-            thread=INIT_THREAD,
-            index=lay.init_ids[loc],
-            kind=EventKind.WRITE,
-            atomic=True,
-            order=None,
-            location=loc,
-            value_written=program.initial_value(loc),
-        )
-        for loc in lay.locations
+def _events(program: Program, success: Mapping[tuple[int, int], bool]) -> list[Event]:
+    """The initialization writes, values set, then every instruction's event
+    in id order, without values.  A CAS is an RMW unless success[(t, i)] is
+    False, which makes it a READ at its failure order."""
+    events = [
+        Event(i, INIT_THREAD, i, EventKind.WRITE, True, None, loc, None, program.initial_value(loc))
+        for i, loc in enumerate(program.locations)
     ]
+    for t, body in enumerate(program.threads):
+        for i, instr in enumerate(body):
+            kind, order = _EVENT_KINDS.get(instr.kind, EventKind.RMW), instr.order
+            if instr.kind in CAS_KINDS and success.get((t, i)) is False:
+                kind, order = EventKind.READ, instr.failure_order
+            atomic = instr.kind not in (Kind.NA_LOAD, Kind.NA_STORE)
+            events.append(Event(len(events), t, i, kind, atomic, order, instr.location))
+    return events
+
+
+_EVENT_KINDS = {
+    Kind.FENCE: EventKind.FENCE,
+    Kind.LOAD: EventKind.READ,
+    Kind.NA_LOAD: EventKind.READ,
+    Kind.STORE: EventKind.WRITE,
+    Kind.NA_STORE: EventKind.WRITE,
+}
+
+
+def _shape(e: Event) -> tuple:
+    return (e.thread, e.location if e.is_init else e.index, e.kind, e.order, e.atomic, e.location)
 
 
 def _check_layout(program: Program, events: Sequence[Event]) -> None:
-    """The kernel reads sb off each event's (thread, index), so those must be
-    the program's."""
-    lay = _layout(program)
-    if len(events) != lay.n_events or any(
-        e.id != (lay.init_ids.get(e.location) if e.is_init else lay.event_ids.get((e.thread, e.index)))
-        for e in events
-    ):
+    """The kernel reads sb off each event's (thread, index) and everything
+    else off its kind, order, atomicity and location, so those must be the
+    program's, with each CAS's branch read off its event's kind."""
+    success = {(e.thread, e.index): e.kind is EventKind.RMW for e in events}
+    if list(map(_shape, events)) != list(map(_shape, _events(program, success))):
         raise ValueError("candidate does not match the program's event layout")
 
 
 def compute_sb(program: Program) -> Relation:
     """Sequenced-before: the per-thread total order, transitively closed.
     The universe covers every event id, initialization writes included."""
-    lay = _layout(program)
-    pairs = set()
-    for t, body in enumerate(program.threads):
-        ids = [lay.event_ids[(t, i)] for i in range(len(body))]
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                pairs.add((ids[i], ids[j]))
-    return Relation(frozenset(range(lay.n_events)), frozenset(pairs))
+    return _rows_relation(_Frame(_events(program, {})).sb)
 
 
 def release_sequence(candidate: CandidateExecution, head_id: int) -> tuple[int, ...]:
@@ -228,14 +216,8 @@ def release_sequence(candidate: CandidateExecution, head_id: int) -> tuple[int, 
     head = events[head_id]
     if not (head.writes_memory and head.atomic and head.order in RELEASE_CLASS):
         raise ValueError(f"event {head_id} does not head a release sequence")
-    order = candidate.mo[head.location]
-    seq = [head_id]
-    for w_id in order[order.index(head_id) + 1 :]:
-        e = events[w_id]
-        if not (e.atomic and (e.kind is EventKind.RMW or e.thread == head.thread)):
-            break
-        seq.append(w_id)
-    return tuple(seq)
+    mo = _MoOrder(_Frame(events), candidate.mo[head.location])
+    return tuple(w for w in mo.order if mo.heads.get(w, 0) >> head_id & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +234,14 @@ def _bits(mask: int) -> Iterator[int]:
 class _Frame:
     """What the axioms read from the events before rf, mo and S are chosen.
 
-    Built from events ordered by id, or from one CAS branching's skeletons
-    behind the initialization writes: only kind, order, atomicity, location,
-    thread and index are read, and those a branching fixes.  sb, hb's base
-    rows and the sw tables are built at once; what only the axioms read is
-    built on first use, so `compute_sw` never builds it.
+    Built from a candidate's events, or from one CAS branching's events as
+    `_events` returns them: only kind, order, atomicity, location, thread and
+    index are read, and those a branching fixes.  sb, hb's base rows and the
+    sw tables are built at once; what only the axioms read is built on first
+    use, so `compute_sw` never builds it.
     """
 
-    def __init__(self, events: Sequence[Union[Event, "_Skeleton"]]) -> None:
+    def __init__(self, events: Sequence[Event]) -> None:
         self.events = events
         self.n = len(events)
         init = [e.thread == INIT_THREAD for e in events]
@@ -318,13 +300,20 @@ class _Frame:
         return [e for e in self.events if e.reads_memory and e.atomic]
 
     @cached_property
-    def read_checks(self) -> tuple[tuple[int, int], ...]:
-        """COHERENT-READ: each read with the other writes to its location."""
-        loc_writes = dict.fromkeys(self.locations, 0)
+    def loc_writes(self) -> list[int]:
+        """Per location index, the mask of its writes."""
+        masks = [0] * len(self.locations)
         for e in self.events:
             if e.writes_memory:
-                loc_writes[e.location] |= 1 << e.id
-        return tuple((e.id, loc_writes[e.location] & ~(1 << e.id)) for e in self.events if e.reads_memory)
+                masks[self.loc_index[e.location]] |= 1 << e.id
+        return masks
+
+    @cached_property
+    def read_checks(self) -> tuple[tuple[int, int], ...]:
+        """COHERENT-READ: each read with the other writes to its location."""
+        return tuple(
+            (e.id, self.loc_writes[self.loc_index[e.location]] & ~(1 << e.id)) for e in self.events if e.reads_memory
+        )
 
     @cached_property
     def conflicts(self) -> tuple[tuple[int, int], ...]:
@@ -640,7 +629,7 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
         consistent,
         tuple(violated),
         races,
-        compute_sb(program),
+        _rows_relation(frame.sb),
         _sw_relation(frame.n, sw),
         _rows_relation(hb),
     )
@@ -650,166 +639,91 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
 # candidate enumeration
 
 
-@dataclass(frozen=True)
-class _Skeleton:
-    id: int
-    thread: int
-    index: int
-    kind: EventKind
-    atomic: bool
-    order: Optional[MemoryOrder]
-    location: Optional[str]
-    instr: Instruction
-    reads_memory: bool
-    writes_memory: bool
-    cas_success: Optional[bool] = None
-
-
-def _skeletons(program: Program, lay: _Layout, branching: Mapping[tuple[int, int], bool]) -> list[_Skeleton]:
-    skels = []
-    for t, body in enumerate(program.threads):
-        for i, instr in enumerate(body):
-            eid = lay.event_ids[(t, i)]
-            k = instr.kind
-            success: Optional[bool] = None
-            if k is Kind.FENCE:
-                kind, order, atomic = EventKind.FENCE, instr.order, True
-            elif k in (Kind.LOAD, Kind.NA_LOAD):
-                kind, order, atomic = EventKind.READ, instr.order, k is Kind.LOAD
-            elif k in (Kind.STORE, Kind.NA_STORE):
-                kind, order, atomic = EventKind.WRITE, instr.order, k is Kind.STORE
-            elif k in CAS_KINDS:
-                success = branching[(t, i)]
-                if success:
-                    kind, order, atomic = EventKind.RMW, instr.order, True
-                else:
-                    kind, order, atomic = EventKind.READ, instr.failure_order, True
-            else:
-                kind, order, atomic = EventKind.RMW, instr.order, True
-            reads = kind in (EventKind.READ, EventKind.RMW)
-            writes = kind in (EventKind.WRITE, EventKind.RMW)
-            skels.append(_Skeleton(eid, t, i, kind, atomic, order, instr.location, instr, reads, writes, success))
-    return skels
-
-
-def _defining_events(program: Program, lay: _Layout) -> dict[int, int]:
+def _defining_events(program: Program) -> dict[int, int]:
     """For each event whose instruction names a register operand, the event
     of the defining (most recent earlier same-thread dest) instruction."""
     defs: dict[int, int] = {}
-    for t, body in enumerate(program.threads):
+    eid = len(program.locations)
+    for body in program.threads:
         last_def: dict[str, int] = {}
-        for i, instr in enumerate(body):
+        for instr in body:
             if isinstance(instr.operand, str):
-                defs[lay.event_ids[(t, i)]] = last_def[instr.operand]
+                defs[eid] = last_def[instr.operand]
             if instr.dest is not None:
-                last_def[instr.dest] = lay.event_ids[(t, i)]
+                last_def[instr.dest] = eid
+            eid += 1
     return defs
 
 
 def _ground(
-    skels: list[_Skeleton],
-    init_events: list[Event],
+    init: Sequence[Event],
+    steps: Sequence[tuple[Event, Instruction, bool, bool]],
     rf: Mapping[int, int],
     defs: Mapping[int, int],
     weak_spurious: bool,
 ) -> Optional[list[Event]]:
-    """Propagate values along rf and register flow; None when a value cannot
-    be grounded in an actual write or a CAS branch contradicts its read."""
+    """Propagate values along rf and register flow from the initialization
+    writes through the steps (each program event with its instruction and
+    whether it reads and writes memory); None when a value cannot be
+    grounded in an actual write or a CAS branch contradicts its read."""
     value_read: dict[int, int] = {}
-    value_written: dict[int, int] = {e.id: e.value_written for e in init_events}
+    value_written: dict[int, int] = {e.id: e.value_written for e in init}
 
-    def operand_value(skel: _Skeleton) -> Optional[int]:
-        op = skel.instr.operand
+    def operand_value(e: Event, instr: Instruction) -> Optional[int]:
+        op = instr.operand
         if isinstance(op, str):
-            return value_read.get(defs[skel.id])
+            return value_read.get(defs[e.id])
         return op
 
     changed = True
     while changed:
         changed = False
-        for skel in skels:
-            if skel.reads_memory and skel.id not in value_read:
-                src = rf[skel.id]
+        for e, instr, reads, writes in steps:
+            if reads and e.id not in value_read:
+                src = rf[e.id]
                 if src in value_written:
-                    value_read[skel.id] = value_written[src]
+                    value_read[e.id] = value_written[src]
                     changed = True
-            if skel.writes_memory and skel.id not in value_written:
-                instr = skel.instr
-                if skel.kind is EventKind.WRITE:
-                    value = operand_value(skel)
+            if writes and e.id not in value_written:
+                if not reads:
+                    value = operand_value(e, instr)
                 elif instr.kind in CAS_KINDS:
                     value = instr.desired
                 else:
-                    old = value_read.get(skel.id)
-                    op = operand_value(skel)
+                    old = value_read.get(e.id)
+                    op = operand_value(e, instr)
                     value = None if old is None or op is None else rmw_written_value(instr, old, op)
                 if value is not None:
-                    value_written[skel.id] = value
+                    value_written[e.id] = value
                     changed = True
 
-    events = list(init_events)
-    for skel in skels:
-        vr = value_read.get(skel.id)
-        vw = value_written.get(skel.id)
-        if skel.reads_memory and vr is None:
+    events = list(init)
+    for e, instr, reads, writes in steps:
+        vr = value_read.get(e.id)
+        vw = value_written.get(e.id)
+        if (reads and vr is None) or (writes and vw is None):
             return None
-        if skel.writes_memory and vw is None:
-            return None
-        if skel.cas_success is not None:
-            expected = skel.instr.expected
-            if skel.cas_success and vr != expected:
+        if instr.kind in CAS_KINDS:
+            if writes and vr != instr.expected:
                 return None
-            if not skel.cas_success and vr == expected:
+            if not writes and vr == instr.expected:
                 # spurious failure: only weak CAS, and only when enabled
-                if skel.instr.kind is not Kind.CAS_WEAK or not weak_spurious:
+                if instr.kind is not Kind.CAS_WEAK or not weak_spurious:
                     return None
-        events.append(
-            Event(
-                id=skel.id,
-                thread=skel.thread,
-                index=skel.index,
-                kind=skel.kind,
-                atomic=skel.atomic,
-                order=skel.order,
-                location=skel.location,
-                value_read=vr if skel.reads_memory else None,
-                value_written=vw if skel.writes_memory else None,
-            )
-        )
+        events.append(Event(e.id, e.thread, e.index, e.kind, e.atomic, e.order, e.location, vr, vw))
     return events
 
 
-def _static_write_value(skel: _Skeleton) -> Optional[int]:
-    instr = skel.instr
-    if skel.kind is EventKind.WRITE and isinstance(instr.operand, int):
-        return instr.operand
-    if instr.kind in CAS_KINDS and skel.cas_success:
+def _static_value(write: Event, instr: Optional[Instruction]) -> Optional[int]:
+    """The value a write event writes whatever it reads, if the program fixes
+    it; instr is None for an initialization write."""
+    if instr is None:
+        return write.value_written
+    if instr.kind in CAS_KINDS:
         return instr.desired
-    if instr.kind is Kind.EXCHANGE and isinstance(instr.operand, int):
-        return instr.operand
+    if write.kind is EventKind.WRITE or instr.kind is Kind.EXCHANGE:
+        return instr.operand if isinstance(instr.operand, int) else None
     return None
-
-
-def _mo_extensions(loc_writes: list[_Skeleton], init_id: int) -> list[tuple[int, ...]]:
-    """Modification orders of one location: initialization first, each
-    thread's writes in program order."""
-    preds = {init_id: 0}
-    for w in loc_writes:
-        preds[w.id] = 1 << init_id | sum(
-            1 << v.id for v in loc_writes if v.thread == w.thread and v.index < w.index
-        )
-    return list(ordered_extensions(preds))
-
-
-def _registers(program: Program, lay: _Layout, events: list[Event]) -> list[dict[str, int]]:
-    regs: list[dict[str, int]] = []
-    for t, body in enumerate(program.threads):
-        values: dict[str, int] = {}
-        for i, instr in enumerate(body):
-            if instr.dest is not None:
-                values[instr.dest] = events[lay.event_ids[(t, i)]].value_read
-        regs.append(values)
-    return regs
 
 
 def enumerate_cxx11(
@@ -834,18 +748,15 @@ def enumerate_cxx11(
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
     """
-    lay = _layout(program)
-    init_events = _init_events(program, lay)
-    defs = _defining_events(program, lay)
+    n_init = len(program.locations)
+    instrs: list[Optional[Instruction]] = [None] * n_init + [instr for body in program.threads for instr in body]
+    defs = _defining_events(program)
     stats = ExplorationStats()
     witnesses: dict[Outcome, CandidateExecution] = {}
     racy = False
 
     cas_sites = [
-        (t, i)
-        for t, body in enumerate(program.threads)
-        for i, instr in enumerate(body)
-        if instr.kind in CAS_KINDS
+        (t, i) for t, body in enumerate(program.threads) for i, instr in enumerate(body) if instr.kind in CAS_KINDS
     ]
 
     def bump() -> None:
@@ -854,53 +765,44 @@ def enumerate_cxx11(
             raise ResourceLimitError("candidate", max_candidates)
 
     for combo in itertools.product((True, False), repeat=len(cas_sites)):
-        branching = dict(zip(cas_sites, combo))
-        skels = _skeletons(program, lay, branching)
-        by_id: dict[int, _Skeleton] = {s.id: s for s in skels}
-        frame = _Frame(init_events + skels)
+        events = _events(program, dict(zip(cas_sites, combo)))
+        frame = _Frame(events)
+        init = events[:n_init]
+        steps = [(e, instrs[e.id], e.reads_memory, e.writes_memory) for e in events[n_init:]]
 
-        writers: dict[str, list[int]] = {loc: [lay.init_ids[loc]] for loc in lay.locations}
-        static_value: dict[int, Optional[int]] = {
-            e.id: e.value_written for e in init_events
-        }
-        for s in skels:
-            if s.writes_memory:
-                writers[s.location].append(s.id)
-                static_value[s.id] = _static_write_value(s)
-
-        reads = [s for s in skels if s.reads_memory]
-        choices: Optional[list[list[int]]] = []
-        for r in reads:
-            opts = []
-            expect = r.instr.expected if r.cas_success else None
-            for w_id in writers[r.location]:
-                if w_id == r.id:
-                    continue
-                w = by_id.get(w_id)
-                if w is not None and w.thread == r.thread and w.index > r.index:
-                    continue  # reading one's own future write always violates hb
-                if expect is not None and static_value[w_id] is not None and static_value[w_id] != expect:
-                    continue  # successful CAS must read its expected value
-                opts.append(w_id)
-            if not opts:
-                choices = None
-                break
-            choices.append(opts)
-        if choices is None:
+        # A read's rf options are the other writes to its location, except
+        # its own later ones (reading one always violates hb) and, for a
+        # successful CAS, writes that cannot supply its expected value.
+        reads = [r for r, _ in frame.read_checks]
+        choices = []
+        for r, others in frame.read_checks:
+            options = others & ~frame.sb[r]
+            cas = instrs[r]
+            if events[r].kind is EventKind.RMW and cas.kind in CAS_KINDS:
+                for w in _bits(options):
+                    if _static_value(events[w], instrs[w]) not in (None, cas.expected):
+                        options &= ~(1 << w)
+            choices.append(list(_bits(options)))
+        if not all(choices):
             continue
 
+        # Modification orders of each location: initialization first, each
+        # thread's writes in program order.
         mo_choices = []
-        for loc in frame.locations:
-            loc_writes = [s for s in skels if s.writes_memory and s.location == loc]
-            mo_choices.append([_MoOrder(frame, order) for order in _mo_extensions(loc_writes, lay.init_ids[loc])])
+        for writes in frame.loc_writes:
+            preds = {w: sum(1 << v for v in _bits(writes) if frame.base[v] >> w & 1) for w in _bits(writes)}
+            mo_choices.append([_MoOrder(frame, order) for order in ordered_extensions(preds)])
 
         for rf_combo in itertools.product(*choices):
-            rf = dict(zip([r.id for r in reads], rf_combo))
-            events = _ground(skels, init_events, rf, defs, weak_spurious)
-            if events is None:
+            rf = dict(zip(reads, rf_combo))
+            grounded = _ground(init, steps, rf, defs, weak_spurious)
+            if grounded is None:
                 continue
-            events_t = tuple(events)
-            regs = _registers(program, lay, events)
+            events_t = tuple(grounded)
+            regs: list[dict[str, int]] = [{} for _ in program.threads]
+            for e, instr, _, _ in steps:
+                if instr.dest is not None:
+                    regs[e.thread][instr.dest] = events_t[e.id].value_read
             # With no sw edge possible hb is the base rows, so COHERENT-READ
             # depends on rf alone.
             incoherent = frame.static_hb and _coherent_read_violated(frame, rf, frame.base)

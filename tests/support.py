@@ -14,18 +14,7 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from memlit.axiomatic import (
-    ACQUIRE_CLASS,
-    RELEASE_CLASS,
-    CandidateExecution,
-    ExecutionJudgment,
-    compute_sb,
-    _defining_events,
-    _ground,
-    _init_events,
-    _layout,
-    _skeletons,
-)
+from memlit.axiomatic import ACQUIRE_CLASS, RELEASE_CLASS, CandidateExecution, ExecutionJudgment
 from memlit.model import (
     CAS_KINDS,
     INIT_THREAD,
@@ -350,8 +339,8 @@ def reference_judgment(program: Program, candidate: CandidateExecution) -> Execu
     rf = candidate.rf
     mo = candidate.mo
     mo_pos = {w: i for order in mo.values() for i, w in enumerate(order)}
-    sb = compute_sb(program)
-    universe = sb.universe
+    universe = frozenset(range(len(events)))
+    sb = Relation(universe, frozenset((a.id, b.id) for a in events for b in events if _sequenced(a, b)))
     sw = Relation(universe, _sw_pairs(events, rf, mo))
     init = Relation(universe, frozenset((i.id, e.id) for i in events if i.is_init for e in events if not e.is_init))
     hb = transitive_closure(union(union(sb, sw), init))
@@ -557,37 +546,122 @@ def _race_pairs(events, hb_pairs) -> tuple[tuple[int, int], ...]:
     )
 
 
+def program_events(program: Program, success: dict[tuple[int, int], bool]) -> list[Event]:
+    """The initialization writes, values set, then one event per instruction,
+    thread by thread, values unset.  The CAS at (t, i) fails when
+    success[(t, i)] is False: then it only reads, at its failure order."""
+    events = [
+        Event(
+            id=i,
+            thread=INIT_THREAD,
+            index=i,
+            kind=EventKind.WRITE,
+            atomic=True,
+            order=None,
+            location=loc,
+            value_written=program.initial_value(loc),
+        )
+        for i, loc in enumerate(program.locations)
+    ]
+    for t, body in enumerate(program.threads):
+        for i, instr in enumerate(body):
+            k = instr.kind
+            order = instr.order
+            if k is Kind.FENCE:
+                kind = EventKind.FENCE
+            elif k in (Kind.LOAD, Kind.NA_LOAD):
+                kind = EventKind.READ
+            elif k in (Kind.STORE, Kind.NA_STORE):
+                kind = EventKind.WRITE
+            elif k in CAS_KINDS and success.get((t, i)) is False:
+                kind, order = EventKind.READ, instr.failure_order
+            else:
+                kind = EventKind.RMW
+            atomic = k not in (Kind.NA_LOAD, Kind.NA_STORE)
+            events.append(Event(len(events), t, i, kind, atomic, order, instr.location))
+    return events
+
+
+def _ground(program: Program, events: list[Event], rf: dict[int, int], weak_spurious: bool) -> Optional[tuple[Event, ...]]:
+    """The events with their values: every thread runs in program order, a
+    read taking its rf source's value once that is known, over and over until
+    nothing changes.  A plain write needs its operand, an RMW its read value
+    too, and a successful CAS writes `desired`.  None when some value stays
+    unknown (it could only come out of thin air) or a CAS's branch
+    contradicts the value it read."""
+    site = {(e.thread, e.index): e for e in events}
+    read: dict[int, int] = {}
+    written = {e.id: e.value_written for e in events if e.is_init}
+    changed = True
+    while changed:
+        changed = False
+        for t, body in enumerate(program.threads):
+            regs: dict[str, Optional[int]] = {}
+            for i, instr in enumerate(body):
+                e = site[(t, i)]
+                if e.reads_memory and e.id not in read and rf[e.id] in written:
+                    read[e.id] = written[rf[e.id]]
+                    changed = True
+                operand = regs[instr.operand] if isinstance(instr.operand, str) else instr.operand
+                old = read.get(e.id)
+                if e.writes_memory and e.id not in written:
+                    if e.kind is EventKind.WRITE:
+                        value = operand
+                    elif instr.kind in CAS_KINDS:
+                        value = instr.desired
+                    elif old is None or operand is None:
+                        value = None
+                    else:
+                        value = operand if instr.kind is Kind.EXCHANGE else _FETCH[instr.kind](old, operand)
+                    if value is not None:
+                        written[e.id] = value
+                        changed = True
+                if instr.dest is not None:
+                    regs[instr.dest] = old
+    grounded = []
+    for e in events:
+        if not e.is_init:
+            if (e.reads_memory and e.id not in read) or (e.writes_memory and e.id not in written):
+                return None
+            instr = program.threads[e.thread][e.index]
+            if instr.kind in CAS_KINDS:
+                succeeded = e.kind is EventKind.RMW
+                if succeeded != (read[e.id] == instr.expected):
+                    spurious = not succeeded and instr.kind is Kind.CAS_WEAK and weak_spurious
+                    if not spurious:
+                        return None
+            e = Event(e.id, e.thread, e.index, e.kind, e.atomic, e.order, e.location, read.get(e.id), written.get(e.id))
+        grounded.append(e)
+    return tuple(grounded)
+
+
 def grounded_candidates(program: Program, weak_spurious: bool, limit: int) -> Optional[list[CandidateExecution]]:
     """Every grounded candidate of `program`, unpruned: each CAS branching,
     every rf choice of a same-location write, every modification order with
     initialization first, every order S of the seq_cst events.  None when
     there are more than `limit`."""
-    lay = _layout(program)
-    init_events = _init_events(program, lay)
-    defs = _defining_events(program, lay)
     cas_sites = [
         (t, i) for t, body in enumerate(program.threads) for i, instr in enumerate(body) if instr.kind in CAS_KINDS
     ]
 
     def space() -> Iterator[CandidateExecution]:
         for combo in itertools.product((True, False), repeat=len(cas_sites)):
-            skels = _skeletons(program, lay, dict(zip(cas_sites, combo)))
+            events = program_events(program, dict(zip(cas_sites, combo)))
             writes = {
-                loc: [lay.init_ids[loc]] + [s.id for s in skels if s.writes_memory and s.location == loc]
-                for loc in lay.locations
+                loc: [e.id for e in events if e.writes_memory and e.location == loc] for loc in program.locations
             }
-            reads = [s for s in skels if s.reads_memory]
+            reads = [e for e in events if e.reads_memory]
             choices = [[w for w in writes[r.location] if w != r.id] for r in reads]
             mos = [[(order[0],) + rest for rest in itertools.permutations(order[1:])] for order in writes.values()]
-            sc_ids = [s.id for s in skels if s.order is MemoryOrder.SEQ_CST]
+            sc_ids = [e.id for e in events if e.order is MemoryOrder.SEQ_CST]
             for rf_combo in itertools.product(*choices):
                 rf = dict(zip([r.id for r in reads], rf_combo))
-                events = _ground(skels, init_events, rf, defs, weak_spurious)
-                if events is None:
+                grounded = _ground(program, events, rf, weak_spurious)
+                if grounded is None:
                     continue
                 for mo_combo in itertools.product(*mos):
                     for s in itertools.permutations(sc_ids):
-                        yield CandidateExecution(tuple(events), rf, dict(zip(lay.locations, mo_combo)), s)
+                        yield CandidateExecution(grounded, rf, dict(zip(program.locations, mo_combo)), s)
 
     found = list(itertools.islice(space(), limit + 1))
     return None if len(found) > limit else found
@@ -610,7 +684,6 @@ def reference_outcomes(
     candidates = grounded_candidates(program, weak_spurious, limit)
     if candidates is None:
         return None
-    lay = _layout(program)
     outcomes: set[Outcome] = set()
     racy = False
     for candidate in candidates:
@@ -619,8 +692,9 @@ def reference_outcomes(
             continue
         racy = racy or bool(judgment.races)
         events = candidate.events
+        site = {(e.thread, e.index): e for e in events}
         regs = [
-            {instr.dest: events[lay.event_ids[(t, i)]].value_read for i, instr in enumerate(body) if instr.dest is not None}
+            {instr.dest: site[(t, i)].value_read for i, instr in enumerate(body) if instr.dest is not None}
             for t, body in enumerate(program.threads)
         ]
         memory = {loc: events[order[-1]].value_written for loc, order in candidate.mo.items()}

@@ -44,12 +44,16 @@ from memlit.model import (
     validate,
     with_fences_after_stores,
 )
-from memlit.operational import enumerate_sc
+from memlit.operational import enumerate_sc, enumerate_tso
+from memlit.relation import Relation
 
 from support import (
+    _sequence_from,
+    _sequenced,
     grounded_candidates,
     is_irreflexive_and_acyclic,
     ladder,
+    program_events,
     programs,
     reference_judgment,
     reference_outcomes,
@@ -167,12 +171,14 @@ class TestSequencedBefore:
         assert sb.pairs == frozenset({(1, 2), (2, 3), (1, 3)})
         assert sb.universe == frozenset(range(5))
 
+    def test_agrees_with_the_oracle_on_the_corpus(self, corpus):
+        for entry in corpus.values():
+            events = program_events(entry.program, {})
+            want = {(a.id, b.id) for a in events for b in events if _sequenced(a, b)}
+            assert compute_sb(entry.program) == Relation(frozenset(range(len(events))), frozenset(want)), entry.path
+
 
 class TestReleaseSequence:
-    def build(self, text, rf, mo, sc=()):
-        program = parse_litmus(text)
-        return program
-
     def test_same_thread_relaxed_store_extends(self):
         events = (
             init_w(0, "x"),
@@ -207,6 +213,22 @@ class TestReleaseSequence:
             release_sequence(cand, 1)
         with pytest.raises(ValueError, match="release sequence"):
             release_sequence(cand, 0)  # init write
+
+    def test_agrees_with_the_oracle_on_the_corpus(self, corpus):
+        # The last program puts a same-thread non-atomic store, which ends a
+        # release sequence, among atomic stores and another thread's RMW.
+        mixed = parse_litmus(
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1 release\n  na_store x 2\n  store x 3 relaxed\n"
+            "thread P1:\n  r1 = fetch_add x 1 relaxed\nexists: x = 1\n"
+        )
+        heads = 0
+        for program in [entry.program for entry in corpus.values()] + [mixed]:
+            for cand in grounded_candidates(program, True, limit=2_000) or ():
+                for head in cand.events:
+                    if head.writes_memory and head.atomic and head.order in RELEASE_CLASS:
+                        assert release_sequence(cand, head.id) == _sequence_from(cand.events, cand.mo, head)
+                        heads += 1
+        assert heads > 1_000
 
 
 class TestSynchronizesWith:
@@ -290,6 +312,52 @@ class TestHappensBefore:
         other = CandidateExecution((init_w(0, "x"),), {}, {"x": (0,)}, ())
         with pytest.raises(ValueError, match="layout"):
             compute_hb(program, other)
+
+    def test_atomicity_contradicting_the_program_rejected(self):
+        # Labelling the na_store atomic would hide its race with the load.
+        program = parse_litmus(
+            "name: t\ninit: x = 0\nthread P0:\n  na_store x 1\nthread P1:\n  r1 = load x relaxed\nexists: x = 1\n"
+        )
+        honest, *relabeled = (
+            CandidateExecution(
+                (init_w(0, "x"), ev(1, 0, 0, W, order, "x", written=1, atomic=atomic), ev(2, 1, 0, R, RLX, "x", read=0)),
+                {2: 0},
+                {"x": (0, 1)},
+                (),
+            )
+            for order, atomic in ((None, False), (RLX, True), (None, True))
+        )
+        assert detect_races(program, honest) == ((1, 2),)
+        for cand in relabeled:
+            for judge_fn in (check_axioms, compute_hb, detect_races):
+                with pytest.raises(ValueError, match="layout"):
+                    judge_fn(program, cand)
+
+    def test_load_and_store_with_swapped_kinds_rejected(self):
+        program = parse_litmus(
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\nthread P1:\n  r1 = load x relaxed\n"
+            "exists: x = 1\n"
+        )
+        swapped = CandidateExecution(
+            (init_w(0, "x"), ev(1, 0, 0, R, RLX, "x", read=1), ev(2, 1, 0, W, RLX, "x", written=1)),
+            {1: 2},
+            {"x": (0, 2)},
+            (),
+        )
+        for judge_fn in (check_axioms, compute_hb, detect_races):
+            with pytest.raises(ValueError, match="layout"):
+                judge_fn(program, swapped)
+
+    def test_order_or_location_contradicting_the_program_rejected(self):
+        program, cand = mp_candidate(handoff=False)
+        payload = cand.events[2]
+        for moved, mo in (
+            (replace(payload, order=REL), cand.mo),
+            (replace(payload, location="y"), {"x": (0,), "y": (1, 2, 3)}),
+        ):
+            other = replace(cand, events=cand.events[:2] + (moved,) + cand.events[3:], mo=mo)
+            with pytest.raises(ValueError, match="layout"):
+                check_axioms(program, other)
 
 
 MP_NA = """\
@@ -569,6 +637,14 @@ class TestEnumeration:
         only = enumerate_cxx11(program, weak_spurious=False)
         assert {o.location("x") for o in only.outcomes} == {1}
 
+    def test_store_uses_the_latest_definition_of_its_register(self):
+        program = parse_litmus(
+            "name: t\ninit: x = 1 y = 2 z = 0\nthread P0:\n  r1 = load x relaxed\n  r1 = load y relaxed\n"
+            "  store z r1 relaxed\nexists: z = 2\n"
+        )
+        for enumerate_fn in (enumerate_sc, enumerate_tso, enumerate_cxx11):
+            assert [o.format() for o in enumerate_fn(program).outcomes] == ["P0:r1=2 | x=1 y=2 z=2"]
+
     def test_candidate_budget(self):
         program = parse_litmus(MP_REL_ACQ)
         with pytest.raises(ResourceLimitError) as exc:
@@ -669,7 +745,9 @@ class TestAgainstReference:
         for candidate in candidates:
             got = check_axioms(program, candidate)
             want = reference_judgment(program, candidate)
-            assert (got.violated, got.races, got.sw, got.hb) == (want.violated, want.races, want.sw, want.hb)
+            assert (got.violated, got.races, got.sb, got.sw, got.hb) == (
+                want.violated, want.races, want.sb, want.sw, want.hb
+            )
 
     def test_every_axiom_seen_on_corpus_and_single_axiom_programs(self, corpus):
         # Random programs rarely build the seq_cst fence shapes, so the whole
@@ -690,7 +768,9 @@ class TestAgainstReference:
             for candidate in candidates or ():
                 got = check_axioms(program, candidate)
                 want = reference_judgment(program, candidate)
-                assert (got.violated, got.races, got.sw, got.hb) == (want.violated, want.races, want.sw, want.hb)
+                assert (got.violated, got.races, got.sb, got.sw, got.hb) == (
+                    want.violated, want.races, want.sb, want.sw, want.hb
+                )
                 seen.update(want.violated)
         assert seen == set(AXIOMS)
 
