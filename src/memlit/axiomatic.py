@@ -48,8 +48,11 @@ relation.  `_events` builds each CAS branching's events once, without
 values; what depends only on them (sb, locations, which events can
 synchronize) is computed once per branching, what depends on mo once per
 modification order of each location, and only sw, the hb closure and the
-axiom tests once per candidate.  The judging functions reject events that
-disagree with the program.  `Relation` appears only at the API boundary.
+axiom tests once per candidate.  `Relation` appears only at the API boundary.
+
+Building a candidate checks nothing.  Every function that reads one takes
+(program, candidate) and checks the candidate against the program first, in
+`_checked_frame`, raising ValueError when it is not one of the program's.
 
 Under strict_s, S embeds hb and mo between seq_cst events, so most ways an S
 could break SC-READ or SC-FENCE-1..4 come down to S edges that rf, mo and hb
@@ -106,46 +109,17 @@ RELEASE_CLASS = frozenset({MemoryOrder.RELEASE, MemoryOrder.ACQ_REL, MemoryOrder
 
 @dataclass(frozen=True)
 class CandidateExecution:
-    """events must be ordered by id (events[i].id == i), initialization
+    """events are ordered by id (events[i].id == i), initialization
     pseudo-writes included.  rf maps every read event id to a write event id;
     mo maps each location to its write ids, initialization first; sc_order
-    is a permutation of the seq_cst event ids."""
+    is a permutation of the seq_cst event ids.  Building one checks nothing:
+    every function that reads a candidate takes its program and checks the
+    candidate against it first."""
 
     events: tuple[Event, ...]
     rf: Mapping[int, int]
     mo: Mapping[str, tuple[int, ...]]
     sc_order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for i, e in enumerate(self.events):
-            if e.id != i:
-                raise ValueError("events must be ordered by id")
-        for r_id, w_id in self.rf.items():
-            r, w = self.events[r_id], self.events[w_id]
-            if not r.reads_memory or not w.writes_memory:
-                raise ValueError(f"rf pair ({w_id} -> {r_id}) is not write-to-read")
-            if r_id == w_id:
-                raise ValueError("an event cannot read from itself")
-            if r.location != w.location:
-                raise ValueError(f"rf pair ({w_id} -> {r_id}) mixes locations")
-            if r.value_read != w.value_written:
-                raise ValueError(f"rf pair ({w_id} -> {r_id}) disagrees on the value")
-        writes_by_loc: dict[str, set[int]] = {}
-        for e in self.events:
-            if e.reads_memory and e.id not in self.rf:
-                raise ValueError("rf must give every read exactly one source")
-            if e.writes_memory:
-                writes_by_loc.setdefault(e.location, set()).add(e.id)
-        if set(self.mo) != set(writes_by_loc):
-            raise ValueError("mo must cover exactly the written locations")
-        for loc, order in self.mo.items():
-            if set(order) != writes_by_loc[loc] or len(order) != len(writes_by_loc[loc]):
-                raise ValueError(f"mo for {loc} is not a permutation of its writes")
-            if not self.events[order[0]].is_init:
-                raise ValueError(f"mo for {loc} must start at the initialization write")
-        sc_ids = {e.id for e in self.events if e.order is MemoryOrder.SEQ_CST}
-        if set(self.sc_order) != sc_ids or len(self.sc_order) != len(sc_ids):
-            raise ValueError("sc_order must be a permutation of the seq_cst events")
 
 
 @dataclass(frozen=True)
@@ -162,22 +136,29 @@ class ExecutionJudgment:
 # events
 
 
-def _events(program: Program, success: Mapping[tuple[int, int], bool]) -> list[Event]:
-    """The initialization writes, values set, then every instruction's event
-    in id order, without values.  A CAS is an RMW unless success[(t, i)] is
-    False, which makes it a READ at its failure order."""
-    events = [
-        Event(i, INIT_THREAD, i, EventKind.WRITE, True, None, loc, None, program.initial_value(loc))
-        for i, loc in enumerate(program.locations)
-    ]
+def _layout(program: Program, success: Mapping[tuple[int, int], bool]) -> list[tuple]:
+    """Each event's (thread, index, kind, atomic, order, location) in id
+    order: the initialization writes, then every instruction's event.  A CAS
+    is an RMW unless success[(t, i)] is False, which makes it a READ at its
+    failure order."""
+    layout = [(INIT_THREAD, i, EventKind.WRITE, True, None, loc) for i, loc in enumerate(program.locations)]
     for t, body in enumerate(program.threads):
         for i, instr in enumerate(body):
             kind, order = _EVENT_KINDS.get(instr.kind, EventKind.RMW), instr.order
             if instr.kind in CAS_KINDS and success.get((t, i)) is False:
                 kind, order = EventKind.READ, instr.failure_order
-            atomic = instr.kind not in (Kind.NA_LOAD, Kind.NA_STORE)
-            events.append(Event(len(events), t, i, kind, atomic, order, instr.location))
-    return events
+            layout.append((t, i, kind, instr.kind not in (Kind.NA_LOAD, Kind.NA_STORE), order, instr.location))
+    return layout
+
+
+def _events(program: Program, success: Mapping[tuple[int, int], bool]) -> list[Event]:
+    """The layout's events: the initialization writes with their values,
+    the others without."""
+    n_init = len(program.locations)
+    return [
+        Event(i, *shape, value_written=program.initial_value(shape[5]) if i < n_init else None)
+        for i, shape in enumerate(_layout(program, success))
+    ]
 
 
 _EVENT_KINDS = {
@@ -189,17 +170,56 @@ _EVENT_KINDS = {
 }
 
 
-def _shape(e: Event) -> tuple:
-    return (e.thread, e.location if e.is_init else e.index, e.kind, e.order, e.atomic, e.location)
-
-
-def _check_layout(program: Program, events: Sequence[Event]) -> None:
-    """The kernel reads sb off each event's (thread, index) and everything
-    else off its kind, order, atomicity and location, so those must be the
-    program's, with each CAS's branch read off its event's kind."""
-    success = {(e.thread, e.index): e.kind is EventKind.RMW for e in events}
-    if list(map(_shape, events)) != list(map(_shape, _events(program, success))):
+def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
+    """The kernel's frame for a candidate of `program`, once the candidate
+    is checked.  The kernel reads sb off each event's (thread, index) and
+    everything else off its kind, order, atomicity and location, so those
+    must be the program's, with each CAS's branch read off its event's kind.
+    Then ids must be positions, a read must carry no written value and a
+    write no read value, rf must map each read to another write to its
+    location that wrote the value it read, mo must order each written
+    location's writes initialization first, and sc_order the seq_cst events."""
+    events = candidate.events
+    layout = _layout(program, {(e.thread, e.index): e.kind is EventKind.RMW for e in events})
+    if len(events) != len(layout) or any(
+        (e.thread, e.kind, e.atomic, e.order, e.location) != (thread, kind, atomic, order, location)
+        or (e.index != index and thread != INIT_THREAD)
+        for e, (thread, index, kind, atomic, order, location) in zip(events, layout)
+    ):
         raise ValueError("candidate does not match the program's event layout")
+    for i, e in enumerate(events):
+        if e.id != i:
+            raise ValueError("events must be ordered by id")
+        if e.kind is EventKind.READ and e.value_written is not None:
+            raise ValueError("read events carry no written value")
+        if e.kind is EventKind.WRITE and e.value_read is not None:
+            raise ValueError("write events carry no read value")
+
+    frame = _Frame(events)
+    rf = candidate.rf
+    others = dict(frame.read_checks)
+    writes = sum(frame.loc_writes)
+    for r, w in rf.items():
+        if r not in others or w < 0 or not writes >> w & 1:
+            raise ValueError(f"rf pair ({w} -> {r}) is not write-to-read")
+        if r == w:
+            raise ValueError("an event cannot read from itself")
+        if not others[r] >> w & 1:
+            raise ValueError(f"rf pair ({w} -> {r}) mixes locations")
+        if events[r].value_read != events[w].value_written:
+            raise ValueError(f"rf pair ({w} -> {r}) disagrees on the value")
+    if len(rf) != len(others):
+        raise ValueError("rf must give every read exactly one source")
+    if set(candidate.mo) != set(frame.locations):
+        raise ValueError("mo must cover exactly the written locations")
+    for loc, order in candidate.mo.items():
+        if sorted(order) != list(_bits(frame.loc_writes[frame.loc_index[loc]])):
+            raise ValueError(f"mo for {loc} is not a permutation of its writes")
+        if not events[order[0]].is_init:
+            raise ValueError(f"mo for {loc} must start at the initialization write")
+    if sorted(candidate.sc_order) != list(frame.sc_ids):
+        raise ValueError("sc_order must be a permutation of the seq_cst events")
+    return frame
 
 
 def compute_sb(program: Program) -> Relation:
@@ -208,15 +228,15 @@ def compute_sb(program: Program) -> Relation:
     return _rows_relation(_Frame(_events(program, {})).sb)
 
 
-def release_sequence(candidate: CandidateExecution, head_id: int) -> tuple[int, ...]:
+def release_sequence(program: Program, candidate: CandidateExecution, head_id: int) -> tuple[int, ...]:
     """Maximal release sequence headed by a release-class atomic write:
     contiguous mo-successors that are same-thread atomic writes or RMWs from
     any thread."""
-    events = candidate.events
-    head = events[head_id]
-    if not (head.writes_memory and head.atomic and head.order in RELEASE_CLASS):
+    frame = _checked_frame(program, candidate)
+    # A write's tag holds its own bit exactly when it is a release-class atomic write.
+    if not (head_id in frame.tags and frame.tags[head_id] >> head_id & 1):
         raise ValueError(f"event {head_id} does not head a release sequence")
-    mo = _MoOrder(_Frame(events), candidate.mo[head.location])
+    mo = _MoOrder(frame, candidate.mo[candidate.events[head_id].location])
     return tuple(w for w in mo.order if mo.heads.get(w, 0) >> head_id & 1)
 
 
@@ -236,32 +256,40 @@ class _Frame:
 
     Built from a candidate's events, or from one CAS branching's events as
     `_events` returns them: only kind, order, atomicity, location, thread and
-    index are read, and those a branching fixes.  sb, hb's base rows and the
-    sw tables are built at once; what only the axioms read is built on first
-    use, so `compute_sw` never builds it.
+    index are read, and those a branching fixes; each thread's events must
+    come in program order.  sb, hb's base rows, the writes of each location
+    and the sw tables are built at once; what only the axioms read is built
+    on first use, so `compute_sw` never builds it.
     """
 
     def __init__(self, events: Sequence[Event]) -> None:
         self.events = events
         self.n = len(events)
-        init = [e.thread == INIT_THREAD for e in events]
-        by_thread: dict[int, list] = {}
-        for e in events:
-            if not init[e.id]:
-                by_thread.setdefault(e.thread, []).append(e)
+        self.thread = [e.thread for e in events]
 
         # sb rows, and hb's base rows: sb plus initialization before every
-        # program event.  Both are already transitive.
+        # program event.  Both are already transitive.  Each thread's events
+        # come in program order, so an event's sb row is the mask of its
+        # thread's events after it.
         self.sb = [0] * self.n
-        for same_thread in by_thread.values():
-            for a in same_thread:
-                self.sb[a.id] = sum(1 << b.id for b in same_thread if b.index > a.index)
-        program_events = sum(1 << e.id for e in events if not init[e.id])
-        self.base = [program_events if init[e] else self.sb[e] for e in range(self.n)]
+        later: dict[int, int] = {}
+        for e in reversed(events):
+            if e.thread != INIT_THREAD:
+                self.sb[e.id] = row = later.get(e.thread, 0)
+                later[e.thread] = row | 1 << e.id
+        program_events = sum(later.values())
+        self.base = [program_events if t == INIT_THREAD else row for t, row in zip(self.thread, self.sb)]
 
-        self.locations: tuple[str, ...] = tuple(dict.fromkeys(e.location for e in events if e.writes_memory))
+        # Each written location's writes, and COHERENT-READ's pairs: each
+        # read with the other writes to its location.
+        writes: dict[str, int] = {}
+        for e in events:
+            if e.writes_memory:
+                writes[e.location] = writes.get(e.location, 0) | 1 << e.id
+        self.locations: tuple[str, ...] = tuple(writes)
         self.loc_index = {loc: i for i, loc in enumerate(self.locations)}
-        self.thread = [e.thread for e in events]
+        self.loc_writes = list(writes.values())
+        self.read_checks = tuple((e.id, writes[e.location] & ~(1 << e.id)) for e in events if e.reads_memory)
         self.atomic = sum(1 << e.id for e in events if e.atomic)
         self.rmw = sum(1 << e.id for e in events if e.kind is EventKind.RMW)
         self.sc_ids = tuple(e.id for e in events if e.order is MemoryOrder.SEQ_CST)
@@ -271,18 +299,21 @@ class _Frame:
         # release sequence carries: itself if release-class, and every
         # release fence sequenced before it.  Each atomic read that can
         # acquire lists the acquire fences sequenced after it.
+        self.atomic_writes = [e for e in events if e.atomic and e.writes_memory and e.thread != INIT_THREAD]
+        self.atomic_reads = [e for e in events if e.atomic and e.reads_memory]
         fences = [e for e in events if e.kind is EventKind.FENCE]
         release_fences = [f.id for f in fences if f.order in RELEASE_CLASS]
         acquire_fences = [f.id for f in fences if f.order in ACQUIRE_CLASS]
         self.tags: dict[int, int] = {}
-        for x in self._atomic_writes:
-            tag = (1 << x.id if x.order in RELEASE_CLASS else 0) | sum(
-                1 << f for f in release_fences if self.sb[f] >> x.id & 1
-            )
+        for x in self.atomic_writes:
+            tag = 1 << x.id if x.order in RELEASE_CLASS else 0
+            for f in release_fences:
+                if self.sb[f] >> x.id & 1:
+                    tag |= 1 << f
             if tag:
                 self.tags[x.id] = tag
         self.sync_reads = []
-        for y in self._atomic_reads:
+        for y in self.atomic_reads:
             after = tuple(f for f in acquire_fences if self.sb[y.id] >> f & 1)
             acquire = y.order in ACQUIRE_CLASS
             if acquire or after:
@@ -290,30 +321,6 @@ class _Frame:
         # Without both a tag and a read to carry it there is no sw edge, and
         # hb is the base rows for every candidate.
         self.static_hb = not (self.tags and self.sync_reads)
-
-    @property
-    def _atomic_writes(self) -> list:
-        return [e for e in self.events if e.writes_memory and e.atomic and e.thread != INIT_THREAD]
-
-    @property
-    def _atomic_reads(self) -> list:
-        return [e for e in self.events if e.reads_memory and e.atomic]
-
-    @cached_property
-    def loc_writes(self) -> list[int]:
-        """Per location index, the mask of its writes."""
-        masks = [0] * len(self.locations)
-        for e in self.events:
-            if e.writes_memory:
-                masks[self.loc_index[e.location]] |= 1 << e.id
-        return masks
-
-    @cached_property
-    def read_checks(self) -> tuple[tuple[int, int], ...]:
-        """COHERENT-READ: each read with the other writes to its location."""
-        return tuple(
-            (e.id, self.loc_writes[self.loc_index[e.location]] & ~(1 << e.id)) for e in self.events if e.reads_memory
-        )
 
     @cached_property
     def conflicts(self) -> tuple[tuple[int, int], ...]:
@@ -339,8 +346,8 @@ class _Frame:
         atomic writes sequenced after it with their location indices, mask
         of atomic writes sequenced before it)."""
         events = self.events
-        atomic_writes = self._atomic_writes
-        atomic_reads = self._atomic_reads
+        atomic_writes = self.atomic_writes
+        atomic_reads = self.atomic_reads
         steps: dict[int, tuple] = {}
         for e in self.sc_ids:
             after = self.sb[e]
@@ -582,15 +589,14 @@ def _sw_relation(n: int, sw: Mapping[int, int]) -> Relation:
 def _candidate_hb(program: Program, candidate: CandidateExecution):
     """The kernel's view of a candidate: its frame, mo orders, sw edges, hb
     rows and whether hb is cyclic."""
-    _check_layout(program, candidate.events)
-    frame = _Frame(candidate.events)
+    frame = _checked_frame(program, candidate)
     mo = frame.mo_orders(candidate.mo)
     sw = _sw_edges(frame, mo, candidate.rf)
     return (frame, mo, sw) + _hb_rows(frame, sw)
 
 
-def compute_sw(candidate: CandidateExecution) -> Relation:
-    frame = _Frame(candidate.events)
+def compute_sw(program: Program, candidate: CandidateExecution) -> Relation:
+    frame = _checked_frame(program, candidate)
     return _sw_relation(frame.n, _sw_edges(frame, frame.mo_orders(candidate.mo), candidate.rf))
 
 
@@ -656,18 +662,21 @@ def _defining_events(program: Program) -> dict[int, int]:
 
 
 def _ground(
-    init: Sequence[Event],
+    init_values: Mapping[int, int],
     steps: Sequence[tuple[Event, Instruction, bool, bool]],
     rf: Mapping[int, int],
     defs: Mapping[int, int],
     weak_spurious: bool,
-) -> Optional[list[Event]]:
+) -> Optional[tuple[dict[int, int], dict[int, int]]]:
     """Propagate values along rf and register flow from the initialization
-    writes through the steps (each program event with its instruction and
-    whether it reads and writes memory); None when a value cannot be
+    writes (id -> value) through the steps (each program event with its
+    instruction and whether it reads and writes memory).  A successful CAS
+    writes its desired value at once; any other RMW writes only once its
+    read is grounded, even an exchange, whose value ignores it.  Returns the
+    values read and written by event id, or None when a value cannot be
     grounded in an actual write or a CAS branch contradicts its read."""
     value_read: dict[int, int] = {}
-    value_written: dict[int, int] = {e.id: e.value_written for e in init}
+    value_written: dict[int, int] = dict(init_values)
 
     def operand_value(e: Event, instr: Instruction) -> Optional[int]:
         op = instr.operand
@@ -697,11 +706,9 @@ def _ground(
                     value_written[e.id] = value
                     changed = True
 
-    events = list(init)
     for e, instr, reads, writes in steps:
         vr = value_read.get(e.id)
-        vw = value_written.get(e.id)
-        if (reads and vr is None) or (writes and vw is None):
+        if (reads and vr is None) or (writes and e.id not in value_written):
             return None
         if instr.kind in CAS_KINDS:
             if writes and vr != instr.expected:
@@ -710,8 +717,7 @@ def _ground(
                 # spurious failure: only weak CAS, and only when enabled
                 if instr.kind is not Kind.CAS_WEAK or not weak_spurious:
                     return None
-        events.append(Event(e.id, e.thread, e.index, e.kind, e.atomic, e.order, e.location, vr, vw))
-    return events
+    return value_read, value_written
 
 
 def _static_value(write: Event, instr: Optional[Instruction]) -> Optional[int]:
@@ -750,6 +756,7 @@ def enumerate_cxx11(
     """
     n_init = len(program.locations)
     instrs: list[Optional[Instruction]] = [None] * n_init + [instr for body in program.threads for instr in body]
+    init_values = {i: program.initial_value(loc) for i, loc in enumerate(program.locations)}
     defs = _defining_events(program)
     stats = ExplorationStats()
     witnesses: dict[Outcome, CandidateExecution] = {}
@@ -767,7 +774,6 @@ def enumerate_cxx11(
     for combo in itertools.product((True, False), repeat=len(cas_sites)):
         events = _events(program, dict(zip(cas_sites, combo)))
         frame = _Frame(events)
-        init = events[:n_init]
         steps = [(e, instrs[e.id], e.reads_memory, e.writes_memory) for e in events[n_init:]]
 
         # A read's rf options are the other writes to its location, except
@@ -795,14 +801,14 @@ def enumerate_cxx11(
 
         for rf_combo in itertools.product(*choices):
             rf = dict(zip(reads, rf_combo))
-            grounded = _ground(init, steps, rf, defs, weak_spurious)
+            grounded = _ground(init_values, steps, rf, defs, weak_spurious)
             if grounded is None:
                 continue
-            events_t = tuple(grounded)
+            value_read, value_written = grounded
             regs: list[dict[str, int]] = [{} for _ in program.threads]
             for e, instr, _, _ in steps:
                 if instr.dest is not None:
-                    regs[e.thread][instr.dest] = events_t[e.id].value_read
+                    regs[e.thread][instr.dest] = value_read[e.id]
             # With no sw edge possible hb is the base rows, so COHERENT-READ
             # depends on rf alone.
             incoherent = frame.static_hb and _coherent_read_violated(frame, rf, frame.base)
@@ -832,11 +838,16 @@ def enumerate_cxx11(
                         continue
                     if not racy and _races(frame, hb):
                         racy = True
-                    memory = {loc: events_t[t.order[-1]].value_written for loc, t in zip(frame.locations, mo)}
+                    memory = {loc: value_written[t.order[-1]] for loc, t in zip(frame.locations, mo)}
                     outcome = make_outcome(program, regs, memory)
                     if outcome not in witnesses:
+                        valued = tuple(
+                            Event(e.id, e.thread, e.index, e.kind, e.atomic, e.order, e.location,
+                                  value_read.get(e.id), value_written.get(e.id))
+                            for e in events
+                        )
                         mo_map = {loc: t.order for loc, t in zip(frame.locations, mo)}
-                        witnesses[outcome] = CandidateExecution(events_t, rf, mo_map, s_order)
+                        witnesses[outcome] = CandidateExecution(valued, rf, mo_map, s_order)
                     break
 
     return OutcomeSet(frozenset(witnesses), racy=racy, stats=stats, witnesses=dict(witnesses))

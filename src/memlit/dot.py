@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .axiomatic import CandidateExecution, compute_sw
-from .model import Event, Kind, Program, TraceStep
+from .model import INIT_THREAD, Event, Kind, Program, TraceStep
 
 
 def _quote(text: str) -> str:
@@ -27,6 +27,7 @@ def _event_label(event: Event) -> str:
 def execution_dot(program: Program, candidate: CandidateExecution, *, title: str = "execution") -> str:
     """Candidate execution as a digraph: sb between consecutive same-thread
     events, rf write-to-read, mo between mo-adjacent writes, sw edges."""
+    sw = compute_sw(program, candidate)  # checks the candidate against the program
     events = candidate.events
     lines = [
         f"digraph {_quote(title)} {{",
@@ -36,32 +37,22 @@ def execution_dot(program: Program, candidate: CandidateExecution, *, title: str
     for e in events:
         lines.append(f"  e{e.id} [label={_quote(_event_label(e))}];")
 
-    edges: list[tuple[int, int, str]] = []
-    by_thread: dict[int, list[Event]] = {}
-    for e in events:
-        if not e.is_init:
-            by_thread.setdefault(e.thread, []).append(e)
-    for thread_events in by_thread.values():
-        thread_events.sort(key=lambda e: e.index)
-        for a, b in zip(thread_events, thread_events[1:]):
-            edges.append((a.id, b.id, "sb"))
-    for r_id, w_id in candidate.rf.items():
-        edges.append((w_id, r_id, "rf"))
-    for order in candidate.mo.values():
-        for a, b in zip(order, order[1:]):
-            edges.append((a, b, "mo"))
-    for a, b in compute_sw(candidate).pairs:
-        edges.append((a, b, "sw"))
-
+    # compute_sw has checked that each thread's events come together, in program order.
+    edges = {
+        "sb": [(a.id, b.id) for a, b in zip(events, events[1:]) if a.thread == b.thread != INIT_THREAD],
+        "rf": sorted((w_id, r_id) for r_id, w_id in candidate.rf.items()),
+        "mo": sorted(pair for order in candidate.mo.values() for pair in zip(order, order[1:])),
+        "sw": sorted(sw.pairs),
+    }
     style = {
         "sb": "",
         "rf": ", color=red, fontcolor=red",
         "mo": ", color=blue, fontcolor=blue",
         "sw": ", color=darkgreen, fontcolor=darkgreen, style=dashed",
     }
-    rank = {"sb": 0, "rf": 1, "mo": 2, "sw": 3}
-    for a, b, name in sorted(edges, key=lambda e: (rank[e[2]], e[0], e[1])):
-        lines.append(f"  e{a} -> e{b} [label={_quote(name)}{style[name]}];")
+    for name, pairs in edges.items():
+        for a, b in pairs:
+            lines.append(f"  e{a} -> e{b} [label={_quote(name)}{style[name]}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

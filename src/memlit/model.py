@@ -493,7 +493,8 @@ class Event:
 
     Initialization pseudo-writes use thread INIT_THREAD and index the
     location's position; they are modification-order-first for their location
-    and happen-before every program event.
+    and happen-before every program event.  Building one checks nothing; the
+    axiomatic functions check a candidate's events against its program.
     """
 
     id: int
@@ -505,17 +506,6 @@ class Event:
     location: Optional[str]
     value_read: Optional[int] = None
     value_written: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is EventKind.FENCE:
-            if self.location is not None:
-                raise ValueError("fence events carry no location")
-        elif self.location is None:
-            raise ValueError(f"{self.kind} event requires a location")
-        if self.kind is EventKind.READ and self.value_written is not None:
-            raise ValueError("read events carry no written value")
-        if self.kind is EventKind.WRITE and self.value_read is not None:
-            raise ValueError("write events carry no read value")
 
     @property
     def is_init(self) -> bool:

@@ -48,13 +48,6 @@ class State(NamedTuple):
     registers: tuple[Pairs, ...]  # per thread, sorted by name
 
 
-class Transition(NamedTuple):
-    """A (kind, thread) pair; `enabled` returns plain pairs, which compare equal."""
-
-    kind: str  # "exec" | "dequeue"
-    thread: int
-
-
 def initial_state(program: Program) -> State:
     n = len(program.threads)
     memory = tuple((loc, program.initial_value(loc)) for loc in program.locations)
@@ -165,7 +158,7 @@ def _step(
 def apply(
     program: Program,
     state: State,
-    transition: Transition,
+    transition: tuple[str, int],
     *,
     buffered: bool = True,
     weak_spurious: bool = True,
@@ -176,19 +169,16 @@ def apply(
     return tuple(s for s, _ in _step(program, state, transition, buffered, weak_spurious))
 
 
-def _explore(
-    program: Program, *, buffered: bool, weak_spurious: bool, memoize: bool, max_states: int
-) -> OutcomeSet:
+def _explore(program: Program, *, buffered: bool, weak_spurious: bool, max_states: int) -> OutcomeSet:
     stats = ExplorationStats()
     witnesses: dict[Outcome, tuple[TraceStep, ...]] = {}
     seen: set[State] = set()
     path: list[Step] = []
 
     def visit(state: State) -> None:
-        if memoize:
-            if state in seen:
-                return
-            seen.add(state)
+        if state in seen:
+            return
+        seen.add(state)
         stats.explored += 1
         if stats.explored > max_states:
             raise ResourceLimitError("state", max_states)
@@ -214,11 +204,10 @@ def enumerate_sc(
     program: Program,
     *,
     weak_spurious: bool = True,
-    memoize: bool = True,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> OutcomeSet:
     """Every interleaving against one shared memory: the machine with unbuffered stores."""
-    return _explore(program, buffered=False, weak_spurious=weak_spurious, memoize=memoize, max_states=max_states)
+    return _explore(program, buffered=False, weak_spurious=weak_spurious, max_states=max_states)
 
 
 def enumerate_tso(
@@ -228,4 +217,4 @@ def enumerate_tso(
     max_states: int = DEFAULT_MAX_STATES,
 ) -> OutcomeSet:
     """Every interleaving and dequeue schedule of the store-buffer machine."""
-    return _explore(program, buffered=True, weak_spurious=weak_spurious, memoize=True, max_states=max_states)
+    return _explore(program, buffered=True, weak_spurious=weak_spurious, max_states=max_states)

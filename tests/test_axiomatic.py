@@ -29,6 +29,7 @@ from memlit.axiomatic import (
     enumerate_cxx11,
     release_sequence,
 )
+from memlit.dot import execution_dot
 from memlit.dsl import parse_litmus
 from memlit.model import (
     INIT_THREAD,
@@ -37,6 +38,7 @@ from memlit.model import (
     Instruction,
     Kind,
     MemoryOrder,
+    Program,
     ResourceLimitError,
     derive_failure_order,
     eval_assertion,
@@ -128,36 +130,106 @@ def mp_candidate(handoff: bool) -> tuple:
     return program, candidate
 
 
+def litmus(init: str, *threads: tuple[str, ...]) -> Program:
+    """A program with this init line and one thread P0, P1, ... per tuple of
+    instruction lines; the condition is a placeholder."""
+    body = "".join(f"thread P{t}:\n" + "".join(f"  {line}\n" for line in lines) for t, lines in enumerate(threads))
+    return parse_litmus(f"name: t\ninit: {init}\n{body}exists: {init.split()[0]} = 0\n")
+
+
 class TestCandidateValidation:
+    """Building a candidate checks nothing; the functions that read one
+    reject it when it is not one of the program's."""
+
     def test_events_must_be_id_ordered(self):
+        program = litmus("x = 0", ("store x 1 relaxed",))
+        events = (init_w(1, "x"), ev(0, 0, 0, W, RLX, "x", written=1))
         with pytest.raises(ValueError, match="ordered by id"):
-            CandidateExecution((init_w(1, "x"),), {}, {"x": (1,)}, ())
+            check_axioms(program, CandidateExecution(events, {}, {"x": (0, 1)}, ()))
 
     def test_rf_value_must_agree(self):
+        program = litmus("x = 0", ("r1 = load x relaxed",))
         events = (init_w(0, "x"), ev(1, 0, 0, R, RLX, "x", read=7))
         with pytest.raises(ValueError, match="disagrees on the value"):
-            CandidateExecution(events, {1: 0}, {"x": (0,)}, ())
+            check_axioms(program, CandidateExecution(events, {1: 0}, {"x": (0,)}, ()))
 
     def test_rf_must_point_at_a_write(self):
+        program = litmus("x = 0", ("r1 = load x relaxed", "r2 = load x relaxed"))
         events = (init_w(0, "x"), ev(1, 0, 0, R, RLX, "x", read=0), ev(2, 0, 1, R, RLX, "x", read=0))
-        with pytest.raises(ValueError, match="write-to-read"):
-            CandidateExecution(events, {1: 2}, {"x": (0,)}, ())
+        for rf in ({1: 2, 2: 0}, {1: -1, 2: 0}):
+            with pytest.raises(ValueError, match="write-to-read"):
+                check_axioms(program, CandidateExecution(events, rf, {"x": (0,)}, ()))
 
     def test_mo_must_start_at_init(self):
+        program = litmus("x = 0", ("store x 1 relaxed",))
         events = (init_w(0, "x"), ev(1, 0, 0, W, RLX, "x", written=1))
         with pytest.raises(ValueError, match="initialization"):
-            CandidateExecution(events, {}, {"x": (1, 0)}, ())
+            check_axioms(program, CandidateExecution(events, {}, {"x": (1, 0)}, ()))
 
     def test_sc_order_must_cover_sc_events(self):
+        program = litmus("x = 0", ("store x 1 seq_cst",))
         events = (init_w(0, "x"), ev(1, 0, 0, W, SC, "x", written=1))
         with pytest.raises(ValueError, match="sc_order"):
-            CandidateExecution(events, {}, {"x": (0, 1)}, ())
+            check_axioms(program, CandidateExecution(events, {}, {"x": (0, 1)}, ()))
 
     def test_every_read_needs_a_source(self):
         # Without the check this read would take a value no write wrote.
+        program = litmus("x = 0", ("r1 = load x relaxed",))
         events = (init_w(0, "x"), ev(1, 0, 0, R, RLX, "x", read=5))
         with pytest.raises(ValueError, match="rf must give every read exactly one source"):
-            CandidateExecution(events, {}, {"x": (0,)}, ())
+            check_axioms(program, CandidateExecution(events, {}, {"x": (0,)}, ()))
+
+    def test_write_cannot_read(self):
+        program = litmus("x = 0", ("store x 1 relaxed",))
+        events = (init_w(0, "x"), ev(1, 0, 0, W, RLX, "x", read=0, written=1))
+        with pytest.raises(ValueError, match="write events carry no read value"):
+            check_axioms(program, CandidateExecution(events, {}, {"x": (0, 1)}, ()))
+
+    def test_rmw_cannot_read_itself(self):
+        program = litmus("x = 0", ("r1 = fetch_add x 0 relaxed",))
+        events = (init_w(0, "x"), ev(1, 0, 0, RMW, RLX, "x", read=0, written=0))
+        with pytest.raises(ValueError, match="cannot read from itself"):
+            check_axioms(program, CandidateExecution(events, {1: 1}, {"x": (0, 1)}, ()))
+
+    def test_rf_must_stay_at_one_location(self):
+        program = litmus("x = 0 y = 0", ("r1 = load x relaxed",))
+        events = (init_w(0, "x"), init_w(1, "y"), ev(2, 0, 0, R, RLX, "x", read=0))
+        with pytest.raises(ValueError, match="mixes locations"):
+            check_axioms(program, CandidateExecution(events, {2: 1}, {"x": (0,), "y": (1,)}, ()))
+
+    def test_mo_must_cover_every_written_location(self):
+        program = litmus("x = 0 y = 0", ("store x 1 relaxed",))
+        events = (init_w(0, "x"), init_w(1, "y"), ev(2, 0, 0, W, RLX, "x", written=1))
+        with pytest.raises(ValueError, match="mo must cover exactly the written locations"):
+            check_axioms(program, CandidateExecution(events, {}, {"x": (0, 2)}, ()))
+
+    def test_mo_must_order_every_write(self):
+        program = litmus("x = 0", ("store x 1 relaxed",))
+        events = (init_w(0, "x"), ev(1, 0, 0, W, RLX, "x", written=1))
+        for order in ((0,), (0, 1, 1)):
+            with pytest.raises(ValueError, match="not a permutation of its writes"):
+                check_axioms(program, CandidateExecution(events, {}, {"x": order}, ()))
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            check_axioms,
+            compute_hb,
+            detect_races,
+            compute_sw,
+            lambda program, candidate: release_sequence(program, candidate, 3),
+            execution_dot,
+        ],
+        ids=["check_axioms", "compute_hb", "detect_races", "compute_sw", "release_sequence", "execution_dot"],
+    )
+    def test_every_function_that_reads_a_candidate_checks_it(self, read):
+        program, cand = mp_candidate(handoff=True)
+        read(program, cand)
+        other_program = parse_litmus(MP_NA)
+        with pytest.raises(ValueError, match="layout"):
+            read(other_program, cand)
+        with pytest.raises(ValueError, match="mixes locations"):
+            read(program, replace(cand, rf={4: 3, 5: 1}))
 
 
 class TestSequencedBefore:
@@ -180,39 +252,45 @@ class TestSequencedBefore:
 
 class TestReleaseSequence:
     def test_same_thread_relaxed_store_extends(self):
+        program = litmus("x = 0", ("store x 1 release", "store x 2 relaxed"))
         events = (
             init_w(0, "x"),
             ev(1, 0, 0, W, REL, "x", written=1),
             ev(2, 0, 1, W, RLX, "x", written=2),
         )
         cand = CandidateExecution(events, {}, {"x": (0, 1, 2)}, ())
-        assert release_sequence(cand, 1) == (1, 2)
+        assert release_sequence(program, cand, 1) == (1, 2)
 
     def test_other_thread_store_breaks(self):
+        program = litmus("x = 0", ("store x 1 release",), ("store x 2 relaxed",))
         events = (
             init_w(0, "x"),
             ev(1, 0, 0, W, REL, "x", written=1),
             ev(2, 1, 0, W, RLX, "x", written=2),
         )
         cand = CandidateExecution(events, {}, {"x": (0, 1, 2)}, ())
-        assert release_sequence(cand, 1) == (1,)
+        assert release_sequence(program, cand, 1) == (1,)
 
     def test_other_thread_rmw_extends(self):
+        program = litmus("x = 0", ("store x 1 release",), ("r1 = fetch_add x 1 relaxed",))
         events = (
             init_w(0, "x"),
             ev(1, 0, 0, W, REL, "x", written=1),
             ev(2, 1, 0, RMW, RLX, "x", read=1, written=2),
         )
         cand = CandidateExecution(events, {2: 1}, {"x": (0, 1, 2)}, ())
-        assert release_sequence(cand, 1) == (1, 2)
+        assert release_sequence(program, cand, 1) == (1, 2)
 
     def test_non_release_head_rejected(self):
+        program = litmus("x = 0", ("store x 1 relaxed",))
         events = (init_w(0, "x"), ev(1, 0, 0, W, RLX, "x", written=1))
         cand = CandidateExecution(events, {}, {"x": (0, 1)}, ())
         with pytest.raises(ValueError, match="release sequence"):
-            release_sequence(cand, 1)
+            release_sequence(program, cand, 1)
         with pytest.raises(ValueError, match="release sequence"):
-            release_sequence(cand, 0)  # init write
+            release_sequence(program, cand, 0)  # init write
+        with pytest.raises(ValueError, match="release sequence"):
+            release_sequence(program, cand, -1)
 
     def test_agrees_with_the_oracle_on_the_corpus(self, corpus):
         # The last program puts a same-thread non-atomic store, which ends a
@@ -226,21 +304,22 @@ class TestReleaseSequence:
             for cand in grounded_candidates(program, True, limit=2_000) or ():
                 for head in cand.events:
                     if head.writes_memory and head.atomic and head.order in RELEASE_CLASS:
-                        assert release_sequence(cand, head.id) == _sequence_from(cand.events, cand.mo, head)
+                        assert release_sequence(program, cand, head.id) == _sequence_from(cand.events, cand.mo, head)
                         heads += 1
         assert heads > 1_000
 
 
 class TestSynchronizesWith:
     def test_release_write_to_acquire_read(self):
-        _, cand = mp_candidate(handoff=True)
-        assert compute_sw(cand).pairs == frozenset({(3, 4)})
+        program, cand = mp_candidate(handoff=True)
+        assert compute_sw(program, cand).pairs == frozenset({(3, 4)})
 
     def test_no_handoff_no_sync(self):
-        _, cand = mp_candidate(handoff=False)
-        assert compute_sw(cand).pairs == frozenset()
+        program, cand = mp_candidate(handoff=False)
+        assert compute_sw(program, cand).pairs == frozenset()
 
     def test_read_of_sequence_tail_syncs_with_head(self):
+        program = litmus("y = 0", ("store y 1 release", "store y 2 relaxed"), ("r1 = load y acquire",))
         events = (
             init_w(0, "y"),
             ev(1, 0, 0, W, REL, "y", written=1),
@@ -248,9 +327,10 @@ class TestSynchronizesWith:
             ev(3, 1, 0, R, ACQ, "y", read=2),
         )
         cand = CandidateExecution(events, {3: 2}, {"y": (0, 1, 2)}, ())
-        assert compute_sw(cand).pairs == frozenset({(1, 3)})
+        assert compute_sw(program, cand).pairs == frozenset({(1, 3)})
 
     def test_interposed_foreign_store_breaks_sync(self):
+        program = litmus("y = 0", ("store y 1 release",), ("store y 2 relaxed",), ("r1 = load y acquire",))
         events = (
             init_w(0, "y"),
             ev(1, 0, 0, W, REL, "y", written=1),
@@ -258,9 +338,14 @@ class TestSynchronizesWith:
             ev(3, 2, 0, R, ACQ, "y", read=2),
         )
         cand = CandidateExecution(events, {3: 2}, {"y": (0, 1, 2)}, ())
-        assert compute_sw(cand).pairs == frozenset()
+        assert compute_sw(program, cand).pairs == frozenset()
 
     def test_fence_to_fence(self):
+        program = litmus(
+            "x = 0 y = 0",
+            ("store x 1 relaxed", "fence release", "store y 2 relaxed"),
+            ("r1 = load y relaxed", "fence acquire", "r2 = load x relaxed"),
+        )
         events = (
             init_w(0, "x"),
             init_w(1, "y"),
@@ -272,9 +357,10 @@ class TestSynchronizesWith:
             ev(7, 1, 2, R, RLX, "x", read=1),
         )
         cand = CandidateExecution(events, {5: 4, 7: 2}, {"x": (0, 2), "y": (1, 4)}, ())
-        assert compute_sw(cand).pairs == frozenset({(3, 6)})
+        assert compute_sw(program, cand).pairs == frozenset({(3, 6)})
 
     def test_fence_to_acquire_read(self):
+        program = litmus("y = 0", ("fence release", "store y 1 relaxed"), ("r1 = load y acquire",))
         events = (
             init_w(0, "y"),
             ev(1, 0, 0, F, REL),
@@ -282,9 +368,10 @@ class TestSynchronizesWith:
             ev(3, 1, 0, R, ACQ, "y", read=1),
         )
         cand = CandidateExecution(events, {3: 2}, {"y": (0, 2)}, ())
-        assert compute_sw(cand).pairs == frozenset({(1, 3)})
+        assert compute_sw(program, cand).pairs == frozenset({(1, 3)})
 
     def test_release_write_to_acquire_fence(self):
+        program = litmus("y = 0", ("store y 1 release",), ("r1 = load y relaxed", "fence acquire"))
         events = (
             init_w(0, "y"),
             ev(1, 0, 0, W, REL, "y", written=1),
@@ -292,7 +379,7 @@ class TestSynchronizesWith:
             ev(3, 1, 1, F, ACQ),
         )
         cand = CandidateExecution(events, {2: 1}, {"y": (0, 1)}, ())
-        assert compute_sw(cand).pairs == frozenset({(1, 3)})
+        assert compute_sw(program, cand).pairs == frozenset({(1, 3)})
 
 
 class TestHappensBefore:
@@ -608,6 +695,28 @@ class TestEnumeration:
         result = enumerate_cxx11(program)
         assert reg_pairs(result) == {(0, 0)}
         assert eval_assertion(program.assertion, result).kind == "forbidden"
+
+    def test_exchange_writes_only_once_its_read_is_grounded(self):
+        # The exchange writes 5 whatever it reads, but grounding lets it write
+        # only once its read has a source with a known value.  So the
+        # candidate where it reads the store that copies its own write is
+        # consistent, yet never enumerated: P0:r1 = 5 is missing.
+        program = parse_litmus(
+            "name: t\ninit: x = 0\nthread P0:\n  r1 = exchange x 5 relaxed\n"
+            "thread P1:\n  r2 = load x relaxed\n  store x r2 relaxed\nexists: P0:r1 = 5\n"
+        )
+        assert sorted(o.format() for o in enumerate_cxx11(program).outcomes) == [
+            "P0:r1=0 P1:r2=0 | x=0",
+            "P0:r1=0 P1:r2=0 | x=5",
+            "P0:r1=0 P1:r2=5 | x=5",
+        ]
+        events = (
+            init_w(0, "x"),
+            ev(1, 0, 0, RMW, RLX, "x", read=5, written=5),
+            ev(2, 1, 0, R, RLX, "x", read=5),
+            ev(3, 1, 1, W, RLX, "x", written=5),
+        )
+        assert check_axioms(program, CandidateExecution(events, {1: 3, 2: 1}, {"x": (0, 3, 1)}, ())).consistent
 
     def test_strict_s_gates_dekker(self):
         program = parse_litmus(

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memlit.axiomatic import CandidateExecution, check_axioms
 from memlit.model import (
     And,
     Assertion,
@@ -261,13 +262,22 @@ class TestOutcomesAndAssertions:
 
 
 class TestEventShape:
+    """Building an Event checks nothing; judging a candidate that holds a
+    misshapen one fails."""
+
+    INIT = Event(0, -1, 0, EventKind.WRITE, True, None, location="x", value_written=0)
+
     def test_fence_cannot_have_location(self):
+        p = prog([[Instruction(Kind.FENCE, order=MemoryOrder.SEQ_CST)]])
+        fence = Event(1, 0, 0, EventKind.FENCE, True, MemoryOrder.SEQ_CST, location="x")
         with pytest.raises(ValueError):
-            Event(0, 0, 0, EventKind.FENCE, True, MemoryOrder.SEQ_CST, location="x")
+            check_axioms(p, CandidateExecution((self.INIT, fence), {}, {"x": (0,)}, (1,)))
 
     def test_read_cannot_write(self):
+        p = prog([[Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED)]])
+        read = Event(1, 0, 0, EventKind.READ, True, MemoryOrder.RELAXED, location="x", value_read=0, value_written=1)
         with pytest.raises(ValueError):
-            Event(0, 0, 0, EventKind.READ, True, MemoryOrder.RELAXED, location="x", value_read=0, value_written=1)
+            check_axioms(p, CandidateExecution((self.INIT, read), {1: 0}, {"x": (0,)}, ()))
 
     def test_describe(self):
         w = Event(3, 0, 1, EventKind.WRITE, True, MemoryOrder.RELEASE, location="x", value_written=1)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from memlit.dsl import parse_litmus
 from memlit.model import ResourceLimitError, eval_assertion, with_fences_after_stores
 from memlit.operational import (
-    Transition,
     apply,
     enabled,
     enumerate_sc,
@@ -124,20 +123,20 @@ class TestMachineSteps:
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  fence seq_cst\nexists: x = 1\n"
         )
         state = initial_state(program)
-        (state,) = apply(program, state, Transition("exec", 0))
+        (state,) = apply(program, state, ("exec", 0))
         assert state.buffers[0] == (("x", 1),)
-        assert enabled(program, state) == (Transition("dequeue", 0),)
-        (state,) = apply(program, state, Transition("dequeue", 0))
+        assert enabled(program, state) == (("dequeue", 0),)
+        (state,) = apply(program, state, ("dequeue", 0))
         assert state.buffers[0] == ()
-        assert enabled(program, state) == (Transition("exec", 0),)
+        assert enabled(program, state) == (("exec", 0),)
 
     def test_weaker_fences_do_not_wait(self):
         program = parse_litmus(
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  fence acquire\nexists: x = 1\n"
         )
         state = initial_state(program)
-        (state,) = apply(program, state, Transition("exec", 0))
-        assert Transition("exec", 0) in enabled(program, state)
+        (state,) = apply(program, state, ("exec", 0))
+        assert ("exec", 0) in enabled(program, state)
 
     def test_locked_rmw_drains_buffer(self):
         program = parse_litmus(
@@ -145,8 +144,8 @@ class TestMachineSteps:
             "exists: y = 3\n"
         )
         state = initial_state(program)
-        (state,) = apply(program, state, Transition("exec", 0))
-        (state,) = apply(program, state, Transition("exec", 0))
+        (state,) = apply(program, state, ("exec", 0))
+        (state,) = apply(program, state, ("exec", 0))
         assert state.buffers[0] == ()
         assert dict(state.memory) == {"x": 1, "y": 3}
 
@@ -154,7 +153,7 @@ class TestMachineSteps:
         program = parse_litmus("name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 1\n")
         state = initial_state(program)
         with pytest.raises(ValueError):
-            apply(program, state, Transition("dequeue", 0))
+            apply(program, state, ("dequeue", 0))
 
 
 class TestWitnessTraces:
