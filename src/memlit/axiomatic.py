@@ -732,6 +732,17 @@ def _static_value(write: Event, instr: Optional[Instruction]) -> Optional[int]:
     return None
 
 
+def _valued(
+    shared: dict[tuple, Event], e: Event, value_read: Optional[int], value_written: Optional[int]
+) -> Event:
+    """The event e with these values, built once per key of `shared`."""
+    key = (e.id, value_read, value_written)
+    valued = shared.get(key)
+    if valued is None:
+        valued = shared[key] = Event(e.id, e.thread, e.index, e.kind, e.atomic, e.order, e.location, *key[1:])
+    return valued
+
+
 def enumerate_cxx11(
     program: Program,
     *,
@@ -753,6 +764,8 @@ def enumerate_cxx11(
     the same either way.
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
+    Witnesses share their `Event` objects, which are immutable: one per event
+    and pair of values in each CAS branching.
     """
     n_init = len(program.locations)
     instrs: list[Optional[Instruction]] = [None] * n_init + [instr for body in program.threads for instr in body]
@@ -792,6 +805,13 @@ def enumerate_cxx11(
         if not all(choices):
             continue
 
+        # Witnesses share their valued events, one per (id, value read,
+        # value written) in this branching: events are immutable.
+        shared = {(e.id, e.value_read, e.value_written): e for e in events}
+        # With no sw edge possible hb is the base rows for every candidate, so
+        # the races are the same for all of them.
+        static_racy = frame.static_hb and bool(_races(frame, frame.base))
+
         # Modification orders of each location: initialization first, each
         # thread's writes in program order.
         mo_choices = []
@@ -809,21 +829,27 @@ def enumerate_cxx11(
             for e, instr, _, _ in steps:
                 if instr.dest is not None:
                     regs[e.thread][instr.dest] = value_read[e.id]
-            # With no sw edge possible hb is the base rows, so COHERENT-READ
-            # depends on rf alone.
+            registers = make_outcome(program, regs, {}).registers
+            # rf fixes the registers, so an outcome of this rf is fixed by the
+            # mo-last write of each location: the first consistent candidate
+            # with given last writes builds it, and later ones cannot add one.
+            seen_lasts: set[tuple[int, ...]] = set()
+            witness_events: Optional[tuple[Event, ...]] = None
+            # With hb the base rows, COHERENT-READ depends on rf alone, and
+            # HB-MO holds for every mo choice: each extends the base rows.
+            # Without RMWs RMW-IMMEDIATE holds, and without seq_cst events
+            # the SC axioms do.
             incoherent = frame.static_hb and _coherent_read_violated(frame, rf, frame.base)
             for mo in itertools.product(*mo_choices):
                 bump()
-                if incoherent or _rmw_immediate_violated(mo, rf):
+                if incoherent or (frame.rmw and _rmw_immediate_violated(mo, rf)):
                     continue
                 if frame.static_hb:
                     hb = frame.base
                 else:
                     hb, cyclic = _hb_rows(frame, _sw_edges(frame, mo, rf))
-                    if cyclic or _coherent_read_violated(frame, rf, hb):
+                    if cyclic or _coherent_read_violated(frame, rf, hb) or _hb_mo_violated(mo, hb):
                         continue
-                if _hb_mo_violated(mo, hb):
-                    continue
 
                 s_orders: Iterable[tuple[int, ...]] = ((),)
                 if frame.sc_ids:
@@ -834,20 +860,24 @@ def enumerate_cxx11(
                         continue  # hb and mo already contradict on S events
                 for s_order in s_orders:
                     bump()
-                    if _sc_violations(frame, mo, rf, hb, s_order):
+                    if frame.sc_ids and _sc_violations(frame, mo, rf, hb, s_order):
                         continue
-                    if not racy and _races(frame, hb):
-                        racy = True
-                    memory = {loc: value_written[t.order[-1]] for loc, t in zip(frame.locations, mo)}
-                    outcome = make_outcome(program, regs, memory)
+                    if not racy:
+                        racy = static_racy if frame.static_hb else bool(_races(frame, hb))
+                    lasts = tuple(t.order[-1] for t in mo)
+                    if lasts in seen_lasts:
+                        break
+                    seen_lasts.add(lasts)
+                    # Every location has an initialization write, so the
+                    # frame's locations are the program's, in order.
+                    outcome = Outcome(registers, tuple(zip(frame.locations, map(value_written.__getitem__, lasts))))
                     if outcome not in witnesses:
-                        valued = tuple(
-                            Event(e.id, e.thread, e.index, e.kind, e.atomic, e.order, e.location,
-                                  value_read.get(e.id), value_written.get(e.id))
-                            for e in events
-                        )
+                        if witness_events is None:
+                            witness_events = tuple(
+                                _valued(shared, e, value_read.get(e.id), value_written.get(e.id)) for e in events
+                            )
                         mo_map = {loc: t.order for loc, t in zip(frame.locations, mo)}
-                        witnesses[outcome] = CandidateExecution(valued, rf, mo_map, s_order)
+                        witnesses[outcome] = CandidateExecution(witness_events, rf, mo_map, s_order)
                     break
 
     return OutcomeSet(frozenset(witnesses), racy=racy, stats=stats, witnesses=dict(witnesses))

@@ -461,14 +461,16 @@ class Verdict:
 def eval_assertion(assertion: Assertion, outcomes: OutcomeSet) -> Verdict:
     """exists: allowed iff some outcome satisfies the formula.
     forall: holds iff every outcome does; witnesses carry the relevant
-    outcomes (satisfying ones for allowed, violating ones for fails).
+    outcomes (satisfying ones for allowed, violating ones for fails), sorted
+    by `Outcome.format`.
     """
-    ordered = outcomes.sorted_outcomes()
-    if assertion.quantifier == "exists":
-        hits = tuple(o for o in ordered if satisfies(assertion.formula, o))
-        return Verdict("allowed" if hits else "forbidden", hits)
-    misses = tuple(o for o in ordered if not satisfies(assertion.formula, o))
-    return Verdict("fails" if misses else "holds", misses)
+    wanted = assertion.quantifier == "exists"
+    found = tuple(
+        sorted((o for o in outcomes.outcomes if satisfies(assertion.formula, o) == wanted), key=Outcome.format)
+    )
+    if wanted:
+        return Verdict("allowed" if found else "forbidden", found)
+    return Verdict("fails" if found else "holds", found)
 
 
 # ---------------------------------------------------------------------------

@@ -769,6 +769,23 @@ class TestEnumeration:
                 judgment = check_axioms(program, cand)
                 assert judgment.consistent, outcome.format()
 
+    @settings(max_examples=60, deadline=None)
+    @given(programs(max_total=5), st.booleans(), st.booleans())
+    def test_every_witness_is_consistent_and_carries_its_outcome(self, program, spurious, strict_s):
+        # Witnesses share valued events and outcomes are built once per rf
+        # and mo-last writes; each witness must still produce its own outcome.
+        result = enumerate_cxx11(program, weak_spurious=spurious, strict_s=strict_s)
+        for outcome, cand in result.witnesses.items():
+            assert check_axioms(program, cand).consistent, outcome.format()
+            registers = {}
+            for e in cand.events:
+                dest = None if e.is_init else program.threads[e.thread][e.index].dest
+                if dest is not None:
+                    registers[program.thread_names[e.thread], dest] = e.value_read
+            assert registers == {(t, r): v for t, r, v in outcome.registers}, outcome.format()
+            memory = {loc: cand.events[order[-1]].value_written for loc, order in cand.mo.items()}
+            assert memory == dict(outcome.memory), outcome.format()
+
 
 class TestCandidateSpace:
     """Candidates explored and outcomes found on the synthetic ladder: a

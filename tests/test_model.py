@@ -260,6 +260,19 @@ class TestOutcomesAndAssertions:
         holds = eval_assertion(Assertion("forall", Or(MemAtom("x", 3), MemAtom("x", 0))), outs)
         assert holds.kind == "holds" and holds.witnesses == ()
 
+    def test_witnesses_sorted_by_format(self):
+        from memlit.model import OutcomeSet
+
+        # By value the hits would run 2, 9, 10, 25, 100; by format() they do not.
+        hits = [self._outcome(3, r1)[1] for r1 in (100, 9, 25, 2, 10)]
+        misses = [self._outcome(0, r1)[1] for r1 in (7, 1, 30)]
+        outs = OutcomeSet(frozenset(misses[:1] + hits[3:] + misses[1:] + hits[:3]))
+        want = ["P0:r1=10 | x=3", "P0:r1=100 | x=3", "P0:r1=2 | x=3", "P0:r1=25 | x=3", "P0:r1=9 | x=3"]
+        allowed = eval_assertion(Assertion("exists", MemAtom("x", 3)), outs)
+        assert allowed.kind == "allowed" and [o.format() for o in allowed.witnesses] == want
+        fails = eval_assertion(Assertion("forall", MemAtom("x", 0)), outs)
+        assert fails.kind == "fails" and [o.format() for o in fails.witnesses] == want
+
 
 class TestEventShape:
     """Building an Event checks nothing; judging a candidate that holds a
