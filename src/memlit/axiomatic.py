@@ -26,6 +26,12 @@ Candidates are judged against these axioms (names appear in judgments):
                   sides ordered by S, the read side cannot observe anything
                   mo-earlier than A; (4) with fences on both sides ordered by
                   S, the writes themselves must agree with mo.
+  NO-THIN-AIR     each value is the one grounding derives from rf: a read
+                  takes its source's value, a store writes its operand, a
+                  successful CAS writes desired at once, and any other RMW
+                  writes once its read is known; a value that needs itself is
+                  ungrounded, and each CAS takes the branch its read selects,
+                  except that a cas_weak may fail spuriously.
 
 When hb is cyclic, the hb-dependent checks (HB-MO, COHERENT-READ, SC-READ)
 are skipped and only HB-IRREFLEXIVE plus the hb-independent axioms are
@@ -38,17 +44,14 @@ acquire fence.  A release sequence starts at a release-class atomic write and
 extends through contiguous mo-successors that are atomic writes by the same
 thread or atomic RMWs by any thread.
 
-Reads may only return grounded values: a candidate whose data flow is
-circular (a load feeding a store that the load itself observes) is rejected
-rather than allowed to conjure values out of thin air.
-
 One kernel evaluates the axioms for both check_axioms and the enumerator.
 Relations are bitmask rows: row[a] has bit b set when (a, b) is in the
 relation.  `_events` builds each CAS branching's events once, without
 values; what depends only on them (sb, locations, which events can
-synchronize) is computed once per branching, what depends on mo once per
-modification order of each location, and only sw, the hb closure and the
-axiom tests once per candidate.  `Relation` appears only at the API boundary.
+synchronize, what each value is made from) is computed once per branching,
+the values once per rf map, what depends on mo once per modification order
+of each location, and only sw, the hb closure and the other axiom tests
+once per candidate.  `Relation` appears only at the API boundary.
 
 Building a candidate checks nothing.  Every function that reads one takes
 (program, candidate) and checks the candidate against the program first, in
@@ -68,7 +71,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     CAS_KINDS,
@@ -99,6 +102,7 @@ AXIOMS = (
     "SC-FENCE-2",
     "SC-FENCE-3",
     "SC-FENCE-4",
+    "NO-THIN-AIR",
 )
 
 # acq_rel fences act as both an acquire and a release fence; relaxed fences
@@ -136,29 +140,19 @@ class ExecutionJudgment:
 # events
 
 
-def _layout(program: Program, success: Mapping[tuple[int, int], bool]) -> list[tuple]:
-    """Each event's (thread, index, kind, atomic, order, location) in id
-    order: the initialization writes, then every instruction's event.  A CAS
-    is an RMW unless success[(t, i)] is False, which makes it a READ at its
-    failure order."""
-    layout = [(INIT_THREAD, i, EventKind.WRITE, True, None, loc) for i, loc in enumerate(program.locations)]
+def _events(program: Program, success: Mapping[tuple[int, int], bool]) -> list[Event]:
+    """Each event in id order, without values: the initialization writes,
+    then every instruction's event.  A CAS is an RMW unless success[(t, i)]
+    is False, which makes it a READ at its failure order."""
+    events = [Event(i, INIT_THREAD, i, EventKind.WRITE, True, None, loc) for i, loc in enumerate(program.locations)]
     for t, body in enumerate(program.threads):
         for i, instr in enumerate(body):
             kind, order = _EVENT_KINDS.get(instr.kind, EventKind.RMW), instr.order
             if instr.kind in CAS_KINDS and success.get((t, i)) is False:
                 kind, order = EventKind.READ, instr.failure_order
-            layout.append((t, i, kind, instr.kind not in (Kind.NA_LOAD, Kind.NA_STORE), order, instr.location))
-    return layout
-
-
-def _events(program: Program, success: Mapping[tuple[int, int], bool]) -> list[Event]:
-    """The layout's events: the initialization writes with their values,
-    the others without."""
-    n_init = len(program.locations)
-    return [
-        Event(i, *shape, value_written=program.initial_value(shape[5]) if i < n_init else None)
-        for i, shape in enumerate(_layout(program, success))
-    ]
+            atomic = instr.kind not in (Kind.NA_LOAD, Kind.NA_STORE)
+            events.append(Event(len(events), t, i, kind, atomic, order, instr.location))
+    return events
 
 
 _EVENT_KINDS = {
@@ -180,11 +174,11 @@ def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
     location that wrote the value it read, mo must order each written
     location's writes initialization first, and sc_order the seq_cst events."""
     events = candidate.events
-    layout = _layout(program, {(e.thread, e.index): e.kind is EventKind.RMW for e in events})
+    layout = _events(program, {(e.thread, e.index): e.kind is EventKind.RMW for e in events})
     if len(events) != len(layout) or any(
-        (e.thread, e.kind, e.atomic, e.order, e.location) != (thread, kind, atomic, order, location)
-        or (e.index != index and thread != INIT_THREAD)
-        for e, (thread, index, kind, atomic, order, location) in zip(events, layout)
+        (e.thread, e.kind, e.atomic, e.order, e.location) != (x.thread, x.kind, x.atomic, x.order, x.location)
+        or (e.index != x.index and not x.is_init)
+        for e, x in zip(events, layout)
     ):
         raise ValueError("candidate does not match the program's event layout")
     for i, e in enumerate(events):
@@ -195,7 +189,7 @@ def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
         if e.kind is EventKind.WRITE and e.value_read is not None:
             raise ValueError("write events carry no read value")
 
-    frame = _Frame(events)
+    frame = _Frame(program, events)
     rf = candidate.rf
     others = dict(frame.read_checks)
     writes = sum(frame.loc_writes)
@@ -225,7 +219,7 @@ def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
 def compute_sb(program: Program) -> Relation:
     """Sequenced-before: the per-thread total order, transitively closed.
     The universe covers every event id, initialization writes included."""
-    return _rows_relation(_Frame(_events(program, {})).sb)
+    return _rows_relation(_Frame(program, _events(program, {})).sb)
 
 
 def release_sequence(program: Program, candidate: CandidateExecution, head_id: int) -> tuple[int, ...]:
@@ -254,15 +248,17 @@ def _bits(mask: int) -> Iterator[int]:
 class _Frame:
     """What the axioms read from the events before rf, mo and S are chosen.
 
-    Built from a candidate's events, or from one CAS branching's events as
-    `_events` returns them: only kind, order, atomicity, location, thread and
-    index are read, and those a branching fixes; each thread's events must
-    come in program order.  sb, hb's base rows, the writes of each location
-    and the sw tables are built at once; what only the axioms read is built
-    on first use, so `compute_sw` never builds it.
+    Built from a program with a candidate's events, or with one CAS
+    branching's events as `_events` returns them: of the events only kind,
+    order, atomicity, location, thread and index are read, and those a
+    branching fixes; each thread's events must come in program order.  sb,
+    hb's base rows, the writes of each location and the sw tables are built
+    at once; what only the axioms read is built on first use, so
+    `compute_sw` never builds it.
     """
 
-    def __init__(self, events: Sequence[Event]) -> None:
+    def __init__(self, program: Program, events: Sequence[Event]) -> None:
+        self.program = program
         self.events = events
         self.n = len(events)
         self.thread = [e.thread for e in events]
@@ -383,6 +379,39 @@ class _Frame:
         their mask."""
         return tuple((e, step[3]) for e, step in self.sc_steps.items() if step[0] and step[3])
 
+    @cached_property
+    def plan(self) -> _Plan:
+        """What NO-THIN-AIR derives this branching's values from."""
+        program = self.program
+        fixed = {i: program.initial_value(loc) for i, loc in enumerate(program.locations)}
+        rules: dict[int, tuple[Instruction, bool, Optional[int]]] = {}
+        reads, cas, weak_failures = [], [], []
+        e = len(fixed)
+        for t, body in enumerate(program.threads):
+            last_def: dict[str, int] = {}  # register -> the read that last defined it
+            for instr in body:
+                event = self.events[e]
+                source = last_def[instr.operand] if isinstance(instr.operand, str) else None
+                if event.reads_memory:
+                    reads.append((e, t, instr.dest))
+                if instr.kind in CAS_KINDS:
+                    if event.writes_memory:
+                        fixed[e] = instr.desired
+                        cas.append((e, instr.expected, True))
+                    elif instr.kind is Kind.CAS_WEAK:
+                        weak_failures.append((e, instr.expected))
+                    else:
+                        cas.append((e, instr.expected, False))
+                elif event.writes_memory:
+                    if event.reads_memory or source is not None:
+                        rules[e] = (instr, event.reads_memory, source)
+                    else:
+                        fixed[e] = instr.operand
+                if instr.dest is not None:
+                    last_def[instr.dest] = e
+                e += 1
+        return _Plan(fixed, rules, tuple(reads), tuple(cas), tuple(weak_failures))
+
     def mo_orders(self, mo: Mapping[str, tuple[int, ...]]) -> tuple["_MoOrder", ...]:
         return tuple(_MoOrder(self, mo[loc]) for loc in self.locations)
 
@@ -468,6 +497,62 @@ def _coherent_read_violated(frame: _Frame, rf: Mapping[int, int], hb: Sequence[i
 
 def _rmw_immediate_violated(mo: Sequence[_MoOrder], rf: Mapping[int, int]) -> bool:
     return any(rf[e] != pred for t in mo for e, pred in t.rmw_preds)
+
+
+class _Plan(NamedTuple):
+    """What each value of one CAS branching is made from, before rf is chosen."""
+
+    fixed: dict[int, int]  # write -> its value whatever it reads: init, literal store, successful CAS
+    # any other write -> (instruction, whether it needs its own read, the read defining its register operand)
+    rules: dict[int, tuple[Instruction, bool, Optional[int]]]
+    reads: tuple[tuple[int, int, str], ...]  # (read, thread, dest register), in id order
+    cas: tuple[tuple[int, int, bool], ...]  # (CAS, expected, succeeded), failed cas_weak aside
+    weak_failures: tuple[tuple[int, int], ...]  # (failed cas_weak, expected)
+
+
+def _ground(plan: _Plan, rf: Mapping[int, int]) -> Optional[tuple[dict[int, int], dict[int, int]]]:
+    """NO-THIN-AIR: the values read and written, by event id, that rf
+    grounds, each computed once from the values it needs.  A read takes its
+    source's value.  A write the plan does not fix needs its register
+    operand and, for an RMW, its own read, even an exchange, whose value
+    ignores it.  None when a value needs itself, or when a CAS took the
+    branch its read does not select; a failed cas_weak may read expected."""
+    value_read: dict[int, int] = {}
+    value_written = dict(plan.fixed)
+    rules = plan.rules
+    pending: set[int] = set()  # reads whose source's value is being computed
+
+    def read(r: int) -> Optional[int]:
+        value = value_read.get(r)
+        if value is None:
+            value = value_written.get(rf[r])
+            if value is None:
+                if r in pending:
+                    return None
+                pending.add(r)
+                value = write(rf[r])
+                if value is None:
+                    return None
+            value_read[r] = value
+        return value
+
+    def write(w: int) -> Optional[int]:
+        instr, own_read, source = rules[w]
+        value = instr.operand if source is None else read(source)
+        if own_read and value is not None:
+            old = read(w)
+            value = None if old is None else rmw_written_value(instr, old, value)
+        if value is not None:
+            value_written[w] = value
+        return value
+
+    if any(read(r) is None for r, _, _ in plan.reads):
+        return None
+    for w in rules.keys() - value_written.keys():
+        write(w)  # every read is grounded, so this write is too
+    if any((value_read[c] == expected) != succeeded for c, expected, succeeded in plan.cas):
+        return None
+    return value_read, value_written
 
 
 def _sc_violations(
@@ -627,6 +712,11 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
     if _rmw_immediate_violated(mo, rf):
         violated.append("RMW-IMMEDIATE")
     violated.extend(_sc_violations(frame, mo, rf, None if cyclic else hb, candidate.sc_order))
+    grounded = _ground(frame.plan, rf)
+    if grounded is None or any(
+        (e.value_read, e.value_written) != (grounded[0].get(e.id), grounded[1].get(e.id)) for e in candidate.events
+    ):
+        violated.append("NO-THIN-AIR")
     violated.sort(key=AXIOMS.index)
 
     consistent = not violated
@@ -643,93 +733,6 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
 
 # ---------------------------------------------------------------------------
 # candidate enumeration
-
-
-def _defining_events(program: Program) -> dict[int, int]:
-    """For each event whose instruction names a register operand, the event
-    of the defining (most recent earlier same-thread dest) instruction."""
-    defs: dict[int, int] = {}
-    eid = len(program.locations)
-    for body in program.threads:
-        last_def: dict[str, int] = {}
-        for instr in body:
-            if isinstance(instr.operand, str):
-                defs[eid] = last_def[instr.operand]
-            if instr.dest is not None:
-                last_def[instr.dest] = eid
-            eid += 1
-    return defs
-
-
-def _ground(
-    init_values: Mapping[int, int],
-    steps: Sequence[tuple[Event, Instruction, bool, bool]],
-    rf: Mapping[int, int],
-    defs: Mapping[int, int],
-    weak_spurious: bool,
-) -> Optional[tuple[dict[int, int], dict[int, int]]]:
-    """Propagate values along rf and register flow from the initialization
-    writes (id -> value) through the steps (each program event with its
-    instruction and whether it reads and writes memory).  A successful CAS
-    writes its desired value at once; any other RMW writes only once its
-    read is grounded, even an exchange, whose value ignores it.  Returns the
-    values read and written by event id, or None when a value cannot be
-    grounded in an actual write or a CAS branch contradicts its read."""
-    value_read: dict[int, int] = {}
-    value_written: dict[int, int] = dict(init_values)
-
-    def operand_value(e: Event, instr: Instruction) -> Optional[int]:
-        op = instr.operand
-        if isinstance(op, str):
-            return value_read.get(defs[e.id])
-        return op
-
-    changed = True
-    while changed:
-        changed = False
-        for e, instr, reads, writes in steps:
-            if reads and e.id not in value_read:
-                src = rf[e.id]
-                if src in value_written:
-                    value_read[e.id] = value_written[src]
-                    changed = True
-            if writes and e.id not in value_written:
-                if not reads:
-                    value = operand_value(e, instr)
-                elif instr.kind in CAS_KINDS:
-                    value = instr.desired
-                else:
-                    old = value_read.get(e.id)
-                    op = operand_value(e, instr)
-                    value = None if old is None or op is None else rmw_written_value(instr, old, op)
-                if value is not None:
-                    value_written[e.id] = value
-                    changed = True
-
-    for e, instr, reads, writes in steps:
-        vr = value_read.get(e.id)
-        if (reads and vr is None) or (writes and e.id not in value_written):
-            return None
-        if instr.kind in CAS_KINDS:
-            if writes and vr != instr.expected:
-                return None
-            if not writes and vr == instr.expected:
-                # spurious failure: only weak CAS, and only when enabled
-                if instr.kind is not Kind.CAS_WEAK or not weak_spurious:
-                    return None
-    return value_read, value_written
-
-
-def _static_value(write: Event, instr: Optional[Instruction]) -> Optional[int]:
-    """The value a write event writes whatever it reads, if the program fixes
-    it; instr is None for an initialization write."""
-    if instr is None:
-        return write.value_written
-    if instr.kind in CAS_KINDS:
-        return instr.desired
-    if write.kind is EventKind.WRITE or instr.kind is Kind.EXCHANGE:
-        return instr.operand if isinstance(instr.operand, int) else None
-    return None
 
 
 def _valued(
@@ -761,16 +764,13 @@ def enumerate_cxx11(
     how underconstrained S rewrites seq_cst programs.  Under strict_s, S
     choices are also pruned by the edges each SC axiom forces for the
     candidate's rf and mo (see `_s_constraint`); the first consistent S is
-    the same either way.
+    the same either way.  Without weak_spurious, candidates where a failed
+    cas_weak read its expected value are dropped; NO-THIN-AIR allows them.
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
     Witnesses share their `Event` objects, which are immutable: one per event
     and pair of values in each CAS branching.
     """
-    n_init = len(program.locations)
-    instrs: list[Optional[Instruction]] = [None] * n_init + [instr for body in program.threads for instr in body]
-    init_values = {i: program.initial_value(loc) for i, loc in enumerate(program.locations)}
-    defs = _defining_events(program)
     stats = ExplorationStats()
     witnesses: dict[Outcome, CandidateExecution] = {}
     racy = False
@@ -786,28 +786,27 @@ def enumerate_cxx11(
 
     for combo in itertools.product((True, False), repeat=len(cas_sites)):
         events = _events(program, dict(zip(cas_sites, combo)))
-        frame = _Frame(events)
-        steps = [(e, instrs[e.id], e.reads_memory, e.writes_memory) for e in events[n_init:]]
+        frame = _Frame(program, events)
+        plan = frame.plan
+        spurious = () if weak_spurious else plan.weak_failures
 
         # A read's rf options are the other writes to its location, except
         # its own later ones (reading one always violates hb) and, for a
         # successful CAS, writes that cannot supply its expected value.
         reads = [r for r, _ in frame.read_checks]
+        expected = {c: x for c, x, succeeded in plan.cas if succeeded}
         choices = []
         for r, others in frame.read_checks:
-            options = others & ~frame.sb[r]
-            cas = instrs[r]
-            if events[r].kind is EventKind.RMW and cas.kind in CAS_KINDS:
-                for w in _bits(options):
-                    if _static_value(events[w], instrs[w]) not in (None, cas.expected):
-                        options &= ~(1 << w)
-            choices.append(list(_bits(options)))
+            options = list(_bits(others & ~frame.sb[r]))
+            if r in expected:
+                options = [w for w in options if plan.fixed.get(w, expected[r]) == expected[r]]
+            choices.append(options)
         if not all(choices):
             continue
 
         # Witnesses share their valued events, one per (id, value read,
         # value written) in this branching: events are immutable.
-        shared = {(e.id, e.value_read, e.value_written): e for e in events}
+        shared: dict[tuple, Event] = {}
         # With no sw edge possible hb is the base rows for every candidate, so
         # the races are the same for all of them.
         static_racy = frame.static_hb and bool(_races(frame, frame.base))
@@ -821,14 +820,15 @@ def enumerate_cxx11(
 
         for rf_combo in itertools.product(*choices):
             rf = dict(zip(reads, rf_combo))
-            grounded = _ground(init_values, steps, rf, defs, weak_spurious)
+            grounded = _ground(plan, rf)
             if grounded is None:
                 continue
             value_read, value_written = grounded
+            if any(value_read[c] == x for c, x in spurious):
+                continue
             regs: list[dict[str, int]] = [{} for _ in program.threads]
-            for e, instr, _, _ in steps:
-                if instr.dest is not None:
-                    regs[e.thread][instr.dest] = value_read[e.id]
+            for r, t, dest in plan.reads:
+                regs[t][dest] = value_read[r]
             registers = make_outcome(program, regs, {}).registers
             # rf fixes the registers, so an outcome of this rf is fixed by the
             # mo-last write of each location: the first consistent candidate

@@ -380,19 +380,17 @@ class Outcome:
     registers: tuple[tuple[str, str, int], ...]  # (thread name, register, value)
     memory: tuple[tuple[str, int], ...]
 
-    @cached_property
-    def _reg_map(self) -> dict[tuple[str, str], int]:
-        return {(t, r): v for t, r, v in self.registers}
-
-    @cached_property
-    def _mem_map(self) -> dict[str, int]:
-        return dict(self.memory)
-
     def register(self, thread: str, name: str) -> Optional[int]:
-        return self._reg_map.get((thread, name))
+        for t, r, v in self.registers:
+            if t == thread and r == name:
+                return v
+        return None
 
     def location(self, loc: str) -> Optional[int]:
-        return self._mem_map.get(loc)
+        for m, v in self.memory:
+            if m == loc:
+                return v
+        return None
 
     def format(self) -> str:
         regs = " ".join(f"{t}:{r}={v}" for t, r, v in self.registers)

@@ -1,0 +1,150 @@
+"""Mutation checks: small faults in src/ that the named tests must catch.
+
+    python tests/mutants.py
+
+Each mutant replaces one exact piece of text in one file under src/memlit.
+For each mutant, in turn, a fresh copy of src/ is made in a temporary
+directory, the mutant is applied to it, and the mutant's tests run against
+that copy with pytest.  A mutant is killed when some of its tests fail.  The
+named tests first run once against an unmutated copy, and must pass there.
+
+Exits 0 when every mutant is killed, and 1 when a mutant survives, when its
+old text is not found exactly once, or when its tests fail unmutated.
+pytest does not collect this file.
+
+When a change deletes the code a mutant targets, retire the mutant and say
+why; a mutant that survives is a gap in the tests, not an entry to drop.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+AXIOMATIC = "tests/test_axiomatic.py"
+SINGLE = f"{AXIOMATIC}::TestSingleAxiom"
+ENUMERATION = f"{AXIOMATIC}::TestEnumeration"
+
+# (file under src/memlit, exact old text, new text, tests that must kill it)
+MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
+    (
+        # An exchange with a literal operand writes it at once, before its
+        # read is grounded.
+        "axiomatic.py",
+        "                    if event.reads_memory or source is not None:",
+        "                    if (event.reads_memory and instr.kind is not Kind.EXCHANGE) or source is not None:",
+        (f"{ENUMERATION}::test_exchange_writes_only_once_its_read_is_grounded",),
+    ),
+    (
+        # A successful CAS is not checked against expected.
+        "axiomatic.py",
+        "for c, expected, succeeded in plan.cas):",
+        "for c, expected, succeeded in plan.cas if not succeeded):",
+        (f"{SINGLE}::test_a_cas_takes_the_branch_its_read_selects",),
+    ),
+    (
+        # A failed cas_strong may read expected, as a cas_weak may.
+        "axiomatic.py",
+        "                    elif instr.kind is Kind.CAS_WEAK:",
+        "                    elif instr.kind in CAS_KINDS:",
+        (f"{SINGLE}::test_a_cas_takes_the_branch_its_read_selects",),
+    ),
+    (
+        # enumerate_cxx11 keeps spurious failures under weak_spurious=False.
+        "axiomatic.py",
+        "        spurious = () if weak_spurious else plan.weak_failures",
+        "        spurious = ()",
+        (f"{ENUMERATION}::test_weak_cas_spurious_toggle",),
+    ),
+    (
+        # A register operand takes its first definition, not its latest.
+        "axiomatic.py",
+        "                    last_def[instr.dest] = e",
+        "                    last_def.setdefault(instr.dest, e)",
+        (f"{ENUMERATION}::test_store_uses_the_latest_definition_of_its_register",),
+    ),
+    (
+        # check_axioms judges NO-THIN-AIR without comparing the candidate's
+        # values with the grounded ones.
+        "axiomatic.py",
+        "        (e.value_read, e.value_written) != (grounded[0].get(e.id), grounded[1].get(e.id)) for e in candidate.events",
+        "        False for e in candidate.events",
+        (f"{SINGLE}::test_a_value_the_program_does_not_write_is_thin_air",),
+    ),
+    (
+        # A release sequence is not extended by another thread's RMW.
+        "axiomatic.py",
+        "(frame.rmw >> z & 1 or frame.thread[z] == frame.thread[x])",
+        "frame.thread[z] == frame.thread[x]",
+        (f"{AXIOMATIC}::TestReleaseSequence::test_other_thread_rmw_extends",),
+    ),
+    (
+        # An sw edge that closes an hb cycle is not flagged.
+        "axiomatic.py",
+        "            cyclic = True",
+        "            cyclic = False",
+        (f"{SINGLE}::test_exactly_the_named_axiom_fails",),
+    ),
+    (
+        # A candidate whose rf pair disagrees on the value is judged.
+        "axiomatic.py",
+        '            raise ValueError(f"rf pair ({w} -> {r}) disagrees on the value")',
+        "            pass",
+        (f"{AXIOMATIC}::TestCandidateValidation::test_rf_value_must_agree",),
+    ),
+]
+
+
+def tests_fail(src: Path, tests: tuple[str, ...]) -> bool:
+    """Whether some of `tests` fail with `src` as memlit's source."""
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-o", f"pythonpath={src} tests", *tests],
+        cwd=ROOT,
+        # No bytecode cache: a mutant and the next one may share a source
+        # file's size and modification second.
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    if run.returncode not in (0, 1):  # 0: all passed, 1: some failed; else pytest could not run them
+        raise RuntimeError(f"pytest exited {run.returncode} on {' '.join(tests)}:\n{run.stdout}{run.stderr}")
+    return run.returncode == 1
+
+
+def main() -> int:
+    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        named = tuple(dict.fromkeys(test for *_, tests in MUTANTS for test in tests))
+        if tests_fail(src, named):
+            print("the mutants' tests fail without a mutant")
+            return 1
+        for number, (name, old, new, tests) in enumerate(MUTANTS, 1):
+            path = src / "memlit" / name
+            original = path.read_text()
+            found = original.count(old)
+            if found != 1:
+                problems.append(f"mutant {number}: its old text occurs {found} times in {name}")
+                continue
+            path.write_text(original.replace(old, new))
+            try:
+                killed = tests_fail(src, tests)
+            finally:
+                path.write_text(original)
+            print(f"mutant {number}: {'killed' if killed else 'SURVIVES'} ({name}: {new.strip()})")
+            if not killed:
+                problems.append(f"mutant {number} survives its tests: {' '.join(tests)}")
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

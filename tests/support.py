@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable, Iterable, Iterator
+from dataclasses import replace
 from typing import Optional
 
 from hypothesis import strategies as st
@@ -334,7 +335,9 @@ def linear_extensions(partial: Relation, elements: Iterable[int]) -> Iterator[tu
 
 
 def reference_judgment(program: Program, candidate: CandidateExecution) -> ExecutionJudgment:
-    """The axioms of memlit.axiomatic evaluated on `Relation` pair sets."""
+    """The axioms of memlit.axiomatic evaluated on `Relation` pair sets.
+    NO-THIN-AIR holds when the candidate's values are the ones `_ground`
+    derives from its rf, a failed cas_weak being free to fail spuriously."""
     events = candidate.events
     rf = candidate.rf
     mo = candidate.mo
@@ -360,6 +363,12 @@ def reference_judgment(program: Program, candidate: CandidateExecution) -> Execu
     if _rmw_immediate_violated(events, rf, mo):
         violated.append("RMW-IMMEDIATE")
     violated.extend(_sc_fence_violations(events, rf, mo_pos, s, s_pos))
+    fresh = program_events(program, {(e.thread, e.index): e.kind is EventKind.RMW for e in events})
+    grounded = _ground(program, fresh, rf, True)
+    if grounded is None or [(e.value_read, e.value_written) for e in grounded] != [
+        (e.value_read, e.value_written) for e in events
+    ]:
+        violated.append("NO-THIN-AIR")
 
     consistent = not violated
     races = _race_pairs(events, hb.pairs) if consistent else ()
@@ -665,6 +674,27 @@ def grounded_candidates(program: Program, weak_spurious: bool, limit: int) -> Op
 
     found = list(itertools.islice(space(), limit + 1))
     return None if len(found) > limit else found
+
+
+def value_mutants(program: Program, candidate: CandidateExecution) -> Iterator[CandidateExecution]:
+    """One candidate per write that has another value in `value_universe`:
+    the write's value_written becomes the next universe value after it
+    (wrapping round), and each read from the write reads that value.  rf,
+    mo and S stay, so a mutant breaks the axioms its candidate breaks, plus
+    NO-THIN-AIR when the candidate is grounded."""
+    universe = sorted(value_universe(program))
+    if len(universe) < 2:
+        return
+    for w in candidate.events:
+        if not w.writes_memory:
+            continue
+        value = universe[(universe.index(w.value_written) + 1) % len(universe)]
+        events = list(candidate.events)
+        events[w.id] = replace(w, value_written=value)
+        for r, source in candidate.rf.items():
+            if source == w.id:
+                events[r] = replace(events[r], value_read=value)
+        yield CandidateExecution(tuple(events), candidate.rf, candidate.mo, candidate.sc_order)
 
 
 def s_embeds(candidate: CandidateExecution, hb: Relation) -> bool:

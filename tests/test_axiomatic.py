@@ -60,6 +60,7 @@ from support import (
     reference_judgment,
     reference_outcomes,
     s_embeds,
+    value_mutants,
 )
 
 R, W, RMW, F = EventKind.READ, EventKind.WRITE, EventKind.RMW, EventKind.FENCE
@@ -640,6 +641,24 @@ SINGLE_AXIOM_CASES = [
         {"x": (0, 4, 1)},
         (2, 3),
     ),
+    (
+        # corpus/lb_data_both.lit: each load reads the 1 the other thread's
+        # store copies from it, so the 1 justifies itself out of thin air.
+        "NO-THIN-AIR",
+        "name: lb_data_both\ninit: x = 0 y = 0\nthread P0:\n  r1 = load x relaxed\n  store y r1 relaxed\n"
+        "thread P1:\n  r2 = load y relaxed\n  store x r2 relaxed\nexists: P0:r1 = 1 /\\ P1:r2 = 1\n",
+        (
+            init_w(0, "x"),
+            init_w(1, "y"),
+            ev(2, 0, 0, R, RLX, "x", read=1),
+            ev(3, 0, 1, W, RLX, "y", written=1),
+            ev(4, 1, 0, R, RLX, "y", read=1),
+            ev(5, 1, 1, W, RLX, "x", written=1),
+        ),
+        {2: 5, 4: 3},
+        {"x": (0, 5), "y": (1, 3)},
+        (),
+    ),
 ]
 
 
@@ -653,6 +672,48 @@ class TestSingleAxiom:
         j = judge(text, events, rf, mo, sc)
         assert j.violated == (axiom,)
         assert not j.consistent
+
+    @pytest.mark.parametrize(
+        "init, written, source",
+        [(0, 7, 1), (7, 1, 0)],
+        ids=["store-writes-another-value", "init-writes-another-value"],
+    )
+    def test_a_value_the_program_does_not_write_is_thin_air(self, init, written, source):
+        # The load reads the 7 its source wrote, but the program writes 1
+        # there, or initializes x to 0.
+        j = judge(
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n"
+            "thread P1:\n  r1 = load x relaxed\nexists: P1:r1 = 7\n",
+            (init_w(0, "x", init), ev(1, 0, 0, W, RLX, "x", written=written), ev(2, 1, 0, R, RLX, "x", read=7)),
+            {2: source},
+            {"x": (0, 1)},
+        )
+        assert j.violated == ("NO-THIN-AIR",)
+
+    @pytest.mark.parametrize(
+        "cas, succeeded, read, violated",
+        [
+            ("cas_strong", True, 1, ("NO-THIN-AIR",)),
+            ("cas_strong", False, 0, ("NO-THIN-AIR",)),
+            ("cas_weak", False, 0, ()),
+        ],
+        ids=["success-on-another-value", "strong-failure-on-expected", "spurious-weak-failure"],
+    )
+    def test_a_cas_takes_the_branch_its_read_selects(self, cas, succeeded, read, violated):
+        # The CAS expects 0 and reads `read` from event `read`: the store's 1
+        # or the initial 0.  Only a cas_weak may fail on expected.
+        if succeeded:
+            event = ev(2, 1, 0, RMW, RLX, "x", read=read, written=5)
+        else:
+            event = ev(2, 1, 0, R, RLX, "x", read=read)
+        j = judge(
+            f"name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\nthread P1:\n  r1 = {cas} x 0 5 relaxed\n"
+            "exists: x = 5\n",
+            (init_w(0, "x"), ev(1, 0, 0, W, RLX, "x", written=1), event),
+            {2: read},
+            {"x": (0, 1, 2) if succeeded else (0, 1)},
+        )
+        assert j.violated == violated
 
     def test_every_axiom_is_covered(self):
         assert [case[0] for case in SINGLE_AXIOM_CASES] == list(AXIOMS)
@@ -699,8 +760,8 @@ class TestEnumeration:
     def test_exchange_writes_only_once_its_read_is_grounded(self):
         # The exchange writes 5 whatever it reads, but grounding lets it write
         # only once its read has a source with a known value.  So the
-        # candidate where it reads the store that copies its own write is
-        # consistent, yet never enumerated: P0:r1 = 5 is missing.
+        # candidate where it reads the store that copies its own write breaks
+        # NO-THIN-AIR, and P0:r1 = 5 is missing.
         program = parse_litmus(
             "name: t\ninit: x = 0\nthread P0:\n  r1 = exchange x 5 relaxed\n"
             "thread P1:\n  r2 = load x relaxed\n  store x r2 relaxed\nexists: P0:r1 = 5\n"
@@ -716,7 +777,8 @@ class TestEnumeration:
             ev(2, 1, 0, R, RLX, "x", read=5),
             ev(3, 1, 1, W, RLX, "x", written=5),
         )
-        assert check_axioms(program, CandidateExecution(events, {1: 3, 2: 1}, {"x": (0, 3, 1)}, ())).consistent
+        judgment = check_axioms(program, CandidateExecution(events, {1: 3, 2: 1}, {"x": (0, 3, 1)}, ()))
+        assert judgment.violated == ("NO-THIN-AIR",)
 
     def test_strict_s_gates_dekker(self):
         program = parse_litmus(
@@ -862,6 +924,29 @@ def assert_derived_s_edges_necessary(program, candidates) -> int:
     return broken
 
 
+def judged_alike(program, candidate) -> tuple[str, ...]:
+    """The axioms `candidate` breaks, once check_axioms and the pair-set
+    judge agree on them and on races, sb, sw and hb."""
+    got = check_axioms(program, candidate)
+    want = reference_judgment(program, candidate)
+    assert (got.violated, got.races, got.sb, got.sw, got.hb) == (
+        want.violated, want.races, want.sb, want.sw, want.hb
+    )
+    return want.violated
+
+
+def judged_alike_with_value_mutants(program, candidate) -> set[str]:
+    """judged_alike on a grounded candidate and on each of its value
+    mutants, which must break NO-THIN-AIR on top of what it breaks."""
+    violated = judged_alike(program, candidate)
+    assert "NO-THIN-AIR" not in violated
+    seen = set(violated)
+    for mutant in value_mutants(program, candidate):
+        assert judged_alike(program, mutant) == violated + ("NO-THIN-AIR",)
+        seen.add("NO-THIN-AIR")
+    return seen
+
+
 class TestAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(programs(max_total=4), st.booleans())
@@ -869,17 +954,23 @@ class TestAgainstReference:
         candidates = grounded_candidates(program, spurious, limit=2_000)
         assume(candidates is not None)
         for candidate in candidates:
-            got = check_axioms(program, candidate)
-            want = reference_judgment(program, candidate)
-            assert (got.violated, got.races, got.sb, got.sw, got.hb) == (
-                want.violated, want.races, want.sb, want.sw, want.hb
-            )
+            judged_alike(program, candidate)
+
+    @settings(max_examples=50, deadline=None)
+    @given(programs(max_total=4), st.booleans())
+    def test_value_mutants_match_pair_set_judge(self, program, spurious):
+        candidates = grounded_candidates(program, spurious, limit=2_000)
+        assume(candidates is not None)
+        for candidate in candidates:
+            judged_alike_with_value_mutants(program, candidate)
 
     def test_every_axiom_seen_on_corpus_and_single_axiom_programs(self, corpus):
         # Random programs rarely build the seq_cst fence shapes, so the whole
         # candidate space of each small enough corpus program and of each
-        # TestSingleAxiom program is compared too, until every axiom has
-        # rejected some candidate.  The last program puts an acq_rel fence
+        # TestSingleAxiom program is compared too, with the value mutants of
+        # each candidate, until every axiom has rejected some candidate.
+        # Grounded candidates pass NO-THIN-AIR, and only their value mutants
+        # break it.  The last program puts an acq_rel fence
         # between a load and a store that another thread's RMW extends: a
         # fence must never synchronize with itself.
         self_sync = (
@@ -892,12 +983,7 @@ class TestAgainstReference:
             program = parse_litmus(text)
             candidates = grounded_candidates(program, True, limit=2_000)
             for candidate in candidates or ():
-                got = check_axioms(program, candidate)
-                want = reference_judgment(program, candidate)
-                assert (got.violated, got.races, got.sb, got.sw, got.hb) == (
-                    want.violated, want.races, want.sb, want.sw, want.hb
-                )
-                seen.update(want.violated)
+                seen |= judged_alike_with_value_mutants(program, candidate)
         assert seen == set(AXIOMS)
 
     # Under strict_s the enumerator only tries orders S that keep the edges
