@@ -87,7 +87,6 @@ from .model import (
     OutcomeSet,
     Program,
     ResourceLimitError,
-    make_outcome,
     rmw_written_value,
 )
 from .relation import Relation, ordered_extensions
@@ -169,8 +168,8 @@ def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
     is checked.  The kernel reads sb off each event's (thread, index) and
     everything else off its kind, order, atomicity and location, so those
     must be the program's, with each CAS's branch read off its event's kind.
-    Then ids must be positions, a read must carry no written value and a
-    write no read value, rf must map each read to another write to its
+    Then ids must be positions, a read or fence must carry no written value
+    and a write or fence no read value, rf must map each read to another write to its
     location that wrote the value it read, mo must order each written
     location's writes initialization first, and sc_order the seq_cst events."""
     events = candidate.events
@@ -184,10 +183,10 @@ def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
     for i, e in enumerate(events):
         if e.id != i:
             raise ValueError("events must be ordered by id")
-        if e.kind is EventKind.READ and e.value_written is not None:
-            raise ValueError("read events carry no written value")
-        if e.kind is EventKind.WRITE and e.value_read is not None:
-            raise ValueError("write events carry no read value")
+        if e.value_written is not None and not e.writes_memory:
+            raise ValueError(f"{e.kind.name.lower()} events carry no written value")
+        if e.value_read is not None and not e.reads_memory:
+            raise ValueError(f"{e.kind.name.lower()} events carry no read value")
 
     frame = _Frame(program, events)
     rf = candidate.rf
@@ -386,14 +385,14 @@ class _Frame:
         fixed = {i: program.initial_value(loc) for i, loc in enumerate(program.locations)}
         rules: dict[int, tuple[Instruction, bool, Optional[int]]] = {}
         reads, cas, weak_failures = [], [], []
+        last_def: dict[tuple[str, str], int] = {}  # (thread name, register) -> the read that last defined it
         e = len(fixed)
-        for t, body in enumerate(program.threads):
-            last_def: dict[str, int] = {}  # register -> the read that last defined it
+        for name, body in zip(program.thread_names, program.threads):
             for instr in body:
                 event = self.events[e]
-                source = last_def[instr.operand] if isinstance(instr.operand, str) else None
+                source = last_def[name, instr.operand] if isinstance(instr.operand, str) else None
                 if event.reads_memory:
-                    reads.append((e, t, instr.dest))
+                    reads.append(e)
                 if instr.kind in CAS_KINDS:
                     if event.writes_memory:
                         fixed[e] = instr.desired
@@ -408,9 +407,10 @@ class _Frame:
                     else:
                         fixed[e] = instr.operand
                 if instr.dest is not None:
-                    last_def[instr.dest] = e
+                    last_def[name, instr.dest] = e
                 e += 1
-        return _Plan(fixed, rules, tuple(reads), tuple(cas), tuple(weak_failures))
+        registers = tuple(map(last_def.__getitem__, program.registers))
+        return _Plan(fixed, rules, tuple(reads), registers, tuple(cas), tuple(weak_failures))
 
     def mo_orders(self, mo: Mapping[str, tuple[int, ...]]) -> tuple["_MoOrder", ...]:
         return tuple(_MoOrder(self, mo[loc]) for loc in self.locations)
@@ -505,7 +505,8 @@ class _Plan(NamedTuple):
     fixed: dict[int, int]  # write -> its value whatever it reads: init, literal store, successful CAS
     # any other write -> (instruction, whether it needs its own read, the read defining its register operand)
     rules: dict[int, tuple[Instruction, bool, Optional[int]]]
-    reads: tuple[tuple[int, int, str], ...]  # (read, thread, dest register), in id order
+    reads: tuple[int, ...]  # in id order
+    registers: tuple[int, ...]  # the read that last defines each of Program.registers
     cas: tuple[tuple[int, int, bool], ...]  # (CAS, expected, succeeded), failed cas_weak aside
     weak_failures: tuple[tuple[int, int], ...]  # (failed cas_weak, expected)
 
@@ -546,7 +547,7 @@ def _ground(plan: _Plan, rf: Mapping[int, int]) -> Optional[tuple[dict[int, int]
             value_written[w] = value
         return value
 
-    if any(read(r) is None for r, _, _ in plan.reads):
+    if any(read(r) is None for r in plan.reads):
         return None
     for w in rules.keys() - value_written.keys():
         write(w)  # every read is grounded, so this write is too
@@ -826,10 +827,7 @@ def enumerate_cxx11(
             value_read, value_written = grounded
             if any(value_read[c] == x for c, x in spurious):
                 continue
-            regs: list[dict[str, int]] = [{} for _ in program.threads]
-            for r, t, dest in plan.reads:
-                regs[t][dest] = value_read[r]
-            registers = make_outcome(program, regs, {}).registers
+            registers = tuple((t, r, value_read[e]) for (t, r), e in zip(program.registers, plan.registers))
             # rf fixes the registers, so an outcome of this rf is fixed by the
             # mo-last write of each location: the first consistent candidate
             # with given last writes builds it, and later ones cannot add one.

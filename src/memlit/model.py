@@ -224,6 +224,15 @@ class Program:
                     locs.add(instr.location)
         return tuple(sorted(locs))
 
+    @cached_property
+    def registers(self) -> tuple[tuple[str, str], ...]:
+        """(thread name, register) per destination register, by thread, then name: Outcome.registers' order."""
+        return tuple(
+            (name, reg)
+            for name, body in zip(self.thread_names, self.threads)
+            for reg in sorted({instr.dest for instr in body if instr.dest is not None})
+        )
+
     def initial_value(self, location: str) -> int:
         return self.init.get(location, 0)
 
@@ -400,17 +409,11 @@ class Outcome:
         return regs or mem
 
 
-def make_outcome(
-    program: Program,
-    registers: list[Mapping[str, int]],
-    memory: Mapping[str, int],
-) -> Outcome:
-    regs: list[tuple[str, str, int]] = []
-    for t, name in enumerate(program.thread_names):
-        for reg in sorted(registers[t]):
-            regs.append((name, reg, registers[t][reg]))
-    mem = tuple((loc, memory.get(loc, program.initial_value(loc))) for loc in program.locations)
-    return Outcome(tuple(regs), mem)
+def make_outcome(program: Program, registers: list[Mapping[str, int]], memory: Mapping[str, int]) -> Outcome:
+    """Final registers, one mapping per thread, and memory as an Outcome; a missing location holds its initial value."""
+    threads = dict(zip(program.thread_names, registers))
+    regs = tuple((name, reg, threads[name][reg]) for name, reg in program.registers)
+    return Outcome(regs, tuple((loc, memory.get(loc, program.initial_value(loc))) for loc in program.locations))
 
 
 @dataclass

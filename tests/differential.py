@@ -1,0 +1,163 @@
+"""Differential check: memlit's src/ at a git revision against the working tree.
+
+    python tests/differential.py REV [--programs N] [--seed S]
+
+The cases are every corpus file under sc, tso and cxx11, every ladder rung
+of the benchmark (`perfbench/workloads.py`, imported read-only: its LADDERS
+and BASELINE rungs, under the rung's model and candidate budget) and N
+distinct programs drawn from `programs()` in tests/support.py with seed S,
+under all three models at a budget of RANDOM_BUDGET.  Each case is litmus
+text, so both sides parse it themselves.
+
+`git archive` extracts src/ at REV into a temporary directory; that copy
+and the working tree's src/ then run every case, each in its own
+subprocess, sc and tso under both weak_spurious settings and cxx11 under
+every weak_spurious and strict_s setting.  Each run yields its outcome set,
+racy, stats.explored, stats.complete_runs and the text of each witness's
+trace_dot or execution_dot, or the budget it exceeded.  Any difference
+between the sides is printed, and the script exits 1; it exits 0 when there
+is none.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RANDOM_BUDGET = 20_000
+SETTINGS = {
+    "sc": [{"weak_spurious": w} for w in (True, False)],
+    "tso": [{"weak_spurious": w} for w in (True, False)],
+    "cxx11": [{"weak_spurious": w, "strict_s": s} for w in (True, False) for s in (True, False)],
+}
+
+
+def build_cases(count: int, seed: int) -> list[dict]:
+    """[{"name", "text", "models": [[model, budget or None], ...]}], working tree's strategy and printer."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
+    from hypothesis import HealthCheck, Phase, given, settings
+    from hypothesis import seed as with_seed
+
+    from memlit import print_litmus
+    from perfbench.workloads import BASELINE, LADDER_CANDIDATES, LADDERS, ladder_text
+    from support import programs
+
+    every_model = [[model, None] for model in SETTINGS]
+    cases = [
+        {"name": path.name, "text": path.read_text(), "models": every_model}
+        for path in sorted((ROOT / "corpus").glob("*.lit"))
+    ]
+    rungs = [(rung, LADDER_CANDIDATES) for ladder in LADDERS.values() for rung in ladder]
+    rungs += [(rung, None) for pins in BASELINE.values() for rung, _ in pins]
+    for rung, budget in rungs:
+        text = ladder_text(rung, ("x", "y"), list(range(1, len(rung.lengths) + 1)))
+        budget = budget if rung.model == "cxx11" else None
+        cases.append({"name": f"{rung.name} (budget {budget})", "text": text, "models": [[rung.model, budget]]})
+
+    texts: dict[str, None] = {}  # distinct program texts, in draw order
+    batch = seed
+    while len(texts) < count:
+
+        @with_seed(batch)
+        @settings(
+            max_examples=count, database=None, deadline=None, phases=[Phase.generate], suppress_health_check=list(HealthCheck)
+        )
+        @given(programs())
+        def draw(program):
+            if len(texts) < count:
+                texts[print_litmus(program)] = None
+
+        draw()
+        batch += 1
+    random_models = [[model, RANDOM_BUDGET] for model in SETTINGS]
+    cases += [{"name": f"random {i}", "text": text, "models": random_models} for i, text in enumerate(texts)]
+    return cases
+
+
+def run_cases(src: str, cases_path: str, out_path: str) -> None:
+    """Run every case with the memlit under `src`, writing one result per run to `out_path`."""
+    sys.path.insert(0, src)
+    from memlit import ResourceLimitError, enumerate_cxx11, enumerate_sc, enumerate_tso, parse_litmus
+    from memlit.dot import execution_dot, trace_dot
+
+    enumerate_model = {"sc": enumerate_sc, "tso": enumerate_tso, "cxx11": enumerate_cxx11}
+    results = {}
+    for case in json.loads(Path(cases_path).read_text()):
+        program = parse_litmus(case["text"])
+        for model, budget in case["models"]:
+            dot = execution_dot if model == "cxx11" else trace_dot
+            limit = {} if budget is None else {"max_candidates" if model == "cxx11" else "max_states": budget}
+            for options in SETTINGS[model]:
+                key = f"{case['name']} | {model} | {' '.join(f'{k}={v}' for k, v in options.items())}"
+                try:
+                    result = enumerate_model[model](program, **options, **limit)
+                except ResourceLimitError as exc:
+                    results[key] = {"exit": str(exc)}
+                    continue
+                results[key] = {
+                    "outcomes": sorted(o.format() for o in result.outcomes),
+                    "racy": result.racy,
+                    "explored": result.stats.explored,
+                    "complete_runs": result.stats.complete_runs,
+                    "witness dot sha256": {
+                        o.format(): hashlib.sha256(dot(program, w).encode()).hexdigest()
+                        for o, w in result.witnesses.items()
+                    },
+                }
+    Path(out_path).write_text(json.dumps(results, sort_keys=True))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the git revision to compare the working tree with")
+    parser.add_argument("--programs", type=int, default=500, help="distinct random programs (default 500)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the random programs (default 0)")
+    args = parser.parse_args()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        old = Path(tmp) / "rev"
+        old.mkdir()
+        archive = Path(tmp) / "src.tar"
+        subprocess.run(["git", "archive", "--format=tar", "-o", str(archive), args.rev, "src"], cwd=ROOT, check=True)
+        subprocess.run(["tar", "-xf", str(archive), "-C", str(old)], check=True)
+
+        cases = build_cases(args.programs, args.seed)
+        cases_path = Path(tmp) / "cases.json"
+        cases_path.write_text(json.dumps(cases))
+        # Same hash seed on both sides, so set iteration order cannot tell them apart.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"} | {"PYTHONHASHSEED": "0"}
+        sides = {"rev": str(old / "src"), "tree": str(ROOT / "src")}
+        workers = {
+            side: subprocess.Popen(
+                [sys.executable, __file__, "--worker", src, str(cases_path), str(Path(tmp) / f"{side}.json")], env=env
+            )
+            for side, src in sides.items()
+        }
+        if any(worker.wait() != 0 for worker in workers.values()):
+            print("a worker failed")
+            return 1
+        rev, tree = (json.loads((Path(tmp) / f"{side}.json").read_text()) for side in sides)
+
+    differences = [key for key in sorted(rev.keys() | tree.keys()) if rev.get(key) != tree.get(key)]
+    for key in differences[:20]:
+        print(f"DIFFERS: {key}\n  {args.rev}: {json.dumps(rev.get(key))[:400]}\n  tree: {json.dumps(tree.get(key))[:400]}")
+    exits = sum("exit" in result for result in tree.values())
+    print(
+        f"{len(cases)} cases ({args.programs} random), {len(tree)} runs, {exits} budget exits: "
+        f"{len(differences)} differ between {args.rev} and the working tree"
+    )
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        run_cases(*sys.argv[2:5])
+    else:
+        sys.exit(main())

@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 AXIOMATIC = "tests/test_axiomatic.py"
 SINGLE = f"{AXIOMATIC}::TestSingleAxiom"
 ENUMERATION = f"{AXIOMATIC}::TestEnumeration"
+TSO = "tests/test_tso.py"
+SC = "tests/test_sc.py"
 
 # (file under src/memlit, exact old text, new text, tests that must kill it)
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
@@ -65,8 +67,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A register operand takes its first definition, not its latest.
         "axiomatic.py",
-        "                    last_def[instr.dest] = e",
-        "                    last_def.setdefault(instr.dest, e)",
+        "                    last_def[name, instr.dest] = e",
+        "                    last_def.setdefault((name, instr.dest), e)",
         (f"{ENUMERATION}::test_store_uses_the_latest_definition_of_its_register",),
     ),
     (
@@ -97,6 +99,51 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         '            raise ValueError(f"rf pair ({w} -> {r}) disagrees on the value")',
         "            pass",
         (f"{AXIOMATIC}::TestCandidateValidation::test_rf_value_must_agree",),
+    ),
+    (
+        # A fence event carrying a value is judged.
+        "axiomatic.py",
+        "        if e.value_read is not None and not e.reads_memory:",
+        "        if e.value_read is not None and e.kind is EventKind.WRITE:",
+        (f"{AXIOMATIC}::TestCandidateValidation::test_fence_carries_no_value",),
+    ),
+    (
+        # A load forwards the oldest buffered store to its location, not the newest.
+        "operational.py",
+        "        for buffered_loc, buffered_value in buffers[t]:  # forward the newest own store",
+        "        for buffered_loc, buffered_value in reversed(buffers[t]):",
+        (f"{TSO}::TestFrozenPrograms::test_forwarding_sees_own_newest_store",),
+    ),
+    (
+        # A locked RMW leaves its thread's buffer undrained.
+        "operational.py",
+        "    if buffers[t]:\n        drained = list(memory)",
+        "    if False:\n        drained = list(memory)",
+        (f"{TSO}::TestMachineSteps::test_locked_rmw_drains_buffer",),
+    ),
+    (
+        # mfence runs while its thread's buffer holds stores.
+        "operational.py",
+        "not (buffer and body[pc].kind is Kind.FENCE",
+        "not (False and body[pc].kind is Kind.FENCE",
+        (f"{TSO}::TestMachineSteps::test_mfence_waits_for_own_buffer", f"{TSO}::TestFrozenPrograms::test_mfence_restores_dekker"),
+    ),
+    (
+        # A dequeue publishes the newest buffered store instead of the oldest.
+        "operational.py",
+        "        loc, value = buffers[t][0]\n        succ = State(_replace(memory, loc, value), _replace(buffers, t, buffers[t][1:])",
+        "        loc, value = buffers[t][-1]\n        succ = State(_replace(memory, loc, value), _replace(buffers, t, buffers[t][:-1])",
+        (
+            f"{TSO}::TestStoreOrderPreserved::test_no_state_shows_second_store_while_first_buffered",
+            f"{TSO}::TestFrozenPrograms::test_memory_updates_are_fifo",
+        ),
+    ),
+    (
+        # A register operand reads the slot before its own.
+        "operational.py",
+        "    operand = instr.operand if source is None else registers[source]",
+        "    operand = instr.operand if source is None else registers[source - 1]",
+        (f"{SC}::TestSingleThread::test_register_operands_read_their_own_registers",),
     ),
 ]
 

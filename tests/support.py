@@ -768,10 +768,12 @@ _FENCE = _RMW
 
 
 @st.composite
-def instructions(draw, atomic_only: bool = False, with_cas: bool = True):
+def instructions(draw, atomic_only: bool = False, with_cas: bool = True, defined: tuple[str, ...] = ()):
+    """One instruction; an operand is a literal or one of the `defined` registers."""
     locs = st.sampled_from(["x", "y"])
     regs = st.sampled_from(["r1", "r2"])
     vals = st.integers(0, 3)
+    operands = st.one_of(vals, st.sampled_from(defined)) if defined else vals
     kinds = ["load", "store", "fetch", "exchange", "fence"]
     if with_cas:
         kinds.append("cas")
@@ -781,16 +783,16 @@ def instructions(draw, atomic_only: bool = False, with_cas: bool = True):
     if choice == "load":
         return Instruction(Kind.LOAD, location=draw(locs), dest=draw(regs), order=draw(st.sampled_from(_READ)))
     if choice == "store":
-        return Instruction(Kind.STORE, location=draw(locs), operand=draw(vals), order=draw(st.sampled_from(_WRITE)))
+        return Instruction(Kind.STORE, location=draw(locs), operand=draw(operands), order=draw(st.sampled_from(_WRITE)))
     if choice == "na_load":
         return Instruction(Kind.NA_LOAD, location=draw(locs), dest=draw(regs))
     if choice == "na_store":
-        return Instruction(Kind.NA_STORE, location=draw(locs), operand=draw(vals))
+        return Instruction(Kind.NA_STORE, location=draw(locs), operand=draw(operands))
     if choice == "fence":
         return Instruction(Kind.FENCE, order=draw(st.sampled_from(_FENCE)))
     if choice == "exchange":
         return Instruction(
-            Kind.EXCHANGE, location=draw(locs), dest=draw(regs), operand=draw(vals), order=draw(st.sampled_from(_RMW))
+            Kind.EXCHANGE, location=draw(locs), dest=draw(regs), operand=draw(operands), order=draw(st.sampled_from(_RMW))
         )
     if choice == "cas":
         order = draw(st.sampled_from(_RMW))
@@ -805,7 +807,7 @@ def instructions(draw, atomic_only: bool = False, with_cas: bool = True):
         )
     fetch_kind = draw(st.sampled_from(sorted(_FETCH, key=lambda k: k.value)))
     return Instruction(
-        fetch_kind, location=draw(locs), dest=draw(regs), operand=draw(vals), order=draw(st.sampled_from(_RMW))
+        fetch_kind, location=draw(locs), dest=draw(regs), operand=draw(operands), order=draw(st.sampled_from(_RMW))
     )
 
 
@@ -818,7 +820,11 @@ def programs(draw, max_threads: int = 3, max_total: int = 6, atomic_only: bool =
         top = max(1, min(3, budget - (n_threads - t - 1)))
         count = draw(st.integers(1, top))
         budget -= count
-        threads.append(tuple(draw(instructions(atomic_only=atomic_only, with_cas=with_cas)) for _ in range(count)))
+        body: list[Instruction] = []
+        for _ in range(count):
+            defined = tuple(sorted({instr.dest for instr in body if instr.dest is not None}))
+            body.append(draw(instructions(atomic_only=atomic_only, with_cas=with_cas, defined=defined)))
+        threads.append(tuple(body))
     program = Program(
         name="generated",
         init={"x": 0, "y": 0},

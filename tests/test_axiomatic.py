@@ -186,6 +186,13 @@ class TestCandidateValidation:
         with pytest.raises(ValueError, match="write events carry no read value"):
             check_axioms(program, CandidateExecution(events, {}, {"x": (0, 1)}, ()))
 
+    def test_fence_carries_no_value(self):
+        program = litmus("x = 0", ("fence seq_cst",))
+        for values, message in (({"read": 3}, "no read value"), ({"written": 4}, "no written value")):
+            events = (init_w(0, "x"), ev(1, 0, 0, F, SC, **values))
+            with pytest.raises(ValueError, match=f"fence events carry {message}"):
+                check_axioms(program, CandidateExecution(events, {}, {"x": (0,)}, (1,)))
+
     def test_rmw_cannot_read_itself(self):
         program = litmus("x = 0", ("r1 = fetch_add x 0 relaxed",))
         events = (init_w(0, "x"), ev(1, 0, 0, RMW, RLX, "x", read=0, written=0))

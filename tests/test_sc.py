@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from memlit.dsl import parse_litmus
 from memlit.model import Assertion, MemAtom, ResourceLimitError, eval_assertion
-from memlit.operational import apply, enumerate_sc, initial_state
+from memlit.operational import apply, enumerate_sc, enumerate_tso, initial_state
 
 from support import programs, sc_outcomes
 
@@ -108,6 +108,16 @@ exists: P0:r3 = 14
         assert outcome.register("P0", "r3") == 14
         assert outcome.location("x") == 14
         assert result.stats.complete_runs == 1
+
+    def test_register_operands_read_their_own_registers(self):
+        # Each operand names a different slot, and P1 reuses P0's register names.
+        program = parse_litmus(
+            "name: operands\ninit: x = 1 y = 2 w = 5\nthread P0:\n  r1 = load x\n  r2 = load y\n  store z r2\n"
+            "  r3 = fetch_add z r1\n  r4 = exchange x r3\nthread P1:\n  r1 = load w\n  na_store v r1\nexists: z = 3\n"
+        )
+        for result in (enumerate_sc(program), enumerate_tso(program)):
+            (outcome,) = result.outcomes
+            assert outcome.format() == "P0:r1=1 P0:r2=2 P0:r3=2 P0:r4=1 P1:r1=5 | v=5 w=5 x=2 y=2 z=3"
 
 
 class TestStepApi:

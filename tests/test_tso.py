@@ -122,9 +122,10 @@ class TestMachineSteps:
         program = parse_litmus(
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  fence seq_cst\nexists: x = 1\n"
         )
+        x = program.locations.index("x")
         state = initial_state(program)
         (state,) = apply(program, state, ("exec", 0))
-        assert state.buffers[0] == (("x", 1),)
+        assert state.buffers[0] == ((x, 1),)
         assert enabled(program, state) == (("dequeue", 0),)
         (state,) = apply(program, state, ("dequeue", 0))
         assert state.buffers[0] == ()
@@ -143,11 +144,12 @@ class TestMachineSteps:
             "name: t\ninit: x = 0 y = 0\nthread P0:\n  store x 1\n  r1 = fetch_add y 3\n"
             "exists: y = 3\n"
         )
+        x, y = map(program.locations.index, ("x", "y"))
         state = initial_state(program)
         (state,) = apply(program, state, ("exec", 0))
         (state,) = apply(program, state, ("exec", 0))
         assert state.buffers[0] == ()
-        assert dict(state.memory) == {"x": 1, "y": 3}
+        assert (state.memory[x], state.memory[y]) == (1, 3)
 
     def test_disabled_transition_rejected(self):
         program = parse_litmus("name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 1\n")
@@ -188,6 +190,7 @@ class TestStoreOrderPreserved:
             "name: t\ninit: a = 0 b = 0\nthread P0:\n"
             "  store a 1 relaxed\n  store b 1 relaxed\nexists: b = 1\n"
         )
+        a, b = map(program.locations.index, ("a", "b"))
         seen = set()
         frontier = [initial_state(program)]
         while frontier:
@@ -195,8 +198,8 @@ class TestStoreOrderPreserved:
             if state in seen:
                 continue
             seen.add(state)
-            if dict(state.memory).get("b") == 1:
-                assert ("a", 1) not in state.buffers[0]
+            if state.memory[b] == 1:
+                assert (a, 1) not in state.buffers[0]
             for transition in enabled(program, state):
                 frontier.extend(apply(program, state, transition))
         assert len(seen) > 1
