@@ -56,6 +56,8 @@ once per candidate.  `Relation` appears only at the API boundary.
 Building a candidate checks nothing.  Every function that reads one takes
 (program, candidate) and checks the candidate against the program first, in
 `_checked_frame`, raising ValueError when it is not one of the program's.
+compute_sw alone skips the check for a witness enumerate_cxx11 returned for
+that very program object: it carries the kernel's frame and mo orders.
 
 Under strict_s, S embeds hb and mo between seq_cst events, so most ways an S
 could break SC-READ or SC-FENCE-1..4 come down to S edges that rf, mo and hb
@@ -71,6 +73,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 from .model import (
@@ -682,8 +685,11 @@ def _candidate_hb(program: Program, candidate: CandidateExecution):
 
 
 def compute_sw(program: Program, candidate: CandidateExecution) -> Relation:
-    frame = _checked_frame(program, candidate)
-    return _sw_relation(frame.n, _sw_edges(frame, frame.mo_orders(candidate.mo), candidate.rf))
+    known = getattr(candidate, "_kernel", None)  # (frame, mo orders) of a witness enumerate_cxx11 returned
+    if known is None or known[0].program is not program:
+        frame = _checked_frame(program, candidate)
+        known = frame, frame.mo_orders(candidate.mo)
+    return _sw_relation(known[0].n, _sw_edges(*known, candidate.rf))
 
 
 def compute_hb(program: Program, candidate: CandidateExecution) -> Relation:
@@ -870,12 +876,15 @@ def enumerate_cxx11(
                     # frame's locations are the program's, in order.
                     outcome = Outcome(registers, tuple(zip(frame.locations, map(value_written.__getitem__, lasts))))
                     if outcome not in witnesses:
+                        # rf and mo are read-only; dataclasses.replace drops _kernel.
                         if witness_events is None:
                             witness_events = tuple(
                                 _valued(shared, e, value_read.get(e.id), value_written.get(e.id)) for e in events
                             )
-                        mo_map = {loc: t.order for loc, t in zip(frame.locations, mo)}
-                        witnesses[outcome] = CandidateExecution(witness_events, rf, mo_map, s_order)
+                            rf_view = MappingProxyType(rf)
+                        mo_map = MappingProxyType({loc: t.order for loc, t in zip(frame.locations, mo)})
+                        witnesses[outcome] = witness = CandidateExecution(witness_events, rf_view, mo_map, s_order)
+                        object.__setattr__(witness, "_kernel", (frame, mo))
                     break
 
     return OutcomeSet(frozenset(witnesses), racy=racy, stats=stats, witnesses=dict(witnesses))

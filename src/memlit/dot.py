@@ -27,7 +27,7 @@ def _event_label(event: Event) -> str:
 def execution_dot(program: Program, candidate: CandidateExecution, *, title: str = "execution") -> str:
     """Candidate execution as a digraph: sb between consecutive same-thread
     events, rf write-to-read, mo between mo-adjacent writes, sw edges."""
-    sw = compute_sw(program, candidate)  # checks the candidate against the program
+    sw = compute_sw(program, candidate)  # checks the candidate, unless enumerate_cxx11 built it for program
     events = candidate.events
     lines = [
         f"digraph {_quote(title)} {{",
@@ -37,7 +37,7 @@ def execution_dot(program: Program, candidate: CandidateExecution, *, title: str
     for e in events:
         lines.append(f"  e{e.id} [label={_quote(_event_label(e))}];")
 
-    # compute_sw has checked that each thread's events come together, in program order.
+    # Each thread's events come together, in program order: compute_sw checked it, or the enumerator built them.
     edges = {
         "sb": [(a.id, b.id) for a, b in zip(events, events[1:]) if a.thread == b.thread != INIT_THREAD],
         "rf": sorted((w_id, r_id) for r_id, w_id in candidate.rf.items()),

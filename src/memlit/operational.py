@@ -20,17 +20,21 @@ cas_weak, exposed as an extra successor state.
 A state is positional: memory is one value per location, in
 `Program.locations` order, a buffer entry is a (location index, value) pair,
 and registers are one slot per `Program.registers` entry.  `_resolve` turns
-each instruction's names into these positions once per exploration, and a
-terminal state zips its values with the names into an `Outcome`.
+each instruction's names into these positions, and its kind into an opcode,
+once per exploration, and a terminal state zips its values with the names
+into an `Outcome`.  A step records what it did as data; its text is built
+only for the path a new outcome stores as its witness.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .model import (
     DEFAULT_MAX_STATES,
     ExplorationStats,
+    Instruction,
     Kind,
     MemoryOrder,
     Outcome,
@@ -41,7 +45,12 @@ from .model import (
     rmw_written_value,
 )
 
-Step = tuple[str, int, str]  # a TraceStep's fields; built into one only for witnesses
+Step = tuple[str, int, tuple]  # (kind, thread, data): _trace_step builds its TraceStep for witnesses only
+
+# What _step does with an instruction; _resolve gives each instruction its opcode.
+_STORE, _LOAD, _FENCE, _MFENCE, _CAS, _CAS_WEAK, _RMW = range(7)
+_OPCODES = {Kind.STORE: _STORE, Kind.NA_STORE: _STORE, Kind.LOAD: _LOAD, Kind.NA_LOAD: _LOAD, Kind.FENCE: _FENCE,
+            Kind.CAS_STRONG: _CAS, Kind.CAS_WEAK: _CAS_WEAK}  # any other kind: _RMW
 
 
 class State(NamedTuple):
@@ -52,17 +61,16 @@ class State(NamedTuple):
 
 
 def _resolve(program: Program) -> tuple[tuple[tuple, ...], ...]:
-    """Each thread's instructions with their names resolved, once: (instruction,
-    location index, dest slot, register operand's slot or None)."""
+    """Each thread's instructions with their names resolved, once: (opcode,
+    instruction, location index, dest slot, register operand's slot or None)."""
     locations = {loc: i for i, loc in enumerate(program.locations)}
     slots = {reg: i for i, reg in enumerate(program.registers)}  # keyed (thread name, register): no literal matches
-    return tuple(
-        tuple(
-            (instr, locations.get(instr.location), slots.get((name, instr.dest)), slots.get((name, instr.operand)))
-            for instr in body
-        )
-        for name, body in zip(program.thread_names, program.threads)
-    )
+
+    def resolved(name: str, i: Instruction) -> tuple:
+        op = _MFENCE if i.kind is Kind.FENCE and i.order is MemoryOrder.SEQ_CST else _OPCODES.get(i.kind, _RMW)
+        return op, i, locations.get(i.location), slots.get((name, i.dest)), slots.get((name, i.operand))
+
+    return tuple(tuple(resolved(name, i) for i in body) for name, body in zip(program.thread_names, program.threads))
 
 
 def initial_state(program: Program) -> State:
@@ -71,16 +79,20 @@ def initial_state(program: Program) -> State:
     return State(memory, ((),) * n, (0,) * n, (0,) * len(program.registers))
 
 
-def enabled(program: Program, state: State) -> tuple[tuple[str, int], ...]:
-    """(kind, thread) pairs in thread order: exec, then dequeue when the buffer is not empty."""
+def _enabled(ops: tuple, state: State) -> tuple[tuple[str, int], ...]:
     transitions = []
-    for t, (body, pc, buffer) in enumerate(zip(program.threads, state.pcs, state.buffers)):
+    for t, (body, pc, buffer) in enumerate(zip(ops, state.pcs, state.buffers)):
         # mfence: blocked until the thread's own buffer has drained.
-        if pc < len(body) and not (buffer and body[pc].kind is Kind.FENCE and body[pc].order is MemoryOrder.SEQ_CST):
+        if pc < len(body) and not (buffer and body[pc][0] == _MFENCE):
             transitions.append(("exec", t))
         if buffer:
             transitions.append(("dequeue", t))
     return tuple(transitions)
+
+
+def enabled(program: Program, state: State) -> tuple[tuple[str, int], ...]:
+    """(kind, thread) pairs in thread order: exec, then dequeue when the buffer is not empty."""
+    return _enabled(_resolve(program), state)
 
 
 def _replace(items: tuple, index: int, item) -> tuple:
@@ -88,41 +100,40 @@ def _replace(items: tuple, index: int, item) -> tuple:
 
 
 def _step(
-    program: Program, ops: tuple, state: State, transition: tuple[str, int], buffered: bool, weak_spurious: bool
+    ops: tuple, state: State, transition: tuple[str, int], buffered: bool, weak_spurious: bool
 ) -> list[tuple[State, Step]]:
-    """Successors of an enabled transition, each with its trace step."""
+    """Successors of an enabled transition, each with its step's data: a
+    dequeue's buffer entry, or (pc, what the instruction did): a store's value,
+    a load's (value, source), an RMW's (old value, CAS outcome or value written)."""
     kind, t = transition
     memory, buffers, pcs, registers = state
     if kind == "dequeue":
-        loc, value = buffers[t][0]
-        succ = State(_replace(memory, loc, value), _replace(buffers, t, buffers[t][1:]), pcs, registers)
-        return [(succ, ("dequeue", t, f"{program.locations[loc]} = {value}"))]
+        entry = buffers[t][0]
+        succ = State(_replace(memory, entry[0], entry[1]), _replace(buffers, t, buffers[t][1:]), pcs, registers)
+        return [(succ, ("dequeue", t, entry))]
 
     pc = pcs[t]
-    instr, loc, dest, source = ops[t][pc]
+    op, instr, loc, dest, source = ops[t][pc]
     operand = instr.operand if source is None else registers[source]
     pcs = _replace(pcs, t, pc + 1)
-    k = instr.kind
 
-    if k in (Kind.STORE, Kind.NA_STORE):
-        text = f"{k.value} {instr.location} {operand}"
+    if op == _STORE:
         if buffered:
             buffers = _replace(buffers, t, buffers[t] + ((loc, operand),))
-            text += " -> buffer"
         else:
             memory = _replace(memory, loc, operand)
-        return [(State(memory, buffers, pcs, registers), ("exec", t, text))]
+        return [(State(memory, buffers, pcs, registers), ("exec", t, (pc, operand)))]
 
-    if k in (Kind.LOAD, Kind.NA_LOAD):
+    if op == _LOAD:
         value, src = memory[loc], "memory"
         for buffered_loc, buffered_value in buffers[t]:  # forward the newest own store
             if buffered_loc == loc:
                 value, src = buffered_value, "buffer"
         succ = State(memory, buffers, pcs, _replace(registers, dest, value))
-        return [(succ, ("exec", t, f"{instr.dest} = {k.value} {instr.location} -> {value} ({src})"))]
+        return [(succ, ("exec", t, (pc, (value, src))))]
 
-    if k is Kind.FENCE:
-        return [(State(memory, buffers, pcs, registers), ("exec", t, f"fence {instr.order}"))]
+    if op <= _MFENCE:
+        return [(State(memory, buffers, pcs, registers), ("exec", t, (pc, None)))]
 
     # Locked RMW: drain the buffer, then act on memory, in this one transition.
     if buffers[t]:
@@ -133,21 +144,39 @@ def _step(
         buffers = _replace(buffers, t, ())
     old = memory[loc]
     regs = _replace(registers, dest, old)
-    head = f"{instr.dest} = {k.value} {instr.location} -> {old} (locked, "
 
-    def succ(written: tuple[int, ...], note: str) -> tuple[State, Step]:
-        return State(written, buffers, pcs, regs), ("exec", t, head + note + ")")
+    def succ(written: tuple[int, ...], note: str | int) -> tuple[State, Step]:
+        return State(written, buffers, pcs, regs), ("exec", t, (pc, (old, note)))
 
-    if instr.is_cas:
-        if old != instr.expected:
-            return [succ(memory, "failure")]
-        results = [succ(_replace(memory, loc, instr.desired), "success")]
-        if k is Kind.CAS_WEAK and weak_spurious:
-            results.append(succ(memory, "spurious failure"))
-        return results
+    if op == _RMW:
+        value = rmw_written_value(instr, old, operand)
+        return [succ(_replace(memory, loc, value), value)]
+    if old != instr.expected:
+        return [succ(memory, "failure")]
+    results = [succ(_replace(memory, loc, instr.desired), "success")]
+    if op == _CAS_WEAK and weak_spurious:
+        results.append(succ(memory, "spurious failure"))
+    return results
 
-    value = rmw_written_value(instr, old, operand)
-    return [succ(_replace(memory, loc, value), f"wrote {value}")]
+
+def _trace_step(program: Program, step: Step, buffered: bool) -> TraceStep:
+    """A step's TraceStep, its text built from the step's data: a dequeue's
+    buffer entry, or an instruction's pc and what it did (see _step)."""
+    kind, t, (at, payload) = step
+    if kind == "dequeue":
+        return TraceStep(kind, t, f"{program.locations[at]} = {payload}")
+    instr = program.threads[t][at]
+    k = instr.kind
+    if k is Kind.FENCE:
+        text = f"fence {instr.order}"
+    elif k in (Kind.STORE, Kind.NA_STORE):
+        text = f"{k.value} {instr.location} {payload}" + (" -> buffer" if buffered else "")
+    else:
+        value, note = payload
+        if k not in (Kind.LOAD, Kind.NA_LOAD):
+            note = f"locked, {note if instr.is_cas else f'wrote {note}'}"
+        text = f"{instr.dest} = {k.value} {instr.location} -> {value} ({note})"
+    return TraceStep(kind, t, text)
 
 
 def apply(
@@ -159,9 +188,10 @@ def apply(
     weak_spurious: bool = True,
 ) -> tuple[State, ...]:
     """Apply one enabled transition; cas_weak success yields two states."""
-    if transition not in enabled(program, state):
+    ops = _resolve(program)
+    if transition not in _enabled(ops, state):
         raise ValueError(f"transition {transition} is not enabled")
-    return tuple(s for s, _ in _step(program, _resolve(program), state, transition, buffered, weak_spurious))
+    return tuple(s for s, _ in _step(ops, state, transition, buffered, weak_spurious))
 
 
 def _explore(program: Program, *, buffered: bool, weak_spurious: bool, max_states: int) -> OutcomeSet:
@@ -170,28 +200,29 @@ def _explore(program: Program, *, buffered: bool, weak_spurious: bool, max_state
     seen: set[State] = set()
     path: list[Step] = []
     ops = _resolve(program)
+    # Witnesses share their TraceSteps: each distinct step is built once.
+    trace_step = functools.cache(lambda step: _trace_step(program, step, buffered))
 
     def visit(state: State) -> None:
-        if state in seen:
-            return
         seen.add(state)
         stats.explored += 1
         if stats.explored > max_states:
             raise ResourceLimitError("state", max_states)
-        transitions = enabled(program, state)
+        transitions = _enabled(ops, state)
         if not transitions:
             # all threads done and all buffers drained
             stats.complete_runs += 1
             registers = tuple((t, r, v) for (t, r), v in zip(program.registers, state.registers))
             outcome = Outcome(registers, tuple(zip(program.locations, state.memory)))
             if outcome not in witnesses:
-                witnesses[outcome] = tuple(TraceStep(*step) for step in path)
+                witnesses[outcome] = tuple(map(trace_step, path))
             return
         for transition in transitions:
-            for succ, step in _step(program, ops, state, transition, buffered, weak_spurious):
-                path.append(step)
-                visit(succ)
-                path.pop()
+            for succ, step in _step(ops, state, transition, buffered, weak_spurious):
+                if succ not in seen:
+                    path.append(step)
+                    visit(succ)
+                    path.pop()
 
     visit(initial_state(program))
     return OutcomeSet(frozenset(witnesses), racy=False, stats=stats, witnesses=witnesses)

@@ -30,8 +30,12 @@ ROOT = Path(__file__).resolve().parent.parent
 AXIOMATIC = "tests/test_axiomatic.py"
 SINGLE = f"{AXIOMATIC}::TestSingleAxiom"
 ENUMERATION = f"{AXIOMATIC}::TestEnumeration"
-TSO = "tests/test_tso.py"
+VALIDATION = f"{AXIOMATIC}::TestCandidateValidation"
+ORACLE = f"{AXIOMATIC}::TestAgainstEnumeratingOracle"
+REFERENCE = f"{AXIOMATIC}::TestAgainstReference"
+TSO_FROZEN = "tests/test_tso.py::TestFrozenPrograms"
 SC = "tests/test_sc.py"
+WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
 
 # (file under src/memlit, exact old text, new text, tests that must kill it)
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
@@ -112,31 +116,30 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "operational.py",
         "        for buffered_loc, buffered_value in buffers[t]:  # forward the newest own store",
         "        for buffered_loc, buffered_value in reversed(buffers[t]):",
-        (f"{TSO}::TestFrozenPrograms::test_forwarding_sees_own_newest_store",),
+        (f"{TSO_FROZEN}::test_forwarding_sees_own_newest_store",),
     ),
     (
         # A locked RMW leaves its thread's buffer undrained.
         "operational.py",
         "    if buffers[t]:\n        drained = list(memory)",
         "    if False:\n        drained = list(memory)",
-        (f"{TSO}::TestMachineSteps::test_locked_rmw_drains_buffer",),
+        (f"{TSO_FROZEN}::test_locked_rmw_publishes_earlier_stores",),
     ),
     (
         # mfence runs while its thread's buffer holds stores.
         "operational.py",
-        "not (buffer and body[pc].kind is Kind.FENCE",
-        "not (False and body[pc].kind is Kind.FENCE",
-        (f"{TSO}::TestMachineSteps::test_mfence_waits_for_own_buffer", f"{TSO}::TestFrozenPrograms::test_mfence_restores_dekker"),
+        "not (buffer and body[pc][0] == _MFENCE)",
+        "not (False and body[pc][0] == _MFENCE)",
+        (f"{TSO_FROZEN}::test_mfence_restores_dekker",),
     ),
     (
         # A dequeue publishes the newest buffered store instead of the oldest.
         "operational.py",
-        "        loc, value = buffers[t][0]\n        succ = State(_replace(memory, loc, value), _replace(buffers, t, buffers[t][1:])",
-        "        loc, value = buffers[t][-1]\n        succ = State(_replace(memory, loc, value), _replace(buffers, t, buffers[t][:-1])",
-        (
-            f"{TSO}::TestStoreOrderPreserved::test_no_state_shows_second_store_while_first_buffered",
-            f"{TSO}::TestFrozenPrograms::test_memory_updates_are_fifo",
-        ),
+        "        entry = buffers[t][0]\n"
+        "        succ = State(_replace(memory, entry[0], entry[1]), _replace(buffers, t, buffers[t][1:])",
+        "        entry = buffers[t][-1]\n"
+        "        succ = State(_replace(memory, entry[0], entry[1]), _replace(buffers, t, buffers[t][:-1])",
+        (f"{TSO_FROZEN}::test_memory_updates_are_fifo",),
     ),
     (
         # A register operand reads the slot before its own.
@@ -145,6 +148,151 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "    operand = instr.operand if source is None else registers[source - 1]",
         (f"{SC}::TestSingleThread::test_register_operands_read_their_own_registers",),
     ),
+    (
+        # A witness trace marks stores as buffered under SC.
+        "operational.py",
+        '(" -> buffer" if buffered else "")',
+        '" -> buffer"',
+        ("tests/test_witnesses.py::test_witnesses_match_the_table",),
+    ),
+    (
+        # SC-FENCE-3 counts a fence's own earlier writes against its own later reads.
+        "axiomatic.py",
+        "                if fenced & mo[li].after[src] & ~(1 << b):",
+        "                if (fenced | writes_before) & mo[li].after[src] & ~(1 << b):",
+        (f"{ORACLE}::test_on_corpus_and_s_edge_programs",),
+    ),
+    (
+        # The S edges derived for SC-FENCE-3 order a fence before itself.
+        "axiomatic.py",
+        "                    if x != e and before & later & ~(1 << b):",
+        "                    if before & later & ~(1 << b):",
+        (f"{ORACLE}::test_on_corpus_and_s_edge_programs",),
+    ),
+    (
+        # A read may observe a write that happens after it.
+        "axiomatic.py",
+        "        if hb[r] >> w & 1:\n            return True",
+        "        if False:\n            return True",
+        (f"{REFERENCE}::test_every_axiom_seen_on_corpus_and_single_axiom_programs",),
+    ),
+    (
+        # SC-READ lets a seq_cst read observe a non-seq_cst write that happens before the last seq_cst one.
+        "axiomatic.py",
+        "(plain and not hb[w] >> a & 1)",
+        "plain",
+        (f"{SINGLE}::test_exactly_the_named_axiom_fails",),
+    ),
+    (
+        # SC-FENCE-2 is never reported.
+        "axiomatic.py",
+        "                f2 = True",
+        "                f2 = False",
+        (f"{SINGLE}::test_exactly_the_named_axiom_fails",),
+    ),
+    (
+        # An acq_rel fence synchronizes with itself through a release sequence it heads.
+        "axiomatic.py",
+        "sources = heads & ~(1 << fb)",
+        "sources = heads",
+        (f"{REFERENCE}::test_every_axiom_seen_on_corpus_and_single_axiom_programs",),
+    ),
+    (
+        # A location's final value comes from its highest-id write, not its mo-last one.
+        "axiomatic.py",
+        "lasts = tuple(t.order[-1] for t in mo)",
+        "lasts = tuple(max(t.order) for t in mo)",
+        (
+            f"{ENUMERATION}::test_exchange_writes_only_once_its_read_is_grounded",
+            f"{ORACLE}::test_on_corpus_and_s_edge_programs",
+        ),
+    ),
+    (
+        # compute_sw trusts an enumerator witness drawn for any program.
+        "axiomatic.py",
+        "    if known is None or known[0].program is not program:",
+        "    if known is None:",
+        (f"{WITNESS_DOT}::test_witness_drawn_for_another_program_is_checked",),
+    ),
+    (
+        # compute_sw draws every candidate without the check.
+        "axiomatic.py",
+        "        frame = _checked_frame(program, candidate)\n        known = frame,",
+        "        frame = _Frame(program, candidate.events)\n        known = frame,",
+        (f"{WITNESS_DOT}::test_caller_built_bad_candidate_raises", f"{WITNESS_DOT}::test_replaced_witness_is_checked"),
+    ),
+    (
+        # A witness's rf can be changed in place under its kernel frame.
+        "axiomatic.py",
+        "                            rf_view = MappingProxyType(rf)",
+        "                            rf_view = rf",
+        (f"{WITNESS_DOT}::test_witness_rf_and_mo_are_read_only",),
+    ),
+    (
+        # A witness's mo can be changed in place under its kernel mo orders.
+        "axiomatic.py",
+        "mo_map = MappingProxyType({loc: t.order for loc, t in zip(frame.locations, mo)})",
+        "mo_map = {loc: t.order for loc, t in zip(frame.locations, mo)}",
+        (f"{WITNESS_DOT}::test_witness_rf_and_mo_are_read_only",),
+    ),
+    (
+        # Witnesses carry nothing from the kernel, so each is checked again.
+        "axiomatic.py",
+        '                        object.__setattr__(witness, "_kernel", (frame, mo))',
+        "                        pass",
+        (f"{WITNESS_DOT}::test_witness_is_drawn_without_the_check",),
+    ),
+]
+
+# Each of _checked_frame's other raises made a no-op: (its raise statement, the test that must see it).
+MUTANTS += [
+    ("axiomatic.py", raise_statement, "pass", (f"{VALIDATION}::{test}",))
+    for raise_statement, test in (
+        (
+            'raise ValueError("candidate does not match the program\'s event layout")',
+            "test_every_function_that_reads_a_candidate_checks_it",
+        ),
+        (
+            'raise ValueError("events must be ordered by id")',
+            "test_events_must_be_id_ordered",
+        ),
+        (
+            'raise ValueError(f"{e.kind.name.lower()} events carry no written value")',
+            "test_fence_carries_no_value",
+        ),
+        (
+            'raise ValueError(f"rf pair ({w} -> {r}) is not write-to-read")',
+            "test_rf_must_point_at_a_write",
+        ),
+        (
+            'raise ValueError("an event cannot read from itself")',
+            "test_rmw_cannot_read_itself",
+        ),
+        (
+            'raise ValueError(f"rf pair ({w} -> {r}) mixes locations")',
+            "test_rf_must_stay_at_one_location",
+        ),
+        (
+            'raise ValueError("rf must give every read exactly one source")',
+            "test_every_read_needs_a_source",
+        ),
+        (
+            'raise ValueError("mo must cover exactly the written locations")',
+            "test_mo_must_cover_every_written_location",
+        ),
+        (
+            'raise ValueError(f"mo for {loc} is not a permutation of its writes")',
+            "test_mo_must_order_every_write",
+        ),
+        (
+            'raise ValueError(f"mo for {loc} must start at the initialization write")',
+            "test_mo_must_start_at_init",
+        ),
+        (
+            'raise ValueError("sc_order must be a permutation of the seq_cst events")',
+            "test_sc_order_must_cover_sc_events",
+        ),
+    )
 ]
 
 
@@ -185,7 +333,8 @@ def main() -> int:
                 killed = tests_fail(src, tests)
             finally:
                 path.write_text(original)
-            print(f"mutant {number}: {'killed' if killed else 'SURVIVES'} ({name}: {new.strip()})")
+            change = f"{old.strip().splitlines()[0]} -> {new.strip().splitlines()[0]}"
+            print(f"mutant {number}: {'killed' if killed else 'SURVIVES'} ({name}: {change})")
             if not killed:
                 problems.append(f"mutant {number} survives its tests: {' '.join(tests)}")
     for problem in problems:

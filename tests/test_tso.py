@@ -106,6 +106,18 @@ class TestFrozenPrograms:
         result = enumerate_tso(program)
         assert {o.register("P0", "r1") for o in result.outcomes} == {1, 2}
 
+    def test_locked_rmw_publishes_earlier_stores(self):
+        # The exchange drains x = 1 to memory before it writes y, so a reader
+        # that sees y = 1 sees x = 1 too.
+        program = parse_litmus(
+            "name: t\ninit: x = 0 y = 0\nthread P0:\n  store x 1\n  r1 = exchange y 1\n"
+            "thread P1:\n  r2 = load y\n  r3 = load x\nexists: P1:r2 = 1 /\\ P1:r3 = 0\n"
+        )
+        result = enumerate_tso(program)
+        pairs = {(o.register("P1", "r2"), o.register("P1", "r3")) for o in result.outcomes}
+        assert pairs == {(0, 0), (0, 1), (1, 1)}
+        assert eval_assertion(program.assertion, result).kind == "forbidden"
+
     def test_memory_updates_are_fifo(self):
         program = parse_litmus(
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  store x 2\n"
