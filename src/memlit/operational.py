@@ -22,8 +22,12 @@ A state is positional: memory is one value per location, in
 and registers are one slot per `Program.registers` entry.  `_resolve` turns
 each instruction's names into these positions, and its kind into an opcode,
 once per exploration, and a terminal state zips its values with the names
-into an `Outcome`.  A step records what it did as data; its text is built
-only for the path a new outcome stores as its witness.
+into an `Outcome`.  One function, `_successors`, defines which transitions a
+state enables and the states they lead to; the search, `enabled` and `apply`
+all read it.  Inside the search a state is a plain 4-tuple, which hashes and
+compares equal to its `State`; `State` appears only at the public API.  A step
+records what it did as data; its text is built only for the path a new
+outcome stores as its witness.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .model import (
 
 Step = tuple[str, int, tuple]  # (kind, thread, data): _trace_step builds its TraceStep for witnesses only
 
-# What _step does with an instruction; _resolve gives each instruction its opcode.
+# What _successors does with an instruction; _resolve gives each instruction its opcode.
 _STORE, _LOAD, _FENCE, _MFENCE, _CAS, _CAS_WEAK, _RMW = range(7)
 _OPCODES = {Kind.STORE: _STORE, Kind.NA_STORE: _STORE, Kind.LOAD: _LOAD, Kind.NA_LOAD: _LOAD, Kind.FENCE: _FENCE,
             Kind.CAS_STRONG: _CAS, Kind.CAS_WEAK: _CAS_WEAK}  # any other kind: _RMW
@@ -79,89 +83,77 @@ def initial_state(program: Program) -> State:
     return State(memory, ((),) * n, (0,) * n, (0,) * len(program.registers))
 
 
-def _enabled(ops: tuple, state: State) -> tuple[tuple[str, int], ...]:
-    transitions = []
-    for t, (body, pc, buffer) in enumerate(zip(ops, state.pcs, state.buffers)):
-        # mfence: blocked until the thread's own buffer has drained.
-        if pc < len(body) and not (buffer and body[pc][0] == _MFENCE):
-            transitions.append(("exec", t))
-        if buffer:
-            transitions.append(("dequeue", t))
-    return tuple(transitions)
-
-
-def enabled(program: Program, state: State) -> tuple[tuple[str, int], ...]:
-    """(kind, thread) pairs in thread order: exec, then dequeue when the buffer is not empty."""
-    return _enabled(_resolve(program), state)
-
-
 def _replace(items: tuple, index: int, item) -> tuple:
     return items[:index] + (item,) + items[index + 1 :]
 
 
-def _step(
-    ops: tuple, state: State, transition: tuple[str, int], buffered: bool, weak_spurious: bool
-) -> list[tuple[State, Step]]:
-    """Successors of an enabled transition, each with its step's data: a
-    dequeue's buffer entry, or (pc, what the instruction did): a store's value,
-    a load's (value, source), an RMW's (old value, CAS outcome or value written)."""
-    kind, t = transition
+def _successors(ops: tuple, state: tuple, buffered: bool, weak_spurious: bool) -> list[tuple[tuple, Step]]:
+    """Every enabled transition's successor states, each with its step's data,
+    in thread order: a thread's exec successors, then its dequeue.  The data is
+    a dequeue's buffer entry, or (pc, what the instruction did): a store's
+    value, a load's (value, source), an RMW's (old value, CAS outcome or value
+    written).  No successors: every thread is done and every buffer drained."""
     memory, buffers, pcs, registers = state
-    if kind == "dequeue":
-        entry = buffers[t][0]
-        succ = State(_replace(memory, entry[0], entry[1]), _replace(buffers, t, buffers[t][1:]), pcs, registers)
-        return [(succ, ("dequeue", t, entry))]
+    successors: list[tuple[tuple, Step]] = []
+    for t, (body, pc, buffer) in enumerate(zip(ops, pcs, buffers)):
+        # mfence: blocked until the thread's own buffer has drained.
+        if pc < len(body) and not (buffer and body[pc][0] == _MFENCE):
+            op, instr, loc, dest, source = body[pc]
+            operand = instr.operand if source is None else registers[source]
+            after = _replace(pcs, t, pc + 1)
+            if op == _STORE:
+                if buffered:
+                    succ = memory, _replace(buffers, t, buffer + ((loc, operand),)), after, registers
+                else:
+                    succ = _replace(memory, loc, operand), buffers, after, registers
+                successors.append((succ, ("exec", t, (pc, operand))))
+            elif op == _LOAD:
+                value, src = memory[loc], "memory"
+                for buffered_loc, buffered_value in buffer:  # forward the newest own store
+                    if buffered_loc == loc:
+                        value, src = buffered_value, "buffer"
+                succ = memory, buffers, after, _replace(registers, dest, value)
+                successors.append((succ, ("exec", t, (pc, (value, src)))))
+            elif op <= _MFENCE:
+                successors.append(((memory, buffers, after, registers), ("exec", t, (pc, None))))
+            else:
+                # Locked RMW: drain the buffer, then act on memory, in this one transition.
+                drained, emptied = memory, buffers
+                if buffer:
+                    cells = list(memory)
+                    for buffered_loc, buffered_value in buffer:
+                        cells[buffered_loc] = buffered_value
+                    drained, emptied = tuple(cells), _replace(buffers, t, ())
+                old = drained[loc]
+                regs = _replace(registers, dest, old)
+                failed = drained, emptied, after, regs  # memory as the drain left it
+                if op == _RMW:
+                    value = rmw_written_value(instr, old, operand)
+                    succ = _replace(drained, loc, value), emptied, after, regs
+                    successors.append((succ, ("exec", t, (pc, (old, value)))))
+                elif old != instr.expected:
+                    successors.append((failed, ("exec", t, (pc, (old, "failure")))))
+                else:
+                    succ = _replace(drained, loc, instr.desired), emptied, after, regs
+                    successors.append((succ, ("exec", t, (pc, (old, "success")))))
+                    if op == _CAS_WEAK and weak_spurious:
+                        successors.append((failed, ("exec", t, (pc, (old, "spurious failure")))))
+        if buffer:  # dequeue: the oldest buffered store reaches memory
+            entry = buffer[0]
+            succ = _replace(memory, entry[0], entry[1]), _replace(buffers, t, buffer[1:]), pcs, registers
+            successors.append((succ, ("dequeue", t, entry)))
+    return successors
 
-    pc = pcs[t]
-    op, instr, loc, dest, source = ops[t][pc]
-    operand = instr.operand if source is None else registers[source]
-    pcs = _replace(pcs, t, pc + 1)
 
-    if op == _STORE:
-        if buffered:
-            buffers = _replace(buffers, t, buffers[t] + ((loc, operand),))
-        else:
-            memory = _replace(memory, loc, operand)
-        return [(State(memory, buffers, pcs, registers), ("exec", t, (pc, operand)))]
-
-    if op == _LOAD:
-        value, src = memory[loc], "memory"
-        for buffered_loc, buffered_value in buffers[t]:  # forward the newest own store
-            if buffered_loc == loc:
-                value, src = buffered_value, "buffer"
-        succ = State(memory, buffers, pcs, _replace(registers, dest, value))
-        return [(succ, ("exec", t, (pc, (value, src))))]
-
-    if op <= _MFENCE:
-        return [(State(memory, buffers, pcs, registers), ("exec", t, (pc, None)))]
-
-    # Locked RMW: drain the buffer, then act on memory, in this one transition.
-    if buffers[t]:
-        drained = list(memory)
-        for buffered_loc, buffered_value in buffers[t]:
-            drained[buffered_loc] = buffered_value
-        memory = tuple(drained)
-        buffers = _replace(buffers, t, ())
-    old = memory[loc]
-    regs = _replace(registers, dest, old)
-
-    def succ(written: tuple[int, ...], note: str | int) -> tuple[State, Step]:
-        return State(written, buffers, pcs, regs), ("exec", t, (pc, (old, note)))
-
-    if op == _RMW:
-        value = rmw_written_value(instr, old, operand)
-        return [succ(_replace(memory, loc, value), value)]
-    if old != instr.expected:
-        return [succ(memory, "failure")]
-    results = [succ(_replace(memory, loc, instr.desired), "success")]
-    if op == _CAS_WEAK and weak_spurious:
-        results.append(succ(memory, "spurious failure"))
-    return results
+def enabled(program: Program, state: State) -> tuple[tuple[str, int], ...]:
+    """(kind, thread) pairs in thread order: exec, then dequeue when the buffer is not empty."""
+    steps = _successors(_resolve(program), state, True, False)  # neither setting changes what is enabled
+    return tuple(dict.fromkeys(step[:2] for _, step in steps))
 
 
 def _trace_step(program: Program, step: Step, buffered: bool) -> TraceStep:
     """A step's TraceStep, its text built from the step's data: a dequeue's
-    buffer entry, or an instruction's pc and what it did (see _step)."""
+    buffer entry, or an instruction's pc and what it did (see _successors)."""
     kind, t, (at, payload) = step
     if kind == "dequeue":
         return TraceStep(kind, t, f"{program.locations[at]} = {payload}")
@@ -188,43 +180,50 @@ def apply(
     weak_spurious: bool = True,
 ) -> tuple[State, ...]:
     """Apply one enabled transition; cas_weak success yields two states."""
-    ops = _resolve(program)
-    if transition not in _enabled(ops, state):
+    steps = _successors(_resolve(program), state, buffered, weak_spurious)
+    successors = tuple(State._make(succ) for succ, step in steps if step[:2] == transition)
+    if not successors:
         raise ValueError(f"transition {transition} is not enabled")
-    return tuple(s for s, _ in _step(ops, state, transition, buffered, weak_spurious))
+    return successors
 
 
 def _explore(program: Program, *, buffered: bool, weak_spurious: bool, max_states: int) -> OutcomeSet:
     stats = ExplorationStats()
     witnesses: dict[Outcome, tuple[TraceStep, ...]] = {}
-    seen: set[State] = set()
-    path: list[Step] = []
     ops = _resolve(program)
+    root = tuple(initial_state(program))
+    seen = {root}
+    path: list[Step] = []
+    explored = 0
     # Witnesses share their TraceSteps: each distinct step is built once.
     trace_step = functools.cache(lambda step: _trace_step(program, step, buffered))
 
-    def visit(state: State) -> None:
-        seen.add(state)
-        stats.explored += 1
-        if stats.explored > max_states:
+    def visit(state: tuple) -> None:
+        nonlocal explored
+        explored += 1
+        if explored > max_states:
             raise ResourceLimitError("state", max_states)
-        transitions = _enabled(ops, state)
-        if not transitions:
+        successors = _successors(ops, state, buffered, weak_spurious)
+        if not successors:
             # all threads done and all buffers drained
             stats.complete_runs += 1
-            registers = tuple((t, r, v) for (t, r), v in zip(program.registers, state.registers))
-            outcome = Outcome(registers, tuple(zip(program.locations, state.memory)))
+            registers = tuple((t, r, v) for (t, r), v in zip(program.registers, state[3]))
+            outcome = Outcome(registers, tuple(zip(program.locations, state[0])))
             if outcome not in witnesses:
                 witnesses[outcome] = tuple(map(trace_step, path))
             return
-        for transition in transitions:
-            for succ, step in _step(ops, state, transition, buffered, weak_spurious):
-                if succ not in seen:
-                    path.append(step)
-                    visit(succ)
-                    path.pop()
+        for succ, step in successors:
+            size = len(seen)
+            seen.add(succ)  # one hash per successor: the set grows only when succ is new
+            if len(seen) != size:
+                path.append(step)
+                visit(succ)
+                path.pop()
 
-    visit(initial_state(program))
+    try:
+        visit(root)
+    finally:
+        stats.explored = explored
     return OutcomeSet(frozenset(witnesses), racy=False, stats=stats, witnesses=witnesses)
 
 

@@ -34,6 +34,7 @@ VALIDATION = f"{AXIOMATIC}::TestCandidateValidation"
 ORACLE = f"{AXIOMATIC}::TestAgainstEnumeratingOracle"
 REFERENCE = f"{AXIOMATIC}::TestAgainstReference"
 TSO_FROZEN = "tests/test_tso.py::TestFrozenPrograms"
+TSO_STATE_SPACE = "tests/test_tso.py::TestStateSpace"
 SC = "tests/test_sc.py"
 WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
 
@@ -114,15 +115,15 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A load forwards the oldest buffered store to its location, not the newest.
         "operational.py",
-        "        for buffered_loc, buffered_value in buffers[t]:  # forward the newest own store",
-        "        for buffered_loc, buffered_value in reversed(buffers[t]):",
+        "                for buffered_loc, buffered_value in buffer:  # forward the newest own store",
+        "                for buffered_loc, buffered_value in reversed(buffer):",
         (f"{TSO_FROZEN}::test_forwarding_sees_own_newest_store",),
     ),
     (
         # A locked RMW leaves its thread's buffer undrained.
         "operational.py",
-        "    if buffers[t]:\n        drained = list(memory)",
-        "    if False:\n        drained = list(memory)",
+        "                if buffer:\n                    cells = list(memory)",
+        "                if False:\n                    cells = list(memory)",
         (f"{TSO_FROZEN}::test_locked_rmw_publishes_earlier_stores",),
     ),
     (
@@ -135,18 +136,32 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A dequeue publishes the newest buffered store instead of the oldest.
         "operational.py",
-        "        entry = buffers[t][0]\n"
-        "        succ = State(_replace(memory, entry[0], entry[1]), _replace(buffers, t, buffers[t][1:])",
-        "        entry = buffers[t][-1]\n"
-        "        succ = State(_replace(memory, entry[0], entry[1]), _replace(buffers, t, buffers[t][:-1])",
+        "            entry = buffer[0]\n"
+        "            succ = _replace(memory, entry[0], entry[1]), _replace(buffers, t, buffer[1:]), pcs, registers",
+        "            entry = buffer[-1]\n"
+        "            succ = _replace(memory, entry[0], entry[1]), _replace(buffers, t, buffer[:-1]), pcs, registers",
         (f"{TSO_FROZEN}::test_memory_updates_are_fifo",),
     ),
     (
         # A register operand reads the slot before its own.
         "operational.py",
-        "    operand = instr.operand if source is None else registers[source]",
-        "    operand = instr.operand if source is None else registers[source - 1]",
+        "            operand = instr.operand if source is None else registers[source]",
+        "            operand = instr.operand if source is None else registers[source - 1]",
         (f"{SC}::TestSingleThread::test_register_operands_read_their_own_registers",),
+    ),
+    (
+        # The search visits a successor again although it is already in seen.
+        "operational.py",
+        "            if len(seen) != size:",
+        "            if len(seen) >= size:",
+        (f"{TSO_STATE_SPACE}::test_ladder_explored_counts",),
+    ),
+    (
+        # cas_weak never fails spuriously, whatever weak_spurious says.
+        "operational.py",
+        "if op == _CAS_WEAK and weak_spurious:",
+        "if op == _CAS_WEAK and False:",
+        (f"{SC}::TestWeakCas::test_spurious_failure_branches",),
     ),
     (
         # A witness trace marks stores as buffered under SC.

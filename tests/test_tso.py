@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memlit.dsl import parse_litmus
-from memlit.model import ResourceLimitError, eval_assertion, with_fences_after_stores
+from memlit.model import Outcome, ResourceLimitError, eval_assertion, with_fences_after_stores
 from memlit.operational import (
     apply,
     enabled,
@@ -63,6 +63,19 @@ exists: P1:r1 = 1 /\\ P1:r2 = 0
 
 def reg_pairs(outcomes, a=("P0", "r1"), b=("P1", "r2")):
     return {(o.register(*a), o.register(*b)) for o in outcomes.outcomes}
+
+
+def reachable(program, **options) -> set:
+    """Every state that enabled/apply reach from initial_state."""
+    seen = set()
+    frontier = [initial_state(program)]
+    while frontier:
+        state = frontier.pop()
+        if state not in seen:
+            seen.add(state)
+            for transition in enabled(program, state):
+                frontier.extend(apply(program, state, transition, **options))
+    return seen
 
 
 class TestFrozenPrograms:
@@ -203,18 +216,11 @@ class TestStoreOrderPreserved:
             "  store a 1 relaxed\n  store b 1 relaxed\nexists: b = 1\n"
         )
         a, b = map(program.locations.index, ("a", "b"))
-        seen = set()
-        frontier = [initial_state(program)]
-        while frontier:
-            state = frontier.pop()
-            if state in seen:
-                continue
-            seen.add(state)
+        states = reachable(program)
+        for state in states:
             if state.memory[b] == 1:
                 assert (a, 1) not in state.buffers[0]
-            for transition in enabled(program, state):
-                frontier.extend(apply(program, state, transition))
-        assert len(seen) > 1
+        assert len(states) > 1
 
 
 class TestCorpusDiscipline:
@@ -244,23 +250,43 @@ class TestStateSpace:
         run = enumerate_sc if model == "sc" else enumerate_tso
         assert run(parse_litmus(ladder(lengths))).stats.explored == explored
 
+    @pytest.mark.parametrize("model", ["sc", "tso"])
+    def test_budget_of_exactly_the_explored_count_decides(self, model):
+        run = enumerate_sc if model == "sc" else enumerate_tso
+        program = parse_litmus(ladder((4, 4)))
+        result = run(program)
+        explored = result.stats.explored
+        at_budget = run(program, max_states=explored)
+        assert at_budget.outcomes == result.outcomes and at_budget.stats.explored == explored
+        with pytest.raises(ResourceLimitError):
+            run(program, max_states=explored - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs(), st.booleans(), st.booleans())
+    def test_public_stepping_reaches_what_the_search_explores(self, program, buffered, spurious):
+        # enabled/apply from initial_state reach exactly the states the search
+        # counts, and the states with nothing enabled give exactly its outcomes.
+        states = reachable(program, buffered=buffered, weak_spurious=spurious)
+        outcomes = {
+            Outcome(
+                tuple((t, r, v) for (t, r), v in zip(program.registers, state.registers)),
+                tuple(zip(program.locations, state.memory)),
+            )
+            for state in states
+            if not enabled(program, state)
+        }
+        result = (enumerate_tso if buffered else enumerate_sc)(program, weak_spurious=spurious)
+        assert len(states) == result.stats.explored
+        assert outcomes == result.outcomes
+
     @settings(max_examples=60, deadline=None)
     @given(programs(), st.booleans())
     def test_unbuffered_machine_never_buffers(self, program, spurious):
         # SC is the machine whose stores commit at once: every reachable state
         # has empty buffers, so no dequeue is ever enabled.
-        seen = set()
-        frontier = [initial_state(program)]
-        while frontier:
-            state = frontier.pop()
-            if state in seen:
-                continue
-            seen.add(state)
+        for state in reachable(program, buffered=False, weak_spurious=spurious):
             assert all(buffer == () for buffer in state.buffers)
-            transitions = enabled(program, state)
-            assert all(kind == "exec" for kind, _ in transitions)
-            for transition in transitions:
-                frontier.extend(apply(program, state, transition, buffered=False, weak_spurious=spurious))
+            assert all(kind == "exec" for kind, _ in enabled(program, state))
 
 
 class TestAgainstOracle:
