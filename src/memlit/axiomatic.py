@@ -107,12 +107,6 @@ AXIOMS = (
     "NO-THIN-AIR",
 )
 
-# acq_rel fences act as both an acquire and a release fence; relaxed fences
-# are accepted and have no effect.
-ACQUIRE_CLASS = frozenset({MemoryOrder.ACQUIRE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST})
-RELEASE_CLASS = frozenset({MemoryOrder.RELEASE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST})
-
-
 @dataclass(frozen=True)
 class CandidateExecution:
     """events are ordered by id (events[i].id == i), initialization
@@ -149,21 +143,11 @@ def _events(program: Program, success: Mapping[tuple[int, int], bool]) -> list[E
     events = [Event(i, INIT_THREAD, i, EventKind.WRITE, True, None, loc) for i, loc in enumerate(program.locations)]
     for t, body in enumerate(program.threads):
         for i, instr in enumerate(body):
-            kind, order = _EVENT_KINDS.get(instr.kind, EventKind.RMW), instr.order
+            kind, order = instr.kind.event, instr.order
             if instr.kind in CAS_KINDS and success.get((t, i)) is False:
                 kind, order = EventKind.READ, instr.failure_order
-            atomic = instr.kind not in (Kind.NA_LOAD, Kind.NA_STORE)
-            events.append(Event(len(events), t, i, kind, atomic, order, instr.location))
+            events.append(Event(len(events), t, i, kind, instr.kind.atomic, order, instr.location))
     return events
-
-
-_EVENT_KINDS = {
-    Kind.FENCE: EventKind.FENCE,
-    Kind.LOAD: EventKind.READ,
-    Kind.NA_LOAD: EventKind.READ,
-    Kind.STORE: EventKind.WRITE,
-    Kind.NA_STORE: EventKind.WRITE,
-}
 
 
 def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
@@ -300,11 +284,11 @@ class _Frame:
         self.atomic_writes = [e for e in events if e.atomic and e.writes_memory and e.thread != INIT_THREAD]
         self.atomic_reads = [e for e in events if e.atomic and e.reads_memory]
         fences = [e for e in events if e.kind is EventKind.FENCE]
-        release_fences = [f.id for f in fences if f.order in RELEASE_CLASS]
-        acquire_fences = [f.id for f in fences if f.order in ACQUIRE_CLASS]
+        release_fences = [f.id for f in fences if f.order.releases]
+        acquire_fences = [f.id for f in fences if f.order.acquires]
         self.tags: dict[int, int] = {}
         for x in self.atomic_writes:
-            tag = 1 << x.id if x.order in RELEASE_CLASS else 0
+            tag = 1 << x.id if x.order.releases else 0
             for f in release_fences:
                 if self.sb[f] >> x.id & 1:
                     tag |= 1 << f
@@ -313,7 +297,7 @@ class _Frame:
         self.sync_reads = []
         for y in self.atomic_reads:
             after = tuple(f for f in acquire_fences if self.sb[y.id] >> f & 1)
-            acquire = y.order in ACQUIRE_CLASS
+            acquire = y.order.acquires
             if acquire or after:
                 self.sync_reads.append((y.id, self.loc_index[y.location], acquire, after))
         # Without both a tag and a read to carry it there is no sw edge, and
@@ -706,6 +690,11 @@ def detect_races(program: Program, candidate: CandidateExecution) -> tuple[tuple
 
 
 def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJudgment:
+    """Judge a candidate by every name in AXIOMS.  S is judged only by the
+    SC axioms: check_axioms does not ask it to embed hb and mo between
+    seq_cst events, as enumerate_cxx11 does under strict_s.  So a candidate
+    it finds consistent may still give an outcome strict_s forbids, such as
+    Dekker's (0, 0) with every access seq_cst."""
     frame, mo, sw, hb, cyclic = _candidate_hb(program, candidate)
     rf = candidate.rf
     violated: list[str] = []

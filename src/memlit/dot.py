@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .axiomatic import CandidateExecution, compute_sw
-from .model import INIT_THREAD, Event, Kind, Program, TraceStep
+from .model import INIT_THREAD, Event, EventKind, Program, TraceStep
 
 
 def _quote(text: str) -> str:
@@ -91,7 +91,7 @@ def trace_dot(program: Program, trace: Sequence[TraceStep], *, title: str = "tra
         done = executed.setdefault(step.thread, [])
         if done:
             edges.append((done[-1], i, "po"))
-        if program.threads[step.thread][len(done)].kind in (Kind.STORE, Kind.NA_STORE):
+        if program.threads[step.thread][len(done)].kind.event is EventKind.WRITE:
             pending.setdefault(step.thread, []).append(i)
         done.append(i)
 

@@ -41,7 +41,6 @@ from .model import (
     MemAtom,
     MemoryOrder,
     Not,
-    OPERANDS,
     Or,
     Program,
     RegAtom,
@@ -222,7 +221,7 @@ class _Parser:
         kind = KIND_TOKENS.get(head.text)
         fields: dict[str, object] = {}
         i = 1
-        if kind is None or OPERANDS[kind][0] == "dest":  # REG = op ...
+        if kind is None or kind.fields[0] == "dest":  # REG = op ...
             dest, i = self._take_ident(tokens, 0, "destination register")
             ok, i = self._expect_sym(tokens, i, "=")
             if dest is None or not ok:
@@ -231,12 +230,12 @@ class _Parser:
                 self.error("expected an operation name", _span_at(tokens, i))
                 return None
             kind = KIND_TOKENS.get(tokens[i].text)
-            if kind is None or OPERANDS[kind][0] != "dest":
+            if kind is None or kind.fields[0] != "dest":
                 self.error(f"unknown operation {tokens[i].text!r}", tokens[i].span)
                 return None
             fields["dest"] = dest
             i += 1
-        for name in OPERANDS[kind][len(fields):]:
+        for name in kind.fields[len(fields):]:
             fields[name], i = _TAKE[name](self, tokens, i)
         if kind is Kind.FENCE and fields["order"] is None:
             self.error("fence requires a memory order", _span_at(tokens, i))
@@ -404,7 +403,7 @@ class _Parser:
         )
 
 
-# How parse_instruction takes each OPERANDS field other than "dest".
+# How parse_instruction takes each of a kind's fields other than "dest".
 _TAKE = {
     "location": lambda p, tokens, i: p._take_ident(tokens, i, "location"),
     "operand": lambda p, tokens, i: p._take_operand(tokens, i),
@@ -431,7 +430,7 @@ def parse_litmus(text: Union[str, bytes]) -> Program:
 
 
 def format_instruction(instr: Instruction) -> str:
-    fields = OPERANDS[instr.kind]
+    fields = instr.kind.fields
     text = " ".join([instr.kind.value, *(str(getattr(instr, name)) for name in fields if name != "dest")])
     return f"{instr.dest} = {text}" if fields[0] == "dest" else text
 

@@ -32,29 +32,27 @@ class ResourceLimitError(Exception):
 
 
 class MemoryOrder(enum.Enum):
-    RELAXED = "relaxed"
-    CONSUME = "consume"
-    ACQUIRE = "acquire"
-    RELEASE = "release"
-    ACQ_REL = "acq_rel"
-    SEQ_CST = "seq_cst"
+    """A memory order, with what the axioms read off it.  acq_rel fences act
+    as both an acquire and a release fence; relaxed fences are accepted and
+    have no effect."""
+
+    # token, label abbreviation, acquires, releases
+    RELAXED = "relaxed", "rlx", False, False
+    CONSUME = "consume", "cns", False, False
+    ACQUIRE = "acquire", "acq", True, False
+    RELEASE = "release", "rel", False, True
+    ACQ_REL = "acq_rel", "acq_rel", True, True
+    SEQ_CST = "seq_cst", "sc", True, True
+
+    def __new__(cls, token: str, abbrev: str, acquires: bool, releases: bool) -> "MemoryOrder":
+        # _value_ is set here, not in __init__, so that lookup by token works.
+        member = object.__new__(cls)
+        member._value_ = token
+        member.abbrev, member.acquires, member.releases = abbrev, acquires, releases
+        return member
 
     def __str__(self) -> str:
         return self.value
-
-
-_ORDER_ABBREV = {
-    MemoryOrder.RELAXED: "rlx",
-    MemoryOrder.CONSUME: "cns",
-    MemoryOrder.ACQUIRE: "acq",
-    MemoryOrder.RELEASE: "rel",
-    MemoryOrder.ACQ_REL: "acq_rel",
-    MemoryOrder.SEQ_CST: "sc",
-}
-
-
-def order_abbrev(order: Optional[MemoryOrder]) -> str:
-    return "na" if order is None else _ORDER_ABBREV[order]
 
 
 def derive_failure_order(success: MemoryOrder) -> MemoryOrder:
@@ -71,53 +69,74 @@ def derive_failure_order(success: MemoryOrder) -> MemoryOrder:
     return success
 
 
-class Kind(enum.Enum):
-    LOAD = "load"
-    STORE = "store"
-    NA_LOAD = "na_load"
-    NA_STORE = "na_store"
-    EXCHANGE = "exchange"
-    FETCH_ADD = "fetch_add"
-    FETCH_SUB = "fetch_sub"
-    FETCH_AND = "fetch_and"
-    FETCH_OR = "fetch_or"
-    FETCH_XOR = "fetch_xor"
-    CAS_STRONG = "cas_strong"
-    CAS_WEAK = "cas_weak"
-    FENCE = "fence"
+class EventKind(enum.Enum):
+    """What an event does to memory: read, write, both, or neither."""
+
+    # token, reads, writes
+    READ = "R", True, False
+    WRITE = "W", False, True
+    RMW = "RMW", True, True
+    FENCE = "F", False, False
+
+    def __new__(cls, token: str, reads: bool, writes: bool) -> "EventKind":
+        member = object.__new__(cls)
+        member._value_ = token
+        member.reads, member.writes = reads, writes
+        return member
 
     def __str__(self) -> str:
         return self.value
 
-FETCH_KINDS = frozenset(
-    {Kind.FETCH_ADD, Kind.FETCH_SUB, Kind.FETCH_AND, Kind.FETCH_OR, Kind.FETCH_XOR}
-)
+
+_RMW_FIELDS = ("dest", "location", "operand", "order")
+_CAS_FIELDS = ("dest", "location", "expected", "desired", "order", "failure_order")
+
+
+class Kind(enum.Enum):
+    """The instruction table, read by the parser, the printer, validate and
+    both backends.  Each kind has its source fields in order ("dest" first
+    for `REG = op` forms), the event it makes (a failed CAS makes a READ at
+    its failure order instead), whether that event is atomic and, for
+    exchange and the fetches, `update(old, operand)`: the value it writes."""
+
+    # token, fields, event, atomic, update
+    LOAD = "load", ("dest", "location", "order"), EventKind.READ, True, None
+    STORE = "store", ("location", "operand", "order"), EventKind.WRITE, True, None
+    NA_LOAD = "na_load", ("dest", "location"), EventKind.READ, False, None
+    NA_STORE = "na_store", ("location", "operand"), EventKind.WRITE, False, None
+    EXCHANGE = "exchange", _RMW_FIELDS, EventKind.RMW, True, lambda old, operand: operand
+    FETCH_ADD = "fetch_add", _RMW_FIELDS, EventKind.RMW, True, lambda old, operand: (old + operand) & MAX_VALUE
+    FETCH_SUB = "fetch_sub", _RMW_FIELDS, EventKind.RMW, True, lambda old, operand: (old - operand) & MAX_VALUE
+    FETCH_AND = "fetch_and", _RMW_FIELDS, EventKind.RMW, True, lambda old, operand: old & operand
+    FETCH_OR = "fetch_or", _RMW_FIELDS, EventKind.RMW, True, lambda old, operand: old | operand
+    FETCH_XOR = "fetch_xor", _RMW_FIELDS, EventKind.RMW, True, lambda old, operand: old ^ operand
+    CAS_STRONG = "cas_strong", _CAS_FIELDS, EventKind.RMW, True, None
+    CAS_WEAK = "cas_weak", _CAS_FIELDS, EventKind.RMW, True, None
+    FENCE = "fence", ("order",), EventKind.FENCE, True, None
+
+    def __new__(
+        cls,
+        token: str,
+        fields: tuple[str, ...],
+        event: EventKind,
+        atomic: bool,
+        update: Optional[Callable[[int, int], int]],
+    ) -> "Kind":
+        member = object.__new__(cls)
+        member._value_ = token
+        member.fields, member.event, member.atomic, member.update = fields, event, atomic, update
+        return member
+
+    def __str__(self) -> str:
+        return self.value
+
+
 CAS_KINDS = frozenset({Kind.CAS_STRONG, Kind.CAS_WEAK})
-
-# The instruction format, read by the parser, the printer and validate: each
-# kind's fields in source order, "dest" first for `REG = op` forms.
-OPERANDS: dict[Kind, tuple[str, ...]] = {
-    Kind.LOAD: ("dest", "location", "order"),
-    Kind.STORE: ("location", "operand", "order"),
-    Kind.NA_LOAD: ("dest", "location"),
-    Kind.NA_STORE: ("location", "operand"),
-    **{k: ("dest", "location", "operand", "order") for k in (Kind.EXCHANGE, *FETCH_KINDS)},
-    **{k: ("dest", "location", "expected", "desired", "order", "failure_order") for k in CAS_KINDS},
-    Kind.FENCE: ("order",),
-}
-
-_FETCH_FUNCTIONS: dict[Kind, Callable[[int, int], int]] = {
-    Kind.FETCH_ADD: lambda a, b: (a + b) & MAX_VALUE,
-    Kind.FETCH_SUB: lambda a, b: (a - b) & MAX_VALUE,
-    Kind.FETCH_AND: lambda a, b: a & b,
-    Kind.FETCH_OR: lambda a, b: a | b,
-    Kind.FETCH_XOR: lambda a, b: a ^ b,
-}
 
 
 @dataclass(frozen=True)
 class Instruction:
-    """One straight-line instruction; OPERANDS lists the fields each kind uses.
+    """One straight-line instruction; its kind's fields say which it uses.
 
     An operand is a literal or a register name.
     """
@@ -131,19 +150,12 @@ class Instruction:
     order: Optional[MemoryOrder] = None
     failure_order: Optional[MemoryOrder] = None
 
-    @property
-    def is_cas(self) -> bool:
-        return self.kind in CAS_KINDS
-
 
 def rmw_written_value(instr: Instruction, old: int, operand_value: Optional[int]) -> int:
     """Value an RMW writes on success, given the value it read."""
-    if instr.kind is Kind.EXCHANGE:
+    if instr.kind.update is not None:
         assert operand_value is not None
-        return operand_value
-    if instr.kind in FETCH_KINDS:
-        assert operand_value is not None
-        return _FETCH_FUNCTIONS[instr.kind](old, operand_value)
+        return instr.kind.update(old, operand_value)
     if instr.kind in CAS_KINDS:
         assert instr.desired is not None
         return instr.desired
@@ -262,9 +274,9 @@ _SHAPE_FIELDS = ("location", "dest", "operand", "expected", "desired", "failure_
 
 
 def _check_shape(instr: Instruction) -> Optional[str]:
-    """A field is set exactly when OPERANDS lists it; _order_diagnostics
+    """A field is set exactly when its kind lists it; _order_diagnostics
     judges the orders, but a failure order on a kind without one is malformed."""
-    fields = OPERANDS[instr.kind]
+    fields = instr.kind.fields
     for name in _SHAPE_FIELDS:
         present = getattr(instr, name) is not None
         if present and name not in fields:
@@ -276,7 +288,7 @@ def _check_shape(instr: Instruction) -> Optional[str]:
 
 def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
     k = instr.kind
-    if "order" not in OPERANDS[k]:
+    if not k.atomic:
         if instr.order is not None:
             yield "order on non-atomic access", f"{k} carries no memory order"
         return
@@ -284,7 +296,7 @@ def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
         yield "missing memory order", f"{k} requires a memory order"
         return
     orders = [("order", instr.order)]
-    if instr.is_cas:
+    if "failure_order" in k.fields:
         if instr.failure_order is None:
             yield "missing memory order", "cas requires a failure order"
         else:
@@ -293,12 +305,12 @@ def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
         if order is MemoryOrder.CONSUME:
             yield "consume rejected", f"memory_order_consume is not supported ({slot})"
             continue
-        if k is Kind.LOAD or slot == "failure order":
+        if k.event is EventKind.READ or slot == "failure order":
             if order is MemoryOrder.RELEASE:
                 yield "release on read operation", f"{slot} {order} is write-only"
             elif order is MemoryOrder.ACQ_REL:
                 yield "acq_rel on non-RMW", f"{slot} {order} requires a read-modify-write"
-        elif k is Kind.STORE:
+        elif k.event is EventKind.WRITE:
             if order is MemoryOrder.ACQUIRE:
                 yield "acquire on write operation", f"{slot} {order} is read-only"
             elif order is MemoryOrder.ACQ_REL:
@@ -480,16 +492,6 @@ def eval_assertion(assertion: Assertion, outcomes: OutcomeSet) -> Verdict:
 INIT_THREAD = -1
 
 
-class EventKind(enum.Enum):
-    READ = "R"
-    WRITE = "W"
-    RMW = "RMW"
-    FENCE = "F"
-
-    def __str__(self) -> str:
-        return self.value
-
-
 @dataclass(frozen=True)
 class Event:
     """One memory event; (thread, index) identifies the source instruction.
@@ -516,11 +518,11 @@ class Event:
 
     @property
     def reads_memory(self) -> bool:
-        return self.kind in (EventKind.READ, EventKind.RMW)
+        return self.kind.reads
 
     @property
     def writes_memory(self) -> bool:
-        return self.kind in (EventKind.WRITE, EventKind.RMW)
+        return self.kind.writes
 
     def describe(self) -> str:
         if self.is_init:
@@ -533,7 +535,7 @@ class Event:
                 bits.append(f"{self.location}={self.value_written}")
             else:
                 bits.append(f"{self.location}={self.value_read}->{self.value_written}")
-        bits.append(order_abbrev(self.order if self.atomic else None))
+        bits.append(self.order.abbrev if self.atomic else "na")
         return " ".join(bits)
 
 
@@ -558,17 +560,11 @@ def force_seq_cst(program: Program) -> Program:
     for body in program.threads:
         instrs = []
         for instr in body:
-            if instr.kind is Kind.NA_LOAD:
-                instr = replace(instr, kind=Kind.LOAD, order=MemoryOrder.SEQ_CST)
-            elif instr.kind is Kind.NA_STORE:
-                instr = replace(instr, kind=Kind.STORE, order=MemoryOrder.SEQ_CST)
-            else:
-                instr = replace(
-                    instr,
-                    order=MemoryOrder.SEQ_CST,
-                    failure_order=MemoryOrder.SEQ_CST if instr.is_cas else None,
-                )
-            instrs.append(instr)
+            kind = instr.kind
+            if not kind.atomic:
+                kind = Kind.LOAD if kind.event is EventKind.READ else Kind.STORE
+            failure_order = MemoryOrder.SEQ_CST if "failure_order" in kind.fields else None
+            instrs.append(replace(instr, kind=kind, order=MemoryOrder.SEQ_CST, failure_order=failure_order))
         new_threads.append(tuple(instrs))
     return replace(program, threads=tuple(new_threads))
 
@@ -581,7 +577,7 @@ def with_fences_after_stores(program: Program) -> Program:
         instrs: list[Instruction] = []
         for instr in body:
             instrs.append(instr)
-            if instr.kind in (Kind.STORE, Kind.NA_STORE):
+            if instr.kind.event is EventKind.WRITE:
                 instrs.append(fence)
         new_threads.append(tuple(instrs))
     return replace(program, threads=tuple(new_threads))

@@ -36,7 +36,9 @@ import functools
 from typing import NamedTuple
 
 from .model import (
+    CAS_KINDS,
     DEFAULT_MAX_STATES,
+    EventKind,
     ExplorationStats,
     Instruction,
     Kind,
@@ -51,10 +53,11 @@ from .model import (
 
 Step = tuple[str, int, tuple]  # (kind, thread, data): _trace_step builds its TraceStep for witnesses only
 
-# What _successors does with an instruction; _resolve gives each instruction its opcode.
+# What _successors does with an instruction; _resolve gives each instruction its opcode:
+# a CAS kind's own, or else the one for the event its kind makes.
 _STORE, _LOAD, _FENCE, _MFENCE, _CAS, _CAS_WEAK, _RMW = range(7)
-_OPCODES = {Kind.STORE: _STORE, Kind.NA_STORE: _STORE, Kind.LOAD: _LOAD, Kind.NA_LOAD: _LOAD, Kind.FENCE: _FENCE,
-            Kind.CAS_STRONG: _CAS, Kind.CAS_WEAK: _CAS_WEAK}  # any other kind: _RMW
+_OPCODES = {EventKind.WRITE: _STORE, EventKind.READ: _LOAD, EventKind.FENCE: _FENCE, EventKind.RMW: _RMW,
+            Kind.CAS_STRONG: _CAS, Kind.CAS_WEAK: _CAS_WEAK}
 
 
 class State(NamedTuple):
@@ -71,7 +74,9 @@ def _resolve(program: Program) -> tuple[tuple[tuple, ...], ...]:
     slots = {reg: i for i, reg in enumerate(program.registers)}  # keyed (thread name, register): no literal matches
 
     def resolved(name: str, i: Instruction) -> tuple:
-        op = _MFENCE if i.kind is Kind.FENCE and i.order is MemoryOrder.SEQ_CST else _OPCODES.get(i.kind, _RMW)
+        op = _OPCODES.get(i.kind, _OPCODES[i.kind.event])
+        if op == _FENCE and i.order is MemoryOrder.SEQ_CST:
+            op = _MFENCE
         return op, i, locations.get(i.location), slots.get((name, i.dest)), slots.get((name, i.operand))
 
     return tuple(tuple(resolved(name, i) for i in body) for name, body in zip(program.thread_names, program.threads))
@@ -159,14 +164,14 @@ def _trace_step(program: Program, step: Step, buffered: bool) -> TraceStep:
         return TraceStep(kind, t, f"{program.locations[at]} = {payload}")
     instr = program.threads[t][at]
     k = instr.kind
-    if k is Kind.FENCE:
+    if k.event is EventKind.FENCE:
         text = f"fence {instr.order}"
-    elif k in (Kind.STORE, Kind.NA_STORE):
+    elif k.event is EventKind.WRITE:
         text = f"{k.value} {instr.location} {payload}" + (" -> buffer" if buffered else "")
     else:
         value, note = payload
-        if k not in (Kind.LOAD, Kind.NA_LOAD):
-            note = f"locked, {note if instr.is_cas else f'wrote {note}'}"
+        if k.event is EventKind.RMW:
+            note = f"locked, {note if k in CAS_KINDS else f'wrote {note}'}"
         text = f"{instr.dest} = {k.value} {instr.location} -> {value} ({note})"
     return TraceStep(kind, t, text)
 

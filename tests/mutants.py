@@ -36,6 +36,7 @@ REFERENCE = f"{AXIOMATIC}::TestAgainstReference"
 TSO_FROZEN = "tests/test_tso.py::TestFrozenPrograms"
 TSO_STATE_SPACE = "tests/test_tso.py::TestStateSpace"
 SC = "tests/test_sc.py"
+MESSAGE_PASSING = f"{AXIOMATIC}::TestSynchronizesWith::test_message_passing_needs_a_releasing_and_an_acquiring_order"
 WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
 
 # (file under src/memlit, exact old text, new text, tests that must kill it)
@@ -256,6 +257,44 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         '                        object.__setattr__(witness, "_kernel", (frame, mo))',
         "                        pass",
         (f"{WITNESS_DOT}::test_witness_is_drawn_without_the_check",),
+    ),
+    (
+        # acq_rel does not release.
+        "model.py",
+        '    ACQ_REL = "acq_rel", "acq_rel", True, True',
+        '    ACQ_REL = "acq_rel", "acq_rel", True, False',
+        (f"{REFERENCE}::test_check_axioms_matches_pair_set_judge", MESSAGE_PASSING),
+    ),
+    (
+        # acq_rel does not acquire.
+        "model.py",
+        '    ACQ_REL = "acq_rel", "acq_rel", True, True',
+        '    ACQ_REL = "acq_rel", "acq_rel", False, True',
+        (f"{REFERENCE}::test_check_axioms_matches_pair_set_judge", MESSAGE_PASSING),
+    ),
+    (
+        # seq_cst does not acquire.
+        "model.py",
+        '    SEQ_CST = "seq_cst", "sc", True, True',
+        '    SEQ_CST = "seq_cst", "sc", False, True',
+        (f"{REFERENCE}::test_check_axioms_matches_pair_set_judge", MESSAGE_PASSING),
+    ),
+    (
+        # na_store is atomic.
+        "model.py",
+        '    NA_STORE = "na_store", ("location", "operand"), EventKind.WRITE, False, None',
+        '    NA_STORE = "na_store", ("location", "operand"), EventKind.WRITE, True, None',
+        (f"{AXIOMATIC}::TestRaces::test_unsynchronized_non_atomics_race", f"{ENUMERATION}::test_racy_flag"),
+    ),
+    (
+        # fetch_sub does not wrap below 0.
+        "model.py",
+        "lambda old, operand: (old - operand) & MAX_VALUE",
+        "lambda old, operand: old - operand",
+        (
+            f"{REFERENCE}::test_value_mutants_match_pair_set_judge",
+            "tests/test_model.py::TestRmwArithmetic::test_sub_wraps_below_zero",
+        ),
     ),
 ]
 

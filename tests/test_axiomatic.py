@@ -15,9 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memlit.axiomatic import (
-    ACQUIRE_CLASS,
     AXIOMS,
-    RELEASE_CLASS,
     CandidateExecution,
     _candidate_hb,
     _s_constraint,
@@ -50,6 +48,8 @@ from memlit.operational import enumerate_sc, enumerate_tso
 from memlit.relation import Relation
 
 from support import (
+    ACQUIRE_CLASS,
+    RELEASE_CLASS,
     _sequence_from,
     _sequenced,
     grounded_candidates,
@@ -388,6 +388,21 @@ class TestSynchronizesWith:
         )
         cand = CandidateExecution(events, {2: 1}, {"y": (0, 1)}, ())
         assert compute_sw(program, cand).pairs == frozenset({(1, 3)})
+
+    @pytest.mark.parametrize("fenced", [False, True])
+    @pytest.mark.parametrize("writer", ["relaxed", "acquire", "release", "acq_rel", "seq_cst"])
+    @pytest.mark.parametrize("reader", ["relaxed", "acquire", "release", "acq_rel", "seq_cst"])
+    def test_message_passing_needs_a_releasing_and_an_acquiring_order(self, fenced, writer, reader):
+        # The flag is passed by an exchange at each order, or by relaxed
+        # accesses between fences at each order; whether an order releases
+        # or acquires comes from the oracle's own classification.
+        if fenced:
+            sides = (f"fence {writer}", "store y 1 relaxed"), ("r1 = load y relaxed", f"fence {reader}")
+        else:
+            sides = (f"r9 = exchange y 1 {writer}",), (f"r1 = exchange y 2 {reader}",)
+        program = litmus("x = 0 y = 0", ("store x 1 relaxed", *sides[0]), (*sides[1], "r2 = load x relaxed"))
+        stale = (1, 0) in reg_pairs(enumerate_cxx11(program), ("P1", "r1"), ("P1", "r2"))
+        assert stale is not (MemoryOrder(writer) in RELEASE_CLASS and MemoryOrder(reader) in ACQUIRE_CLASS)
 
 
 class TestHappensBefore:
@@ -798,6 +813,12 @@ class TestEnumeration:
         loose = enumerate_cxx11(program, strict_s=False)
         assert (0, 0) in reg_pairs(loose)
         assert reg_pairs(strict) <= reg_pairs(loose)
+        # check_axioms does not ask S to embed hb and mo: the loose (0, 0)
+        # witness passes it, and only s_embeds rejects it.
+        [witness] = [w for o, w in loose.witnesses.items() if o.register("P0", "r1") == o.register("P1", "r2") == 0]
+        judgment = check_axioms(program, witness)
+        assert judgment.consistent and judgment.violated == ()
+        assert not s_embeds(witness, judgment.hb)
 
     def test_racy_flag(self):
         program = parse_litmus(MP_NA)
