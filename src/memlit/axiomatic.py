@@ -14,6 +14,8 @@ Candidates are judged against these axioms (names appear in judgments):
   HB-MO           same-location writes ordered by hb use the same order in mo.
   COHERENT-READ   a read neither observes an hb-later write nor one separated
                   from it by an hb-interposed write to the same location.
+  S-EMBED         S is consistent with hb and mo: it orders two seq_cst events
+                  as hb does, and two seq_cst writes as mo does.
   SC-READ         a seq_cst read observes the last seq_cst write to its
                   location that precedes it in S, or a non-seq_cst write that
                   does not happen-before that write.
@@ -33,9 +35,9 @@ Candidates are judged against these axioms (names appear in judgments):
                   ungrounded, and each CAS takes the branch its read selects,
                   except that a cas_weak may fail spuriously.
 
-When hb is cyclic, the hb-dependent checks (HB-MO, COHERENT-READ, SC-READ)
-are skipped and only HB-IRREFLEXIVE plus the hb-independent axioms are
-reported.
+When hb is cyclic, the hb-dependent checks (HB-MO, COHERENT-READ, S-EMBED,
+SC-READ) are skipped and only HB-IRREFLEXIVE and the hb-independent axioms
+are reported.
 
 Synchronizes-with edges come from four rules, all built on (hypothetical)
 release sequences: release write to acquire read via the sequence, release
@@ -59,10 +61,9 @@ Building a candidate checks nothing.  Every function that reads one takes
 compute_sw alone skips the check for a witness enumerate_cxx11 returned for
 that very program object: it carries the kernel's frame and mo orders.
 
-Under strict_s, S embeds hb and mo between seq_cst events, so most ways an S
-could break SC-READ or SC-FENCE-1..4 come down to S edges that rf, mo and hb
-fix.
-The enumerator adds those edges before it generates any S: a cycle rules the
+Since S embeds hb and mo between seq_cst events, most ways an S could break
+SC-READ or SC-FENCE-1..4 come down to S edges that rf, mo and hb fix.  The
+enumerator adds those edges before it generates any S: a cycle rules the
 candidate out at once, and otherwise only orders that keep them are tried.
 Each order tried is still judged by the axioms in full.
 """
@@ -98,6 +99,7 @@ AXIOMS = (
     "HB-IRREFLEXIVE",
     "HB-MO",
     "COHERENT-READ",
+    "S-EMBED",
     "SC-READ",
     "RMW-IMMEDIATE",
     "SC-FENCE-1",
@@ -587,19 +589,27 @@ def _sc_violations(
     return [name for name, hit in zip(names, flags) if hit]
 
 
-def _s_constraint(
-    frame: _Frame, mo: Sequence[_MoOrder], rf: Mapping[int, int], hb: Sequence[int]
-) -> dict[int, int]:
-    """Under strict_s, each seq_cst event's mask of required predecessors in
-    S: S embeds hb and mo between seq_cst events, and given that, each SC
-    axiom forces further edges for this rf and mo.  Every edge is necessary,
-    so no S that passes `_sc_violations` is ever pruned."""
+def _s_embedding(frame: _Frame, mo: Sequence[_MoOrder], hb: Sequence[int]) -> dict[int, int]:
+    """S-EMBED: each seq_cst event's mask of the seq_cst events S must put
+    before it, the seq_cst writes mo-before it and the seq_cst events that
+    happen-before it."""
     preds = dict.fromkeys(frame.sc_ids, 0)
     for e, li in frame.sc_writes:
         preds[e] = mo[li].before[e] & frame.sc_mask
     for a in frame.sc_ids:
         for b in _bits(hb[a] & frame.sc_mask):
             preds[b] |= 1 << a
+    return preds
+
+
+def _s_constraint(
+    frame: _Frame, mo: Sequence[_MoOrder], rf: Mapping[int, int], hb: Sequence[int]
+) -> dict[int, int]:
+    """Each seq_cst event's mask of required predecessors in S: the
+    embedding S-EMBED asks for, and the further edges each SC axiom forces,
+    given it, for this rf and mo.  Every edge is necessary, so no S that
+    passes S-EMBED and `_sc_violations` is ever pruned."""
+    preds = _s_embedding(frame, mo, hb)
     fences = frame.sc_fences
     for e, step in frame.sc_steps.items():
         if step[0]:
@@ -690,13 +700,9 @@ def detect_races(program: Program, candidate: CandidateExecution) -> tuple[tuple
 
 
 def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJudgment:
-    """Judge a candidate by every name in AXIOMS.  S is judged only by the
-    SC axioms: check_axioms does not ask it to embed hb and mo between
-    seq_cst events, as enumerate_cxx11 does under strict_s.  So a candidate
-    it finds consistent may still give an outcome strict_s forbids, such as
-    Dekker's (0, 0) with every access seq_cst."""
+    """Judge a candidate by every name in AXIOMS."""
     frame, mo, sw, hb, cyclic = _candidate_hb(program, candidate)
-    rf = candidate.rf
+    rf, s = candidate.rf, candidate.sc_order
     violated: list[str] = []
     if cyclic:
         violated.append("HB-IRREFLEXIVE")
@@ -705,9 +711,13 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
             violated.append("HB-MO")
         if _coherent_read_violated(frame, rf, hb):
             violated.append("COHERENT-READ")
+        preds = _s_embedding(frame, mo, hb)
+        placed = itertools.accumulate((1 << e for e in s), int.__or__, initial=0)  # each event's S-predecessors
+        if any(preds[e] & ~before for e, before in zip(s, placed)):
+            violated.append("S-EMBED")
     if _rmw_immediate_violated(mo, rf):
         violated.append("RMW-IMMEDIATE")
-    violated.extend(_sc_violations(frame, mo, rf, None if cyclic else hb, candidate.sc_order))
+    violated.extend(_sc_violations(frame, mo, rf, None if cyclic else hb, s))
     grounded = _ground(frame.plan, rf)
     if grounded is None or any(
         (e.value_read, e.value_written) != (grounded[0].get(e.id), grounded[1].get(e.id)) for e in candidate.events
@@ -746,7 +756,6 @@ def enumerate_cxx11(
     program: Program,
     *,
     weak_spurious: bool = True,
-    strict_s: bool = True,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> OutcomeSet:
     """All assertion-relevant outcomes of axiom-consistent candidates.
@@ -754,13 +763,10 @@ def enumerate_cxx11(
     Enumerates CAS branchings, rf maps, per-location modification orders and,
     when needed, total orders S over the seq_cst events.  S choices stop at
     the first consistent one per (rf, mo): outcomes and races never depend on
-    which consistent S witnessed them.  strict_s additionally requires S to
-    embed happens-before and modification order between seq_cst events
-    (matching the standard's "consistent with" wording); disabling it shows
-    how underconstrained S rewrites seq_cst programs.  Under strict_s, S
-    choices are also pruned by the edges each SC axiom forces for the
-    candidate's rf and mo (see `_s_constraint`); the first consistent S is
-    the same either way.  Without weak_spurious, candidates where a failed
+    which consistent S witnessed them.  Only orders S that keep the S-EMBED
+    edges and those each SC axiom forces for the candidate's rf and mo are
+    tried (see `_s_constraint`); the first consistent S is the same as
+    without pruning.  Without weak_spurious, candidates where a failed
     cas_weak read its expected value are dropped; NO-THIN-AIR allows them.
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
@@ -846,9 +852,8 @@ def enumerate_cxx11(
 
                 s_orders: Iterable[tuple[int, ...]] = ((),)
                 if frame.sc_ids:
-                    preds = _s_constraint(frame, mo, rf, hb) if strict_s else dict.fromkeys(frame.sc_ids, 0)
                     try:
-                        s_orders = ordered_extensions(preds)
+                        s_orders = ordered_extensions(_s_constraint(frame, mo, rf, hb))
                     except ValueError:
                         continue  # hb and mo already contradict on S events
                 for s_order in s_orders:

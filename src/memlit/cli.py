@@ -71,12 +71,7 @@ def _enumerate(model: str, program: Program, args: argparse.Namespace) -> Outcom
         return enumerate_sc(program, weak_spurious=args.weak_spurious, max_states=args.max_states)
     if model == "tso":
         return enumerate_tso(program, weak_spurious=args.weak_spurious, max_states=args.max_states)
-    return enumerate_cxx11(
-        program,
-        weak_spurious=args.weak_spurious,
-        strict_s=args.strict_s,
-        max_candidates=args.max_candidates,
-    )
+    return enumerate_cxx11(program, weak_spurious=args.weak_spurious, max_candidates=args.max_candidates)
 
 
 def _load(path: str) -> Optional[tuple[Program, tuple[tuple[str, str], ...]]]:
@@ -259,8 +254,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     check.add_argument("--max-candidates", type=_positive_int, default=DEFAULT_MAX_CANDIDATES, metavar="N")
     check.add_argument("--no-weak-spurious", dest="weak_spurious", action="store_false",
                        help="forbid spurious cas_weak failures")
-    check.add_argument("--strict-s", dest="strict_s", action=argparse.BooleanOptionalAction, default=True,
-                       help="require the seq_cst order S to embed hb and mo")
     check.add_argument("--json-ish", metavar="FILE", help="write a single-document JSON summary (one file only)")
     args = parser.parse_args(argv)
 

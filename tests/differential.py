@@ -11,10 +11,9 @@ text, so both sides parse it themselves.
 
 `git archive` extracts src/ at REV into a temporary directory; that copy
 and the working tree's src/ then run every case, each in its own
-subprocess, sc and tso under both weak_spurious settings and cxx11 under
-every weak_spurious and strict_s setting.  Each run yields its outcome set,
-racy, stats.explored, stats.complete_runs and the text of each witness's
-trace_dot or execution_dot, or the budget it exceeded.  Any difference
+subprocess, under both weak_spurious settings.  Each run yields its outcome
+set, racy, stats.explored, stats.complete_runs and the text of each
+witness's trace_dot or execution_dot, or the budget it exceeded.  Any difference
 between the sides is printed, and the script exits 1; it exits 0 when there
 is none.  pytest does not collect this file.
 """
@@ -32,11 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_BUDGET = 20_000
-SETTINGS = {
-    "sc": [{"weak_spurious": w} for w in (True, False)],
-    "tso": [{"weak_spurious": w} for w in (True, False)],
-    "cxx11": [{"weak_spurious": w, "strict_s": s} for w in (True, False) for s in (True, False)],
-}
+SETTINGS = {model: [{"weak_spurious": w} for w in (True, False)] for model in ("sc", "tso", "cxx11")}
 
 
 def build_cases(count: int, seed: int) -> list[dict]:

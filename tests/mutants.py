@@ -200,6 +200,27 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         (f"{SINGLE}::test_exactly_the_named_axiom_fails",),
     ),
     (
+        # check_axioms never reports S-EMBED.
+        "axiomatic.py",
+        '            violated.append("S-EMBED")',
+        "            pass",
+        (f"{SINGLE}::test_exactly_the_named_axiom_fails", f"{ENUMERATION}::test_s_embed_forbids_dekker"),
+    ),
+    (
+        # S-EMBED leaves hb out: S need not keep sb between seq_cst events.
+        "axiomatic.py",
+        "        for b in _bits(hb[a] & frame.sc_mask):",
+        "        for b in _bits(0):",
+        (f"{ENUMERATION}::test_s_embed_forbids_dekker", f"{ORACLE}::test_on_corpus_and_s_edge_programs"),
+    ),
+    (
+        # S-EMBED leaves mo out: S may order two seq_cst writes against mo.
+        "axiomatic.py",
+        "        preds[e] = mo[li].before[e] & frame.sc_mask",
+        "        preds[e] = 0",
+        (f"{ORACLE}::test_on_corpus_and_s_edge_programs",),
+    ),
+    (
         # SC-FENCE-2 is never reported.
         "axiomatic.py",
         "                f2 = True",

@@ -365,6 +365,8 @@ def reference_judgment(program: Program, candidate: CandidateExecution) -> Execu
             violated.append("HB-MO")
         if _coherent_read_violated(events, rf, hb):
             violated.append("COHERENT-READ")
+        if _s_embed_violated(mo, s_pos, hb.pairs):
+            violated.append("S-EMBED")
         if _sc_read_violated(events, rf, s, s_pos, hb.pairs):
             violated.append("SC-READ")
     if _rmw_immediate_violated(events, rf, mo):
@@ -463,6 +465,12 @@ def _rmw_immediate_violated(events, rf, mo) -> bool:
             if i == 0 or order[i - 1] != rf.get(e.id):
                 return True
     return False
+
+
+def _s_embed_violated(mo, s_pos, hb_pairs) -> bool:
+    """Some pair of seq_cst events that hb or mo orders, S orders the other way."""
+    mo_pairs = {(a, b) for order in mo.values() for i, a in enumerate(order) for b in order[i + 1 :]}
+    return any(s_pos[a] > s_pos[b] for a, b in hb_pairs | mo_pairs if a in s_pos and b in s_pos)
 
 
 def _last_sc_write_before(events, s, limit_pos, location) -> Optional[int]:
@@ -704,19 +712,9 @@ def value_mutants(program: Program, candidate: CandidateExecution) -> Iterator[C
         yield CandidateExecution(tuple(events), candidate.rf, candidate.mo, candidate.sc_order)
 
 
-def s_embeds(candidate: CandidateExecution, hb: Relation) -> bool:
-    """Whether the candidate's S embeds hb and mo between seq_cst events."""
-    pos = {e: i for i, e in enumerate(candidate.sc_order)}
-    mo_pairs = {(a, b) for order in candidate.mo.values() for i, a in enumerate(order) for b in order[i + 1 :]}
-    return all(pos[a] < pos[b] for a, b in hb.pairs | mo_pairs if a in pos and b in pos)
-
-
-def reference_outcomes(
-    program: Program, weak_spurious: bool, strict_s: bool, limit: int
-) -> Optional[tuple[frozenset[Outcome], bool]]:
+def reference_outcomes(program: Program, weak_spurious: bool, limit: int) -> Optional[tuple[frozenset[Outcome], bool]]:
     """Outcomes and racy of `program` by brute force: every candidate of
-    `grounded_candidates` that `reference_judgment` finds consistent and,
-    under strict_s, whose S embeds hb and mo between seq_cst events.  None
+    `grounded_candidates` that `reference_judgment` finds consistent.  None
     when there are more than `limit` candidates."""
     candidates = grounded_candidates(program, weak_spurious, limit)
     if candidates is None:
@@ -725,7 +723,7 @@ def reference_outcomes(
     racy = False
     for candidate in candidates:
         judgment = reference_judgment(program, candidate)
-        if not judgment.consistent or (strict_s and not s_embeds(candidate, judgment.hb)):
+        if not judgment.consistent:
             continue
         racy = racy or bool(judgment.races)
         events = candidate.events

@@ -59,7 +59,6 @@ from support import (
     programs,
     reference_judgment,
     reference_outcomes,
-    s_embeds,
     value_mutants,
 )
 
@@ -570,6 +569,25 @@ SINGLE_AXIOM_CASES = [
         (),
     ),
     (
+        # Dekker's (0, 0) with every access seq_cst: each load reads
+        # initialization, so S must put it before the other thread's store,
+        # and S puts both loads before both stores, against sb.
+        "S-EMBED",
+        "name: dekker\ninit: x = 0 y = 0\nthread P0:\n  store x 1 seq_cst\n  r1 = load y seq_cst\n"
+        "thread P1:\n  store y 1 seq_cst\n  r2 = load x seq_cst\nexists: P0:r1 = 0 /\\ P1:r2 = 0\n",
+        (
+            init_w(0, "x"),
+            init_w(1, "y"),
+            ev(2, 0, 0, W, SC, "x", written=1),
+            ev(3, 0, 1, R, SC, "y", read=0),
+            ev(4, 1, 0, W, SC, "y", written=1),
+            ev(5, 1, 1, R, SC, "x", read=0),
+        ),
+        {3: 1, 5: 0},
+        {"x": (0, 2), "y": (1, 4)},
+        (3, 5, 2, 4),
+    ),
+    (
         # A seq_cst load placed after the seq_cst store in S but reading the
         # initialization value, which happens-before that store.
         "SC-READ",
@@ -802,23 +820,16 @@ class TestEnumeration:
         judgment = check_axioms(program, CandidateExecution(events, {1: 3, 2: 1}, {"x": (0, 3, 1)}, ()))
         assert judgment.violated == ("NO-THIN-AIR",)
 
-    def test_strict_s_gates_dekker(self):
-        program = parse_litmus(
-            "name: dekker\ninit: x = 0 y = 0\nthread P0:\n  store x 1 seq_cst\n"
-            "  r1 = load y seq_cst\nthread P1:\n  store y 1 seq_cst\n  r2 = load x seq_cst\n"
-            "exists: P0:r1 = 0 /\\ P1:r2 = 0\n"
-        )
-        strict = enumerate_cxx11(program)
-        assert (0, 0) not in reg_pairs(strict)
-        loose = enumerate_cxx11(program, strict_s=False)
-        assert (0, 0) in reg_pairs(loose)
-        assert reg_pairs(strict) <= reg_pairs(loose)
-        # check_axioms does not ask S to embed hb and mo: the loose (0, 0)
-        # witness passes it, and only s_embeds rejects it.
-        [witness] = [w for o, w in loose.witnesses.items() if o.register("P0", "r1") == o.register("P1", "r2") == 0]
-        judgment = check_axioms(program, witness)
-        assert judgment.consistent and judgment.violated == ()
-        assert not s_embeds(witness, judgment.hb)
+    def test_s_embed_forbids_dekker(self):
+        # Orders S that break sb can satisfy SC-READ on Dekker's (0, 0), so
+        # S-EMBED alone rejects some of its candidates, and none passes.
+        _, text, events, rf, mo, sc = SINGLE_AXIOM_CASES[AXIOMS.index("S-EMBED")]
+        program = parse_litmus(text)
+        assert (0, 0) not in reg_pairs(enumerate_cxx11(program))
+        assert check_axioms(program, CandidateExecution(events, rf, mo, sc)).violated == ("S-EMBED",)
+        both_zero = [c for c in grounded_candidates(program, True, limit=2_000) if c.rf == rf]
+        violated = {check_axioms(program, c).violated for c in both_zero}
+        assert ("S-EMBED",) in violated and () not in violated
 
     def test_racy_flag(self):
         program = parse_litmus(MP_NA)
@@ -860,13 +871,14 @@ class TestEnumeration:
                 assert judgment.consistent, outcome.format()
 
     @settings(max_examples=60, deadline=None)
-    @given(programs(max_total=5), st.booleans(), st.booleans())
-    def test_every_witness_is_consistent_and_carries_its_outcome(self, program, spurious, strict_s):
+    @given(programs(max_total=5), st.booleans())
+    def test_every_witness_is_consistent_and_carries_its_outcome(self, program, spurious):
         # Witnesses share valued events and outcomes are built once per rf
         # and mo-last writes; each witness must still produce its own outcome.
-        result = enumerate_cxx11(program, weak_spurious=spurious, strict_s=strict_s)
+        # Both judges find it consistent, so its S embeds hb and mo.
+        result = enumerate_cxx11(program, weak_spurious=spurious)
         for outcome, cand in result.witnesses.items():
-            assert check_axioms(program, cand).consistent, outcome.format()
+            assert judged_alike(program, cand) == (), outcome.format()
             registers = {}
             for e in cand.events:
                 dest = None if e.is_init else program.threads[e.thread][e.index].dest
@@ -935,14 +947,14 @@ S_EDGE_PROGRAMS = [
 
 
 def assert_derived_s_edges_necessary(program, candidates) -> int:
-    """For each candidate whose hb is acyclic and whose S embeds hb and mo
-    between seq_cst events, breaking an edge `_s_constraint` derives must be
-    an SC axiom's violation.  Returns how many candidates broke one."""
+    """For each candidate whose hb is acyclic and that passes S-EMBED,
+    breaking an edge `_s_constraint` derives must be an SC axiom's
+    violation.  Returns how many candidates broke one."""
     broken = 0
     for candidate in candidates:
         frame, mo, _, hb, cyclic = _candidate_hb(program, candidate)
         judgment = check_axioms(program, candidate)
-        if cyclic or not s_embeds(candidate, judgment.hb):
+        if cyclic or "S-EMBED" in judgment.violated:
             continue
         pos = {e: i for i, e in enumerate(candidate.sc_order)}
         preds = _s_constraint(frame, mo, candidate.rf, hb)
@@ -1014,9 +1026,9 @@ class TestAgainstReference:
                 seen |= judged_alike_with_value_mutants(program, candidate)
         assert seen == set(AXIOMS)
 
-    # Under strict_s the enumerator only tries orders S that keep the edges
-    # each SC axiom forces.  Each edge must be necessary: an S that breaks
-    # one is rejected by an SC axiom anyway.
+    # The enumerator only tries orders S that keep the S-EMBED edges and
+    # those each SC axiom forces.  Each edge must be necessary: an S that
+    # passes S-EMBED but breaks one is rejected by an SC axiom anyway.
     @settings(max_examples=100, deadline=None)
     @given(programs(max_total=4), st.booleans())
     def test_derived_s_edges_are_necessary(self, program, spurious):
@@ -1038,22 +1050,21 @@ class TestAgainstEnumeratingOracle:
     grounded candidate.  Outcomes and racy must agree."""
 
     @settings(max_examples=100, deadline=None)
-    @given(programs(max_total=4), st.booleans(), st.booleans())
-    def test_on_random_programs(self, program, spurious, strict_s):
-        want = reference_outcomes(program, spurious, strict_s, limit=2_000)
+    @given(programs(max_total=4), st.booleans())
+    def test_on_random_programs(self, program, spurious):
+        want = reference_outcomes(program, spurious, limit=2_000)
         assume(want is not None)
-        got = enumerate_cxx11(program, weak_spurious=spurious, strict_s=strict_s)
+        got = enumerate_cxx11(program, weak_spurious=spurious)
         assert (got.outcomes, got.racy) == want
 
-    @pytest.mark.parametrize("strict_s", [True, False])
     @pytest.mark.parametrize("spurious", [True, False])
-    def test_on_corpus_and_s_edge_programs(self, corpus, spurious, strict_s):
+    def test_on_corpus_and_s_edge_programs(self, corpus, spurious):
         compared = 0
         for program in [entry.program for entry in corpus.values()] + [parse_litmus(t) for t in S_EDGE_PROGRAMS]:
-            want = reference_outcomes(program, spurious, strict_s, limit=2_000)
+            want = reference_outcomes(program, spurious, limit=2_000)
             if want is None:
                 continue
-            got = enumerate_cxx11(program, weak_spurious=spurious, strict_s=strict_s)
+            got = enumerate_cxx11(program, weak_spurious=spurious)
             assert (got.outcomes, got.racy) == want, program.name
             compared += 1
         assert compared >= 40

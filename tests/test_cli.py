@@ -37,6 +37,7 @@ class TestExitCodes:
         assert main(["check", str(DEKKER), "--model", "all"]) == 0
         out = capsys.readouterr().out
         assert "expected tso allowed: ok" in out
+        assert "expected cxx11 forbidden: ok" in out
 
     def test_mismatch_is_one(self, tmp_path, capsys):
         path = write(
@@ -130,16 +131,6 @@ class TestWeakSpuriousFlag:
     def test_flag_removes_failure_branch(self, tmp_path, capsys):
         assert main(["check", write(tmp_path, WEAK_CAS), "--model", "sc", "--no-weak-spurious"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
-
-
-class TestStrictSFlag:
-    def test_no_strict_s_admits_dekker(self, capsys):
-        assert main(["check", str(DEKKER), "--model", "cxx11", "--no-strict-s"]) == 1
-        out = capsys.readouterr().out
-        assert "expected cxx11 forbidden: MISMATCH (got allowed)" in out
-
-    def test_strict_s_explicit(self):
-        assert main(["check", str(DEKKER), "--model", "cxx11", "--strict-s"]) == 0
 
 
 class TestJson:
