@@ -713,6 +713,26 @@ class TestSingleAxiom:
         assert j.violated == (axiom,)
         assert not j.consistent
 
+    def test_s_embed_is_skipped_on_cyclic_hb(self):
+        # Load buffering with every access seq_cst and an rf cycle: no S can
+        # embed the cyclic hb, and this one breaks sb in P1.  As for the other
+        # hb-dependent checks, only HB-IRREFLEXIVE is reported, by both judges.
+        program = parse_litmus(
+            "name: lb\ninit: x = 0 y = 0\nthread P0:\n  r1 = load x seq_cst\n"
+            "  store y 1 seq_cst\nthread P1:\n  r2 = load y seq_cst\n  store x 1 seq_cst\n"
+            "exists: P0:r1 = 1\n"
+        )
+        events = (
+            init_w(0, "x"),
+            init_w(1, "y"),
+            ev(2, 0, 0, R, SC, "x", read=1),
+            ev(3, 0, 1, W, SC, "y", written=1),
+            ev(4, 1, 0, R, SC, "y", read=1),
+            ev(5, 1, 1, W, SC, "x", written=1),
+        )
+        candidate = CandidateExecution(events, {2: 5, 4: 3}, {"x": (0, 5), "y": (1, 3)}, (5, 2, 3, 4))
+        assert judged_alike(program, candidate) == ("HB-IRREFLEXIVE",)
+
     @pytest.mark.parametrize(
         "init, written, source",
         [(0, 7, 1), (7, 1, 0)],
@@ -830,6 +850,11 @@ class TestEnumeration:
         both_zero = [c for c in grounded_candidates(program, True, limit=2_000) if c.rf == rf]
         violated = {check_axioms(program, c).violated for c in both_zero}
         assert ("S-EMBED",) in violated and () not in violated
+
+    def test_strict_s_keyword_is_gone(self):
+        # S always embeds hb and mo; there is no loose mode to ask for.
+        with pytest.raises(TypeError):
+            enumerate_cxx11(parse_litmus(MP_NA), strict_s=False)
 
     def test_racy_flag(self):
         program = parse_litmus(MP_NA)

@@ -133,6 +133,15 @@ class TestWeakSpuriousFlag:
         assert "MISMATCH" in capsys.readouterr().out
 
 
+class TestRemovedStrictSFlag:
+    @pytest.mark.parametrize("flag", ["--strict-s", "--no-strict-s"])
+    def test_is_an_unknown_argument(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(DEKKER), "--model", "cxx11", flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestJson:
     def test_document_schema(self, tmp_path, capsys):
         target = tmp_path / "doc.json"
