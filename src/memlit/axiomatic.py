@@ -35,9 +35,11 @@ Candidates are judged against these axioms (names appear in judgments):
                   ungrounded, and each CAS takes the branch its read selects,
                   except that a cas_weak may fail spuriously.
 
-When hb is cyclic, the hb-dependent checks (HB-MO, COHERENT-READ, S-EMBED,
-SC-READ) are skipped and only HB-IRREFLEXIVE and the hb-independent axioms
-are reported.
+When hb is cyclic, HB-IRREFLEXIVE is reported and the checks that need a
+partial order (HB-MO, COHERENT-READ, S-EMBED, SC-READ, SC-FENCE-1..4) are
+skipped.  SC-READ and SC-FENCE-1..4 are also skipped when S breaks S-EMBED:
+they are defined for C++11's S.  RMW-IMMEDIATE and NO-THIN-AIR are always
+judged.
 
 Synchronizes-with edges come from four rules, all built on (hypothetical)
 release sequences: release write to acquire read via the sequence, release
@@ -61,11 +63,12 @@ Building a candidate checks nothing.  Every function that reads one takes
 compute_sw alone skips the check for a witness enumerate_cxx11 returned for
 that very program object: it carries the kernel's frame and mo orders.
 
-Since S embeds hb and mo between seq_cst events, most ways an S could break
-SC-READ or SC-FENCE-1..4 come down to S edges that rf, mo and hb fix.  The
-enumerator adds those edges before it generates any S: a cycle rules the
-candidate out at once, and otherwise only orders that keep them are tried.
-Each order tried is still judged by the axioms in full.
+On an S that embeds hb and mo between seq_cst events, SC-READ and
+SC-FENCE-1..4 are S edges that rf, mo and hb fix, save one disjunctive case
+of SC-READ (`_sc_edges`).  check_axioms reports an axiom whose edge S
+breaks.  The enumerator adds every edge before it generates any S: a cycle
+rules the candidate out at once, and otherwise only orders that keep them
+are tried, each checked against the disjunctive SC-READs alone.
 """
 
 from __future__ import annotations
@@ -91,7 +94,6 @@ from .model import (
     OutcomeSet,
     Program,
     ResourceLimitError,
-    rmw_written_value,
 )
 from .relation import Relation, ordered_extensions
 
@@ -531,7 +533,7 @@ def _ground(plan: _Plan, rf: Mapping[int, int]) -> Optional[tuple[dict[int, int]
         value = instr.operand if source is None else read(source)
         if own_read and value is not None:
             old = read(w)
-            value = None if old is None else rmw_written_value(instr, old, value)
+            value = None if old is None else instr.kind.update(old, value)
         if value is not None:
             value_written[w] = value
         return value
@@ -543,50 +545,6 @@ def _ground(plan: _Plan, rf: Mapping[int, int]) -> Optional[tuple[dict[int, int]
     if any((value_read[c] == expected) != succeeded for c, expected, succeeded in plan.cas):
         return None
     return value_read, value_written
-
-
-def _sc_violations(
-    frame: _Frame,
-    mo: Sequence[_MoOrder],
-    rf: Mapping[int, int],
-    hb: Optional[Sequence[int]],
-    s: Sequence[int],
-) -> list[str]:
-    """SC-READ (skipped when hb is None) and SC-FENCE-1..4, in one pass over S."""
-    last: dict[int, int] = {}  # location index -> last seq_cst write so far in S
-    fenced = 0  # atomic writes sequenced before a seq_cst fence passed so far
-    sc_read = f1 = f2 = f3 = f4 = False
-    for e in s:
-        step = frame.sc_steps[e]
-        if step[0]:
-            _, reads_after, writes_after, writes_before = step
-            for b, li in reads_after:
-                src = rf[b]
-                a = last.get(li)
-                if a is not None and mo[li].before[a] >> src & 1:
-                    f1 = True
-                if fenced & mo[li].after[src] & ~(1 << b):
-                    f3 = True
-            for b, li in writes_after:
-                if fenced & mo[li].after[b] & ~(1 << b):
-                    f4 = True
-            fenced |= writes_before
-            continue
-        _, reads, writes, li, atomic = step
-        if reads:
-            w = rf[e]
-            if hb is not None:
-                a = last.get(li)
-                plain = not frame.sc_mask >> w & 1
-                if not (plain if a is None else w == a or (plain and not hb[w] >> a & 1)):
-                    sc_read = True
-            if atomic and fenced & mo[li].after[w] & ~(1 << e):
-                f2 = True
-        if writes:
-            last[li] = e
-    flags = (sc_read, f1, f2, f3, f4)
-    names = ("SC-READ", "SC-FENCE-1", "SC-FENCE-2", "SC-FENCE-3", "SC-FENCE-4")
-    return [name for name, hit in zip(names, flags) if hit]
 
 
 def _s_embedding(frame: _Frame, mo: Sequence[_MoOrder], hb: Sequence[int]) -> dict[int, int]:
@@ -602,14 +560,20 @@ def _s_embedding(frame: _Frame, mo: Sequence[_MoOrder], hb: Sequence[int]) -> di
     return preds
 
 
-def _s_constraint(
+def _sc_edges(
     frame: _Frame, mo: Sequence[_MoOrder], rf: Mapping[int, int], hb: Sequence[int]
-) -> dict[int, int]:
-    """Each seq_cst event's mask of required predecessors in S: the
-    embedding S-EMBED asks for, and the further edges each SC axiom forces,
-    given it, for this rf and mo.  Every edge is necessary, so no S that
-    passes S-EMBED and `_sc_violations` is ever pruned."""
-    preds = _s_embedding(frame, mo, hb)
+) -> tuple[list[tuple[str, int, int]], list[tuple[int, int, int]]]:
+    """SC-READ and SC-FENCE-1..4 for this rf and mo, judged on an S that
+    passes S-EMBED.  Such an S orders seq_cst writes as mo does, so each
+    axiom holds exactly when S keeps its edges, each (axiom, a, b) saying
+    that S puts a before b.  The one exception is an SC-READ from a plain
+    source whose hb-later seq_cst writes are not the mo-latest ones: it
+    holds when the last seq_cst write before the read in S is not one of
+    them, a disjunction no edge states.  Those come second, one (read,
+    location index, forced writes) each, for `_sc_read_broken`."""
+    edges: list[tuple[str, int, int]] = []
+    disjunctions: list[tuple[int, int, int]] = []
+    add = edges.append
     fences = frame.sc_fences
     for e, step in frame.sc_steps.items():
         if step[0]:
@@ -618,16 +582,16 @@ def _s_constraint(
                 later = mo[li].after[rf[b]]
                 # SC-FENCE-1: no seq_cst write mo-after b's source precedes e.
                 for a in _bits(later & frame.sc_loc_writes[li]):
-                    preds[a] |= 1 << e
+                    add(("SC-FENCE-1", e, a))
                 # SC-FENCE-3: e precedes every other fence after such a write.
                 for x, before in fences:
                     if x != e and before & later & ~(1 << b):
-                        preds[x] |= 1 << e
+                        add(("SC-FENCE-3", e, x))
             # SC-FENCE-4: likewise for a write mo-after b.
             for b, li in writes_after:
                 for x, before in fences:
                     if x != e and before & mo[li].after[b]:
-                        preds[x] |= 1 << e
+                        add(("SC-FENCE-4", e, x))
             continue
         _, reads, _, li, atomic = step
         if not reads:
@@ -636,25 +600,41 @@ def _s_constraint(
         later = mo[li].after[w]
         others = frame.sc_loc_writes[li] & ~(1 << e)
         # SC-READ: the last seq_cst write before e in S is w itself, or one w
-        # does not happen-before.  S orders seq_cst writes as mo does, so with
-        # w seq_cst, e falls between w and the next one; otherwise e precedes
-        # the writes w happens-before when they are all the mo-latest ones (a
-        # disjunction when they are not, so nothing is added).
+        # does not happen-before.  With w seq_cst, e falls between w and the
+        # next seq_cst write in mo; otherwise e precedes the writes w
+        # happens-before when they are all the mo-latest ones.
         if frame.sc_mask >> w & 1:
-            preds[e] |= 1 << w
+            add(("SC-READ", w, e))
             forced = later & others
         else:
             forced = hb[w] & others
             if any(mo[li].after[a] & others & ~forced for a in _bits(forced)):
+                disjunctions.append((e, li, forced))
                 forced = 0
         for a in _bits(forced):
-            preds[a] |= 1 << e
+            add(("SC-READ", e, a))
         # SC-FENCE-2: e precedes every fence after a write mo-after w.
         if atomic:
             for x, before in fences:
                 if before & later & ~(1 << e):
-                    preds[x] |= 1 << e
-    return preds
+                    add(("SC-FENCE-2", e, x))
+    return edges, disjunctions
+
+
+def _sc_read_broken(frame: _Frame, s: Sequence[int], disjunctions: Iterable[tuple[int, int, int]]) -> bool:
+    """Whether S breaks one of the SC-READs `_sc_edges` leaves to it: the
+    last seq_cst write to the read's location before it in S is forced."""
+    for e, li, forced in disjunctions:
+        writes = frame.sc_loc_writes[li]
+        last = 0
+        for x in s:
+            if x == e:
+                break
+            if writes >> x & 1:
+                last = 1 << x
+        if last & forced:
+            return True
+    return False
 
 
 def _races(frame: _Frame, hb: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -703,33 +683,36 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
     """Judge a candidate by every name in AXIOMS."""
     frame, mo, sw, hb, cyclic = _candidate_hb(program, candidate)
     rf, s = candidate.rf, candidate.sc_order
-    violated: list[str] = []
+    violated: set[str] = set()
     if cyclic:
-        violated.append("HB-IRREFLEXIVE")
+        violated.add("HB-IRREFLEXIVE")
     else:
         if _hb_mo_violated(mo, hb):
-            violated.append("HB-MO")
+            violated.add("HB-MO")
         if _coherent_read_violated(frame, rf, hb):
-            violated.append("COHERENT-READ")
+            violated.add("COHERENT-READ")
         preds = _s_embedding(frame, mo, hb)
-        placed = itertools.accumulate((1 << e for e in s), int.__or__, initial=0)  # each event's S-predecessors
-        if any(preds[e] & ~before for e, before in zip(s, placed)):
-            violated.append("S-EMBED")
+        placed = dict(zip(s, itertools.accumulate((1 << e for e in s), int.__or__, initial=0)))  # S-predecessors
+        if any(preds[e] & ~before for e, before in placed.items()):
+            violated.add("S-EMBED")
+        else:
+            edges, disjunctions = _sc_edges(frame, mo, rf, hb)
+            violated.update(axiom for axiom, a, b in edges if not placed[b] >> a & 1)
+            if _sc_read_broken(frame, s, disjunctions):
+                violated.add("SC-READ")
     if _rmw_immediate_violated(mo, rf):
-        violated.append("RMW-IMMEDIATE")
-    violated.extend(_sc_violations(frame, mo, rf, None if cyclic else hb, s))
+        violated.add("RMW-IMMEDIATE")
     grounded = _ground(frame.plan, rf)
     if grounded is None or any(
         (e.value_read, e.value_written) != (grounded[0].get(e.id), grounded[1].get(e.id)) for e in candidate.events
     ):
-        violated.append("NO-THIN-AIR")
-    violated.sort(key=AXIOMS.index)
+        violated.add("NO-THIN-AIR")
 
     consistent = not violated
     races = _races(frame, hb) if consistent else ()
     return ExecutionJudgment(
         consistent,
-        tuple(violated),
+        tuple(sorted(violated, key=AXIOMS.index)),
         races,
         _rows_relation(frame.sb),
         _sw_relation(frame.n, sw),
@@ -764,9 +747,9 @@ def enumerate_cxx11(
     when needed, total orders S over the seq_cst events.  S choices stop at
     the first consistent one per (rf, mo): outcomes and races never depend on
     which consistent S witnessed them.  Only orders S that keep the S-EMBED
-    edges and those each SC axiom forces for the candidate's rf and mo are
-    tried (see `_s_constraint`); the first consistent S is the same as
-    without pruning.  Without weak_spurious, candidates where a failed
+    edges and the SC axioms' edges for the candidate's rf and mo are tried
+    (see `_sc_edges`); the first consistent S is the same as without
+    pruning.  Without weak_spurious, candidates where a failed
     cas_weak read its expected value are dropped; NO-THIN-AIR allows them.
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
@@ -851,14 +834,19 @@ def enumerate_cxx11(
                         continue
 
                 s_orders: Iterable[tuple[int, ...]] = ((),)
+                disjunctions: Sequence[tuple[int, int, int]] = ()
                 if frame.sc_ids:
+                    preds = _s_embedding(frame, mo, hb)
+                    edges, disjunctions = _sc_edges(frame, mo, rf, hb)
+                    for _, a, b in edges:
+                        preds[b] |= 1 << a
                     try:
-                        s_orders = ordered_extensions(_s_constraint(frame, mo, rf, hb))
+                        s_orders = ordered_extensions(preds)
                     except ValueError:
-                        continue  # hb and mo already contradict on S events
+                        continue  # no S passes S-EMBED and the SC axioms
                 for s_order in s_orders:
                     bump()
-                    if frame.sc_ids and _sc_violations(frame, mo, rf, hb, s_order):
+                    if disjunctions and _sc_read_broken(frame, s_order, disjunctions):
                         continue
                     if not racy:
                         racy = static_racy if frame.static_hb else bool(_races(frame, hb))

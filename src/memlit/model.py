@@ -151,17 +151,6 @@ class Instruction:
     failure_order: Optional[MemoryOrder] = None
 
 
-def rmw_written_value(instr: Instruction, old: int, operand_value: Optional[int]) -> int:
-    """Value an RMW writes on success, given the value it read."""
-    if instr.kind.update is not None:
-        assert operand_value is not None
-        return instr.kind.update(old, operand_value)
-    if instr.kind in CAS_KINDS:
-        assert instr.desired is not None
-        return instr.desired
-    raise ValueError(f"not an RMW instruction: {instr.kind}")
-
-
 # ---------------------------------------------------------------------------
 # assertions
 

@@ -48,7 +48,6 @@ from .model import (
     Program,
     ResourceLimitError,
     TraceStep,
-    rmw_written_value,
 )
 
 Step = tuple[str, int, tuple]  # (kind, thread, data): _trace_step builds its TraceStep for witnesses only
@@ -133,7 +132,7 @@ def _successors(ops: tuple, state: tuple, buffered: bool, weak_spurious: bool) -
                 regs = _replace(registers, dest, old)
                 failed = drained, emptied, after, regs  # memory as the drain left it
                 if op == _RMW:
-                    value = rmw_written_value(instr, old, operand)
+                    value = instr.kind.update(old, operand)
                     succ = _replace(drained, loc, value), emptied, after, regs
                     successors.append((succ, ("exec", t, (pc, (old, value)))))
                 elif old != instr.expected:

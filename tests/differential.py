@@ -7,15 +7,20 @@ of the benchmark (`perfbench/workloads.py`, imported read-only: its LADDERS
 and BASELINE rungs, under the rung's model and candidate budget) and N
 distinct programs drawn from `programs()` in tests/support.py with seed S,
 under all three models at a budget of RANDOM_BUDGET.  Each case is litmus
-text, so both sides parse it themselves.
+text, so both sides parse it themselves.  Each corpus file also carries,
+under each weak_spurious setting, every candidate `grounded_candidates` in
+tests/support.py builds for it, as plain data, when there are at most
+JUDGE_LIMIT of them.
 
 `git archive` extracts src/ at REV into a temporary directory; that copy
 and the working tree's src/ then run every case, each in its own
 subprocess, under both weak_spurious settings.  Each run yields its outcome
 set, racy, stats.explored, stats.complete_runs and the text of each
-witness's trace_dot or execution_dot, or the budget it exceeded.  Any difference
-between the sides is printed, and the script exits 1; it exits 0 when there
-is none.  pytest does not collect this file.
+witness's trace_dot or execution_dot, or the budget it exceeded.  Each side
+also judges a corpus file's candidates with its own check_axioms, and
+yields how many are consistent and a digest of their consistent flags.  Any
+difference between the sides is printed, and the script exits 1; it exits
+0 when there is none.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_BUDGET = 20_000
+JUDGE_LIMIT = 2_000
 SETTINGS = {model: [{"weak_spurious": w} for w in (True, False)] for model in ("sc", "tso", "cxx11")}
 
 
@@ -40,15 +46,28 @@ def build_cases(count: int, seed: int) -> list[dict]:
     from hypothesis import HealthCheck, Phase, given, settings
     from hypothesis import seed as with_seed
 
-    from memlit import print_litmus
+    from memlit import parse_litmus, print_litmus
     from perfbench.workloads import BASELINE, LADDER_CANDIDATES, LADDERS, ladder_text
-    from support import programs
+    from support import grounded_candidates, programs
+
+    def plain(candidate) -> dict:
+        events = [
+            [e.id, e.thread, e.index, e.kind.value, e.atomic, e.order and e.order.value, e.location,
+             e.value_read, e.value_written]
+            for e in candidate.events
+        ]
+        return {"events": events, "rf": list(candidate.rf.items()), "mo": candidate.mo, "sc": candidate.sc_order}
 
     every_model = [[model, None] for model in SETTINGS]
-    cases = [
-        {"name": path.name, "text": path.read_text(), "models": every_model}
-        for path in sorted((ROOT / "corpus").glob("*.lit"))
-    ]
+    cases = []
+    for path in sorted((ROOT / "corpus").glob("*.lit")):
+        text = path.read_text()
+        judge = []
+        for weak_spurious in (True, False):
+            candidates = grounded_candidates(parse_litmus(text), weak_spurious, JUDGE_LIMIT)
+            if candidates is not None:
+                judge.append([weak_spurious, [plain(c) for c in candidates]])
+        cases.append({"name": path.name, "text": text, "models": every_model, "judge": judge})
     rungs = [(rung, LADDER_CANDIDATES) for ladder in LADDERS.values() for rung in ladder]
     rungs += [(rung, None) for pins in BASELINE.values() for rung, _ in pins]
     for rung, budget in rungs:
@@ -80,12 +99,29 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
     """Run every case with the memlit under `src`, writing one result per run to `out_path`."""
     sys.path.insert(0, src)
     from memlit import ResourceLimitError, enumerate_cxx11, enumerate_sc, enumerate_tso, parse_litmus
+    from memlit.axiomatic import CandidateExecution, check_axioms
     from memlit.dot import execution_dot, trace_dot
+    from memlit.model import Event, EventKind, MemoryOrder
 
     enumerate_model = {"sc": enumerate_sc, "tso": enumerate_tso, "cxx11": enumerate_cxx11}
     results = {}
     for case in json.loads(Path(cases_path).read_text()):
         program = parse_litmus(case["text"])
+        for weak_spurious, candidates in case.get("judge", ()):
+            flags = ""
+            for c in candidates:
+                events = tuple(
+                    Event(i, t, x, EventKind(kind), atomic, order and MemoryOrder(order), *rest)
+                    for i, t, x, kind, atomic, order, *rest in c["events"]
+                )
+                mo = {loc: tuple(order) for loc, order in c["mo"].items()}
+                candidate = CandidateExecution(events, dict(c["rf"]), mo, tuple(c["sc"]))
+                flags += "1" if check_axioms(program, candidate).consistent else "0"
+            results[f"{case['name']} | check_axioms | weak_spurious={weak_spurious}"] = {
+                "candidates": len(flags),
+                "consistent": flags.count("1"),
+                "consistent sha256": hashlib.sha256(flags.encode()).hexdigest(),
+            }
         for model, budget in case["models"]:
             dot = execution_dot if model == "cxx11" else trace_dot
             limit = {} if budget is None else {"max_candidates" if model == "cxx11" else "max_states": budget}

@@ -172,14 +172,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         ("tests/test_witnesses.py::test_witnesses_match_the_table",),
     ),
     (
-        # SC-FENCE-3 counts a fence's own earlier writes against its own later reads.
-        "axiomatic.py",
-        "                if fenced & mo[li].after[src] & ~(1 << b):",
-        "                if (fenced | writes_before) & mo[li].after[src] & ~(1 << b):",
-        (f"{ORACLE}::test_on_corpus_and_s_edge_programs",),
-    ),
-    (
-        # The S edges derived for SC-FENCE-3 order a fence before itself.
+        # SC-FENCE-3 counts a fence's own earlier writes against its own later
+        # reads: its edge orders the fence before itself.
         "axiomatic.py",
         "                    if x != e and before & later & ~(1 << b):",
         "                    if before & later & ~(1 << b):",
@@ -195,14 +189,28 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # SC-READ lets a seq_cst read observe a non-seq_cst write that happens before the last seq_cst one.
         "axiomatic.py",
-        "(plain and not hb[w] >> a & 1)",
-        "plain",
+        "            forced = hb[w] & others",
+        "            forced = 0",
         (f"{SINGLE}::test_exactly_the_named_axiom_fails",),
+    ),
+    (
+        # check_axioms never checks the SC-READs that no S edge states.
+        "axiomatic.py",
+        '            if _sc_read_broken(frame, s, disjunctions):\n                violated.add("SC-READ")',
+        '            if False:\n                violated.add("SC-READ")',
+        (f"{REFERENCE}::test_every_axiom_seen_on_corpus_and_single_axiom_programs",),
+    ),
+    (
+        # enumerate_cxx11 keeps every S it tries, unchecked against the SC-READs no S edge states.
+        "axiomatic.py",
+        "                    if disjunctions and _sc_read_broken(frame, s_order, disjunctions):",
+        "                    if False:",
+        (f"{AXIOMATIC}::TestCandidateSpace::test_disjunctive_sc_read_is_judged_on_every_s",),
     ),
     (
         # check_axioms never reports S-EMBED.
         "axiomatic.py",
-        '            violated.append("S-EMBED")',
+        '            violated.add("S-EMBED")',
         "            pass",
         (f"{SINGLE}::test_exactly_the_named_axiom_fails", f"{ENUMERATION}::test_s_embed_forbids_dekker"),
     ),
@@ -223,8 +231,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # SC-FENCE-2 is never reported.
         "axiomatic.py",
-        "                f2 = True",
-        "                f2 = False",
+        '                    add(("SC-FENCE-2", e, x))',
+        "                    pass",
         (f"{SINGLE}::test_exactly_the_named_axiom_fails",),
     ),
     (

@@ -358,6 +358,9 @@ def reference_judgment(program: Program, candidate: CandidateExecution) -> Execu
     s_pos = {eid: i for i, eid in enumerate(s)}
 
     violated: list[str] = []
+    # The SC axioms are judged only on an S that is C++11's: one consistent
+    # with an acyclic hb and with mo.
+    s_embeds = False
     if any(a == b for a, b in hb.pairs):
         violated.append("HB-IRREFLEXIVE")
     else:
@@ -367,11 +370,14 @@ def reference_judgment(program: Program, candidate: CandidateExecution) -> Execu
             violated.append("COHERENT-READ")
         if _s_embed_violated(mo, s_pos, hb.pairs):
             violated.append("S-EMBED")
-        if _sc_read_violated(events, rf, s, s_pos, hb.pairs):
-            violated.append("SC-READ")
+        else:
+            s_embeds = True
+    if s_embeds and _sc_read_violated(events, rf, s, s_pos, hb.pairs):
+        violated.append("SC-READ")
     if _rmw_immediate_violated(events, rf, mo):
         violated.append("RMW-IMMEDIATE")
-    violated.extend(_sc_fence_violations(events, rf, mo_pos, s, s_pos))
+    if s_embeds:
+        violated.extend(_sc_fence_violations(events, rf, mo_pos, s, s_pos))
     fresh = program_events(program, {(e.thread, e.index): e.kind is EventKind.RMW for e in events})
     grounded = _ground(program, fresh, rf, True)
     if grounded is None or [(e.value_read, e.value_written) for e in grounded] != [

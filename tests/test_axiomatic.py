@@ -18,7 +18,7 @@ from memlit.axiomatic import (
     AXIOMS,
     CandidateExecution,
     _candidate_hb,
-    _s_constraint,
+    _sc_edges,
     check_axioms,
     compute_hb,
     compute_sb,
@@ -733,6 +733,24 @@ class TestSingleAxiom:
         candidate = CandidateExecution(events, {2: 5, 4: 3}, {"x": (0, 5), "y": (1, 3)}, (5, 2, 3, 4))
         assert judged_alike(program, candidate) == ("HB-IRREFLEXIVE",)
 
+    def test_sc_axioms_are_judged_only_on_an_s_that_embeds(self, corpus):
+        # corpus/dekker.lit with P0 reading P1's store: this S puts P0's load
+        # before its own store, against sb.  It also puts the load before the
+        # store it reads, but SC-READ and SC-FENCE-1..4 are defined for a
+        # C++11 S, one that embeds hb and mo, so only S-EMBED is reported.
+        program = corpus["dekker"].program
+        events = (
+            init_w(0, "x"),
+            init_w(1, "y"),
+            ev(2, 0, 0, W, SC, "x", written=1),
+            ev(3, 0, 1, R, SC, "y", read=1),
+            ev(4, 1, 0, W, SC, "y", written=1),
+            ev(5, 1, 1, R, SC, "x", read=0),
+        )
+        rf, mo = {3: 4, 5: 0}, {"x": (0, 2), "y": (1, 4)}
+        assert judged_alike(program, CandidateExecution(events, rf, mo, (3, 2, 4, 5))) == ("S-EMBED",)
+        assert judged_alike(program, CandidateExecution(events, rf, mo, (4, 5, 2, 3))) == ()
+
     @pytest.mark.parametrize(
         "init, written, source",
         [(0, 7, 1), (7, 1, 0)],
@@ -942,6 +960,15 @@ class TestCandidateSpace:
         result = enumerate_cxx11(with_fences_after_stores(parse_litmus(ladder((3, 4)))))
         assert (result.stats.explored, len(result.outcomes)) == (60, 12)
 
+    @pytest.mark.parametrize("spurious", [True, False])
+    def test_disjunctive_sc_read_is_judged_on_every_s(self, spurious):
+        # The seq_cst load reading initialization is a disjunctive SC-READ
+        # whenever the fetch_add reads P0's relaxed store: init happens-before
+        # both seq_cst writes, but only one of them is mo-last.  No edge
+        # states it, so each S tried is checked against it, and some fail.
+        result = enumerate_cxx11(parse_litmus(DISJUNCTIVE_SC_READ), weak_spurious=spurious)
+        assert (result.stats.explored, len(result.outcomes)) == (49, 6)
+
     def test_seq_cst_4x2_is_sc(self):
         # DRF-SC: a race-free all-seq_cst program has exactly its SC outcomes.
         program = parse_litmus(ladder((2, 2, 2, 2), "seq_cst", "seq_cst"))
@@ -949,6 +976,11 @@ class TestCandidateSpace:
         assert not result.racy
         assert result.outcomes == enumerate_sc(program).outcomes
 
+
+DISJUNCTIVE_SC_READ = (
+    "name: t\ninit: x = 0\nthread P0:\n  store x 2 relaxed\n  r1 = fetch_add x 1 seq_cst\n"
+    "thread P1:\n  r0 = load x seq_cst\nthread P2:\n  store x 2 seq_cst\nexists: P1:r0 = 0\n"
+)
 
 # Programs that put the seq_cst order S edges' corner cases in reach of a
 # whole-space comparison; random programs of four instructions rarely build
@@ -968,24 +1000,27 @@ S_EDGE_PROGRAMS = [
     "thread P1:\n  store x 2 relaxed\nexists: P0:r1 = 2 /\\ x = 1\n",
     "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n  store x 2 relaxed\n"
     "exists: x = 1\n",
+    DISJUNCTIVE_SC_READ,
 ]
 
 
 def assert_derived_s_edges_necessary(program, candidates) -> int:
-    """For each candidate whose hb is acyclic and that passes S-EMBED,
-    breaking an edge `_s_constraint` derives must be an SC axiom's
-    violation.  Returns how many candidates broke one."""
+    """For each candidate whose hb is acyclic and that passes S-EMBED, every
+    axiom whose `_sc_edges` edge S breaks must be among the violations the
+    pair-set judge reads off S as the axioms word it.  Returns how many
+    candidates broke an edge."""
     broken = 0
     for candidate in candidates:
         frame, mo, _, hb, cyclic = _candidate_hb(program, candidate)
-        judgment = check_axioms(program, candidate)
-        if cyclic or "S-EMBED" in judgment.violated:
+        violated = reference_judgment(program, candidate).violated
+        if cyclic or "S-EMBED" in violated:
             continue
         pos = {e: i for i, e in enumerate(candidate.sc_order)}
-        preds = _s_constraint(frame, mo, candidate.rf, hb)
-        if any(pos[a] >= pos[b] for b, mask in preds.items() for a in pos if mask >> a & 1):
+        edges, _ = _sc_edges(frame, mo, candidate.rf, hb)
+        names = {axiom for axiom, a, b in edges if pos[a] > pos[b]}
+        if names:
             broken += 1
-            assert any(name.startswith("SC-") for name in judgment.violated), candidate
+            assert names <= set(violated), candidate
     return broken
 
 
@@ -1031,9 +1066,10 @@ class TestAgainstReference:
 
     def test_every_axiom_seen_on_corpus_and_single_axiom_programs(self, corpus):
         # Random programs rarely build the seq_cst fence shapes, so the whole
-        # candidate space of each small enough corpus program and of each
-        # TestSingleAxiom program is compared too, with the value mutants of
-        # each candidate, until every axiom has rejected some candidate.
+        # candidate space of each small enough corpus program, of each
+        # TestSingleAxiom program and of each S_EDGE_PROGRAMS program is
+        # compared too, with the value mutants of each candidate, until every
+        # axiom has rejected some candidate.
         # Grounded candidates pass NO-THIN-AIR, and only their value mutants
         # break it.  The last program puts an acq_rel fence
         # between a load and a store that another thread's RMW extends: a
@@ -1042,7 +1078,8 @@ class TestAgainstReference:
             "name: t\ninit: x = 0\nthread P0:\n  r1 = load x relaxed\n  fence acq_rel\n  store x 1 relaxed\n"
             "thread P1:\n  r2 = fetch_add x 1 relaxed\nexists: P0:r1 = 2\n"
         )
-        texts = [entry.text for entry in corpus.values()] + [case[1] for case in SINGLE_AXIOM_CASES] + [self_sync]
+        texts = [entry.text for entry in corpus.values()] + [case[1] for case in SINGLE_AXIOM_CASES]
+        texts += S_EDGE_PROGRAMS + [self_sync]
         seen: set[str] = set()
         for text in texts:
             program = parse_litmus(text)
@@ -1052,8 +1089,8 @@ class TestAgainstReference:
         assert seen == set(AXIOMS)
 
     # The enumerator only tries orders S that keep the S-EMBED edges and
-    # those each SC axiom forces.  Each edge must be necessary: an S that
-    # passes S-EMBED but breaks one is rejected by an SC axiom anyway.
+    # those `_sc_edges` derives.  Each edge must be necessary: an S that
+    # passes S-EMBED but breaks one is rejected by the edge's axiom anyway.
     @settings(max_examples=100, deadline=None)
     @given(programs(max_total=4), st.booleans())
     def test_derived_s_edges_are_necessary(self, program, spurious):

@@ -21,7 +21,6 @@ from memlit.model import (
     eval_assertion,
     force_seq_cst,
     make_outcome,
-    rmw_written_value,
     satisfies,
     validate,
     with_fences_after_stores,
@@ -61,12 +60,10 @@ class TestFailureOrderDerivation:
 
 class TestRmwArithmetic:
     def test_add_wraps_at_256(self):
-        instr = Instruction(Kind.FETCH_ADD, location="x", dest="r1", operand=1)
-        assert rmw_written_value(instr, 255, 1) == 0
+        assert Kind.FETCH_ADD.update(255, 1) == 0
 
     def test_sub_wraps_below_zero(self):
-        instr = Instruction(Kind.FETCH_SUB, location="x", dest="r1", operand=1)
-        assert rmw_written_value(instr, 0, 1) == 255
+        assert Kind.FETCH_SUB.update(0, 1) == 255
 
     def test_bitwise(self):
         cases = [
@@ -75,16 +72,16 @@ class TestRmwArithmetic:
             (Kind.FETCH_XOR, 5, 255, 250),
         ]
         for kind, old, arg, expected in cases:
-            instr = Instruction(kind, location="x", dest="r1", operand=arg)
-            assert rmw_written_value(instr, old, arg) == expected
+            assert kind.update(old, arg) == expected
 
     def test_exchange_returns_operand(self):
-        instr = Instruction(Kind.EXCHANGE, location="x", dest="r1", operand=7)
-        assert rmw_written_value(instr, 3, 7) == 7
+        assert Kind.EXCHANGE.update(3, 7) == 7
 
-    def test_cas_writes_desired(self):
-        instr = Instruction(Kind.CAS_STRONG, location="x", dest="r1", expected=3, desired=9)
-        assert rmw_written_value(instr, 3, None) == 9
+    def test_every_rmw_kind_but_cas_has_an_update(self):
+        # A CAS writes its desired value, which both backends read off the
+        # instruction; every other RMW kind computes what it writes.
+        rmw = {kind for kind in Kind if kind.event is EventKind.RMW}
+        assert {kind for kind in rmw if kind.update is None} == {Kind.CAS_STRONG, Kind.CAS_WEAK}
 
 
 def _rules(program):
