@@ -54,7 +54,8 @@ relation.  `_events` builds each CAS branching's events once, without
 values; what depends only on them (sb, locations, which events can
 synchronize, what each value is made from) is computed once per branching,
 the values once per rf map, what depends on mo once per modification order
-of each location, and only sw, the hb closure and the other axiom tests
+of each location, sw, the hb closure, COHERENT-READ and the races once per
+rf map and sw input (`_Frame.sync_heads`), and only the other axiom tests
 once per candidate.  `Relation` appears only at the API boundary.
 
 Building a candidate checks nothing.  Every function that reads one takes
@@ -304,9 +305,11 @@ class _Frame:
             acquire = y.order.acquires
             if acquire or after:
                 self.sync_reads.append((y.id, self.loc_index[y.location], acquire, after))
-        # Without both a tag and a read to carry it there is no sw edge, and
-        # hb is the base rows for every candidate.
-        self.static_hb = not (self.tags and self.sync_reads)
+
+    def sync_heads(self, mo: Sequence[_MoOrder], rf: Mapping[int, int]) -> tuple[int, ...]:
+        """The whole input of `_sw_edges`: per sync read, the mask of release
+        heads whose release sequences hold its source."""
+        return tuple([mo[li].heads.get(rf[y], 0) for y, li, _, _ in self.sync_reads])
 
     @cached_property
     def conflicts(self) -> tuple[tuple[int, int], ...]:
@@ -439,11 +442,10 @@ class _MoOrder:
                 self.heads[z] = self.heads.get(z, 0) | tag
 
 
-def _sw_edges(frame: _Frame, mo: Sequence[_MoOrder], rf: Mapping[int, int]) -> dict[int, int]:
-    """Synchronizes-with, as target -> mask of sources."""
+def _sw_edges(frame: _Frame, sync_heads: Sequence[int]) -> dict[int, int]:
+    """Synchronizes-with, as target -> mask of sources, from `_Frame.sync_heads`."""
     sw: dict[int, int] = {}
-    for y, li, acquire, fences_after in frame.sync_reads:
-        heads = mo[li].heads.get(rf[y], 0)
+    for (y, _, acquire, fences_after), heads in zip(frame.sync_reads, sync_heads):
         if heads:
             if acquire:
                 sw[y] = sw.get(y, 0) | heads
@@ -654,7 +656,7 @@ def _candidate_hb(program: Program, candidate: CandidateExecution):
     rows and whether hb is cyclic."""
     frame = _checked_frame(program, candidate)
     mo = frame.mo_orders(candidate.mo)
-    sw = _sw_edges(frame, mo, candidate.rf)
+    sw = _sw_edges(frame, frame.sync_heads(mo, candidate.rf))
     return (frame, mo, sw) + _hb_rows(frame, sw)
 
 
@@ -663,7 +665,8 @@ def compute_sw(program: Program, candidate: CandidateExecution) -> Relation:
     if known is None or known[0].program is not program:
         frame = _checked_frame(program, candidate)
         known = frame, frame.mo_orders(candidate.mo)
-    return _sw_relation(known[0].n, _sw_edges(*known, candidate.rf))
+    frame, mo = known
+    return _sw_relation(frame.n, _sw_edges(frame, frame.sync_heads(mo, candidate.rf)))
 
 
 def compute_hb(program: Program, candidate: CandidateExecution) -> Relation:
@@ -776,25 +779,13 @@ def enumerate_cxx11(
         spurious = () if weak_spurious else plan.weak_failures
 
         # A read's rf options are the other writes to its location, except
-        # its own later ones (reading one always violates hb) and, for a
-        # successful CAS, writes that cannot supply its expected value.
+        # its own later ones: reading one always violates hb.
         reads = [r for r, _ in frame.read_checks]
-        expected = {c: x for c, x, succeeded in plan.cas if succeeded}
-        choices = []
-        for r, others in frame.read_checks:
-            options = list(_bits(others & ~frame.sb[r]))
-            if r in expected:
-                options = [w for w in options if plan.fixed.get(w, expected[r]) == expected[r]]
-            choices.append(options)
-        if not all(choices):
-            continue
+        choices = [list(_bits(others & ~frame.sb[r])) for r, others in frame.read_checks]
 
         # Witnesses share their valued events, one per (id, value read,
         # value written) in this branching: events are immutable.
         shared: dict[tuple, Event] = {}
-        # With no sw edge possible hb is the base rows for every candidate, so
-        # the races are the same for all of them.
-        static_racy = frame.static_hb and bool(_races(frame, frame.base))
 
         # Modification orders of each location: initialization first, each
         # thread's writes in program order.
@@ -817,21 +808,27 @@ def enumerate_cxx11(
             # with given last writes builds it, and later ones cannot add one.
             seen_lasts: set[tuple[int, ...]] = set()
             witness_events: Optional[tuple[Event, ...]] = None
-            # With hb the base rows, COHERENT-READ depends on rf alone, and
-            # HB-MO holds for every mo choice: each extends the base rows.
-            # Without RMWs RMW-IMMEDIATE holds, and without seq_cst events
-            # the SC axioms do.
-            incoherent = frame.static_hb and _coherent_read_violated(frame, rf, frame.base)
+            # mo reaches hb only through sw's input, so hb, COHERENT-READ and
+            # the races are judged once per input: (whether hb passes, hb,
+            # whether sw has an edge, racy).
+            by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool]] = {}
             for mo in itertools.product(*mo_choices):
                 bump()
-                if incoherent or (frame.rmw and _rmw_immediate_violated(mo, rf)):
+                # Without RMWs RMW-IMMEDIATE holds, and without seq_cst events
+                # the SC axioms do.
+                if frame.rmw and _rmw_immediate_violated(mo, rf):
                     continue
-                if frame.static_hb:
-                    hb = frame.base
-                else:
-                    hb, cyclic = _hb_rows(frame, _sw_edges(frame, mo, rf))
-                    if cyclic or _coherent_read_violated(frame, rf, hb) or _hb_mo_violated(mo, hb):
-                        continue
+                heads = frame.sync_heads(mo, rf)
+                judged = by_heads.get(heads)
+                if judged is None:
+                    sw = _sw_edges(frame, heads)
+                    hb, cyclic = _hb_rows(frame, sw)
+                    ok = not (cyclic or _coherent_read_violated(frame, rf, hb))
+                    judged = by_heads[heads] = ok, hb, bool(sw), ok and bool(_races(frame, hb))
+                ok, hb, synced, hb_racy = judged
+                # Every mo choice extends the base rows, so only sw can break HB-MO.
+                if not ok or synced and _hb_mo_violated(mo, hb):
+                    continue
 
                 s_orders: Iterable[tuple[int, ...]] = ((),)
                 disjunctions: Sequence[tuple[int, int, int]] = ()
@@ -848,8 +845,7 @@ def enumerate_cxx11(
                     bump()
                     if disjunctions and _sc_read_broken(frame, s_order, disjunctions):
                         continue
-                    if not racy:
-                        racy = static_racy if frame.static_hb else bool(_races(frame, hb))
+                    racy = racy or hb_racy
                     lasts = tuple(t.order[-1] for t in mo)
                     if lasts in seen_lasts:
                         break

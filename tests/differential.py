@@ -2,22 +2,25 @@
 
     python tests/differential.py REV [--programs N] [--seed S]
 
-The cases are every corpus file under sc, tso and cxx11, every ladder rung
-of the benchmark (`perfbench/workloads.py`, imported read-only: its LADDERS
-and BASELINE rungs, under the rung's model and candidate budget) and N
-distinct programs drawn from `programs()` in tests/support.py with seed S,
-under all three models at a budget of RANDOM_BUDGET.  Each case is litmus
-text, so both sides parse it themselves.  Each corpus file also carries,
-under each weak_spurious setting, every candidate `grounded_candidates` in
+The cases are every corpus file and every program of SINGLE_AXIOM_CASES,
+S_EDGE_PROGRAMS and SW_INPUT_PROGRAMS in tests/support.py under sc, tso and
+cxx11, every ladder rung of the benchmark (`perfbench/workloads.py`,
+imported read-only: its LADDERS and BASELINE rungs, under the rung's model
+and candidate budget) and N distinct programs drawn from `programs()` in
+tests/support.py with seed S, under all three models at a budget of
+RANDOM_BUDGET.  Each case is litmus text, so both sides parse it
+themselves.  Each corpus file and hand-built program also carries, under
+each weak_spurious setting, every candidate `grounded_candidates` in
 tests/support.py builds for it, as plain data, when there are at most
-JUDGE_LIMIT of them.
+JUDGE_LIMIT of them.  The hand-built programs reach what the corpus does
+not: no corpus candidate breaks SC-FENCE-2 alone.
 
 `git archive` extracts src/ at REV into a temporary directory; that copy
 and the working tree's src/ then run every case, each in its own
 subprocess, under both weak_spurious settings.  Each run yields its outcome
 set, racy, stats.explored, stats.complete_runs and the text of each
 witness's trace_dot or execution_dot, or the budget it exceeded.  Each side
-also judges a corpus file's candidates with its own check_axioms, and
+also judges those candidates with its own check_axioms, and
 yields how many are consistent and a digest of their consistent flags.  Any
 difference between the sides is printed, and the script exits 1; it exits
 0 when there is none.  pytest does not collect this file.
@@ -48,7 +51,7 @@ def build_cases(count: int, seed: int) -> list[dict]:
 
     from memlit import parse_litmus, print_litmus
     from perfbench.workloads import BASELINE, LADDER_CANDIDATES, LADDERS, ladder_text
-    from support import grounded_candidates, programs
+    from support import S_EDGE_PROGRAMS, SINGLE_AXIOM_CASES, SW_INPUT_PROGRAMS, grounded_candidates, programs
 
     def plain(candidate) -> dict:
         events = [
@@ -60,14 +63,17 @@ def build_cases(count: int, seed: int) -> list[dict]:
 
     every_model = [[model, None] for model in SETTINGS]
     cases = []
-    for path in sorted((ROOT / "corpus").glob("*.lit")):
-        text = path.read_text()
+    named = [(path.name, path.read_text()) for path in sorted((ROOT / "corpus").glob("*.lit"))]
+    named += [(f"single-axiom {case[0]}", case[1]) for case in SINGLE_AXIOM_CASES]
+    named += [(f"s-edge {i}", text) for i, text in enumerate(S_EDGE_PROGRAMS)]
+    named += [(f"sw-input {i}", text) for i, text in enumerate(SW_INPUT_PROGRAMS)]
+    for name, text in named:
         judge = []
         for weak_spurious in (True, False):
             candidates = grounded_candidates(parse_litmus(text), weak_spurious, JUDGE_LIMIT)
             if candidates is not None:
                 judge.append([weak_spurious, [plain(c) for c in candidates]])
-        cases.append({"name": path.name, "text": text, "models": every_model, "judge": judge})
+        cases.append({"name": name, "text": text, "models": every_model, "judge": judge})
     rungs = [(rung, LADDER_CANDIDATES) for ladder in LADDERS.values() for rung in ladder]
     rungs += [(rung, None) for pins in BASELINE.values() for rung, _ in pins]
     for rung, budget in rungs:

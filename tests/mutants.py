@@ -38,6 +38,8 @@ TSO_STATE_SPACE = "tests/test_tso.py::TestStateSpace"
 SC = "tests/test_sc.py"
 MESSAGE_PASSING = f"{AXIOMATIC}::TestSynchronizesWith::test_message_passing_needs_a_releasing_and_an_acquiring_order"
 WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
+HB_PER_SW_INPUT = f"{AXIOMATIC}::TestHbPerSwInput"
+SW_INPUT_ORACLE = f"{ORACLE}::test_on_sw_input_programs"
 
 # (file under src/memlit, exact old text, new text, tests that must kill it)
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
@@ -241,6 +243,29 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "sources = heads & ~(1 << fb)",
         "sources = heads",
         (f"{REFERENCE}::test_every_axiom_seen_on_corpus_and_single_axiom_programs",),
+    ),
+    (
+        # enumerate_cxx11 shares its hb judgments across the rf maps of a
+        # branching, although COHERENT-READ depends on rf.
+        "axiomatic.py",
+        "            by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool]] = {}",
+        '            by_heads = shared.setdefault("by_heads", {})',
+        (f"{HB_PER_SW_INPUT}::test_a_release_sequence_broken_in_mo_is_judged_per_mo", SW_INPUT_ORACLE),
+    ),
+    (
+        # enumerate_cxx11 reuses an hb judgment for sw inputs that differ only
+        # at the first sync read.
+        "axiomatic.py",
+        "                judged = by_heads.get(heads)\n",
+        "                judged = by_heads.get(heads) or next((v for k, v in by_heads.items() if k[1:] == heads[1:]), None)\n",
+        (f"{HB_PER_SW_INPUT}::test_a_release_sequence_broken_in_mo_is_judged_per_mo", SW_INPUT_ORACLE),
+    ),
+    (
+        # enumerate_cxx11 skips HB-MO when sw has an edge.
+        "axiomatic.py",
+        "                if not ok or synced and _hb_mo_violated(mo, hb):",
+        "                if not ok:",
+        (f"{HB_PER_SW_INPUT}::test_hb_mo_is_judged_when_sw_has_an_edge", SW_INPUT_ORACLE),
     ),
     (
         # A location's final value comes from its highest-id write, not its mo-last one.

@@ -1,4 +1,5 @@
-"""Reference oracles, candidate spaces and random-program strategies.
+"""Reference oracles, candidate spaces, random-program strategies and the
+hand-built programs that the tests and tests/differential.py share.
 
 The operational oracles re-derive the semantics from scratch on plain dicts,
 and the axiomatic oracle judges candidates on pair sets with the `Relation`
@@ -845,3 +846,265 @@ def programs(draw, max_threads: int = 3, max_total: int = 6, atomic_only: bool =
     )
     assert not validate(program), validate(program)
     return program
+
+
+# ---------------------------------------------------------------------------
+# hand-built programs and candidates, shared by the tests and tests/differential.py
+
+R, W, RMW, F = EventKind.READ, EventKind.WRITE, EventKind.RMW, EventKind.FENCE
+RLX, ACQ, REL, SC = (
+    MemoryOrder.RELAXED,
+    MemoryOrder.ACQUIRE,
+    MemoryOrder.RELEASE,
+    MemoryOrder.SEQ_CST,
+)
+
+
+def init_w(eid: int, loc: str, value: int = 0) -> Event:
+    return Event(
+        id=eid,
+        thread=INIT_THREAD,
+        index=eid,
+        kind=W,
+        atomic=True,
+        order=None,
+        location=loc,
+        value_written=value,
+    )
+
+
+def ev(eid, thread, index, kind, order, loc=None, *, read=None, written=None, atomic=True):
+    return Event(
+        id=eid,
+        thread=thread,
+        index=index,
+        kind=kind,
+        atomic=atomic,
+        order=order,
+        location=loc,
+        value_read=read,
+        value_written=written,
+    )
+
+
+# (axiom name, program, events, rf, mo, sc order); each candidate is built
+# so that precisely the named axiom rejects it.
+SINGLE_AXIOM_CASES = [
+    (
+        # Load buffering with an rf cycle through two acquire/release pairs.
+        "HB-IRREFLEXIVE",
+        "name: lb\ninit: x = 0 y = 0\nthread P0:\n  r1 = load x acquire\n"
+        "  store y 1 release\nthread P1:\n  r2 = load y acquire\n  store x 1 release\n"
+        "exists: P0:r1 = 1\n",
+        (
+            init_w(0, "x"),
+            init_w(1, "y"),
+            ev(2, 0, 0, R, ACQ, "x", read=1),
+            ev(3, 0, 1, W, REL, "y", written=1),
+            ev(4, 1, 0, R, ACQ, "y", read=1),
+            ev(5, 1, 1, W, REL, "x", written=1),
+        ),
+        {2: 5, 4: 3},
+        {"x": (0, 5), "y": (1, 3)},
+        (),
+    ),
+    (
+        # Two same-thread stores with modification order against sb.
+        "HB-MO",
+        "name: coww\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  store x 2 relaxed\n"
+        "exists: x = 2\n",
+        (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, RLX, "x", written=1),
+            ev(2, 0, 1, W, RLX, "x", written=2),
+        ),
+        {},
+        {"x": (0, 2, 1)},
+        (),
+    ),
+    (
+        # A load reading initialization past its own thread's newer store.
+        "COHERENT-READ",
+        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  r1 = load x relaxed\n"
+        "exists: P0:r1 = 0\n",
+        (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, RLX, "x", written=1),
+            ev(2, 0, 1, R, RLX, "x", read=0),
+        ),
+        {2: 0},
+        {"x": (0, 1)},
+        (),
+    ),
+    (
+        # Dekker's (0, 0) with every access seq_cst: each load reads
+        # initialization, so S must put it before the other thread's store,
+        # and S puts both loads before both stores, against sb.
+        "S-EMBED",
+        "name: dekker\ninit: x = 0 y = 0\nthread P0:\n  store x 1 seq_cst\n  r1 = load y seq_cst\n"
+        "thread P1:\n  store y 1 seq_cst\n  r2 = load x seq_cst\nexists: P0:r1 = 0 /\\ P1:r2 = 0\n",
+        (
+            init_w(0, "x"),
+            init_w(1, "y"),
+            ev(2, 0, 0, W, SC, "x", written=1),
+            ev(3, 0, 1, R, SC, "y", read=0),
+            ev(4, 1, 0, W, SC, "y", written=1),
+            ev(5, 1, 1, R, SC, "x", read=0),
+        ),
+        {3: 1, 5: 0},
+        {"x": (0, 2), "y": (1, 4)},
+        (3, 5, 2, 4),
+    ),
+    (
+        # A seq_cst load placed after the seq_cst store in S but reading the
+        # initialization value, which happens-before that store.
+        "SC-READ",
+        "name: t\ninit: x = 0\nthread P0:\n  store x 1 seq_cst\n"
+        "thread P1:\n  r1 = load x seq_cst\nexists: P1:r1 = 0\n",
+        (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, SC, "x", written=1),
+            ev(2, 1, 0, R, SC, "x", read=0),
+        ),
+        {2: 0},
+        {"x": (0, 1)},
+        (1, 2),
+    ),
+    (
+        # The RMW reads initialization but another store interposes in mo.
+        "RMW-IMMEDIATE",
+        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n"
+        "thread P1:\n  r1 = fetch_add x 5 relaxed\nexists: x = 5\n",
+        (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, RLX, "x", written=1),
+            ev(2, 1, 0, RMW, RLX, "x", read=0, written=5),
+        ),
+        {2: 0},
+        {"x": (0, 1, 2)},
+        (),
+    ),
+    (
+        # Fence sequenced before a relaxed load; the load ignores the
+        # seq_cst store that precedes the fence in S.
+        "SC-FENCE-1",
+        "name: t\ninit: x = 0\nthread P0:\n  store x 1 seq_cst\n"
+        "thread P1:\n  fence seq_cst\n  r1 = load x relaxed\nexists: P1:r1 = 0\n",
+        (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, SC, "x", written=1),
+            ev(2, 1, 0, F, SC),
+            ev(3, 1, 1, R, RLX, "x", read=0),
+        ),
+        {3: 0},
+        {"x": (0, 1)},
+        (1, 2),
+    ),
+    (
+        # Relaxed store, fence, then a seq_cst load after the fence in S
+        # that still reads the older initialization write.
+        "SC-FENCE-2",
+        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n"
+        "thread P1:\n  r1 = load x seq_cst\nexists: P1:r1 = 0\n",
+        (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, RLX, "x", written=1),
+            ev(2, 0, 1, F, SC),
+            ev(3, 1, 0, R, SC, "x", read=0),
+        ),
+        {3: 0},
+        {"x": (0, 1)},
+        (2, 3),
+    ),
+    (
+        # Store-fence on one side, fence-load on the other, fences ordered
+        # in S, yet the load reads the older write.
+        "SC-FENCE-3",
+        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n"
+        "thread P1:\n  fence seq_cst\n  r1 = load x relaxed\nexists: P1:r1 = 0\n",
+        (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, RLX, "x", written=1),
+            ev(2, 0, 1, F, SC),
+            ev(3, 1, 0, F, SC),
+            ev(4, 1, 1, R, RLX, "x", read=0),
+        ),
+        {4: 0},
+        {"x": (0, 1)},
+        (2, 3),
+    ),
+    (
+        # Both sides write; the S order of the fences contradicts mo.
+        "SC-FENCE-4",
+        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n"
+        "thread P1:\n  fence seq_cst\n  store x 2 relaxed\nexists: x = 2\n",
+        (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, RLX, "x", written=1),
+            ev(2, 0, 1, F, SC),
+            ev(3, 1, 0, F, SC),
+            ev(4, 1, 1, W, RLX, "x", written=2),
+        ),
+        {},
+        {"x": (0, 4, 1)},
+        (2, 3),
+    ),
+    (
+        # corpus/lb_data_both.lit: each load reads the 1 the other thread's
+        # store copies from it, so the 1 justifies itself out of thin air.
+        "NO-THIN-AIR",
+        "name: lb_data_both\ninit: x = 0 y = 0\nthread P0:\n  r1 = load x relaxed\n  store y r1 relaxed\n"
+        "thread P1:\n  r2 = load y relaxed\n  store x r2 relaxed\nexists: P0:r1 = 1 /\\ P1:r2 = 1\n",
+        (
+            init_w(0, "x"),
+            init_w(1, "y"),
+            ev(2, 0, 0, R, RLX, "x", read=1),
+            ev(3, 0, 1, W, RLX, "y", written=1),
+            ev(4, 1, 0, R, RLX, "y", read=1),
+            ev(5, 1, 1, W, RLX, "x", written=1),
+        ),
+        {2: 5, 4: 3},
+        {"x": (0, 5), "y": (1, 3)},
+        (),
+    ),
+]
+
+
+DISJUNCTIVE_SC_READ = (
+    "name: t\ninit: x = 0\nthread P0:\n  store x 2 relaxed\n  r1 = fetch_add x 1 seq_cst\n"
+    "thread P1:\n  r0 = load x seq_cst\nthread P2:\n  store x 2 seq_cst\nexists: P1:r0 = 0\n"
+)
+
+# Programs that put the seq_cst order S edges' corner cases in reach of a
+# whole-space comparison; random programs of four instructions rarely build
+# them.
+S_EDGE_PROGRAMS = [
+    # SC-READ from a plain write that happens-before a seq_cst write which
+    # is not mo-last: the edges that would keep the read before both seq_cst
+    # writes are a disjunction, so none is derived.
+    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  store x 2 seq_cst\n"
+    "thread P1:\n  store x 3 seq_cst\nthread P2:\n  r1 = load x seq_cst\nexists: P2:r1 = 1\n",
+    # SC-FENCE-1 only constrains seq_cst writes mo-after the read's source.
+    "name: t\ninit: x = 0\nthread P0:\n  store x 1 seq_cst\n  store x 2 relaxed\n"
+    "thread P1:\n  fence seq_cst\n  r1 = load x relaxed\nexists: P1:r1 = 2\n",
+    # With one fence, SC-FENCE-3 and 4 never apply: a fence is not ordered
+    # against itself.
+    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n  r1 = load x relaxed\n"
+    "thread P1:\n  store x 2 relaxed\nexists: P0:r1 = 2 /\\ x = 1\n",
+    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n  store x 2 relaxed\n"
+    "exists: x = 1\n",
+    DISJUNCTIVE_SC_READ,
+]
+
+# Programs where the mo choices of one rf map give different sw edges, so
+# each sw input must be judged on its own hb.
+RELEASE_SEQUENCE_BROKEN_BY_MO = (
+    "name: t\ninit: x = 0 y = 0 z = 0\nthread P0:\n  store x 1 relaxed\n  store y 1 release\n  store y 2 relaxed\n"
+    "thread P1:\n  store y 3 relaxed\nthread P2:\n  r2 = load y acquire\n  r1 = load z acquire\n  r3 = load x relaxed\n"
+    "exists: P2:r2 = 2 /\\ P2:r3 = 0\n"
+)
+SW_ORDERS_MO = (
+    "name: t\ninit: x = 0 y = 0\nthread P0:\n  store x 1 relaxed\n  store y 1 release\n"
+    "thread P1:\n  r1 = load y acquire\n  store x 2 relaxed\nexists: P1:r1 = 1 /\\ x = 1\n"
+)
+SW_INPUT_PROGRAMS = [RELEASE_SEQUENCE_BROKEN_BY_MO, SW_ORDERS_MO]

@@ -14,7 +14,8 @@ from memlit.dsl import ParseError, parse_litmus, print_litmus
 from memlit.model import Kind, force_seq_cst
 from memlit.operational import enumerate_sc
 
-from test_axiomatic import SINGLE_AXIOM_CASES, judge
+from support import SINGLE_AXIOM_CASES
+from test_axiomatic import judge
 
 FUZZ_SEED = 0xC0FFEE
 FUZZ_INPUTS = 10_000

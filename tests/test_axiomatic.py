@@ -30,9 +30,6 @@ from memlit.axiomatic import (
 from memlit.dot import execution_dot
 from memlit.dsl import parse_litmus
 from memlit.model import (
-    INIT_THREAD,
-    Event,
-    EventKind,
     Instruction,
     Kind,
     MemoryOrder,
@@ -48,11 +45,27 @@ from memlit.operational import enumerate_sc, enumerate_tso
 from memlit.relation import Relation
 
 from support import (
+    ACQ,
     ACQUIRE_CLASS,
+    DISJUNCTIVE_SC_READ,
+    F,
+    R,
+    REL,
     RELEASE_CLASS,
+    RELEASE_SEQUENCE_BROKEN_BY_MO,
+    RLX,
+    RMW,
+    S_EDGE_PROGRAMS,
+    SC,
+    SINGLE_AXIOM_CASES,
+    SW_INPUT_PROGRAMS,
+    SW_ORDERS_MO,
+    W,
     _sequence_from,
     _sequenced,
+    ev,
     grounded_candidates,
+    init_w,
     is_irreflexive_and_acyclic,
     ladder,
     program_events,
@@ -61,41 +74,6 @@ from support import (
     reference_outcomes,
     value_mutants,
 )
-
-R, W, RMW, F = EventKind.READ, EventKind.WRITE, EventKind.RMW, EventKind.FENCE
-RLX, ACQ, REL, SC = (
-    MemoryOrder.RELAXED,
-    MemoryOrder.ACQUIRE,
-    MemoryOrder.RELEASE,
-    MemoryOrder.SEQ_CST,
-)
-
-
-def init_w(eid: int, loc: str, value: int = 0) -> Event:
-    return Event(
-        id=eid,
-        thread=INIT_THREAD,
-        index=eid,
-        kind=W,
-        atomic=True,
-        order=None,
-        location=loc,
-        value_written=value,
-    )
-
-
-def ev(eid, thread, index, kind, order, loc=None, *, read=None, written=None, atomic=True):
-    return Event(
-        id=eid,
-        thread=thread,
-        index=index,
-        kind=kind,
-        atomic=atomic,
-        order=order,
-        location=loc,
-        value_read=read,
-        value_written=written,
-    )
 
 
 def reg_pairs(outcomes, a=("P0", "r1"), b=("P1", "r2")):
@@ -511,195 +489,12 @@ class TestRaces:
 
 
 # ---------------------------------------------------------------------------
-# one hand-built candidate per axiom
+# one hand-built candidate per axiom: SINGLE_AXIOM_CASES in support.py
 
 
 def judge(text: str, events, rf, mo, sc=()):
     program = parse_litmus(text)
     return check_axioms(program, CandidateExecution(tuple(events), rf, mo, tuple(sc)))
-
-
-# (axiom name, program, events, rf, mo, sc order); each candidate is built
-# so that precisely the named axiom rejects it.
-SINGLE_AXIOM_CASES = [
-    (
-        # Load buffering with an rf cycle through two acquire/release pairs.
-        "HB-IRREFLEXIVE",
-        "name: lb\ninit: x = 0 y = 0\nthread P0:\n  r1 = load x acquire\n"
-        "  store y 1 release\nthread P1:\n  r2 = load y acquire\n  store x 1 release\n"
-        "exists: P0:r1 = 1\n",
-        (
-            init_w(0, "x"),
-            init_w(1, "y"),
-            ev(2, 0, 0, R, ACQ, "x", read=1),
-            ev(3, 0, 1, W, REL, "y", written=1),
-            ev(4, 1, 0, R, ACQ, "y", read=1),
-            ev(5, 1, 1, W, REL, "x", written=1),
-        ),
-        {2: 5, 4: 3},
-        {"x": (0, 5), "y": (1, 3)},
-        (),
-    ),
-    (
-        # Two same-thread stores with modification order against sb.
-        "HB-MO",
-        "name: coww\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  store x 2 relaxed\n"
-        "exists: x = 2\n",
-        (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, RLX, "x", written=1),
-            ev(2, 0, 1, W, RLX, "x", written=2),
-        ),
-        {},
-        {"x": (0, 2, 1)},
-        (),
-    ),
-    (
-        # A load reading initialization past its own thread's newer store.
-        "COHERENT-READ",
-        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  r1 = load x relaxed\n"
-        "exists: P0:r1 = 0\n",
-        (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, RLX, "x", written=1),
-            ev(2, 0, 1, R, RLX, "x", read=0),
-        ),
-        {2: 0},
-        {"x": (0, 1)},
-        (),
-    ),
-    (
-        # Dekker's (0, 0) with every access seq_cst: each load reads
-        # initialization, so S must put it before the other thread's store,
-        # and S puts both loads before both stores, against sb.
-        "S-EMBED",
-        "name: dekker\ninit: x = 0 y = 0\nthread P0:\n  store x 1 seq_cst\n  r1 = load y seq_cst\n"
-        "thread P1:\n  store y 1 seq_cst\n  r2 = load x seq_cst\nexists: P0:r1 = 0 /\\ P1:r2 = 0\n",
-        (
-            init_w(0, "x"),
-            init_w(1, "y"),
-            ev(2, 0, 0, W, SC, "x", written=1),
-            ev(3, 0, 1, R, SC, "y", read=0),
-            ev(4, 1, 0, W, SC, "y", written=1),
-            ev(5, 1, 1, R, SC, "x", read=0),
-        ),
-        {3: 1, 5: 0},
-        {"x": (0, 2), "y": (1, 4)},
-        (3, 5, 2, 4),
-    ),
-    (
-        # A seq_cst load placed after the seq_cst store in S but reading the
-        # initialization value, which happens-before that store.
-        "SC-READ",
-        "name: t\ninit: x = 0\nthread P0:\n  store x 1 seq_cst\n"
-        "thread P1:\n  r1 = load x seq_cst\nexists: P1:r1 = 0\n",
-        (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, SC, "x", written=1),
-            ev(2, 1, 0, R, SC, "x", read=0),
-        ),
-        {2: 0},
-        {"x": (0, 1)},
-        (1, 2),
-    ),
-    (
-        # The RMW reads initialization but another store interposes in mo.
-        "RMW-IMMEDIATE",
-        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n"
-        "thread P1:\n  r1 = fetch_add x 5 relaxed\nexists: x = 5\n",
-        (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, RLX, "x", written=1),
-            ev(2, 1, 0, RMW, RLX, "x", read=0, written=5),
-        ),
-        {2: 0},
-        {"x": (0, 1, 2)},
-        (),
-    ),
-    (
-        # Fence sequenced before a relaxed load; the load ignores the
-        # seq_cst store that precedes the fence in S.
-        "SC-FENCE-1",
-        "name: t\ninit: x = 0\nthread P0:\n  store x 1 seq_cst\n"
-        "thread P1:\n  fence seq_cst\n  r1 = load x relaxed\nexists: P1:r1 = 0\n",
-        (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, SC, "x", written=1),
-            ev(2, 1, 0, F, SC),
-            ev(3, 1, 1, R, RLX, "x", read=0),
-        ),
-        {3: 0},
-        {"x": (0, 1)},
-        (1, 2),
-    ),
-    (
-        # Relaxed store, fence, then a seq_cst load after the fence in S
-        # that still reads the older initialization write.
-        "SC-FENCE-2",
-        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n"
-        "thread P1:\n  r1 = load x seq_cst\nexists: P1:r1 = 0\n",
-        (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, RLX, "x", written=1),
-            ev(2, 0, 1, F, SC),
-            ev(3, 1, 0, R, SC, "x", read=0),
-        ),
-        {3: 0},
-        {"x": (0, 1)},
-        (2, 3),
-    ),
-    (
-        # Store-fence on one side, fence-load on the other, fences ordered
-        # in S, yet the load reads the older write.
-        "SC-FENCE-3",
-        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n"
-        "thread P1:\n  fence seq_cst\n  r1 = load x relaxed\nexists: P1:r1 = 0\n",
-        (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, RLX, "x", written=1),
-            ev(2, 0, 1, F, SC),
-            ev(3, 1, 0, F, SC),
-            ev(4, 1, 1, R, RLX, "x", read=0),
-        ),
-        {4: 0},
-        {"x": (0, 1)},
-        (2, 3),
-    ),
-    (
-        # Both sides write; the S order of the fences contradicts mo.
-        "SC-FENCE-4",
-        "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n"
-        "thread P1:\n  fence seq_cst\n  store x 2 relaxed\nexists: x = 2\n",
-        (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, RLX, "x", written=1),
-            ev(2, 0, 1, F, SC),
-            ev(3, 1, 0, F, SC),
-            ev(4, 1, 1, W, RLX, "x", written=2),
-        ),
-        {},
-        {"x": (0, 4, 1)},
-        (2, 3),
-    ),
-    (
-        # corpus/lb_data_both.lit: each load reads the 1 the other thread's
-        # store copies from it, so the 1 justifies itself out of thin air.
-        "NO-THIN-AIR",
-        "name: lb_data_both\ninit: x = 0 y = 0\nthread P0:\n  r1 = load x relaxed\n  store y r1 relaxed\n"
-        "thread P1:\n  r2 = load y relaxed\n  store x r2 relaxed\nexists: P0:r1 = 1 /\\ P1:r2 = 1\n",
-        (
-            init_w(0, "x"),
-            init_w(1, "y"),
-            ev(2, 0, 0, R, RLX, "x", read=1),
-            ev(3, 0, 1, W, RLX, "y", written=1),
-            ev(4, 1, 0, R, RLX, "y", read=1),
-            ev(5, 1, 1, W, RLX, "x", written=1),
-        ),
-        {2: 5, 4: 3},
-        {"x": (0, 5), "y": (1, 3)},
-        (),
-    ),
-]
 
 
 class TestSingleAxiom:
@@ -977,31 +772,29 @@ class TestCandidateSpace:
         assert result.outcomes == enumerate_sc(program).outcomes
 
 
-DISJUNCTIVE_SC_READ = (
-    "name: t\ninit: x = 0\nthread P0:\n  store x 2 relaxed\n  r1 = fetch_add x 1 seq_cst\n"
-    "thread P1:\n  r0 = load x seq_cst\nthread P2:\n  store x 2 seq_cst\nexists: P1:r0 = 0\n"
-)
+class TestHbPerSwInput:
+    """enumerate_cxx11 judges hb once per rf map and sw input, the release
+    heads each sync read's source carries, and HB-MO per mo choice."""
 
-# Programs that put the seq_cst order S edges' corner cases in reach of a
-# whole-space comparison; random programs of four instructions rarely build
-# them.
-S_EDGE_PROGRAMS = [
-    # SC-READ from a plain write that happens-before a seq_cst write which
-    # is not mo-last: the edges that would keep the read before both seq_cst
-    # writes are a disjunction, so none is derived.
-    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  store x 2 seq_cst\n"
-    "thread P1:\n  store x 3 seq_cst\nthread P2:\n  r1 = load x seq_cst\nexists: P2:r1 = 1\n",
-    # SC-FENCE-1 only constrains seq_cst writes mo-after the read's source.
-    "name: t\ninit: x = 0\nthread P0:\n  store x 1 seq_cst\n  store x 2 relaxed\n"
-    "thread P1:\n  fence seq_cst\n  r1 = load x relaxed\nexists: P1:r1 = 2\n",
-    # With one fence, SC-FENCE-3 and 4 never apply: a fence is not ordered
-    # against itself.
-    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n  r1 = load x relaxed\n"
-    "thread P1:\n  store x 2 relaxed\nexists: P0:r1 = 2 /\\ x = 1\n",
-    "name: t\ninit: x = 0\nthread P0:\n  store x 1 relaxed\n  fence seq_cst\n  store x 2 relaxed\n"
-    "exists: x = 1\n",
-    DISJUNCTIVE_SC_READ,
-]
+    def test_a_release_sequence_broken_in_mo_is_judged_per_mo(self):
+        # P2 reads P0's y = 2.  With P1's store between P0's two y stores in
+        # mo, P0's release sequence ends before y = 2: there is no sw edge,
+        # and P2 may miss x = 1.  That mo leaves y = 2 last; every other
+        # order keeps the sequence whole, and the sw edge forces x = 1.
+        program = parse_litmus(RELEASE_SEQUENCE_BROKEN_BY_MO)
+        result = enumerate_cxx11(program)
+        assert (result.stats.explored, len(result.outcomes)) == (43, 13)
+        stale = [o for o in result.outcomes if (o.register("P2", "r2"), o.register("P2", "r3")) == (2, 0)]
+        assert [o.location("y") for o in stale] == [2]
+        assert eval_assertion(program.assertion, result).kind == "allowed"
+
+    def test_hb_mo_is_judged_when_sw_has_an_edge(self):
+        # P1 reading y = 1 puts P0's x store hb-before P1's, so mo ends at
+        # x = 2: the base rows alone leave the two stores unordered.
+        program = parse_litmus(SW_ORDERS_MO)
+        result = enumerate_cxx11(program)
+        assert (result.stats.explored, len(result.outcomes)) == (7, 3)
+        assert eval_assertion(program.assertion, result).kind == "forbidden"
 
 
 def assert_derived_s_edges_necessary(program, candidates) -> int:
@@ -1130,6 +923,13 @@ class TestAgainstEnumeratingOracle:
             assert (got.outcomes, got.racy) == want, program.name
             compared += 1
         assert compared >= 40
+
+    @pytest.mark.parametrize("spurious", [True, False])
+    @pytest.mark.parametrize("text", SW_INPUT_PROGRAMS, ids=["release-sequence-broken-by-mo", "sw-orders-mo"])
+    def test_on_sw_input_programs(self, text, spurious):
+        program = parse_litmus(text)
+        got = enumerate_cxx11(program, weak_spurious=spurious)
+        assert (got.outcomes, got.racy) == reference_outcomes(program, spurious, limit=2_000)
 
 
 class TestAgainstOperationalModels:

@@ -195,6 +195,30 @@ def _one_instruction(line):
         ),
         # a non-ASCII bad character spans its whole UTF-8 encoding
         (_one_instruction("store x é"), [("unexpected character 'é'", 4, 11, 41, 43)]),
+        (_one_instruction("1 = load x"), [("expected an instruction", 4, 3, 33, 34)]),
+        (_one_instruction("r1 = 5"), [("expected an operation name", 4, 8, 38, 39)]),
+        (
+            "name: t\nname: u\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 0\n",
+            [("duplicate name header", 2, 1, 8, 12)],
+        ),
+        (
+            "name: t\ninit: x = 0\ninit: y = 0\nthread P0:\n  store x 1\nexists: x = 0\n",
+            [("duplicate init section", 3, 1, 20, 24)],
+        ),
+        # an empty condition, and a missing operand after either connective,
+        # leave the file without one
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists:\n",
+            [("expected a condition", 5, 7, 49, 50), ("expected an exists or forall condition", 6, 1, 51, 51)],
+        ),
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 0 /\\\n",
+            [("expected a condition", 5, 15, 57, 59), ("expected an exists or forall condition", 6, 1, 60, 60)],
+        ),
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 0 \\/\n",
+            [("expected a condition", 5, 15, 57, 59), ("expected an exists or forall condition", 6, 1, 60, 60)],
+        ),
     ],
 )
 def test_diagnostics_pinned(text, expected):

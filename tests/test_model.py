@@ -7,6 +7,7 @@ from memlit.axiomatic import CandidateExecution, check_axioms
 from memlit.model import (
     And,
     Assertion,
+    Diagnostic,
     Event,
     EventKind,
     Instruction,
@@ -82,6 +83,14 @@ class TestRmwArithmetic:
         # instruction; every other RMW kind computes what it writes.
         rmw = {kind for kind in Kind if kind.event is EventKind.RMW}
         assert {kind for kind in rmw if kind.update is None} == {Kind.CAS_STRONG, Kind.CAS_WEAK}
+
+
+_RANGE = "value out of range"
+_NA_LOAD = Instruction(Kind.NA_LOAD, location="x", dest="r1")
+_CAS_256 = Instruction(
+    Kind.CAS_WEAK, location="x", dest="r1", expected=256, desired=1,
+    order=MemoryOrder.RELAXED, failure_order=MemoryOrder.RELAXED,
+)
 
 
 def _rules(program):
@@ -186,6 +195,55 @@ class TestValidation:
             assertion=Assertion("exists", MemAtom("z", 0)),
         )
         assert "unknown assertion location" in _rules(p)
+
+    def test_missing_field(self):
+        p = prog([[Instruction(Kind.STORE, location="x", order=MemoryOrder.RELAXED)]])
+        assert validate(p) == [Diagnostic("malformed instruction", "missing operand", 0, 0)]
+
+    def test_cas_without_failure_order(self):
+        cas = Instruction(Kind.CAS_STRONG, location="x", dest="r1", expected=0, desired=1, order=MemoryOrder.RELAXED)
+        assert validate(prog([[cas]])) == [Diagnostic("missing memory order", "cas requires a failure order", 0, 0)]
+
+    @pytest.mark.parametrize(
+        "instr, message",
+        [
+            (Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.ACQ_REL), "order acq_rel"),
+            (
+                Instruction(
+                    Kind.CAS_STRONG, location="x", dest="r1", expected=0, desired=1,
+                    order=MemoryOrder.ACQ_REL, failure_order=MemoryOrder.ACQ_REL,
+                ),
+                "failure order acq_rel",
+            ),
+        ],
+        ids=["load", "cas-failure-order"],
+    )
+    def test_acq_rel_read_rejected(self, instr, message):
+        want = Diagnostic("acq_rel on non-RMW", f"{message} requires a read-modify-write", 0, 0)
+        assert validate(prog([[instr]])) == [want]
+
+    def test_thread_name_count_must_match(self):
+        body = [Instruction(Kind.NA_STORE, location="x", operand=1)]
+        p = prog([body, body], names=("P0",))
+        assert validate(p) == [Diagnostic("malformed program", "thread name count does not match thread count")]
+
+    @pytest.mark.parametrize(
+        "init, instr, atom, diagnostic",
+        [
+            ({"x": 256}, _NA_LOAD, MemAtom("x", 0), Diagnostic(_RANGE, "init x = 256 outside 0..255")),
+            ({"x": 0}, _CAS_256, MemAtom("x", 0), Diagnostic(_RANGE, "cas literal outside 0..255", 0, 0)),
+            ({"x": 0}, _NA_LOAD, MemAtom("x", 256), Diagnostic(_RANGE, "assertion value 256 outside 0..255")),
+            ({"x": 0}, _NA_LOAD, RegAtom("P0", "r1", 256), Diagnostic(_RANGE, "assertion value 256 outside 0..255")),
+        ],
+        ids=["init", "cas-literal", "memory-atom", "register-atom"],
+    )
+    def test_values_out_of_range(self, init, instr, atom, diagnostic):
+        assert validate(prog([[instr]], assertion=Assertion("exists", atom), init=init)) == [diagnostic]
+
+    def test_diagnostic_text_names_where(self):
+        assert str(Diagnostic("rule", "message")) == "rule: message"
+        assert str(Diagnostic("rule", "message", 1)) == "thread 1: rule: message"
+        assert str(Diagnostic("rule", "message", 1, 2)) == "thread 1 instruction 2: rule: message"
 
 
 class TestProgramTransforms:
