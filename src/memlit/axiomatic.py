@@ -378,7 +378,7 @@ class _Frame:
         program = self.program
         fixed = {i: program.initial_value(loc) for i, loc in enumerate(program.locations)}
         rules: dict[int, tuple[Instruction, bool, Optional[int]]] = {}
-        reads, cas, weak_failures = [], [], []
+        reads, cas = [], []
         last_def: dict[tuple[str, str], int] = {}  # (thread name, register) -> the read that last defined it
         e = len(fixed)
         for name, body in zip(program.thread_names, program.threads):
@@ -391,9 +391,7 @@ class _Frame:
                     if event.writes_memory:
                         fixed[e] = instr.desired
                         cas.append((e, instr.expected, True))
-                    elif instr.kind is Kind.CAS_WEAK:
-                        weak_failures.append((e, instr.expected))
-                    else:
+                    elif instr.kind is Kind.CAS_STRONG:  # a failed cas_weak may read expected
                         cas.append((e, instr.expected, False))
                 elif event.writes_memory:
                     if event.reads_memory or source is not None:
@@ -404,7 +402,7 @@ class _Frame:
                     last_def[name, instr.dest] = e
                 e += 1
         registers = tuple(map(last_def.__getitem__, program.registers))
-        return _Plan(fixed, rules, tuple(reads), registers, tuple(cas), tuple(weak_failures))
+        return _Plan(fixed, rules, tuple(reads), registers, tuple(cas))
 
     def mo_orders(self, mo: Mapping[str, tuple[int, ...]]) -> tuple["_MoOrder", ...]:
         return tuple(_MoOrder(self, mo[loc]) for loc in self.locations)
@@ -501,7 +499,6 @@ class _Plan(NamedTuple):
     reads: tuple[int, ...]  # in id order
     registers: tuple[int, ...]  # the read that last defines each of Program.registers
     cas: tuple[tuple[int, int, bool], ...]  # (CAS, expected, succeeded), failed cas_weak aside
-    weak_failures: tuple[tuple[int, int], ...]  # (failed cas_weak, expected)
 
 
 def _ground(plan: _Plan, rf: Mapping[int, int]) -> Optional[tuple[dict[int, int], dict[int, int]]]:
@@ -741,7 +738,6 @@ def _valued(
 def enumerate_cxx11(
     program: Program,
     *,
-    weak_spurious: bool = True,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> OutcomeSet:
     """All assertion-relevant outcomes of axiom-consistent candidates.
@@ -752,8 +748,7 @@ def enumerate_cxx11(
     which consistent S witnessed them.  Only orders S that keep the S-EMBED
     edges and the SC axioms' edges for the candidate's rf and mo are tried
     (see `_sc_edges`); the first consistent S is the same as without
-    pruning.  Without weak_spurious, candidates where a failed
-    cas_weak read its expected value are dropped; NO-THIN-AIR allows them.
+    pruning.
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
     Witnesses share their `Event` objects, which are immutable: one per event
@@ -776,7 +771,6 @@ def enumerate_cxx11(
         events = _events(program, dict(zip(cas_sites, combo)))
         frame = _Frame(program, events)
         plan = frame.plan
-        spurious = () if weak_spurious else plan.weak_failures
 
         # A read's rf options are the other writes to its location, except
         # its own later ones: reading one always violates hb.
@@ -800,8 +794,6 @@ def enumerate_cxx11(
             if grounded is None:
                 continue
             value_read, value_written = grounded
-            if any(value_read[c] == x for c, x in spurious):
-                continue
             registers = tuple((t, r, value_read[e]) for (t, r), e in zip(program.registers, plan.registers))
             # rf fixes the registers, so an outcome of this rf is fixed by the
             # mo-last write of each location: the first consistent candidate

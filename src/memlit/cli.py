@@ -68,10 +68,10 @@ class RunReport:
 
 def _enumerate(model: str, program: Program, args: argparse.Namespace) -> OutcomeSet:
     if model == "sc":
-        return enumerate_sc(program, weak_spurious=args.weak_spurious, max_states=args.max_states)
+        return enumerate_sc(program, max_states=args.max_states)
     if model == "tso":
-        return enumerate_tso(program, weak_spurious=args.weak_spurious, max_states=args.max_states)
-    return enumerate_cxx11(program, weak_spurious=args.weak_spurious, max_candidates=args.max_candidates)
+        return enumerate_tso(program, max_states=args.max_states)
+    return enumerate_cxx11(program, max_candidates=args.max_candidates)
 
 
 def _load(path: str) -> Optional[tuple[Program, tuple[tuple[str, str], ...]]]:
@@ -249,8 +249,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     check.add_argument("--dot", metavar="DIR", help="write one witness graph per (model, outcome)")
     check.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES, metavar="N")
     check.add_argument("--max-candidates", type=_positive_int, default=DEFAULT_MAX_CANDIDATES, metavar="N")
-    check.add_argument("--no-weak-spurious", dest="weak_spurious", action="store_false",
-                       help="forbid spurious cas_weak failures")
     check.add_argument("--json-ish", metavar="FILE", help="write a single-document JSON summary (one file only)")
     args = parser.parse_args(argv)
 

@@ -319,6 +319,7 @@ class _Parser:
         thread_names: list[str] = []
         threads: list[list[Instruction]] = []
         assertion: Optional[Assertion] = None
+        condition_seen = False  # a condition line, parsed or not
 
         for line in self.lines:
             tokens = self.tokenize(*line)
@@ -361,6 +362,7 @@ class _Parser:
                 continue
 
             if head.text in ("exists", "forall"):
+                condition_seen = True
                 ok, i = self._expect_sym(tokens, 1, ":")
                 if not ok:
                     continue
@@ -388,7 +390,7 @@ class _Parser:
             self.error("expected init section", self._eof_span())
         if not threads:
             self.error("expected at least one thread", self._eof_span())
-        if assertion is None:
+        if not condition_seen:
             self.error("expected an exists or forall condition", self._eof_span())
 
         if self.diagnostics:

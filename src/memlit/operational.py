@@ -91,7 +91,7 @@ def _replace(items: tuple, index: int, item) -> tuple:
     return items[:index] + (item,) + items[index + 1 :]
 
 
-def _successors(ops: tuple, state: tuple, buffered: bool, weak_spurious: bool) -> list[tuple[tuple, Step]]:
+def _successors(ops: tuple, state: tuple, buffered: bool) -> list[tuple[tuple, Step]]:
     """Every enabled transition's successor states, each with its step's data,
     in thread order: a thread's exec successors, then its dequeue.  The data is
     a dequeue's buffer entry, or (pc, what the instruction did): a store's
@@ -140,7 +140,7 @@ def _successors(ops: tuple, state: tuple, buffered: bool, weak_spurious: bool) -
                 else:
                     succ = _replace(drained, loc, instr.desired), emptied, after, regs
                     successors.append((succ, ("exec", t, (pc, (old, "success")))))
-                    if op == _CAS_WEAK and weak_spurious:
+                    if op == _CAS_WEAK:
                         successors.append((failed, ("exec", t, (pc, (old, "spurious failure")))))
         if buffer:  # dequeue: the oldest buffered store reaches memory
             entry = buffer[0]
@@ -151,7 +151,7 @@ def _successors(ops: tuple, state: tuple, buffered: bool, weak_spurious: bool) -
 
 def enabled(program: Program, state: State) -> tuple[tuple[str, int], ...]:
     """(kind, thread) pairs in thread order: exec, then dequeue when the buffer is not empty."""
-    steps = _successors(_resolve(program), state, True, False)  # neither setting changes what is enabled
+    steps = _successors(_resolve(program), state, True)  # buffered changes the states that follow, not the steps
     return tuple(dict.fromkeys(step[:2] for _, step in steps))
 
 
@@ -181,17 +181,16 @@ def apply(
     transition: tuple[str, int],
     *,
     buffered: bool = True,
-    weak_spurious: bool = True,
 ) -> tuple[State, ...]:
     """Apply one enabled transition; cas_weak success yields two states."""
-    steps = _successors(_resolve(program), state, buffered, weak_spurious)
+    steps = _successors(_resolve(program), state, buffered)
     successors = tuple(State._make(succ) for succ, step in steps if step[:2] == transition)
     if not successors:
         raise ValueError(f"transition {transition} is not enabled")
     return successors
 
 
-def _explore(program: Program, *, buffered: bool, weak_spurious: bool, max_states: int) -> OutcomeSet:
+def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet:
     stats = ExplorationStats()
     witnesses: dict[Outcome, tuple[TraceStep, ...]] = {}
     ops = _resolve(program)
@@ -207,7 +206,7 @@ def _explore(program: Program, *, buffered: bool, weak_spurious: bool, max_state
         explored += 1
         if explored > max_states:
             raise ResourceLimitError("state", max_states)
-        successors = _successors(ops, state, buffered, weak_spurious)
+        successors = _successors(ops, state, buffered)
         if not successors:
             # all threads done and all buffers drained
             stats.complete_runs += 1
@@ -234,18 +233,16 @@ def _explore(program: Program, *, buffered: bool, weak_spurious: bool, max_state
 def enumerate_sc(
     program: Program,
     *,
-    weak_spurious: bool = True,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> OutcomeSet:
     """Every interleaving against one shared memory: the machine with unbuffered stores."""
-    return _explore(program, buffered=False, weak_spurious=weak_spurious, max_states=max_states)
+    return _explore(program, buffered=False, max_states=max_states)
 
 
 def enumerate_tso(
     program: Program,
     *,
-    weak_spurious: bool = True,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> OutcomeSet:
     """Every interleaving and dequeue schedule of the store-buffer machine."""
-    return _explore(program, buffered=True, weak_spurious=weak_spurious, max_states=max_states)
+    return _explore(program, buffered=True, max_states=max_states)

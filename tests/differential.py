@@ -9,21 +9,21 @@ imported read-only: its LADDERS and BASELINE rungs, under the rung's model
 and candidate budget) and N distinct programs drawn from `programs()` in
 tests/support.py with seed S, under all three models at a budget of
 RANDOM_BUDGET.  Each case is litmus text, so both sides parse it
-themselves.  Each corpus file and hand-built program also carries, under
-each weak_spurious setting, every candidate `grounded_candidates` in
-tests/support.py builds for it, as plain data, when there are at most
-JUDGE_LIMIT of them.  The hand-built programs reach what the corpus does
-not: no corpus candidate breaks SC-FENCE-2 alone.
+themselves.  Each corpus file and hand-built program also carries every
+candidate `grounded_candidates` in tests/support.py builds for it, as
+plain data, when there are at most JUDGE_LIMIT of them.  The hand-built
+programs reach what the corpus does not: no corpus candidate breaks
+SC-FENCE-2 alone.
 
 `git archive` extracts src/ at REV into a temporary directory; that copy
 and the working tree's src/ then run every case, each in its own
-subprocess, under both weak_spurious settings.  Each run yields its outcome
-set, racy, stats.explored, stats.complete_runs and the text of each
-witness's trace_dot or execution_dot, or the budget it exceeded.  Each side
-also judges those candidates with its own check_axioms, and
-yields how many are consistent and a digest of their consistent flags.  Any
-difference between the sides is printed, and the script exits 1; it exits
-0 when there is none.  pytest does not collect this file.
+subprocess.  Each run yields its outcome set, racy, stats.explored,
+stats.complete_runs and the text of each witness's trace_dot or
+execution_dot, or the budget it exceeded.  Each side also judges those
+candidates with its own check_axioms, and yields how many are consistent
+and a digest of their consistent flags.  Any difference between the sides
+is printed, and the script exits 1; it exits 0 when there is none.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_BUDGET = 20_000
 JUDGE_LIMIT = 2_000
-SETTINGS = {model: [{"weak_spurious": w} for w in (True, False)] for model in ("sc", "tso", "cxx11")}
+MODELS = ("sc", "tso", "cxx11")
 
 
 def build_cases(count: int, seed: int) -> list[dict]:
@@ -61,19 +61,18 @@ def build_cases(count: int, seed: int) -> list[dict]:
         ]
         return {"events": events, "rf": list(candidate.rf.items()), "mo": candidate.mo, "sc": candidate.sc_order}
 
-    every_model = [[model, None] for model in SETTINGS]
+    every_model = [[model, None] for model in MODELS]
     cases = []
     named = [(path.name, path.read_text()) for path in sorted((ROOT / "corpus").glob("*.lit"))]
     named += [(f"single-axiom {case[0]}", case[1]) for case in SINGLE_AXIOM_CASES]
     named += [(f"s-edge {i}", text) for i, text in enumerate(S_EDGE_PROGRAMS)]
     named += [(f"sw-input {i}", text) for i, text in enumerate(SW_INPUT_PROGRAMS)]
     for name, text in named:
-        judge = []
-        for weak_spurious in (True, False):
-            candidates = grounded_candidates(parse_litmus(text), weak_spurious, JUDGE_LIMIT)
-            if candidates is not None:
-                judge.append([weak_spurious, [plain(c) for c in candidates]])
-        cases.append({"name": name, "text": text, "models": every_model, "judge": judge})
+        case = {"name": name, "text": text, "models": every_model}
+        candidates = grounded_candidates(parse_litmus(text), JUDGE_LIMIT)
+        if candidates is not None:
+            case["judge"] = [plain(c) for c in candidates]
+        cases.append(case)
     rungs = [(rung, LADDER_CANDIDATES) for ladder in LADDERS.values() for rung in ladder]
     rungs += [(rung, None) for pins in BASELINE.values() for rung, _ in pins]
     for rung, budget in rungs:
@@ -96,7 +95,7 @@ def build_cases(count: int, seed: int) -> list[dict]:
 
         draw()
         batch += 1
-    random_models = [[model, RANDOM_BUDGET] for model in SETTINGS]
+    random_models = [[model, RANDOM_BUDGET] for model in MODELS]
     cases += [{"name": f"random {i}", "text": text, "models": random_models} for i, text in enumerate(texts)]
     return cases
 
@@ -113,9 +112,9 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
     results = {}
     for case in json.loads(Path(cases_path).read_text()):
         program = parse_litmus(case["text"])
-        for weak_spurious, candidates in case.get("judge", ()):
+        if "judge" in case:
             flags = ""
-            for c in candidates:
+            for c in case["judge"]:
                 events = tuple(
                     Event(i, t, x, EventKind(kind), atomic, order and MemoryOrder(order), *rest)
                     for i, t, x, kind, atomic, order, *rest in c["events"]
@@ -123,7 +122,7 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
                 mo = {loc: tuple(order) for loc, order in c["mo"].items()}
                 candidate = CandidateExecution(events, dict(c["rf"]), mo, tuple(c["sc"]))
                 flags += "1" if check_axioms(program, candidate).consistent else "0"
-            results[f"{case['name']} | check_axioms | weak_spurious={weak_spurious}"] = {
+            results[f"{case['name']} | check_axioms"] = {
                 "candidates": len(flags),
                 "consistent": flags.count("1"),
                 "consistent sha256": hashlib.sha256(flags.encode()).hexdigest(),
@@ -131,23 +130,22 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
         for model, budget in case["models"]:
             dot = execution_dot if model == "cxx11" else trace_dot
             limit = {} if budget is None else {"max_candidates" if model == "cxx11" else "max_states": budget}
-            for options in SETTINGS[model]:
-                key = f"{case['name']} | {model} | {' '.join(f'{k}={v}' for k, v in options.items())}"
-                try:
-                    result = enumerate_model[model](program, **options, **limit)
-                except ResourceLimitError as exc:
-                    results[key] = {"exit": str(exc)}
-                    continue
-                results[key] = {
-                    "outcomes": sorted(o.format() for o in result.outcomes),
-                    "racy": result.racy,
-                    "explored": result.stats.explored,
-                    "complete_runs": result.stats.complete_runs,
-                    "witness dot sha256": {
-                        o.format(): hashlib.sha256(dot(program, w).encode()).hexdigest()
-                        for o, w in result.witnesses.items()
-                    },
-                }
+            key = f"{case['name']} | {model}"
+            try:
+                result = enumerate_model[model](program, **limit)
+            except ResourceLimitError as exc:
+                results[key] = {"exit": str(exc)}
+                continue
+            results[key] = {
+                "outcomes": sorted(o.format() for o in result.outcomes),
+                "racy": result.racy,
+                "explored": result.stats.explored,
+                "complete_runs": result.stats.complete_runs,
+                "witness dot sha256": {
+                    o.format(): hashlib.sha256(dot(program, w).encode()).hexdigest()
+                    for o, w in result.witnesses.items()
+                },
+            }
     Path(out_path).write_text(json.dumps(results, sort_keys=True))
 
 

@@ -61,16 +61,16 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A failed cas_strong may read expected, as a cas_weak may.
         "axiomatic.py",
-        "                    elif instr.kind is Kind.CAS_WEAK:",
-        "                    elif instr.kind in CAS_KINDS:",
+        "                    elif instr.kind is Kind.CAS_STRONG:",
+        "                    elif False:",
         (f"{SINGLE}::test_a_cas_takes_the_branch_its_read_selects",),
     ),
     (
-        # enumerate_cxx11 keeps spurious failures under weak_spurious=False.
+        # A failed cas_weak may not read expected: the plan checks every failed CAS.
         "axiomatic.py",
-        "        spurious = () if weak_spurious else plan.weak_failures",
-        "        spurious = ()",
-        (f"{ENUMERATION}::test_weak_cas_spurious_toggle",),
+        "                    elif instr.kind is Kind.CAS_STRONG:",
+        "                    else:",
+        (f"{SINGLE}::test_a_cas_takes_the_branch_its_read_selects", f"{ENUMERATION}::test_weak_cas_spurious_toggle"),
     ),
     (
         # A register operand takes its first definition, not its latest.
@@ -160,10 +160,10 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         (f"{TSO_STATE_SPACE}::test_ladder_explored_counts",),
     ),
     (
-        # cas_weak never fails spuriously, whatever weak_spurious says.
+        # cas_weak never fails spuriously.
         "operational.py",
-        "if op == _CAS_WEAK and weak_spurious:",
-        "if op == _CAS_WEAK and False:",
+        "if op == _CAS_WEAK:",
+        "if False:",
         (f"{SC}::TestWeakCas::test_spurious_failure_branches",),
     ),
     (

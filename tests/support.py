@@ -58,7 +58,7 @@ def _final_outcome(program: Program, mem, regs) -> Outcome:
     return make_outcome(program, [dict(r) for r in regs], dict(mem))
 
 
-def sc_outcomes(program: Program, weak_spurious: bool = True) -> frozenset[Outcome]:
+def sc_outcomes(program: Program) -> frozenset[Outcome]:
     """Every interleaving, executed on a single shared memory."""
     results: set[Outcome] = set()
 
@@ -71,7 +71,7 @@ def sc_outcomes(program: Program, weak_spurious: bool = True) -> frozenset[Outco
             progressed = True
             instr = body[pc]
             next_pcs = pcs[:t] + (pc + 1,) + pcs[t + 1 :]
-            for mem2, regs2 in _sc_effects(mem, regs, t, instr, weak_spurious):
+            for mem2, regs2 in _sc_effects(mem, regs, t, instr):
                 step(mem2, regs2, next_pcs)
         if not progressed:
             results.add(_final_outcome(program, mem, regs))
@@ -84,7 +84,7 @@ def sc_outcomes(program: Program, weak_spurious: bool = True) -> frozenset[Outco
     return frozenset(results)
 
 
-def _sc_effects(mem, regs, t, instr, weak_spurious):
+def _sc_effects(mem, regs, t, instr):
     def with_reg(value, new_mem=None):
         regs2 = [dict(r) for r in regs]
         regs2[t][instr.dest] = value
@@ -106,7 +106,7 @@ def _sc_effects(mem, regs, t, instr, weak_spurious):
             mem2 = dict(mem)
             mem2[instr.location] = instr.desired
             outs.append(with_reg(old, mem2))
-            if k is Kind.CAS_WEAK and weak_spurious:
+            if k is Kind.CAS_WEAK:  # a spurious failure
                 outs.append(with_reg(old))
         else:
             outs.append(with_reg(old))
@@ -120,7 +120,7 @@ def _sc_effects(mem, regs, t, instr, weak_spurious):
     return [with_reg(old, mem2)]
 
 
-def tso_outcomes(program: Program, weak_spurious: bool = True) -> frozenset[Outcome]:
+def tso_outcomes(program: Program) -> frozenset[Outcome]:
     """Exhaustive search over (memory, buffers, pcs, registers) states
     with explicit nondeterministic dequeues and store-to-load forwarding."""
     results: set[Outcome] = set()
@@ -177,7 +177,7 @@ def tso_outcomes(program: Program, weak_spurious: bool = True) -> frozenset[Outc
                     written = dict(drained)
                     written[instr.location] = instr.desired
                     successors.append((written, bufs2, _advance(pcs, t), regs2))
-                    if instr.kind is Kind.CAS_WEAK and weak_spurious:
+                    if instr.kind is Kind.CAS_WEAK:  # a spurious failure
                         successors.append((drained, bufs2, _advance(pcs, t), regs2))
                 else:
                     successors.append((drained, bufs2, _advance(pcs, t), regs2))
@@ -380,7 +380,7 @@ def reference_judgment(program: Program, candidate: CandidateExecution) -> Execu
     if s_embeds:
         violated.extend(_sc_fence_violations(events, rf, mo_pos, s, s_pos))
     fresh = program_events(program, {(e.thread, e.index): e.kind is EventKind.RMW for e in events})
-    grounded = _ground(program, fresh, rf, True)
+    grounded = _ground(program, fresh, rf)
     if grounded is None or [(e.value_read, e.value_written) for e in grounded] != [
         (e.value_read, e.value_written) for e in events
     ]:
@@ -613,13 +613,14 @@ def program_events(program: Program, success: dict[tuple[int, int], bool]) -> li
     return events
 
 
-def _ground(program: Program, events: list[Event], rf: dict[int, int], weak_spurious: bool) -> Optional[tuple[Event, ...]]:
+def _ground(program: Program, events: list[Event], rf: dict[int, int]) -> Optional[tuple[Event, ...]]:
     """The events with their values: every thread runs in program order, a
     read taking its rf source's value once that is known, over and over until
     nothing changes.  A plain write needs its operand, an RMW its read value
     too, and a successful CAS writes `desired`.  None when some value stays
     unknown (it could only come out of thin air) or a CAS's branch
-    contradicts the value it read."""
+    contradicts the value it read, a failed cas_weak being free to read
+    expected."""
     site = {(e.thread, e.index): e for e in events}
     read: dict[int, int] = {}
     written = {e.id: e.value_written for e in events if e.is_init}
@@ -658,7 +659,7 @@ def _ground(program: Program, events: list[Event], rf: dict[int, int], weak_spur
             if instr.kind in CAS_KINDS:
                 succeeded = e.kind is EventKind.RMW
                 if succeeded != (read[e.id] == instr.expected):
-                    spurious = not succeeded and instr.kind is Kind.CAS_WEAK and weak_spurious
+                    spurious = not succeeded and instr.kind is Kind.CAS_WEAK
                     if not spurious:
                         return None
             e = Event(e.id, e.thread, e.index, e.kind, e.atomic, e.order, e.location, read.get(e.id), written.get(e.id))
@@ -666,7 +667,7 @@ def _ground(program: Program, events: list[Event], rf: dict[int, int], weak_spur
     return tuple(grounded)
 
 
-def grounded_candidates(program: Program, weak_spurious: bool, limit: int) -> Optional[list[CandidateExecution]]:
+def grounded_candidates(program: Program, limit: int) -> Optional[list[CandidateExecution]]:
     """Every grounded candidate of `program`, unpruned: each CAS branching,
     every rf choice of a same-location write, every modification order with
     initialization first, every order S of the seq_cst events.  None when
@@ -687,7 +688,7 @@ def grounded_candidates(program: Program, weak_spurious: bool, limit: int) -> Op
             sc_ids = [e.id for e in events if e.order is MemoryOrder.SEQ_CST]
             for rf_combo in itertools.product(*choices):
                 rf = dict(zip([r.id for r in reads], rf_combo))
-                grounded = _ground(program, events, rf, weak_spurious)
+                grounded = _ground(program, events, rf)
                 if grounded is None:
                     continue
                 for mo_combo in itertools.product(*mos):
@@ -719,11 +720,11 @@ def value_mutants(program: Program, candidate: CandidateExecution) -> Iterator[C
         yield CandidateExecution(tuple(events), candidate.rf, candidate.mo, candidate.sc_order)
 
 
-def reference_outcomes(program: Program, weak_spurious: bool, limit: int) -> Optional[tuple[frozenset[Outcome], bool]]:
+def reference_outcomes(program: Program, limit: int) -> Optional[tuple[frozenset[Outcome], bool]]:
     """Outcomes and racy of `program` by brute force: every candidate of
     `grounded_candidates` that `reference_judgment` finds consistent.  None
     when there are more than `limit` candidates."""
-    candidates = grounded_candidates(program, weak_spurious, limit)
+    candidates = grounded_candidates(program, limit)
     if candidates is None:
         return None
     outcomes: set[Outcome] = set()
@@ -846,6 +847,13 @@ def programs(draw, max_threads: int = 3, max_total: int = 6, atomic_only: bool =
     )
     assert not validate(program), validate(program)
     return program
+
+
+def with_cas_kind(program: Program, kind: Kind) -> Program:
+    """`program` with every CAS rewritten as `kind`.  Its cas_strong twin is
+    the same program, minus the spurious failures."""
+    threads = tuple(tuple(replace(i, kind=kind) if i.kind in CAS_KINDS else i for i in body) for body in program.threads)
+    return replace(program, threads=threads)
 
 
 # ---------------------------------------------------------------------------

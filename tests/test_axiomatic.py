@@ -12,7 +12,6 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from memlit.axiomatic import (
     AXIOMS,
@@ -41,7 +40,7 @@ from memlit.model import (
     validate,
     with_fences_after_stores,
 )
-from memlit.operational import enumerate_sc, enumerate_tso
+from memlit.operational import apply, enumerate_sc, enumerate_tso, initial_state
 from memlit.relation import Relation
 
 from support import (
@@ -73,6 +72,7 @@ from support import (
     reference_judgment,
     reference_outcomes,
     value_mutants,
+    with_cas_kind,
 )
 
 
@@ -286,7 +286,7 @@ class TestReleaseSequence:
         )
         heads = 0
         for program in [entry.program for entry in corpus.values()] + [mixed]:
-            for cand in grounded_candidates(program, True, limit=2_000) or ():
+            for cand in grounded_candidates(program, limit=2_000) or ():
                 for head in cand.events:
                     if head.writes_memory and head.atomic and head.order in RELEASE_CLASS:
                         assert release_sequence(program, cand, head.id) == _sequence_from(cand.events, cand.mo, head)
@@ -660,14 +660,27 @@ class TestEnumeration:
         program = parse_litmus(text)
         assert (0, 0) not in reg_pairs(enumerate_cxx11(program))
         assert check_axioms(program, CandidateExecution(events, rf, mo, sc)).violated == ("S-EMBED",)
-        both_zero = [c for c in grounded_candidates(program, True, limit=2_000) if c.rf == rf]
+        both_zero = [c for c in grounded_candidates(program, limit=2_000) if c.rf == rf]
         violated = {check_axioms(program, c).violated for c in both_zero}
         assert ("S-EMBED",) in violated and () not in violated
 
-    def test_strict_s_keyword_is_gone(self):
-        # S always embeds hb and mo; there is no loose mode to ask for.
+    @pytest.mark.parametrize(
+        "run, keyword",
+        [
+            (enumerate_cxx11, "strict_s"),
+            (enumerate_sc, "weak_spurious"),
+            (enumerate_tso, "weak_spurious"),
+            (enumerate_cxx11, "weak_spurious"),
+            (lambda program, **option: apply(program, initial_state(program), ("exec", 0), **option), "weak_spurious"),
+        ],
+        ids=["cxx11-strict_s", "sc-weak_spurious", "tso-weak_spurious", "cxx11-weak_spurious", "apply-weak_spurious"],
+    )
+    def test_strict_s_keyword_is_gone(self, run, keyword):
+        # S always embeds hb and mo, and a cas_weak may always fail
+        # spuriously: there is no loose S mode and no strong cas_weak to ask
+        # for.  A program that wants no spurious failure writes cas_strong.
         with pytest.raises(TypeError):
-            enumerate_cxx11(parse_litmus(MP_NA), strict_s=False)
+            run(parse_litmus(MP_NA), **{keyword: False})
 
     def test_racy_flag(self):
         program = parse_litmus(MP_NA)
@@ -682,8 +695,20 @@ class TestEnumeration:
         )
         both = enumerate_cxx11(program)
         assert {o.location("x") for o in both.outcomes} == {0, 1}
-        only = enumerate_cxx11(program, weak_spurious=False)
+        only = enumerate_cxx11(with_cas_kind(program, Kind.CAS_STRONG))
         assert {o.location("x") for o in only.outcomes} == {1}
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs(max_total=5))
+    def test_cas_strong_twin_has_a_subset_of_the_outcomes(self, program):
+        # cas_strong is cas_weak without its spurious failure: rewriting every
+        # cas_weak as cas_strong can only remove outcomes, on every backend.
+        # Every CAS of the drawn program is made weak first, so that each
+        # draw with a CAS compares two different programs.
+        weak = with_cas_kind(program, Kind.CAS_WEAK)
+        strong = with_cas_kind(weak, Kind.CAS_STRONG)
+        for enumerate_fn in (enumerate_sc, enumerate_tso, enumerate_cxx11):
+            assert enumerate_fn(strong).outcomes <= enumerate_fn(weak).outcomes
 
     def test_store_uses_the_latest_definition_of_its_register(self):
         program = parse_litmus(
@@ -709,12 +734,12 @@ class TestEnumeration:
                 assert judgment.consistent, outcome.format()
 
     @settings(max_examples=60, deadline=None)
-    @given(programs(max_total=5), st.booleans())
-    def test_every_witness_is_consistent_and_carries_its_outcome(self, program, spurious):
+    @given(programs(max_total=5))
+    def test_every_witness_is_consistent_and_carries_its_outcome(self, program):
         # Witnesses share valued events and outcomes are built once per rf
         # and mo-last writes; each witness must still produce its own outcome.
         # Both judges find it consistent, so its S embeds hb and mo.
-        result = enumerate_cxx11(program, weak_spurious=spurious)
+        result = enumerate_cxx11(program)
         for outcome, cand in result.witnesses.items():
             assert judged_alike(program, cand) == (), outcome.format()
             registers = {}
@@ -755,13 +780,12 @@ class TestCandidateSpace:
         result = enumerate_cxx11(with_fences_after_stores(parse_litmus(ladder((3, 4)))))
         assert (result.stats.explored, len(result.outcomes)) == (60, 12)
 
-    @pytest.mark.parametrize("spurious", [True, False])
-    def test_disjunctive_sc_read_is_judged_on_every_s(self, spurious):
+    def test_disjunctive_sc_read_is_judged_on_every_s(self):
         # The seq_cst load reading initialization is a disjunctive SC-READ
         # whenever the fetch_add reads P0's relaxed store: init happens-before
         # both seq_cst writes, but only one of them is mo-last.  No edge
         # states it, so each S tried is checked against it, and some fail.
-        result = enumerate_cxx11(parse_litmus(DISJUNCTIVE_SC_READ), weak_spurious=spurious)
+        result = enumerate_cxx11(parse_litmus(DISJUNCTIVE_SC_READ))
         assert (result.stats.explored, len(result.outcomes)) == (49, 6)
 
     def test_seq_cst_4x2_is_sc(self):
@@ -842,17 +866,17 @@ def judged_alike_with_value_mutants(program, candidate) -> set[str]:
 
 class TestAgainstReference:
     @settings(max_examples=100, deadline=None)
-    @given(programs(max_total=4), st.booleans())
-    def test_check_axioms_matches_pair_set_judge(self, program, spurious):
-        candidates = grounded_candidates(program, spurious, limit=2_000)
+    @given(programs(max_total=4))
+    def test_check_axioms_matches_pair_set_judge(self, program):
+        candidates = grounded_candidates(program, limit=2_000)
         assume(candidates is not None)
         for candidate in candidates:
             judged_alike(program, candidate)
 
     @settings(max_examples=50, deadline=None)
-    @given(programs(max_total=4), st.booleans())
-    def test_value_mutants_match_pair_set_judge(self, program, spurious):
-        candidates = grounded_candidates(program, spurious, limit=2_000)
+    @given(programs(max_total=4))
+    def test_value_mutants_match_pair_set_judge(self, program):
+        candidates = grounded_candidates(program, limit=2_000)
         assume(candidates is not None)
         for candidate in candidates:
             judged_alike_with_value_mutants(program, candidate)
@@ -876,7 +900,7 @@ class TestAgainstReference:
         seen: set[str] = set()
         for text in texts:
             program = parse_litmus(text)
-            candidates = grounded_candidates(program, True, limit=2_000)
+            candidates = grounded_candidates(program, limit=2_000)
             for candidate in candidates or ():
                 seen |= judged_alike_with_value_mutants(program, candidate)
         assert seen == set(AXIOMS)
@@ -885,9 +909,9 @@ class TestAgainstReference:
     # those `_sc_edges` derives.  Each edge must be necessary: an S that
     # passes S-EMBED but breaks one is rejected by the edge's axiom anyway.
     @settings(max_examples=100, deadline=None)
-    @given(programs(max_total=4), st.booleans())
-    def test_derived_s_edges_are_necessary(self, program, spurious):
-        candidates = grounded_candidates(program, spurious, limit=2_000)
+    @given(programs(max_total=4))
+    def test_derived_s_edges_are_necessary(self, program):
+        candidates = grounded_candidates(program, limit=2_000)
         assume(candidates is not None)
         assert_derived_s_edges_necessary(program, candidates)
 
@@ -896,7 +920,7 @@ class TestAgainstReference:
         broken = 0
         for text in texts:
             program = parse_litmus(text)
-            broken += assert_derived_s_edges_necessary(program, grounded_candidates(program, True, limit=2_000) or ())
+            broken += assert_derived_s_edges_necessary(program, grounded_candidates(program, limit=2_000) or ())
         assert broken > 0
 
 
@@ -905,31 +929,29 @@ class TestAgainstEnumeratingOracle:
     grounded candidate.  Outcomes and racy must agree."""
 
     @settings(max_examples=100, deadline=None)
-    @given(programs(max_total=4), st.booleans())
-    def test_on_random_programs(self, program, spurious):
-        want = reference_outcomes(program, spurious, limit=2_000)
+    @given(programs(max_total=4))
+    def test_on_random_programs(self, program):
+        want = reference_outcomes(program, limit=2_000)
         assume(want is not None)
-        got = enumerate_cxx11(program, weak_spurious=spurious)
+        got = enumerate_cxx11(program)
         assert (got.outcomes, got.racy) == want
 
-    @pytest.mark.parametrize("spurious", [True, False])
-    def test_on_corpus_and_s_edge_programs(self, corpus, spurious):
+    def test_on_corpus_and_s_edge_programs(self, corpus):
         compared = 0
         for program in [entry.program for entry in corpus.values()] + [parse_litmus(t) for t in S_EDGE_PROGRAMS]:
-            want = reference_outcomes(program, spurious, limit=2_000)
+            want = reference_outcomes(program, limit=2_000)
             if want is None:
                 continue
-            got = enumerate_cxx11(program, weak_spurious=spurious)
+            got = enumerate_cxx11(program)
             assert (got.outcomes, got.racy) == want, program.name
             compared += 1
         assert compared >= 40
 
-    @pytest.mark.parametrize("spurious", [True, False])
     @pytest.mark.parametrize("text", SW_INPUT_PROGRAMS, ids=["release-sequence-broken-by-mo", "sw-orders-mo"])
-    def test_on_sw_input_programs(self, text, spurious):
+    def test_on_sw_input_programs(self, text):
         program = parse_litmus(text)
-        got = enumerate_cxx11(program, weak_spurious=spurious)
-        assert (got.outcomes, got.racy) == reference_outcomes(program, spurious, limit=2_000)
+        got = enumerate_cxx11(program)
+        assert (got.outcomes, got.racy) == reference_outcomes(program, limit=2_000)
 
 
 class TestAgainstOperationalModels:

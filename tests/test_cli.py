@@ -124,17 +124,17 @@ class TestReport:
             assert f"\n  {model}" in out
 
 
-class TestWeakSpuriousFlag:
+class TestWeakCas:
     def test_default_allows_spurious_failure(self, tmp_path):
         assert main(["check", write(tmp_path, WEAK_CAS), "--model", "sc"]) == 0
 
-    def test_flag_removes_failure_branch(self, tmp_path, capsys):
-        assert main(["check", write(tmp_path, WEAK_CAS), "--model", "sc", "--no-weak-spurious"]) == 1
+    def test_cas_strong_removes_failure_branch(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, WEAK_CAS.replace("cas_weak", "cas_strong")), "--model", "sc"]) == 1
         assert "MISMATCH" in capsys.readouterr().out
 
 
-class TestRemovedStrictSFlag:
-    @pytest.mark.parametrize("flag", ["--strict-s", "--no-strict-s"])
+class TestRemovedFlags:
+    @pytest.mark.parametrize("flag", ["--strict-s", "--no-strict-s", "--no-weak-spurious"])
     def test_is_an_unknown_argument(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", str(DEKKER), "--model", "cxx11", flag])

@@ -205,19 +205,33 @@ def _one_instruction(line):
             "name: t\ninit: x = 0\ninit: y = 0\nthread P0:\n  store x 1\nexists: x = 0\n",
             [("duplicate init section", 3, 1, 20, 24)],
         ),
-        # an empty condition, and a missing operand after either connective,
-        # leave the file without one
+        # a condition line that fails to parse is reported once, on that line:
+        # an empty condition, a missing operand after either connective, a
+        # missing ':' and an unclosed '('
         (
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists:\n",
-            [("expected a condition", 5, 7, 49, 50), ("expected an exists or forall condition", 6, 1, 51, 51)],
+            [("expected a condition", 5, 7, 49, 50)],
         ),
         (
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 0 /\\\n",
-            [("expected a condition", 5, 15, 57, 59), ("expected an exists or forall condition", 6, 1, 60, 60)],
+            [("expected a condition", 5, 15, 57, 59)],
         ),
         (
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 0 \\/\n",
-            [("expected a condition", 5, 15, 57, 59), ("expected an exists or forall condition", 6, 1, 60, 60)],
+            [("expected a condition", 5, 15, 57, 59)],
+        ),
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists x = 0\n",
+            [("expected ':'", 5, 8, 50, 51)],
+        ),
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: (x = 0\n",
+            [("expected ')'", 5, 14, 56, 57)],
+        ),
+        # a file without a condition line is told so at its end
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1\n",
+            [("expected an exists or forall condition", 5, 1, 43, 43)],
         ),
     ],
 )

@@ -10,13 +10,12 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from memlit.dsl import parse_litmus
-from memlit.model import Assertion, MemAtom, ResourceLimitError, eval_assertion
+from memlit.model import Assertion, Kind, MemAtom, ResourceLimitError, eval_assertion
 from memlit.operational import apply, enumerate_sc, enumerate_tso, initial_state
 
-from support import programs, sc_outcomes
+from support import programs, sc_outcomes, with_cas_kind
 
 DEKKER = """\
 name: dekker
@@ -82,8 +81,7 @@ exists: x = 1
         assert all(o.register("P0", "r1") == 0 for o in result.outcomes)
 
     def test_spurious_failures_suppressed(self):
-        program = parse_litmus(self.PROGRAM)
-        result = enumerate_sc(program, weak_spurious=False)
+        result = enumerate_sc(with_cas_kind(parse_litmus(self.PROGRAM), Kind.CAS_STRONG))
         assert {o.location("x") for o in result.outcomes} == {1}
 
 
@@ -134,7 +132,7 @@ class TestStepApi:
         )
         state = initial_state(program)
         assert len(apply(program, state, ("exec", 0), buffered=False)) == 2
-        assert len(apply(program, state, ("exec", 0), buffered=False, weak_spurious=False)) == 1
+        assert len(apply(with_cas_kind(program, Kind.CAS_STRONG), state, ("exec", 0), buffered=False)) == 1
 
 
 class TestLimits:
@@ -192,10 +190,10 @@ class TestInterleavingCount:
 
 class TestAgainstOracle:
     @settings(max_examples=150, deadline=None)
-    @given(programs(), st.booleans())
-    def test_matches_reference_interleaver(self, program, spurious):
-        result = enumerate_sc(program, weak_spurious=spurious)
-        assert result.outcomes == sc_outcomes(program, weak_spurious=spurious)
+    @given(programs())
+    def test_matches_reference_interleaver(self, program):
+        result = enumerate_sc(program)
+        assert result.outcomes == sc_outcomes(program)
 
     @given(programs())
     @settings(max_examples=25, deadline=None)

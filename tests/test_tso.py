@@ -262,11 +262,11 @@ class TestStateSpace:
             run(program, max_states=explored - 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(programs(), st.booleans(), st.booleans())
-    def test_public_stepping_reaches_what_the_search_explores(self, program, buffered, spurious):
+    @given(programs(), st.booleans())
+    def test_public_stepping_reaches_what_the_search_explores(self, program, buffered):
         # enabled/apply from initial_state reach exactly the states the search
         # counts, and the states with nothing enabled give exactly its outcomes.
-        states = reachable(program, buffered=buffered, weak_spurious=spurious)
+        states = reachable(program, buffered=buffered)
         outcomes = {
             Outcome(
                 tuple((t, r, v) for (t, r), v in zip(program.registers, state.registers)),
@@ -275,26 +275,26 @@ class TestStateSpace:
             for state in states
             if not enabled(program, state)
         }
-        result = (enumerate_tso if buffered else enumerate_sc)(program, weak_spurious=spurious)
+        result = (enumerate_tso if buffered else enumerate_sc)(program)
         assert len(states) == result.stats.explored
         assert outcomes == result.outcomes
 
     @settings(max_examples=60, deadline=None)
-    @given(programs(), st.booleans())
-    def test_unbuffered_machine_never_buffers(self, program, spurious):
+    @given(programs())
+    def test_unbuffered_machine_never_buffers(self, program):
         # SC is the machine whose stores commit at once: every reachable state
         # has empty buffers, so no dequeue is ever enabled.
-        for state in reachable(program, buffered=False, weak_spurious=spurious):
+        for state in reachable(program, buffered=False):
             assert all(buffer == () for buffer in state.buffers)
             assert all(kind == "exec" for kind, _ in enabled(program, state))
 
 
 class TestAgainstOracle:
     @settings(max_examples=100, deadline=None)
-    @given(programs(), st.booleans())
-    def test_matches_reference_search(self, program, spurious):
-        result = enumerate_tso(program, weak_spurious=spurious)
-        assert result.outcomes == tso_outcomes(program, weak_spurious=spurious)
+    @given(programs())
+    def test_matches_reference_search(self, program):
+        result = enumerate_tso(program)
+        assert result.outcomes == tso_outcomes(program)
 
     @settings(max_examples=100, deadline=None)
     @given(programs())
