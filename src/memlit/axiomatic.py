@@ -95,6 +95,7 @@ from .model import (
     OutcomeSet,
     Program,
     ResourceLimitError,
+    check_runnable,
 )
 from .relation import Relation, ordered_extensions
 
@@ -752,8 +753,10 @@ def enumerate_cxx11(
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
     Witnesses share their `Event` objects, which are immutable: one per event
-    and pair of values in each CAS branching.
+    and pair of values in each CAS branching.  ValueError for a value
+    outside 0..MAX_VALUE or an atomic kind without its order.
     """
+    check_runnable(program)
     stats = ExplorationStats()
     witnesses: dict[Outcome, CandidateExecution] = {}
     racy = False

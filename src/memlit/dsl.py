@@ -327,7 +327,7 @@ class _Parser:
                 continue
             head = tokens[0]
 
-            if assertion is not None:
+            if condition_seen:
                 self.error("content after the condition line", self._line_span(*line))
                 continue
 

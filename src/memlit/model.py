@@ -259,6 +259,24 @@ def _literal_ok(value: Optional[int]) -> bool:
     return value is None or 0 <= value <= MAX_VALUE
 
 
+def check_runnable(program: Program) -> None:
+    """ValueError naming the first fault a backend cannot run: an initial
+    value or a literal (operand, expected, desired) outside 0..MAX_VALUE,
+    which no byte holds, or an atomic kind without its memory order (a CAS
+    without its failure order).  The backends call this, not validate, which
+    costs more and reports every fault."""
+    for loc, value in program.init.items():
+        if not 0 <= value <= MAX_VALUE:
+            raise ValueError(f"init {loc} = {value} outside 0..{MAX_VALUE}")
+    for thread, body in zip(program.thread_names, program.threads):
+        for index, instr in enumerate(body):
+            for name, value in (("operand", instr.operand), ("expected", instr.expected), ("desired", instr.desired)):
+                if value.__class__ is int and not 0 <= value <= MAX_VALUE:
+                    raise ValueError(f"{thread} instruction {index}: {name} {value} outside 0..{MAX_VALUE}")
+            if instr.kind.atomic and (instr.order is None or instr.kind in CAS_KINDS and instr.failure_order is None):
+                raise ValueError(f"{thread} instruction {index}: {instr.kind} without its memory order")
+
+
 _SHAPE_FIELDS = ("location", "dest", "operand", "expected", "desired", "failure_order")
 
 

@@ -17,30 +17,38 @@ and non-atomic accesses behave like plain ones.  Besides the choice of
 transition, the only nondeterminism is the spurious-failure branch of
 cas_weak, exposed as an extra successor state.
 
-A state is positional: memory is one value per location, in
-`Program.locations` order, a buffer entry is a (location index, value) pair,
-and registers are one slot per `Program.registers` entry.  `_resolve` turns
-each instruction's names into these positions, and its kind into an opcode,
-once per exploration, and a terminal state zips its values with the names
-into an `Outcome`.  One function, `_successors`, defines which transitions a
-state enables and the states they lead to; the search, `enabled` and `apply`
-all read it.  Inside the search a state is a plain 4-tuple, which hashes and
-compares equal to its `State`; `State` appears only at the public API.  A step
-records what it did as data; its text is built only for the path a new
-outcome stores as its witness.
+A state is one int of bit fields, from the lowest bit up:
+- an 8-bit value per location, in `Program.locations` order (values are
+  bytes, 0..MAX_VALUE, so every value fits its field);
+- an 8-bit value per register slot, in `Program.registers` order, 0 until
+  assigned (the pcs say which are);
+- a pc per thread, each as wide as the longest thread needs;
+- under TSO, per thread, the count of its buffered stores and then one entry
+  slot per store instruction of the thread, oldest entry lowest: a value in
+  the low 8 bits with its location index above.
+`_resolve` builds this layout, and turns each instruction's names into field
+shifts and its kind into an opcode, once per exploration; it raises
+ValueError for a program the machine cannot represent.  One function,
+`_successors`, defines which transitions a state enables and the states they
+lead to, as arithmetic on the int; the search, `enabled` and `apply` all read
+it.  A state is terminal when every pc is at its thread's end and every
+buffer count is 0, one masked compare.  `State` appears only at the public
+API, which packs and unpacks at its boundary.  A step records what it did as
+data; its text is built only for the path a new outcome stores as its
+witness.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .model import (
     CAS_KINDS,
     DEFAULT_MAX_STATES,
+    MAX_VALUE,
     EventKind,
     ExplorationStats,
-    Instruction,
     Kind,
     MemoryOrder,
     Outcome,
@@ -48,9 +56,20 @@ from .model import (
     Program,
     ResourceLimitError,
     TraceStep,
+    check_runnable,
 )
 
-Step = tuple[str, int, tuple]  # (kind, thread, data): _trace_step builds its TraceStep for witnesses only
+# A step: (successor, thread, pc, payload).  A dequeue's pc is None and its
+# payload the buffer entry it published; an instruction's payload is what it
+# did: a store's value, a load's value (| _FORWARDED when read from the own
+# buffer), an RMW's old value | the value written << 8, a CAS's old value |
+# its outcome (_CAS_NOTES), a fence's None.
+Step = tuple[int, int, Optional[int], Optional[int]]
+
+_BYTE = MAX_VALUE  # the mask of an 8-bit value field
+_FORWARDED = 1 << 8
+_CAS_NOTES = ("failure", "success", "spurious failure")
+_SUCCESS, _SPURIOUS = 1 << 8, 2 << 8
 
 # What _successors does with an instruction; _resolve gives each instruction its opcode:
 # a CAS kind's own, or else the one for the event its kind makes.
@@ -66,113 +85,204 @@ class State(NamedTuple):
     registers: tuple[int, ...]  # one per Program.registers entry, 0 until assigned; the pcs say which are
 
 
-def _resolve(program: Program) -> tuple[tuple[tuple, ...], ...]:
-    """Each thread's instructions with their names resolved, once: (opcode,
-    instruction, location index, dest slot, register operand's slot or None)."""
+class _Machine(NamedTuple):
+    """A program's resolved instructions and the field layout of its states."""
+
+    # Per thread: (body, pc shift, pc mask, count shift, count mask, buffer
+    # shift, buffer mask); body[pc] is (opcode, literal operand, location
+    # shift, location index, dest shift, register operand's shift or None,
+    # instruction).  Without buffers the count and buffer masks are 0.
+    threads: tuple[tuple, ...]
+    entry_bits: int  # one buffer entry: 8 value bits, then the location index
+    memory: tuple[int, ...]  # each location's shift
+    registers: tuple[int, ...]  # each register slot's shift
+    root: int  # the initial state
+    done_mask: int  # every pc and buffer count field
+    done: int  # every pc at its thread's end, every count 0
+
+
+def _resolve(program: Program, buffered: bool) -> _Machine:
+    """The machine of `program`, built in one pass over its instructions,
+    with buffer fields when `buffered`.  ValueError for what it cannot run
+    (see check_runnable) or a register operand its thread never assigns."""
+    check_runnable(program)
     locations = {loc: i for i, loc in enumerate(program.locations)}
     slots = {reg: i for i, reg in enumerate(program.registers)}  # keyed (thread name, register): no literal matches
+    entry_bits = 8 + (len(locations) - 1).bit_length()
+    pc_bits = max(map(len, program.threads), default=0).bit_length()
+    registers = 8 * len(locations)  # the first register slot's shift
+    pc_base = registers + 8 * len(slots)
+    cursor = pc_base + pc_bits * len(program.threads)  # the next free bit: each thread's buffer fields follow the pcs
+    threads = []
+    done = done_mask = 0
+    for t, (name, body) in enumerate(zip(program.thread_names, program.threads)):
+        resolved = []
+        for i, instr in enumerate(body):
+            op = _OPCODES.get(instr.kind, _OPCODES[instr.kind.event])
+            if op == _FENCE and instr.order is MemoryOrder.SEQ_CST:
+                op = _MFENCE
+            loc = locations.get(instr.location)
+            dest = slots.get((name, instr.dest))
+            source = None
+            if instr.operand.__class__ is str:
+                source = slots.get((name, instr.operand))
+                if source is None:
+                    raise ValueError(f"{name} instruction {i}: operand register {instr.operand} is never assigned")
+                source = registers + 8 * source
+            resolved.append((
+                op, instr.operand, None if loc is None else 8 * loc, loc,
+                None if dest is None else registers + 8 * dest, source, instr,
+            ))
+        pc_shift = pc_base + t * pc_bits
+        stores = sum(entry[0] == _STORE for entry in resolved) if buffered else 0
+        count_bits = stores.bit_length()
+        count_mask = (1 << count_bits) - 1
+        threads.append(
+            (tuple(resolved), pc_shift, (1 << pc_bits) - 1, cursor, count_mask, cursor + count_bits,
+             (1 << stores * entry_bits) - 1)
+        )
+        done += len(body) << pc_shift
+        done_mask |= (1 << pc_bits) - 1 << pc_shift | count_mask << cursor
+        cursor += count_bits + stores * entry_bits
+    return _Machine(
+        tuple(threads),
+        entry_bits,
+        tuple(8 * i for i in range(len(locations))),
+        tuple(range(registers, pc_base, 8)),
+        sum(value << 8 * locations[loc] for loc, value in program.init.items()),
+        done_mask,
+        done,
+    )
 
-    def resolved(name: str, i: Instruction) -> tuple:
-        op = _OPCODES.get(i.kind, _OPCODES[i.kind.event])
-        if op == _FENCE and i.order is MemoryOrder.SEQ_CST:
-            op = _MFENCE
-        return op, i, locations.get(i.location), slots.get((name, i.dest)), slots.get((name, i.operand))
 
-    return tuple(tuple(resolved(name, i) for i in body) for name, body in zip(program.thread_names, program.threads))
+def _pack(machine: _Machine, state: State) -> int:
+    """The int of `state`; ValueError when its fields cannot hold it."""
+    packed = sum(v << s for v, s in zip(state.memory, machine.memory))
+    packed += sum(v << s for v, s in zip(state.registers, machine.registers))
+    for (_, pc_shift, _, count_shift, _, buffer_shift, _), pc, buffer in zip(machine.threads, state.pcs, state.buffers):
+        packed += (pc << pc_shift) + (len(buffer) << count_shift)
+        for k, (loc, value) in enumerate(buffer):
+            packed += (value | loc << 8) << buffer_shift + k * machine.entry_bits
+    if _unpack(machine, packed) != state:
+        raise ValueError(f"{state} is not a state of this program's machine")
+    return packed
+
+
+def _unpack(machine: _Machine, packed: int) -> State:
+    """The `State` of a packed state."""
+    entry_mask = (1 << machine.entry_bits) - 1
+    buffers, pcs = [], []
+    for _, pc_shift, pc_mask, count_shift, count_mask, buffer_shift, _ in machine.threads:
+        pcs.append(packed >> pc_shift & pc_mask)
+        count = packed >> count_shift & count_mask
+        entries = (packed >> buffer_shift + k * machine.entry_bits & entry_mask for k in range(count))
+        buffers.append(tuple((entry >> 8, entry & _BYTE) for entry in entries))
+    return State(
+        tuple(packed >> s & _BYTE for s in machine.memory),
+        tuple(buffers),
+        tuple(pcs),
+        tuple(packed >> s & _BYTE for s in machine.registers),
+    )
 
 
 def initial_state(program: Program) -> State:
-    n = len(program.threads)
-    memory = tuple(program.initial_value(loc) for loc in program.locations)
-    return State(memory, ((),) * n, (0,) * n, (0,) * len(program.registers))
+    machine = _resolve(program, True)
+    return _unpack(machine, machine.root)
 
 
-def _replace(items: tuple, index: int, item) -> tuple:
-    return items[:index] + (item,) + items[index + 1 :]
-
-
-def _successors(ops: tuple, state: tuple, buffered: bool) -> list[tuple[tuple, Step]]:
-    """Every enabled transition's successor states, each with its step's data,
-    in thread order: a thread's exec successors, then its dequeue.  The data is
-    a dequeue's buffer entry, or (pc, what the instruction did): a store's
-    value, a load's (value, source), an RMW's (old value, CAS outcome or value
-    written).  No successors: every thread is done and every buffer drained."""
-    memory, buffers, pcs, registers = state
-    successors: list[tuple[tuple, Step]] = []
-    for t, (body, pc, buffer) in enumerate(zip(ops, pcs, buffers)):
+def _successors(machine: _Machine, state: int, buffered: bool) -> list[Step]:
+    """Every enabled transition's step (see Step), in thread order: a
+    thread's exec successors, then its dequeue.  A terminal state (see
+    _Machine.done) has none."""
+    entry_bits = machine.entry_bits
+    entry_mask = (1 << entry_bits) - 1
+    successors: list[Step] = []
+    for t, (body, pc_shift, pc_mask, count_shift, count_mask, buffer_shift, buffer_mask) in enumerate(machine.threads):
+        pc = state >> pc_shift & pc_mask
+        n = state >> count_shift & count_mask  # the thread's buffered stores
         # mfence: blocked until the thread's own buffer has drained.
-        if pc < len(body) and not (buffer and body[pc][0] == _MFENCE):
-            op, instr, loc, dest, source = body[pc]
-            operand = instr.operand if source is None else registers[source]
-            after = _replace(pcs, t, pc + 1)
+        if pc < len(body) and not (n and body[pc][0] == _MFENCE):
+            op, literal, at, loc, dest, source, instr = body[pc]
+            operand = literal if source is None else state >> source & _BYTE
+            after = state + (1 << pc_shift)
             if op == _STORE:
                 if buffered:
-                    succ = memory, _replace(buffers, t, buffer + ((loc, operand),)), after, registers
+                    succ = after + (1 << count_shift) + ((operand | loc << 8) << buffer_shift + n * entry_bits)
                 else:
-                    succ = _replace(memory, loc, operand), buffers, after, registers
-                successors.append((succ, ("exec", t, (pc, operand))))
+                    succ = after + ((operand - (state >> at & _BYTE)) << at)
+                successors.append((succ, t, pc, operand))
             elif op == _LOAD:
-                value, src = memory[loc], "memory"
-                for buffered_loc, buffered_value in buffer:  # forward the newest own store
-                    if buffered_loc == loc:
-                        value, src = buffered_value, "buffer"
-                succ = memory, buffers, after, _replace(registers, dest, value)
-                successors.append((succ, ("exec", t, (pc, (value, src)))))
+                payload = state >> at & _BYTE
+                for k in range(n):  # forward the newest own store
+                    entry = state >> buffer_shift + k * entry_bits & entry_mask
+                    if entry >> 8 == loc:
+                        payload = entry & _BYTE | _FORWARDED
+                succ = after + (((payload & _BYTE) - (state >> dest & _BYTE)) << dest)
+                successors.append((succ, t, pc, payload))
             elif op <= _MFENCE:
-                successors.append(((memory, buffers, after, registers), ("exec", t, (pc, None))))
+                successors.append((after, t, pc, None))
             else:
                 # Locked RMW: drain the buffer, then act on memory, in this one transition.
-                drained, emptied = memory, buffers
-                if buffer:
-                    cells = list(memory)
-                    for buffered_loc, buffered_value in buffer:
-                        cells[buffered_loc] = buffered_value
-                    drained, emptied = tuple(cells), _replace(buffers, t, ())
-                old = drained[loc]
-                regs = _replace(registers, dest, old)
-                failed = drained, emptied, after, regs  # memory as the drain left it
+                if n:  # each entry, oldest first, reaches memory; then the buffer fields clear
+                    buffer = state >> buffer_shift & buffer_mask
+                    for k in range(n):
+                        entry = buffer >> k * entry_bits & entry_mask
+                        cell = (entry >> 8) * 8
+                        after += ((entry & _BYTE) - (after >> cell & _BYTE)) << cell
+                    after -= (buffer << buffer_shift) + (n << count_shift)
+                old = after >> at & _BYTE
+                failed = after + ((old - (after >> dest & _BYTE)) << dest)  # memory as the drain left it
                 if op == _RMW:
                     value = instr.kind.update(old, operand)
-                    succ = _replace(drained, loc, value), emptied, after, regs
-                    successors.append((succ, ("exec", t, (pc, (old, value)))))
+                    successors.append((failed + ((value - old) << at), t, pc, old | value << 8))
                 elif old != instr.expected:
-                    successors.append((failed, ("exec", t, (pc, (old, "failure")))))
+                    successors.append((failed, t, pc, old))
                 else:
-                    succ = _replace(drained, loc, instr.desired), emptied, after, regs
-                    successors.append((succ, ("exec", t, (pc, (old, "success")))))
+                    successors.append((failed + ((instr.desired - old) << at), t, pc, old | _SUCCESS))
                     if op == _CAS_WEAK:
-                        successors.append((failed, ("exec", t, (pc, (old, "spurious failure")))))
-        if buffer:  # dequeue: the oldest buffered store reaches memory
-            entry = buffer[0]
-            succ = _replace(memory, entry[0], entry[1]), _replace(buffers, t, buffer[1:]), pcs, registers
-            successors.append((succ, ("dequeue", t, entry)))
+                        successors.append((failed, t, pc, old | _SPURIOUS))
+        if n:  # dequeue: the oldest buffered store reaches memory, the rest shift down
+            buffer = state >> buffer_shift & buffer_mask
+            entry = buffer & entry_mask
+            rest = buffer >> entry_bits
+            cell = (entry >> 8) * 8
+            succ = state + ((rest - buffer) << buffer_shift) - (1 << count_shift)
+            successors.append((succ + (((entry & _BYTE) - (state >> cell & _BYTE)) << cell), t, None, entry))
     return successors
+
+
+def _transition(step: Step) -> tuple[str, int]:
+    return "exec" if step[2] is not None else "dequeue", step[1]
 
 
 def enabled(program: Program, state: State) -> tuple[tuple[str, int], ...]:
     """(kind, thread) pairs in thread order: exec, then dequeue when the buffer is not empty."""
-    steps = _successors(_resolve(program), state, True)  # buffered changes the states that follow, not the steps
-    return tuple(dict.fromkeys(step[:2] for _, step in steps))
+    machine = _resolve(program, True)
+    steps = _successors(machine, _pack(machine, state), True)  # buffered changes the states that follow, not the steps
+    return tuple(dict.fromkeys(map(_transition, steps)))
 
 
-def _trace_step(program: Program, step: Step, buffered: bool) -> TraceStep:
-    """A step's TraceStep, its text built from the step's data: a dequeue's
-    buffer entry, or an instruction's pc and what it did (see _successors)."""
-    kind, t, (at, payload) = step
-    if kind == "dequeue":
-        return TraceStep(kind, t, f"{program.locations[at]} = {payload}")
-    instr = program.threads[t][at]
+def _trace_step(program: Program, step: tuple[int, Optional[int], Optional[int]], buffered: bool) -> TraceStep:
+    """A step's TraceStep, its text built from its (thread, pc, payload); see Step."""
+    t, pc, payload = step
+    if pc is None:
+        return TraceStep("dequeue", t, f"{program.locations[payload >> 8]} = {payload & _BYTE}")
+    instr = program.threads[t][pc]
     k = instr.kind
     if k.event is EventKind.FENCE:
         text = f"fence {instr.order}"
     elif k.event is EventKind.WRITE:
         text = f"{k.value} {instr.location} {payload}" + (" -> buffer" if buffered else "")
     else:
-        value, note = payload
-        if k.event is EventKind.RMW:
-            note = f"locked, {note if k in CAS_KINDS else f'wrote {note}'}"
+        value, note = payload & _BYTE, payload >> 8
+        if k in CAS_KINDS:
+            note = f"locked, {_CAS_NOTES[note]}"
+        elif k.event is EventKind.RMW:
+            note = f"locked, wrote {note}"
+        else:
+            note = "buffer" if note else "memory"
         text = f"{instr.dest} = {k.value} {instr.location} -> {value} ({note})"
-    return TraceStep(kind, t, text)
+    return TraceStep("exec", t, text)
 
 
 def apply(
@@ -183,8 +293,9 @@ def apply(
     buffered: bool = True,
 ) -> tuple[State, ...]:
     """Apply one enabled transition; cas_weak success yields two states."""
-    steps = _successors(_resolve(program), state, buffered)
-    successors = tuple(State._make(succ) for succ, step in steps if step[:2] == transition)
+    machine = _resolve(program, True)  # a State may hold buffered stores whatever `buffered` says
+    steps = _successors(machine, _pack(machine, state), buffered)
+    successors = tuple(_unpack(machine, step[0]) for step in steps if _transition(step) == transition)
     if not successors:
         raise ValueError(f"transition {transition} is not enabled")
     return successors
@@ -193,38 +304,41 @@ def apply(
 def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet:
     stats = ExplorationStats()
     witnesses: dict[Outcome, tuple[TraceStep, ...]] = {}
-    ops = _resolve(program)
-    root = tuple(initial_state(program))
-    seen = {root}
+    machine = _resolve(program, buffered)
+    seen = {machine.root}
     path: list[Step] = []
     explored = 0
     # Witnesses share their TraceSteps: each distinct step is built once.
     trace_step = functools.cache(lambda step: _trace_step(program, step, buffered))
+    registers = tuple(zip(program.registers, machine.registers))
+    memory = tuple(zip(program.locations, machine.memory))
+    done_mask, done = machine.done_mask, machine.done
 
-    def visit(state: tuple) -> None:
+    def visit(state: int) -> None:
         nonlocal explored
         explored += 1
         if explored > max_states:
             raise ResourceLimitError("state", max_states)
-        successors = _successors(ops, state, buffered)
-        if not successors:
-            # all threads done and all buffers drained
+        if state & done_mask == done:
+            # All threads done and all buffers drained.  A terminal state's
+            # fields other than its values are fixed, so each is a new outcome.
             stats.complete_runs += 1
-            registers = tuple((t, r, v) for (t, r), v in zip(program.registers, state[3]))
-            outcome = Outcome(registers, tuple(zip(program.locations, state[0])))
-            if outcome not in witnesses:
-                witnesses[outcome] = tuple(map(trace_step, path))
+            outcome = Outcome(
+                tuple((t, r, state >> s & _BYTE) for (t, r), s in registers),
+                tuple((loc, state >> s & _BYTE) for loc, s in memory),
+            )
+            witnesses[outcome] = tuple(trace_step(step[1:]) for step in path)
             return
-        for succ, step in successors:
-            size = len(seen)
-            seen.add(succ)  # one hash per successor: the set grows only when succ is new
-            if len(seen) != size:
+        for step in _successors(machine, state, buffered):
+            succ = step[0]
+            if succ not in seen:
+                seen.add(succ)
                 path.append(step)
                 visit(succ)
                 path.pop()
 
     try:
-        visit(root)
+        visit(machine.root)
     finally:
         stats.explored = explored
     return OutcomeSet(frozenset(witnesses), racy=False, stats=stats, witnesses=witnesses)

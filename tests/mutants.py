@@ -35,6 +35,7 @@ ORACLE = f"{AXIOMATIC}::TestAgainstEnumeratingOracle"
 REFERENCE = f"{AXIOMATIC}::TestAgainstReference"
 TSO_FROZEN = "tests/test_tso.py::TestFrozenPrograms"
 TSO_STATE_SPACE = "tests/test_tso.py::TestStateSpace"
+TSO_PACKED = "tests/test_tso.py::TestPackedState"
 SC = "tests/test_sc.py"
 MESSAGE_PASSING = f"{AXIOMATIC}::TestSynchronizesWith::test_message_passing_needs_a_releasing_and_an_acquiring_order"
 WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
@@ -118,45 +119,51 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A load forwards the oldest buffered store to its location, not the newest.
         "operational.py",
-        "                for buffered_loc, buffered_value in buffer:  # forward the newest own store",
-        "                for buffered_loc, buffered_value in reversed(buffer):",
+        "                for k in range(n):  # forward the newest own store",
+        "                for k in reversed(range(n)):",
         (f"{TSO_FROZEN}::test_forwarding_sees_own_newest_store",),
     ),
     (
         # A locked RMW leaves its thread's buffer undrained.
         "operational.py",
-        "                if buffer:\n                    cells = list(memory)",
-        "                if False:\n                    cells = list(memory)",
+        "                if n:  # each entry, oldest first, reaches memory; then the buffer fields clear",
+        "                if False:",
         (f"{TSO_FROZEN}::test_locked_rmw_publishes_earlier_stores",),
     ),
     (
         # mfence runs while its thread's buffer holds stores.
         "operational.py",
-        "not (buffer and body[pc][0] == _MFENCE)",
+        "not (n and body[pc][0] == _MFENCE)",
         "not (False and body[pc][0] == _MFENCE)",
         (f"{TSO_FROZEN}::test_mfence_restores_dekker",),
     ),
     (
         # A dequeue publishes the newest buffered store instead of the oldest.
         "operational.py",
-        "            entry = buffer[0]\n"
-        "            succ = _replace(memory, entry[0], entry[1]), _replace(buffers, t, buffer[1:]), pcs, registers",
-        "            entry = buffer[-1]\n"
-        "            succ = _replace(memory, entry[0], entry[1]), _replace(buffers, t, buffer[:-1]), pcs, registers",
+        "            entry = buffer & entry_mask\n            rest = buffer >> entry_bits\n",
+        "            entry = buffer >> (n - 1) * entry_bits\n            rest = buffer - (entry << (n - 1) * entry_bits)\n",
         (f"{TSO_FROZEN}::test_memory_updates_are_fifo",),
+    ),
+    (
+        # A dequeue clears the oldest entry but leaves the rest in their slots,
+        # so the next dequeue publishes the empty slot.
+        "operational.py",
+        "            rest = buffer >> entry_bits\n",
+        "            rest = buffer - entry\n",
+        (f"{TSO_PACKED}::test_eight_stores_fill_the_buffer",),
     ),
     (
         # A register operand reads the slot before its own.
         "operational.py",
-        "            operand = instr.operand if source is None else registers[source]",
-        "            operand = instr.operand if source is None else registers[source - 1]",
+        "            operand = literal if source is None else state >> source & _BYTE",
+        "            operand = literal if source is None else state >> source - 8 & _BYTE",
         (f"{SC}::TestSingleThread::test_register_operands_read_their_own_registers",),
     ),
     (
         # The search visits a successor again although it is already in seen.
         "operational.py",
-        "            if len(seen) != size:",
-        "            if len(seen) >= size:",
+        "            if succ not in seen:",
+        "            if True:",
         (f"{TSO_STATE_SPACE}::test_ladder_explored_counts",),
     ),
     (
@@ -339,6 +346,28 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         '    NA_STORE = "na_store", ("location", "operand"), EventKind.WRITE, False, None',
         '    NA_STORE = "na_store", ("location", "operand"), EventKind.WRITE, True, None',
         (f"{AXIOMATIC}::TestRaces::test_unsynchronized_non_atomics_race", f"{ENUMERATION}::test_racy_flag"),
+    ),
+    (
+        # fetch_add does not wrap at 256: the packed machine carries the 9th
+        # bit into the next field.
+        "model.py",
+        "lambda old, operand: (old + operand) & MAX_VALUE",
+        "lambda old, operand: old + operand",
+        (f"{TSO_PACKED}::test_fetch_add_and_fetch_sub_wrap",),
+    ),
+    (
+        # The backends hold a literal outside a byte.
+        "model.py",
+        "                if value.__class__ is int and not 0 <= value <= MAX_VALUE:",
+        "                if False:",
+        ("tests/test_model.py::TestBackendsRejectWhatTheyCannotRun::test_value_outside_a_byte",),
+    ),
+    (
+        # A line after a condition that fails to parse is one more instruction.
+        "dsl.py",
+        "            if condition_seen:",
+        "            if assertion is not None:",
+        ("tests/test_dsl.py::test_diagnostics_pinned",),
     ),
     (
         # fetch_sub does not wrap below 0.

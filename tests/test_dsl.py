@@ -228,6 +228,12 @@ def _one_instruction(line):
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: (x = 0\n",
             [("expected ')'", 5, 14, 56, 57)],
         ),
+        # a line after a condition line is reported whether or not the
+        # condition parsed: it is not one more instruction of the last thread
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x =\n  store y 2\n",
+            [("expected value", 5, 11, 53, 54), ("content after the condition line", 6, 1, 55, 66)],
+        ),
         # a file without a condition line is told so at its end
         (
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n",

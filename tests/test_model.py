@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memlit.axiomatic import CandidateExecution, check_axioms
+from memlit.axiomatic import CandidateExecution, check_axioms, enumerate_cxx11
 from memlit.model import (
     And,
     Assertion,
@@ -26,6 +26,7 @@ from memlit.model import (
     validate,
     with_fences_after_stores,
 )
+from memlit.operational import enumerate_sc, enumerate_tso
 
 from support import programs, value_universe
 
@@ -246,6 +247,89 @@ class TestValidation:
         assert str(Diagnostic("rule", "message", 1, 2)) == "thread 1 instruction 2: rule: message"
 
 
+BACKENDS = pytest.mark.parametrize(
+    "backend", [enumerate_sc, enumerate_tso, enumerate_cxx11], ids=["sc", "tso", "cxx11"]
+)
+
+
+class TestBackendsRejectWhatTheyCannotRun:
+    """The backends do not call validate, but each raises ValueError, naming
+    the first fault, for a value outside 0..255 or an atomic kind without its
+    order, where a store of 300 would be reported or carry into a neighbour."""
+
+    @BACKENDS
+    @pytest.mark.parametrize(
+        "init, instr, message",
+        [
+            ({"x": 300}, Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED), "init x = 300"),
+            (
+                {"x": 0},
+                Instruction(Kind.STORE, location="x", operand=256, order=MemoryOrder.RELAXED),
+                "P0 instruction 1: operand 256",
+            ),
+            (
+                {"x": 0},
+                Instruction(Kind.FETCH_ADD, dest="r2", location="x", operand=-1, order=MemoryOrder.RELAXED),
+                "P0 instruction 1: operand -1",
+            ),
+            (
+                {"x": 0},
+                Instruction(
+                    Kind.CAS_WEAK, dest="r2", location="x", expected=256, desired=1,
+                    order=MemoryOrder.SEQ_CST, failure_order=MemoryOrder.SEQ_CST,
+                ),
+                "P0 instruction 1: expected 256",
+            ),
+            (
+                {"x": 0},
+                Instruction(
+                    Kind.CAS_STRONG, dest="r2", location="x", expected=0, desired=999,
+                    order=MemoryOrder.SEQ_CST, failure_order=MemoryOrder.SEQ_CST,
+                ),
+                "P0 instruction 1: desired 999",
+            ),
+        ],
+        ids=["init", "operand", "negative-operand", "expected", "desired"],
+    )
+    def test_value_outside_a_byte(self, backend, init, instr, message):
+        first = Instruction(Kind.STORE, location="x", operand=1, order=MemoryOrder.RELAXED)
+        program = prog([[first, instr]], init=init)
+        assert validate(program)
+        with pytest.raises(ValueError, match=f"^{message} outside 0..255$"):
+            backend(program)
+
+    @BACKENDS
+    @pytest.mark.parametrize(
+        "instr",
+        [
+            Instruction(Kind.STORE, location="x", operand=1),
+            Instruction(Kind.FENCE),
+            Instruction(Kind.CAS_STRONG, dest="r1", location="x", expected=0, desired=1, order=MemoryOrder.SEQ_CST),
+        ],
+        ids=["store", "fence", "cas-failure-order"],
+    )
+    def test_atomic_kind_without_its_order(self, backend, instr):
+        program = prog([[instr]])
+        assert validate(program)
+        with pytest.raises(ValueError, match=f"^P0 instruction 0: {instr.kind} without its memory order$"):
+            backend(program)
+
+    @BACKENDS
+    def test_values_at_the_ends_of_a_byte_run(self, backend):
+        program = prog(
+            [[Instruction(Kind.STORE, location="x", operand=255, order=MemoryOrder.RELAXED)]], init={"x": 0, "y": 255}
+        )
+        assert not validate(program)
+        (outcome,) = backend(program).outcomes
+        assert outcome.memory == (("x", 255), ("y", 255))
+
+    @pytest.mark.parametrize("backend", [enumerate_sc, enumerate_tso], ids=["sc", "tso"])
+    def test_operand_register_never_assigned(self, backend):
+        program = prog([[Instruction(Kind.STORE, location="x", operand="r9", order=MemoryOrder.RELAXED)]])
+        with pytest.raises(ValueError, match="^P0 instruction 0: operand register r9 is never assigned$"):
+            backend(program)
+
+
 class TestProgramTransforms:
     def test_force_seq_cst_upgrades_everything(self):
         p = prog(
@@ -375,9 +459,6 @@ def test_validate_repeats_diagnostics_for_bad_programs():
 @given(programs(max_threads=2, max_total=5))
 @settings(max_examples=25, deadline=None)
 def test_outcome_values_are_written_or_initial(p):
-    from memlit.axiomatic import enumerate_cxx11
-    from memlit.operational import enumerate_sc, enumerate_tso
-
     universe = value_universe(p)
     for result in (enumerate_sc(p), enumerate_tso(p), enumerate_cxx11(p)):
         for outcome in result.outcomes:

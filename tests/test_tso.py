@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from memlit.dsl import parse_litmus
 from memlit.model import Outcome, ResourceLimitError, eval_assertion, with_fences_after_stores
 from memlit.operational import (
+    _pack,
+    _resolve,
+    _unpack,
     apply,
     enabled,
     enumerate_sc,
@@ -20,7 +23,7 @@ from memlit.operational import (
     initial_state,
 )
 
-from support import ladder, programs, tso_outcomes
+from support import ladder, programs, sc_outcomes, tso_outcomes
 
 DEKKER = """\
 name: dekker
@@ -287,6 +290,71 @@ class TestStateSpace:
         for state in reachable(program, buffered=False):
             assert all(buffer == () for buffer in state.buffers)
             assert all(kind == "exec" for kind, _ in enabled(program, state))
+
+
+class TestPackedState:
+    """A state is one int of 8-bit value fields, pcs, buffer counts and
+    buffer entries: these programs fill fields to their ends, and each run
+    must agree with the oracles, which keep no such layout."""
+
+    @staticmethod
+    def agree(text):
+        program = parse_litmus(text)
+        sc, tso = enumerate_sc(program), enumerate_tso(program)
+        assert sc.outcomes == sc_outcomes(program)
+        assert tso.outcomes == tso_outcomes(program)
+        return sc, tso
+
+    def test_eight_stores_fill_the_buffer(self):
+        # P0's buffer holds all 8 stores at once and its pc reaches 8; each
+        # dequeue must publish the oldest entry and move the rest down.
+        stores = "".join(f"  store {'xyz'[i % 3]} {[1, 2, 3, 255, 4, 5, 6, 7][i]}\n" for i in range(8))
+        text = (
+            "name: t\ninit: x = 0 y = 0 z = 0\nthread P0:\n" + stores
+            + "thread P1:\n  r1 = load z\n  r2 = load x\nexists: x = 0\n"
+        )
+        sc, tso = self.agree(text)
+        assert {o.memory for o in tso.outcomes} == {(("x", 6), ("y", 7), ("z", 5))}
+        program = parse_litmus(text)
+        state = initial_state(program)
+        for _ in range(8):
+            (state,) = apply(program, state, ("exec", 0))
+        assert state.pcs == (8, 0) and len(state.buffers[0]) == 8
+
+    def test_255_beside_another_location(self):
+        sc, tso = self.agree(
+            "name: t\ninit: x = 0 y = 0\nthread P0:\n  store x 255\n  store y 255\n  r1 = load x\n"
+            "thread P1:\n  r2 = load y\n  store x 1\n  r3 = load x\nexists: x = 255\n"
+        )
+        assert {(o.location("x"), o.location("y")) for o in tso.outcomes} == {(1, 255), (255, 255)}
+
+    def test_fetch_add_and_fetch_sub_wrap(self):
+        # 255 + 1 and 0 - 1 stay in their own fields: the neighbour is untouched.
+        sc, tso = self.agree(
+            "name: t\ninit: x = 255 y = 0 z = 7\nthread P0:\n  r1 = fetch_add x 1\n  r2 = fetch_sub y 1\n"
+            "thread P1:\n  r3 = load y\n  r4 = load x\nexists: x = 0\n"
+        )
+        for result in (sc, tso):
+            assert {o.memory for o in result.outcomes} == {(("x", 0), ("y", 255), ("z", 7))}
+            assert {(o.register("P0", "r1"), o.register("P0", "r2")) for o in result.outcomes} == {(255, 0)}
+
+    def test_cas_weak_after_a_drain(self):
+        # The locked cas_weak drains x = 1 first, so it may succeed on it.
+        sc, tso = self.agree(
+            "name: t\ninit: x = 0 y = 0\nthread P0:\n  store y 3\n  store x 1\n  r1 = cas_weak x 1 2\n"
+            "thread P1:\n  r2 = load x\n  r3 = load y\nexists: x = 2\n"
+        )
+        assert {o.location("x") for o in tso.outcomes} == {1, 2}
+        assert {o.register("P0", "r1") for o in tso.outcomes} == {1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(programs())
+    def test_every_reachable_state_packs_and_unpacks_unchanged(self, program):
+        machine = _resolve(program, True)
+        states = reachable(program) | reachable(program, buffered=False)
+        packed = {_pack(machine, state) for state in states}
+        assert len(packed) == len(states)
+        assert {_unpack(machine, p) for p in packed} == states
 
 
 class TestAgainstOracle:
