@@ -164,7 +164,10 @@ def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
     Then ids must be positions, a read or fence must carry no written value
     and a write or fence no read value, rf must map each read to another write to its
     location that wrote the value it read, mo must order each written
-    location's writes initialization first, and sc_order the seq_cst events."""
+    location's writes initialization first, and sc_order the seq_cst events.
+    A program the kernel cannot judge (see check_runnable) is a ValueError
+    before any of that."""
+    check_runnable(program)
     events = candidate.events
     layout = _events(program, {(e.thread, e.index): e.kind is EventKind.RMW for e in events})
     if len(events) != len(layout) or any(

@@ -428,13 +428,6 @@ class Outcome:
         return regs or mem
 
 
-def make_outcome(program: Program, registers: list[Mapping[str, int]], memory: Mapping[str, int]) -> Outcome:
-    """Final registers, one mapping per thread, and memory as an Outcome; a missing location holds its initial value."""
-    threads = dict(zip(program.thread_names, registers))
-    regs = tuple((name, reg, threads[name][reg]) for name, reg in program.registers)
-    return Outcome(regs, tuple((loc, memory.get(loc, program.initial_value(loc))) for loc in program.locations))
-
-
 @dataclass
 class ExplorationStats:
     explored: int = 0

@@ -30,12 +30,10 @@ A state is one int of bit fields, from the lowest bit up:
 shifts and its kind into an opcode, once per exploration; it raises
 ValueError for a program the machine cannot represent.  One function,
 `_successors`, defines which transitions a state enables and the states they
-lead to, as arithmetic on the int; the search, `enabled` and `apply` all read
-it.  A state is terminal when every pc is at its thread's end and every
-buffer count is 0, one masked compare.  `State` appears only at the public
-API, which packs and unpacks at its boundary.  A step records what it did as
-data; its text is built only for the path a new outcome stores as its
-witness.
+lead to, as arithmetic on the int, and the search, `_explore`, is its only
+caller.  A state is terminal when every pc is at its thread's end and every
+buffer count is 0, one masked compare.  A step records what it did as data;
+its text is built only for the path a new outcome stores as its witness.
 """
 
 from __future__ import annotations
@@ -76,13 +74,6 @@ _SUCCESS, _SPURIOUS = 1 << 8, 2 << 8
 _STORE, _LOAD, _FENCE, _MFENCE, _CAS, _CAS_WEAK, _RMW = range(7)
 _OPCODES = {EventKind.WRITE: _STORE, EventKind.READ: _LOAD, EventKind.FENCE: _FENCE, EventKind.RMW: _RMW,
             Kind.CAS_STRONG: _CAS, Kind.CAS_WEAK: _CAS_WEAK}
-
-
-class State(NamedTuple):
-    memory: tuple[int, ...]  # one value per location, in Program.locations order
-    buffers: tuple[tuple[tuple[int, int], ...], ...]  # per thread, oldest first: (location index, value)
-    pcs: tuple[int, ...]
-    registers: tuple[int, ...]  # one per Program.registers entry, 0 until assigned; the pcs say which are
 
 
 class _Machine(NamedTuple):
@@ -155,45 +146,12 @@ def _resolve(program: Program, buffered: bool) -> _Machine:
     )
 
 
-def _pack(machine: _Machine, state: State) -> int:
-    """The int of `state`; ValueError when its fields cannot hold it."""
-    packed = sum(v << s for v, s in zip(state.memory, machine.memory))
-    packed += sum(v << s for v, s in zip(state.registers, machine.registers))
-    for (_, pc_shift, _, count_shift, _, buffer_shift, _), pc, buffer in zip(machine.threads, state.pcs, state.buffers):
-        packed += (pc << pc_shift) + (len(buffer) << count_shift)
-        for k, (loc, value) in enumerate(buffer):
-            packed += (value | loc << 8) << buffer_shift + k * machine.entry_bits
-    if _unpack(machine, packed) != state:
-        raise ValueError(f"{state} is not a state of this program's machine")
-    return packed
-
-
-def _unpack(machine: _Machine, packed: int) -> State:
-    """The `State` of a packed state."""
-    entry_mask = (1 << machine.entry_bits) - 1
-    buffers, pcs = [], []
-    for _, pc_shift, pc_mask, count_shift, count_mask, buffer_shift, _ in machine.threads:
-        pcs.append(packed >> pc_shift & pc_mask)
-        count = packed >> count_shift & count_mask
-        entries = (packed >> buffer_shift + k * machine.entry_bits & entry_mask for k in range(count))
-        buffers.append(tuple((entry >> 8, entry & _BYTE) for entry in entries))
-    return State(
-        tuple(packed >> s & _BYTE for s in machine.memory),
-        tuple(buffers),
-        tuple(pcs),
-        tuple(packed >> s & _BYTE for s in machine.registers),
-    )
-
-
-def initial_state(program: Program) -> State:
-    machine = _resolve(program, True)
-    return _unpack(machine, machine.root)
-
-
-def _successors(machine: _Machine, state: int, buffered: bool) -> list[Step]:
+def _successors(machine: _Machine, state: int) -> list[Step]:
     """Every enabled transition's step (see Step), in thread order: a
     thread's exec successors, then its dequeue.  A terminal state (see
-    _Machine.done) has none."""
+    _Machine.done) has none.  A thread's stores are buffered exactly when
+    its count mask is not 0: _resolve gives a thread buffer fields only
+    under TSO, and then only when it has a store."""
     entry_bits = machine.entry_bits
     entry_mask = (1 << entry_bits) - 1
     successors: list[Step] = []
@@ -206,7 +164,7 @@ def _successors(machine: _Machine, state: int, buffered: bool) -> list[Step]:
             operand = literal if source is None else state >> source & _BYTE
             after = state + (1 << pc_shift)
             if op == _STORE:
-                if buffered:
+                if count_mask:
                     succ = after + (1 << count_shift) + ((operand | loc << 8) << buffer_shift + n * entry_bits)
                 else:
                     succ = after + ((operand - (state >> at & _BYTE)) << at)
@@ -251,17 +209,6 @@ def _successors(machine: _Machine, state: int, buffered: bool) -> list[Step]:
     return successors
 
 
-def _transition(step: Step) -> tuple[str, int]:
-    return "exec" if step[2] is not None else "dequeue", step[1]
-
-
-def enabled(program: Program, state: State) -> tuple[tuple[str, int], ...]:
-    """(kind, thread) pairs in thread order: exec, then dequeue when the buffer is not empty."""
-    machine = _resolve(program, True)
-    steps = _successors(machine, _pack(machine, state), True)  # buffered changes the states that follow, not the steps
-    return tuple(dict.fromkeys(map(_transition, steps)))
-
-
 def _trace_step(program: Program, step: tuple[int, Optional[int], Optional[int]], buffered: bool) -> TraceStep:
     """A step's TraceStep, its text built from its (thread, pc, payload); see Step."""
     t, pc, payload = step
@@ -283,22 +230,6 @@ def _trace_step(program: Program, step: tuple[int, Optional[int], Optional[int]]
             note = "buffer" if note else "memory"
         text = f"{instr.dest} = {k.value} {instr.location} -> {value} ({note})"
     return TraceStep("exec", t, text)
-
-
-def apply(
-    program: Program,
-    state: State,
-    transition: tuple[str, int],
-    *,
-    buffered: bool = True,
-) -> tuple[State, ...]:
-    """Apply one enabled transition; cas_weak success yields two states."""
-    machine = _resolve(program, True)  # a State may hold buffered stores whatever `buffered` says
-    steps = _successors(machine, _pack(machine, state), buffered)
-    successors = tuple(_unpack(machine, step[0]) for step in steps if _transition(step) == transition)
-    if not successors:
-        raise ValueError(f"transition {transition} is not enabled")
-    return successors
 
 
 def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet:
@@ -329,7 +260,7 @@ def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet
             )
             witnesses[outcome] = tuple(trace_step(step[1:]) for step in path)
             return
-        for step in _successors(machine, state, buffered):
+        for step in _successors(machine, state):
             succ = step[0]
             if succ not in seen:
                 seen.add(succ)

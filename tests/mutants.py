@@ -138,6 +138,14 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         (f"{TSO_FROZEN}::test_mfence_restores_dekker",),
     ),
     (
+        # Every fence is an mfence: acquire, release and acq_rel fences wait
+        # for their thread's buffer too.
+        "operational.py",
+        "            if op == _FENCE and instr.order is MemoryOrder.SEQ_CST:",
+        "            if op == _FENCE:",
+        (f"{TSO_FROZEN}::test_weaker_fences_do_not_wait",),
+    ),
+    (
         # A dequeue publishes the newest buffered store instead of the oldest.
         "operational.py",
         "            entry = buffer & entry_mask\n            rest = buffer >> entry_bits\n",

@@ -10,7 +10,7 @@ not against themselves.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import replace
 from typing import Optional
 
@@ -28,7 +28,6 @@ from memlit.model import (
     MemoryOrder,
     Outcome,
     Program,
-    make_outcome,
     validate,
 )
 from memlit.relation import Relation, ordered_extensions
@@ -52,6 +51,13 @@ _FETCH = {
 
 def _operand(instr: Instruction, regs: dict[str, int]) -> int:
     return regs[instr.operand] if isinstance(instr.operand, str) else instr.operand
+
+
+def make_outcome(program: Program, registers: list[Mapping[str, int]], memory: Mapping[str, int]) -> Outcome:
+    """Final registers, one mapping per thread, and memory as an Outcome; a missing location holds its initial value."""
+    threads = dict(zip(program.thread_names, registers))
+    regs = tuple((name, reg, threads[name][reg]) for name, reg in program.registers)
+    return Outcome(regs, tuple((loc, memory.get(loc, program.initial_value(loc))) for loc in program.locations))
 
 
 def _final_outcome(program: Program, mem, regs) -> Outcome:
@@ -120,9 +126,10 @@ def _sc_effects(mem, regs, t, instr):
     return [with_reg(old, mem2)]
 
 
-def tso_outcomes(program: Program) -> frozenset[Outcome]:
+def tso_search(program: Program) -> tuple[frozenset[Outcome], int]:
     """Exhaustive search over (memory, buffers, pcs, registers) states
-    with explicit nondeterministic dequeues and store-to-load forwarding."""
+    with explicit nondeterministic dequeues and store-to-load forwarding:
+    its outcomes, and how many distinct states it reached."""
     results: set[Outcome] = set()
     n = len(program.threads)
     start = (
@@ -196,7 +203,7 @@ def tso_outcomes(program: Program) -> frozenset[Outcome]:
             if key not in seen:
                 seen.add(key)
                 frontier.append(key)
-    return frozenset(results)
+    return frozenset(results), len(seen)
 
 
 def _replace(bufs, t, new):

@@ -21,14 +21,13 @@ from memlit.model import (
     derive_failure_order,
     eval_assertion,
     force_seq_cst,
-    make_outcome,
     satisfies,
     validate,
     with_fences_after_stores,
 )
 from memlit.operational import enumerate_sc, enumerate_tso
 
-from support import programs, value_universe
+from support import make_outcome, programs, value_universe
 
 
 def prog(threads, assertion=None, init=None, names=None):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from memlit.dsl import parse_litmus
 from memlit.model import Assertion, Kind, MemAtom, ResourceLimitError, eval_assertion
-from memlit.operational import apply, enumerate_sc, enumerate_tso, initial_state
+from memlit.operational import enumerate_sc, enumerate_tso
 
 from support import programs, sc_outcomes, with_cas_kind
 
@@ -116,23 +116,6 @@ exists: P0:r3 = 14
         for result in (enumerate_sc(program), enumerate_tso(program)):
             (outcome,) = result.outcomes
             assert outcome.format() == "P0:r1=1 P0:r2=2 P0:r3=2 P0:r4=1 P1:r1=5 | v=5 w=5 x=2 y=2 z=3"
-
-
-class TestStepApi:
-    def test_step_on_finished_thread_rejected(self):
-        program = parse_litmus("name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 1\n")
-        state = initial_state(program)
-        (after,) = apply(program, state, ("exec", 0), buffered=False)
-        with pytest.raises(ValueError):
-            apply(program, after, ("exec", 0), buffered=False)
-
-    def test_weak_cas_yields_two_successors(self):
-        program = parse_litmus(
-            "name: t\ninit: x = 0\nthread P0:\n  r1 = cas_weak x 0 1\nexists: x = 1\n"
-        )
-        state = initial_state(program)
-        assert len(apply(program, state, ("exec", 0), buffered=False)) == 2
-        assert len(apply(with_cas_kind(program, Kind.CAS_STRONG), state, ("exec", 0), buffered=False)) == 1
 
 
 class TestLimits:

@@ -1,29 +1,20 @@
 """Store-buffer machine tests.
 
-Frozen outcome sets below come from the independent search in support.py;
-unit tests drive enabled/apply directly to pin buffer mechanics.
+Frozen outcome sets below come from the independent search in support.py.
+The machine is reached only through enumerate_sc and enumerate_tso, so buffer
+mechanics are pinned by outcome sets, witness traces and explored counts.
 """
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from memlit.dsl import parse_litmus
-from memlit.model import Outcome, ResourceLimitError, eval_assertion, with_fences_after_stores
-from memlit.operational import (
-    _pack,
-    _resolve,
-    _unpack,
-    apply,
-    enabled,
-    enumerate_sc,
-    enumerate_tso,
-    initial_state,
-)
+from memlit.model import ResourceLimitError, eval_assertion, with_fences_after_stores
+from memlit.operational import enumerate_sc, enumerate_tso
 
-from support import ladder, programs, sc_outcomes, tso_outcomes
+from support import ladder, programs, sc_outcomes, tso_search
 
 DEKKER = """\
 name: dekker
@@ -68,19 +59,6 @@ def reg_pairs(outcomes, a=("P0", "r1"), b=("P1", "r2")):
     return {(o.register(*a), o.register(*b)) for o in outcomes.outcomes}
 
 
-def reachable(program, **options) -> set:
-    """Every state that enabled/apply reach from initial_state."""
-    seen = set()
-    frontier = [initial_state(program)]
-    while frontier:
-        state = frontier.pop()
-        if state not in seen:
-            seen.add(state)
-            for transition in enabled(program, state):
-                frontier.extend(apply(program, state, transition, **options))
-    return seen
-
-
 class TestFrozenPrograms:
     def test_dekker_gains_both_zero(self):
         program = parse_litmus(DEKKER)
@@ -93,6 +71,15 @@ class TestFrozenPrograms:
         result = enumerate_tso(program)
         assert reg_pairs(result) == {(0, 1), (1, 0), (1, 1)}
         assert eval_assertion(program.assertion, result).kind == "forbidden"
+
+    @pytest.mark.parametrize("order", ["acquire", "release", "acq_rel"])
+    def test_weaker_fences_do_not_wait(self, order):
+        # Only fence seq_cst is an mfence (test_mfence_restores_dekker): a
+        # weaker fence lets the load run while the thread's store is buffered.
+        program = parse_litmus(DEKKER_FENCED.replace("fence seq_cst", f"fence {order}"))
+        result = enumerate_tso(program)
+        assert reg_pairs(result) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        assert eval_assertion(program.assertion, result).kind == "allowed"
 
     def test_message_passing_stays_ordered(self):
         # Stores leave the buffer in order and loads are never reordered,
@@ -145,47 +132,6 @@ class TestFrozenPrograms:
         assert eval_assertion(program.assertion, result).kind == "forbidden"
 
 
-class TestMachineSteps:
-    def test_mfence_waits_for_own_buffer(self):
-        program = parse_litmus(
-            "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  fence seq_cst\nexists: x = 1\n"
-        )
-        x = program.locations.index("x")
-        state = initial_state(program)
-        (state,) = apply(program, state, ("exec", 0))
-        assert state.buffers[0] == ((x, 1),)
-        assert enabled(program, state) == (("dequeue", 0),)
-        (state,) = apply(program, state, ("dequeue", 0))
-        assert state.buffers[0] == ()
-        assert enabled(program, state) == (("exec", 0),)
-
-    def test_weaker_fences_do_not_wait(self):
-        program = parse_litmus(
-            "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  fence acquire\nexists: x = 1\n"
-        )
-        state = initial_state(program)
-        (state,) = apply(program, state, ("exec", 0))
-        assert ("exec", 0) in enabled(program, state)
-
-    def test_locked_rmw_drains_buffer(self):
-        program = parse_litmus(
-            "name: t\ninit: x = 0 y = 0\nthread P0:\n  store x 1\n  r1 = fetch_add y 3\n"
-            "exists: y = 3\n"
-        )
-        x, y = map(program.locations.index, ("x", "y"))
-        state = initial_state(program)
-        (state,) = apply(program, state, ("exec", 0))
-        (state,) = apply(program, state, ("exec", 0))
-        assert state.buffers[0] == ()
-        assert (state.memory[x], state.memory[y]) == (1, 3)
-
-    def test_disabled_transition_rejected(self):
-        program = parse_litmus("name: t\ninit: x = 0\nthread P0:\n  store x 1\nexists: x = 1\n")
-        state = initial_state(program)
-        with pytest.raises(ValueError):
-            apply(program, state, ("dequeue", 0))
-
-
 class TestWitnessTraces:
     def test_dekker_witness_dequeues_after_loads(self):
         program = parse_litmus(DEKKER)
@@ -210,20 +156,6 @@ class TestLimits:
 
     def test_never_reports_races(self):
         assert enumerate_tso(parse_litmus(DEKKER)).racy is False
-
-
-class TestStoreOrderPreserved:
-    def test_no_state_shows_second_store_while_first_buffered(self):
-        program = parse_litmus(
-            "name: t\ninit: a = 0 b = 0\nthread P0:\n"
-            "  store a 1 relaxed\n  store b 1 relaxed\nexists: b = 1\n"
-        )
-        a, b = map(program.locations.index, ("a", "b"))
-        states = reachable(program)
-        for state in states:
-            if state.memory[b] == 1:
-                assert (a, 1) not in state.buffers[0]
-        assert len(states) > 1
 
 
 class TestCorpusDiscipline:
@@ -265,44 +197,26 @@ class TestStateSpace:
             run(program, max_states=explored - 1)
 
     @settings(max_examples=60, deadline=None)
-    @given(programs(), st.booleans())
-    def test_public_stepping_reaches_what_the_search_explores(self, program, buffered):
-        # enabled/apply from initial_state reach exactly the states the search
-        # counts, and the states with nothing enabled give exactly its outcomes.
-        states = reachable(program, buffered=buffered)
-        outcomes = {
-            Outcome(
-                tuple((t, r, v) for (t, r), v in zip(program.registers, state.registers)),
-                tuple(zip(program.locations, state.memory)),
-            )
-            for state in states
-            if not enabled(program, state)
-        }
-        result = (enumerate_tso if buffered else enumerate_sc)(program)
-        assert len(states) == result.stats.explored
-        assert outcomes == result.outcomes
-
-    @settings(max_examples=60, deadline=None)
     @given(programs())
-    def test_unbuffered_machine_never_buffers(self, program):
-        # SC is the machine whose stores commit at once: every reachable state
-        # has empty buffers, so no dequeue is ever enabled.
-        for state in reachable(program, buffered=False):
-            assert all(buffer == () for buffer in state.buffers)
-            assert all(kind == "exec" for kind, _ in enabled(program, state))
+    def test_sc_witnesses_never_dequeue(self, program):
+        # SC is the machine whose stores commit at once: no store is ever
+        # buffered, so no witness holds a dequeue step.
+        for trace in enumerate_sc(program).witnesses.values():
+            assert all(step.kind == "exec" for step in trace)
 
 
 class TestPackedState:
     """A state is one int of 8-bit value fields, pcs, buffer counts and
     buffer entries: these programs fill fields to their ends, and each run
-    must agree with the oracles, which keep no such layout."""
+    must agree with the oracles, which keep no such layout, on its outcomes
+    and, under TSO, on how many states it reaches."""
 
     @staticmethod
     def agree(text):
         program = parse_litmus(text)
         sc, tso = enumerate_sc(program), enumerate_tso(program)
         assert sc.outcomes == sc_outcomes(program)
-        assert tso.outcomes == tso_outcomes(program)
+        assert (tso.outcomes, tso.stats.explored) == tso_search(program)
         return sc, tso
 
     def test_eight_stores_fill_the_buffer(self):
@@ -315,11 +229,11 @@ class TestPackedState:
         )
         sc, tso = self.agree(text)
         assert {o.memory for o in tso.outcomes} == {(("x", 6), ("y", 7), ("z", 5))}
-        program = parse_litmus(text)
-        state = initial_state(program)
-        for _ in range(8):
-            (state,) = apply(program, state, ("exec", 0))
-        assert state.pcs == (8, 0) and len(state.buffers[0]) == 8
+        # The search runs P0 first, so its first witness buffers all 8 stores
+        # before anything dequeues.
+        first = next(iter(tso.witnesses.values()))
+        kinds = ["buffer" if step.text.endswith(" -> buffer") else step.kind for step in first]
+        assert kinds.index("dequeue") == 8 and kinds[:8] == ["buffer"] * 8
 
     def test_255_beside_another_location(self):
         sc, tso = self.agree(
@@ -347,22 +261,21 @@ class TestPackedState:
         assert {o.location("x") for o in tso.outcomes} == {1, 2}
         assert {o.register("P0", "r1") for o in tso.outcomes} == {1}
 
-    @settings(max_examples=60, deadline=None)
-    @given(programs())
-    def test_every_reachable_state_packs_and_unpacks_unchanged(self, program):
-        machine = _resolve(program, True)
-        states = reachable(program) | reachable(program, buffered=False)
-        packed = {_pack(machine, state) for state in states}
-        assert len(packed) == len(states)
-        assert {_unpack(machine, p) for p in packed} == states
-
 
 class TestAgainstOracle:
     @settings(max_examples=100, deadline=None)
     @given(programs())
     def test_matches_reference_search(self, program):
+        # The oracle keeps each state as plain tuples and counts the distinct
+        # ones, so equal counts mean the packed layout neither merges two
+        # states nor splits one.
         result = enumerate_tso(program)
-        assert result.outcomes == tso_outcomes(program)
+        assert (result.outcomes, result.stats.explored) == tso_search(program)
+
+    def test_matches_reference_search_on_the_corpus(self, corpus):
+        for entry in corpus.values():
+            result = entry.results["tso"]
+            assert (result.outcomes, result.stats.explored) == tso_search(entry.program), entry.path
 
     @settings(max_examples=100, deadline=None)
     @given(programs())
