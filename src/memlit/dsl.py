@@ -23,13 +23,16 @@ keywords are reserved and cannot name threads, locations, or registers.
 parse_litmus collects every diagnosable error (with source spans) before
 raising ParseError; print_litmus emits a canonical form with explicit
 orders, and parse(print(p)) == p for any grammar-representable program.
+A line lexes to the strings its tokens matched; a span, and the byte offset
+of its line in the input, are worked out only for a diagnostic.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from itertools import accumulate, islice
+from typing import Optional, Union
 
 from .model import (
     And,
@@ -84,141 +87,138 @@ class ParseError(Exception):
         self.diagnostics = diagnostics
 
 
-_Line = tuple[int, int, str]  # (line number, byte offset, content)
+# A token is the text it matched.  The last alternative takes any other
+# character, so findall skips only blanks, and a bad token is one character
+# long.  On a line with no bad token every token is ASCII: str.isidentifier
+# and str.isdigit tell its kind, and any other is one of the seven symbols.
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|/\\|\\/|[^ \t\r]")
+_ONE_CHARACTER_TOKENS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_=:()!")
 
 
-class _Token(NamedTuple):
-    type: str  # ident | num | sym
-    text: str
-    line: int
-    column: int
-    start: int  # byte offset; every character before a token on its line is ASCII
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.column, self.start, self.start + len(self.text))
-
-
-def _span_at(tokens: list[_Token], i: int) -> SourceSpan:
-    """Span of token i, or of the last token when i is past the end."""
-    return tokens[min(i, len(tokens) - 1)].span
-
-
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<num>[0-9]+)
-      | (?P<sym>/\\|\\/|[=:()!])
-    """,
-    re.VERBOSE,
-)
-
-
-def _decode(text: Union[str, bytes]) -> tuple[str, list[ParseDiagnostic]]:
-    if isinstance(text, str):
-        return text, []
+def _char_end(data: bytes, start: int, char: str) -> int:
+    """End of char at data[start], or of the bytes there that decoded as U+FFFD."""
     try:
-        return text.decode("utf-8"), []
+        data[start:start + 4].decode("utf-8")
     except UnicodeDecodeError as exc:
-        span = SourceSpan(1, 1, exc.start, min(exc.end, len(text)))
-        decoded = text.decode("utf-8", errors="replace")
-        return decoded, [ParseDiagnostic("input is not valid UTF-8", span)]
+        if exc.start == 0:
+            return start + exc.end
+    return start + len(char.encode("utf-8"))
+
+
+def _decode(text: Union[str, bytes]) -> tuple[str, Optional[bytes], list[ParseDiagnostic]]:
+    """The text, its UTF-8 bytes unless it is ASCII, and an invalid byte's diagnostic."""
+    if isinstance(text, str):
+        return text, (None if text.isascii() else text.encode("utf-8")), []
+    try:
+        return text.decode("utf-8"), (None if text.isascii() else text), []
+    except UnicodeDecodeError as exc:
+        column = exc.start - text.rfind(b"\n", 0, exc.start)
+        span = SourceSpan(text.count(b"\n", 0, exc.start) + 1, column, exc.start, exc.end)
+        return text.decode("utf-8", errors="replace"), text, [ParseDiagnostic("input is not valid UTF-8", span)]
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.diagnostics: list[ParseDiagnostic] = []
-        self.lines: list[_Line] = []
-        offset = 0
-        for n, raw in enumerate(text.split("\n"), start=1):
-            self.lines.append((n, offset, raw))
-            offset += len(raw.encode("utf-8")) + 1
+    def __init__(self, text: str, data: Optional[bytes], diagnostics: list[ParseDiagnostic]):
+        self.data = data  # the bytes of text, or None when it is ASCII
+        self.diagnostics = diagnostics
+        self.lines = text.split("\n")
+        self.line_no = 0  # 1-based number of the line being parsed
+        self._starts: Optional[list[int]] = None  # byte offset of each line, once a span needs them
 
     def error(self, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(ParseDiagnostic(message, span))
 
-    def _line_span(self, line_no: int, line_offset: int, raw: str) -> SourceSpan:
-        return SourceSpan(line_no, 1, line_offset, line_offset + len(raw.encode("utf-8")))
+    def _bounds(self, line_no: int) -> tuple[int, int]:
+        """Byte offsets of the start and the end of a line."""
+        if self._starts is None:
+            # decoding keeps every newline byte, so data has the same lines
+            sizes = self.lines if self.data is None else self.data.split(b"\n")
+            self._starts = list(accumulate((len(size) + 1 for size in sizes), initial=0))
+        return self._starts[line_no - 1], self._starts[line_no] - 1
+
+    def span(self, tokens: list[str], i: int) -> SourceSpan:
+        """Span of token i of the line being parsed, or of its last token when
+        i is past the end.  Every character before a token on its line is
+        ASCII: one byte each."""
+        start, _ = self._bounds(self.line_no)
+        m = next(islice(_TOKEN_RE.finditer(self.lines[self.line_no - 1]), min(i, len(tokens) - 1), None))
+        return SourceSpan(self.line_no, m.start() + 1, start + m.start(), start + m.end())
+
+    def _line_span(self) -> SourceSpan:
+        start, end = self._bounds(self.line_no)
+        return SourceSpan(self.line_no, 1, start, end)
 
     def _eof_span(self) -> SourceSpan:
-        size = len(self.text.encode("utf-8"))
-        return SourceSpan(max(len(self.lines), 1), 1, size, size)
+        start, end = self._bounds(len(self.lines))
+        return SourceSpan(len(self.lines), end - start + 1, end, end)
 
-    def tokenize(self, line_no: int, line_offset: int, raw: str) -> Optional[list[_Token]]:
-        content = raw.split("#", 1)[0]
-        tokens: list[_Token] = []
-        pos = 0
-        while pos < len(content):
-            m = _TOKEN_RE.match(content, pos)
-            if m is None:
-                # the first character no token matches ends the line, so
-                # everything before it is ASCII: one byte per character.
-                bad = content[pos]
-                start = line_offset + pos
-                span = SourceSpan(line_no, pos + 1, start, start + len(bad.encode("utf-8")))
-                self.error(f"unexpected character {bad!r}", span)
-                return None
-            if m.lastgroup != "ws":
-                tokens.append(_Token(m.lastgroup, m.group(), line_no, pos + 1, line_offset + pos))
-            pos = m.end()
+    def tokenize(self, raw: str) -> list[str]:
+        """The tokens of a line before its comment; none when one is bad."""
+        tokens = _TOKEN_RE.findall(raw.split("#", 1)[0])
+        for tok in tokens:
+            if len(tok) == 1 and tok not in _ONE_CHARACTER_TOKENS:
+                # the first bad token ends the line
+                span = self.span(tokens, tokens.index(tok))
+                end = span.end if self.data is None else _char_end(self.data, span.start, tok)
+                self.error(f"unexpected character {tok!r}", SourceSpan(span.line, span.column, span.start, end))
+                return []
         return tokens
 
     # -- small token-list helpers ------------------------------------------
 
-    def _take_value(self, tokens: list[_Token], i: int, what: str) -> tuple[Optional[int], int]:
+    def _take_value(self, tokens: list[str], i: int, what: str) -> tuple[Optional[int], int]:
         """Parse NUM in 0..MAX_VALUE; returns (value, next index)."""
-        if i >= len(tokens) or tokens[i].type != "num":
-            self.error(f"expected {what}", _span_at(tokens, i))
+        if i >= len(tokens) or not tokens[i].isdigit():
+            self.error(f"expected {what}", self.span(tokens, i))
             return None, i
-        value = int(tokens[i].text)
+        value = int(tokens[i])
         if value > MAX_VALUE:
-            self.error(f"value {value} out of range (0..{MAX_VALUE})", tokens[i].span)
+            self.error(f"value {value} out of range (0..{MAX_VALUE})", self.span(tokens, i))
             return None, i + 1
         return value, i + 1
 
-    def _take_ident(self, tokens: list[_Token], i: int, what: str) -> tuple[Optional[str], int]:
-        if i >= len(tokens) or tokens[i].type != "ident":
-            self.error(f"expected {what}", _span_at(tokens, i))
+    def _take_ident(self, tokens: list[str], i: int, what: str) -> tuple[Optional[str], int]:
+        if i >= len(tokens) or not tokens[i].isidentifier():
+            self.error(f"expected {what}", self.span(tokens, i))
             return None, i
-        name = tokens[i].text
+        name = tokens[i]
         if name in RESERVED:
-            self.error(f"{name!r} is a reserved word and cannot be a {what}", tokens[i].span)
+            self.error(f"{name!r} is a reserved word and cannot be a {what}", self.span(tokens, i))
             return None, i + 1
         return name, i + 1
 
-    def _take_operand(self, tokens: list[_Token], i: int) -> tuple[Union[int, str, None], int]:
-        if i < len(tokens) and tokens[i].type == "num":
+    def _take_operand(self, tokens: list[str], i: int) -> tuple[Union[int, str, None], int]:
+        if i < len(tokens) and tokens[i].isdigit():
             return self._take_value(tokens, i, "operand")
         return self._take_ident(tokens, i, "operand register")
 
-    def _take_order(self, tokens: list[_Token], i: int) -> tuple[Optional[MemoryOrder], int]:
+    def _take_order(self, tokens: list[str], i: int) -> tuple[Optional[MemoryOrder], int]:
         """Optional trailing memory order; None means omitted."""
-        if i < len(tokens) and tokens[i].type == "ident" and tokens[i].text in ORDER_TOKENS:
-            return ORDER_TOKENS[tokens[i].text], i + 1
+        if i < len(tokens) and tokens[i] in ORDER_TOKENS:
+            return ORDER_TOKENS[tokens[i]], i + 1
         return None, i
 
-    def _expect_end(self, tokens: list[_Token], i: int) -> bool:
+    def _expect_end(self, tokens: list[str], i: int) -> bool:
         if i < len(tokens):
-            self.error(f"unexpected trailing input {tokens[i].text!r}", tokens[i].span)
+            self.error(f"unexpected trailing input {tokens[i]!r}", self.span(tokens, i))
             return False
         return True
 
-    def _expect_sym(self, tokens: list[_Token], i: int, sym: str) -> tuple[bool, int]:
-        if i < len(tokens) and tokens[i].type == "sym" and tokens[i].text == sym:
+    def _expect_sym(self, tokens: list[str], i: int, sym: str) -> tuple[bool, int]:
+        if i < len(tokens) and tokens[i] == sym:
             return True, i + 1
-        self.error(f"expected {sym!r}", _span_at(tokens, i))
+        self.error(f"expected {sym!r}", self.span(tokens, i))
         return False, i
 
     # -- instructions -------------------------------------------------------
 
-    def parse_instruction(self, tokens: list[_Token]) -> Optional[Instruction]:
+    def parse_instruction(self, tokens: list[str]) -> Optional[Instruction]:
         head = tokens[0]
-        if head.type != "ident":
-            self.error("expected an instruction", head.span)
+        if not head.isidentifier():
+            self.error("expected an instruction", self.span(tokens, 0))
             return None
 
-        kind = KIND_TOKENS.get(head.text)
+        kind = KIND_TOKENS.get(head)
         fields: dict[str, object] = {}
         i = 1
         if kind is None or kind.fields[0] == "dest":  # REG = op ...
@@ -226,19 +226,19 @@ class _Parser:
             ok, i = self._expect_sym(tokens, i, "=")
             if dest is None or not ok:
                 return None
-            if i >= len(tokens) or tokens[i].type != "ident":
-                self.error("expected an operation name", _span_at(tokens, i))
+            if i >= len(tokens) or not tokens[i].isidentifier():
+                self.error("expected an operation name", self.span(tokens, i))
                 return None
-            kind = KIND_TOKENS.get(tokens[i].text)
+            kind = KIND_TOKENS.get(tokens[i])
             if kind is None or kind.fields[0] != "dest":
-                self.error(f"unknown operation {tokens[i].text!r}", tokens[i].span)
+                self.error(f"unknown operation {tokens[i]!r}", self.span(tokens, i))
                 return None
             fields["dest"] = dest
             i += 1
         for name in kind.fields[len(fields):]:
             fields[name], i = _TAKE[name](self, tokens, i)
         if kind is Kind.FENCE and fields["order"] is None:
-            self.error("fence requires a memory order", _span_at(tokens, i))
+            self.error("fence requires a memory order", self.span(tokens, i))
             return None
         missing = any(value is None for name, value in fields.items() if name not in ("order", "failure_order"))
         if not self._expect_end(tokens, i) or missing:
@@ -251,33 +251,33 @@ class _Parser:
 
     # -- boolean conditions ---------------------------------------------------
 
-    def _parse_or(self, tokens: list[_Token], i: int) -> tuple[Optional[BoolExpr], int]:
+    def _parse_or(self, tokens: list[str], i: int) -> tuple[Optional[BoolExpr], int]:
         left, i = self._parse_and(tokens, i)
-        while left is not None and i < len(tokens) and tokens[i].text == "\\/":
+        while left is not None and i < len(tokens) and tokens[i] == "\\/":
             right, i = self._parse_and(tokens, i + 1)
             if right is None:
                 return None, i
             left = Or(left, right)
         return left, i
 
-    def _parse_and(self, tokens: list[_Token], i: int) -> tuple[Optional[BoolExpr], int]:
+    def _parse_and(self, tokens: list[str], i: int) -> tuple[Optional[BoolExpr], int]:
         left, i = self._parse_unary(tokens, i)
-        while left is not None and i < len(tokens) and tokens[i].text == "/\\":
+        while left is not None and i < len(tokens) and tokens[i] == "/\\":
             right, i = self._parse_unary(tokens, i + 1)
             if right is None:
                 return None, i
             left = And(left, right)
         return left, i
 
-    def _parse_unary(self, tokens: list[_Token], i: int) -> tuple[Optional[BoolExpr], int]:
+    def _parse_unary(self, tokens: list[str], i: int) -> tuple[Optional[BoolExpr], int]:
         if i >= len(tokens):
-            self.error("expected a condition", tokens[-1].span)
+            self.error("expected a condition", self.span(tokens, i))
             return None, i
         tok = tokens[i]
-        if tok.text == "!":
+        if tok == "!":
             inner, i = self._parse_unary(tokens, i + 1)
             return (Not(inner) if inner is not None else None), i
-        if tok.text == "(":
+        if tok == "(":
             inner, i = self._parse_or(tokens, i + 1)
             ok, i = self._expect_sym(tokens, i, ")")
             return (inner if ok else None), i
@@ -285,7 +285,7 @@ class _Parser:
         first, i = self._take_ident(tokens, i, "thread, register, or location name")
         if first is None:
             return None, i
-        if i < len(tokens) and tokens[i].text == ":":
+        if i < len(tokens) and tokens[i] == ":":
             reg, i = self._take_ident(tokens, i + 1, "register")
             ok, i = self._expect_sym(tokens, i, "=")
             value, i = self._take_value(tokens, i, "value")
@@ -300,7 +300,7 @@ class _Parser:
 
     # -- whole file -----------------------------------------------------------
 
-    def _take_init_pair(self, tokens: list[_Token], i: int, init: dict[str, int], line: _Line) -> tuple[bool, int]:
+    def _take_init_pair(self, tokens: list[str], i: int, init: dict[str, int]) -> tuple[bool, int]:
         """LOC = NUM into init; returns (parsed, next index)."""
         loc, i = self._take_ident(tokens, i, "location")
         ok, i = self._expect_sym(tokens, i, "=")
@@ -308,7 +308,7 @@ class _Parser:
         if loc is None or not ok or value is None:
             return False, i
         if loc in init:
-            self.error(f"duplicate init location {loc!r}", self._line_span(*line))
+            self.error(f"duplicate init location {loc!r}", self._line_span())
         init[loc] = value
         return True, i
 
@@ -321,47 +321,48 @@ class _Parser:
         assertion: Optional[Assertion] = None
         condition_seen = False  # a condition line, parsed or not
 
-        for line in self.lines:
-            tokens = self.tokenize(*line)
+        for line_no, raw in enumerate(self.lines, start=1):
+            self.line_no = line_no
+            tokens = self.tokenize(raw)
             if not tokens:
                 continue
             head = tokens[0]
 
             if condition_seen:
-                self.error("content after the condition line", self._line_span(*line))
+                self.error("content after the condition line", self._line_span())
                 continue
 
-            if head.text == "name":
+            if head == "name":
                 ok, i = self._expect_sym(tokens, 1, ":")
                 ident, i = self._take_ident(tokens, i, "test name")
                 self._expect_end(tokens, i)
                 if name is not None:
-                    self.error("duplicate name header", head.span)
+                    self.error("duplicate name header", self.span(tokens, 0))
                 elif ok and ident is not None:
                     name = ident
                 continue
 
-            if head.text == "init":
+            if head == "init":
                 ok, i = self._expect_sym(tokens, 1, ":")
                 if init_seen:
-                    self.error("duplicate init section", head.span)
+                    self.error("duplicate init section", self.span(tokens, 0))
                 init_seen = True
                 while ok and i < len(tokens):
-                    ok, i = self._take_init_pair(tokens, i, init, line)
+                    ok, i = self._take_init_pair(tokens, i, init)
                 continue
 
-            if head.text == "thread":
+            if head == "thread":
                 ident, i = self._take_ident(tokens, 1, "thread name")
                 ok, i = self._expect_sym(tokens, i, ":")
                 self._expect_end(tokens, i)
                 if ident is not None and ok:
                     if ident in thread_names:
-                        self.error(f"duplicate thread name {ident!r}", tokens[1].span)
+                        self.error(f"duplicate thread name {ident!r}", self.span(tokens, 1))
                     thread_names.append(ident)
                     threads.append([])
                 continue
 
-            if head.text in ("exists", "forall"):
+            if head in ("exists", "forall"):
                 condition_seen = True
                 ok, i = self._expect_sym(tokens, 1, ":")
                 if not ok:
@@ -369,15 +370,15 @@ class _Parser:
                 expr, i = self._parse_or(tokens, i)
                 self._expect_end(tokens, i)
                 if expr is not None:
-                    assertion = Assertion(head.text, expr)
+                    assertion = Assertion(head, expr)
                 continue
 
             if not threads:
                 # before the first thread: only init continuation lines.
-                if init_seen and len(tokens) == 3 and tokens[1].text == "=":
-                    self._take_init_pair(tokens, 0, init, line)
+                if init_seen and len(tokens) == 3 and tokens[1] == "=":
+                    self._take_init_pair(tokens, 0, init)
                     continue
-                self.error("expected a thread or section header", self._line_span(*line))
+                self.error("expected a thread or section header", self._line_span())
                 continue
 
             instr = self.parse_instruction(tokens)
@@ -418,9 +419,7 @@ _TAKE = {
 
 def parse_litmus(text: Union[str, bytes]) -> Program:
     """Parse a litmus test; raises ParseError carrying every diagnostic."""
-    decoded, errors = _decode(text)
-    parser = _Parser(decoded)
-    parser.diagnostics.extend(errors)
+    parser = _Parser(*_decode(text))
     program = parser.parse()
     if program is None or parser.diagnostics:
         raise ParseError(parser.diagnostics)
@@ -477,15 +476,12 @@ def print_litmus(program: Program) -> str:
 # ---------------------------------------------------------------------------
 # expectation annotations (comments, not grammar)
 
-_EXPECT_RE = re.compile(r"#\s*expected:\s*(\S+)\s+(\S+)")
+# Blanks here never match a newline, and a match runs to the end of its line,
+# so one pass over the text finds the first annotation of each line.
+_EXPECT_RE = re.compile(r"#[^\S\n]*expected:[^\S\n]*(\S+)[^\S\n]+(\S+)[^\n]*")
 
 
 def parse_expectations(text: Union[str, bytes]) -> tuple[tuple[str, str], ...]:
     """Extract (model, verdict) pairs from '# expected: MODEL VERDICT' comments."""
-    decoded, _ = _decode(text)
-    found = []
-    for line in decoded.split("\n"):
-        m = _EXPECT_RE.search(line)
-        if m:
-            found.append((m.group(1), m.group(2)))
-    return tuple(found)
+    decoded = text if isinstance(text, str) else text.decode("utf-8", errors="replace")
+    return tuple(_EXPECT_RE.findall(decoded))

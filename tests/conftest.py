@@ -11,7 +11,7 @@ from memlit.model import OutcomeSet, Program, Verdict, eval_assertion, validate
 from memlit.axiomatic import enumerate_cxx11
 from memlit.operational import enumerate_sc, enumerate_tso
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+from support import CORPUS_DIR
 
 
 @dataclass

@@ -9,11 +9,19 @@ imported read-only: its LADDERS and BASELINE rungs, under the rung's model
 and candidate budget) and N distinct programs drawn from `programs()` in
 tests/support.py with seed S, under all three models at a budget of
 RANDOM_BUDGET.  Each case is litmus text, so both sides parse it
-themselves.  Each corpus file and hand-built program also carries every
-candidate `grounded_candidates` in tests/support.py builds for it, as
-plain data, when there are at most JUDGE_LIMIT of them.  The hand-built
-programs reach what the corpus does not: no corpus candidate breaks
-SC-FENCE-2 alone.
+themselves.  The parser is compared on its own, too: each side parses every
+case text, and the texts of MUTATIONS corpus files mutated with seed S by
+`mutated_corpus` in tests/support.py, as str and as bytes.  It yields the
+print_litmus text of the program or each diagnostic's message, line,
+column, start and end, and then what parse_expectations finds in the text.
+Only the mutated texts that are UTF-8 and end in a newline are kept: a
+revision whose spans count an invalid byte as the three bytes of U+FFFD,
+or whose end-of-file column ignores a last line with no newline, differs
+from the working tree there by design.  Each corpus file and hand-built
+program also carries every candidate `grounded_candidates` in
+tests/support.py builds for it, as plain data, when there are at most
+JUDGE_LIMIT of them.  The hand-built programs reach what the corpus does
+not: no corpus candidate breaks SC-FENCE-2 alone.
 
 `git archive` extracts src/ at REV into a temporary directory; that copy
 and the working tree's src/ then run every case, each in its own
@@ -40,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_BUDGET = 20_000
 JUDGE_LIMIT = 2_000
+MUTATIONS = 2_000
 MODELS = ("sc", "tso", "cxx11")
 
 
@@ -51,7 +60,9 @@ def build_cases(count: int, seed: int) -> list[dict]:
 
     from memlit import parse_litmus, print_litmus
     from perfbench.workloads import BASELINE, LADDER_CANDIDATES, LADDERS, ladder_text
-    from support import S_EDGE_PROGRAMS, SINGLE_AXIOM_CASES, SW_INPUT_PROGRAMS, grounded_candidates, programs
+    from support import (
+        S_EDGE_PROGRAMS, SINGLE_AXIOM_CASES, SW_INPUT_PROGRAMS, grounded_candidates, mutated_corpus, programs
+    )
 
     def plain(candidate) -> dict:
         events = [
@@ -97,21 +108,42 @@ def build_cases(count: int, seed: int) -> list[dict]:
         batch += 1
     random_models = [[model, RANDOM_BUDGET] for model in MODELS]
     cases += [{"name": f"random {i}", "text": text, "models": random_models} for i, text in enumerate(texts)]
+
+    for i, data in enumerate(mutated_corpus(seed, MUTATIONS)):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            continue
+        if text.endswith("\n"):
+            cases.append({"name": f"mutated {i}", "text": text, "models": []})
     return cases
 
 
 def run_cases(src: str, cases_path: str, out_path: str) -> None:
     """Run every case with the memlit under `src`, writing one result per run to `out_path`."""
     sys.path.insert(0, src)
-    from memlit import ResourceLimitError, enumerate_cxx11, enumerate_sc, enumerate_tso, parse_litmus
+    from memlit import (
+        ParseError, ResourceLimitError, enumerate_cxx11, enumerate_sc, enumerate_tso, parse_expectations, parse_litmus,
+        print_litmus,
+    )
     from memlit.axiomatic import CandidateExecution, check_axioms
     from memlit.dot import execution_dot, trace_dot
     from memlit.model import Event, EventKind, MemoryOrder
 
+    def parsed(source):
+        try:
+            return print_litmus(parse_litmus(source))
+        except ParseError as exc:
+            return [[d.message, d.span.line, d.span.column, d.span.start, d.span.end] for d in exc.diagnostics]
+
     enumerate_model = {"sc": enumerate_sc, "tso": enumerate_tso, "cxx11": enumerate_cxx11}
     results = {}
     for case in json.loads(Path(cases_path).read_text()):
-        program = parse_litmus(case["text"])
+        text = case["text"]
+        results[f"{case['name']} | parse"] = [parsed(text), parsed(text.encode("utf-8")), parse_expectations(text)]
+        if not case["models"]:
+            continue
+        program = parse_litmus(text)
         if "judge" in case:
             flags = ""
             for c in case["judge"]:
@@ -183,10 +215,12 @@ def main() -> int:
     differences = [key for key in sorted(rev.keys() | tree.keys()) if rev.get(key) != tree.get(key)]
     for key in differences[:20]:
         print(f"DIFFERS: {key}\n  {args.rev}: {json.dumps(rev.get(key))[:400]}\n  tree: {json.dumps(tree.get(key))[:400]}")
-    exits = sum("exit" in result for result in tree.values())
+    exits = sum("exit" in result for result in tree.values() if isinstance(result, dict))
+    parses = sum(key.endswith(" | parse") for key in tree)
+    mutated = sum(case["name"].startswith("mutated ") for case in cases)
     print(
-        f"{len(cases)} cases ({args.programs} random), {len(tree)} runs, {exits} budget exits: "
-        f"{len(differences)} differ between {args.rev} and the working tree"
+        f"{len(cases)} cases ({args.programs} random, {mutated} mutated), {len(tree) - parses} runs, "
+        f"{parses} parses, {exits} budget exits: {len(differences)} differ between {args.rev} and the working tree"
     )
     return 1 if differences else 0
 

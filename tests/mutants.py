@@ -378,6 +378,20 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         ("tests/test_dsl.py::test_diagnostics_pinned",),
     ),
     (
+        # A line's byte offset counts the characters before it, not their bytes.
+        "dsl.py",
+        'sizes = self.lines if self.data is None else self.data.split(b"\\n")',
+        "sizes = self.lines",
+        ("tests/test_dsl.py::test_diagnostics_pinned", "tests/test_dsl.py::test_spans_land_on_their_bytes_in_mutated_corpus"),
+    ),
+    (
+        # A lone slash or backslash is a token, not a bad character.
+        "dsl.py",
+        '0123456789_=:()!")',
+        '0123456789_=:()!/\\\\")',
+        ("tests/test_dsl.py::test_diagnostics_pinned",),
+    ),
+    (
         # fetch_sub does not wrap below 0.
         "model.py",
         "lambda old, operand: (old - operand) & MAX_VALUE",

@@ -9,14 +9,18 @@ not against themselves.
 
 from __future__ import annotations
 
+import ast
 import itertools
+import random
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import replace
+from pathlib import Path
 from typing import Optional
 
 from hypothesis import strategies as st
 
 from memlit.axiomatic import CandidateExecution, ExecutionJudgment
+from memlit.dsl import ParseError, parse_litmus
 from memlit.model import (
     INIT_THREAD,
     Assertion,
@@ -769,6 +773,73 @@ def ladder(lengths: tuple[int, ...], stores: str = "relaxed", loads: str = "rela
                 lines.append(f"  r{i} = load {'xy'[1 - side]} {loads}")
     lines.append("exists: x = 0")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# mutated source text
+
+CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+
+# What mutated_corpus inserts: characters no token takes, characters of two
+# and three UTF-8 bytes, lone and paired slashes, comment and line breaks,
+# blanks, tokens, and bytes that are not UTF-8.
+MUTATION_PIECES = tuple(
+    piece if isinstance(piece, bytes) else piece.encode("utf-8")
+    for piece in (
+        "?", "@", "\f", "\v", "é", "✓", "\ufffd", "/", "\\", "/\\", "\\/", "#", "\n", "\r", "\t", " ",
+        "=", ":", "(", ")", "!", "x", "r1", "0", "256", "seq_cst", "thread", b"\xff", b"\xe2\x9c",
+    )
+)
+
+
+def mutated_corpus(seed: int, count: int) -> list[bytes]:
+    """count corpus files, each with one to three edits at random byte
+    offsets: a piece of MUTATION_PIECES inserted, or one to three bytes
+    deleted.  An edit may split a character or delete the final newline."""
+    rng = random.Random(seed)
+    files = [path.read_bytes() for path in sorted(CORPUS_DIR.glob("*.lit"))]
+    texts = []
+    for _ in range(count):
+        data = rng.choice(files)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(data) + 1)
+            if rng.random() < 0.5:
+                data = data[:at] + rng.choice(MUTATION_PIECES) + data[at:]
+            else:
+                data = data[:at] + data[at + rng.randint(1, 3):]
+        texts.append(data)
+    return texts
+
+
+def span_problems(data: bytes) -> tuple[int, list[str]]:
+    """(diagnostics, problems) of parse_litmus(data), where a problem is a
+    span that leaves data, that does not start at the byte its line and
+    column name, or that does not cover the token an unexpected-character or
+    trailing-input message quotes.  Bytes that are not UTF-8 cover the U+FFFD
+    they decode to."""
+    try:
+        parse_litmus(data)
+        return 0, []
+    except ParseError as exc:
+        diagnostics = exc.diagnostics
+    lines = data.split(b"\n")
+    line_starts = list(itertools.accumulate((len(line) + 1 for line in lines), initial=0))
+    problems = []
+    for d in diagnostics:
+        span = d.span
+        where = f"{d} (bytes {span.start}..{span.end})"
+        if not 0 <= span.start <= span.end <= len(data):
+            problems.append(f"{where}: outside the {len(data)} bytes")
+        if not (1 <= span.line <= len(lines) and 1 <= span.column <= len(lines[span.line - 1]) + 1):
+            problems.append(f"{where}: no such line and column")
+        elif span.start != line_starts[span.line - 1] + span.column - 1:
+            problems.append(f"{where}: line and column are at byte {line_starts[span.line - 1] + span.column - 1}")
+        for prefix in ("unexpected character ", "unexpected trailing input "):
+            if d.message.startswith(prefix):
+                covered = data[span.start:span.end].decode("utf-8", errors="replace")
+                if covered != ast.literal_eval(d.message[len(prefix):]):
+                    problems.append(f"{where}: covers {covered!r}")
+    return len(diagnostics), problems
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ from __future__ import annotations
 import random
 
 from memlit.axiomatic import AXIOMS, compute_sw, detect_races, enumerate_cxx11
-from memlit.dsl import ParseError, parse_litmus, print_litmus
+from memlit.dsl import parse_litmus, print_litmus
 from memlit.model import Kind, force_seq_cst
 from memlit.operational import enumerate_sc
 
-from support import SINGLE_AXIOM_CASES
+from support import SINGLE_AXIOM_CASES, span_problems
 from test_axiomatic import judge
 
 FUZZ_SEED = 0xC0FFEE
@@ -166,14 +166,13 @@ def test_09_parser_round_trip_and_fuzz(corpus, capsys):
         for _ in range(FUZZ_INPUTS):
             blob = bytes(rng.randrange(256) for _ in range(rng.randrange(120)))
             try:
-                parse_litmus(blob)
-            except ParseError:
-                continue
+                diagnostics, problems = span_problems(blob)
             except Exception as exc:
                 raise AssertionError(f"parser crashed on {blob!r}") from exc
-            raise AssertionError(f"random bytes parsed as a program: {blob!r}")
+            assert diagnostics, f"random bytes parsed as a program: {blob!r}"
+            assert problems == [], problems
 
-    criterion(capsys, 9, "print/parse identity plus 10k-input byte fuzz", body)
+    criterion(capsys, 9, "print/parse identity plus 10k-input byte fuzz with spans on their bytes", body)
 
 
 def test_10_corpus_within_budget(corpus, capsys):

@@ -22,7 +22,7 @@ from memlit.model import (
     RegAtom,
 )
 
-from support import programs
+from support import mutated_corpus, programs, span_problems
 
 DEKKER = """name: dekker
 init: x = 0 y = 0
@@ -184,6 +184,9 @@ def _one_instruction(line):
         (_one_instruction("na_store x 1 relaxed"), [("unexpected trailing input 'relaxed'", 4, 16, 46, 53)]),
         (_one_instruction("r1 = blargh x"), [("unknown operation 'blargh'", 4, 8, 38, 44)]),
         (_one_instruction("store x 1 ?"), [("unexpected character '?'", 4, 13, 43, 44)]),
+        # a lone slash is a bad character, not a token
+        (_one_instruction("store x 1 /"), [("unexpected character '/'", 4, 13, 43, 44)]),
+        (_one_instruction("store x 1 \\"), [("unexpected character '\\\\'", 4, 13, 43, 44)]),
         (
             "name: t\ninit: x = 0 y = 256\n  x = 1\nthread P0:\n  store x 1\nexists: x = 0\n",
             [("value 256 out of range (0..255)", 2, 17, 24, 27), ("duplicate init location 'x'", 3, 1, 28, 35)],
@@ -239,14 +242,59 @@ def _one_instruction(line):
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n",
             [("expected an exists or forall condition", 5, 1, 43, 43)],
         ),
+        # without a final newline, the end is past the last line's last byte
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1",
+            [("expected an exists or forall condition", 4, 12, 42, 42)],
+        ),
     ],
 )
 def test_diagnostics_pinned(text, expected):
     for source in (text, text.encode()):
-        with pytest.raises(ParseError) as exc:
-            parse_litmus(source)
-        got = [(d.message, d.span.line, d.span.column, d.span.start, d.span.end) for d in exc.value.diagnostics]
-        assert got == expected
+        assert _diagnostics(source) == expected
+
+
+def _diagnostics(source):
+    with pytest.raises(ParseError) as exc:
+        parse_litmus(source)
+    return [(d.message, d.span.line, d.span.column, d.span.start, d.span.end) for d in exc.value.diagnostics]
+
+
+# Input that is not UTF-8 has no str form.  Spans count its own bytes: a
+# byte that decodes to U+FFFD is that one byte, not the three of U+FFFD.
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (
+            b"# caf\xe9\n" + _one_instruction("store x 1 @").encode(),
+            [("input is not valid UTF-8", 1, 6, 5, 6), ("unexpected character '@'", 5, 13, 50, 51)],
+        ),
+        (
+            b"name: t\ninit: x = 0\nthread P0:\n  store x 1 # \xff\nexists: x = 0\n",
+            [("input is not valid UTF-8", 4, 15, 45, 46)],
+        ),
+        # a truncated three-byte character is one bad character of two bytes
+        (
+            b"name: t\ninit: x = 0\nthread P0:\n  store x 1 \xe2\x9c\nexists: x = 0\n",
+            [("input is not valid UTF-8", 4, 13, 43, 45), ("unexpected character '\ufffd'", 4, 13, 43, 45)],
+        ),
+    ],
+)
+def test_diagnostics_pinned_bytes(data, expected):
+    assert _diagnostics(data) == expected
+
+
+def test_spans_land_on_their_bytes_in_mutated_corpus():
+    """Every diagnostic of 2,000 mutated corpus files, some of them not
+    UTF-8, has a span inside the input that starts at its line and column
+    and covers the token its message quotes."""
+    checked, problems = 0, []
+    for data in mutated_corpus(seed=1, count=2_000):
+        diagnostics, found = span_problems(data)
+        checked += diagnostics
+        problems += found
+    assert problems == []
+    assert checked > 2_000
 
 
 class TestPrinting:
@@ -303,7 +351,4 @@ def test_round_trip_identity(p):
 @given(st.binary(max_size=200))
 @settings(max_examples=300)
 def test_fuzz_never_crashes(data):
-    try:
-        parse_litmus(data)
-    except ParseError:
-        pass
+    assert span_problems(data)[1] == []
