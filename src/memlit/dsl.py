@@ -105,12 +105,12 @@ def _char_end(data: bytes, start: int, char: str) -> int:
     return start + len(char.encode("utf-8"))
 
 
-def _decode(text: Union[str, bytes]) -> tuple[str, Optional[bytes], list[ParseDiagnostic]]:
-    """The text, its UTF-8 bytes unless it is ASCII, and an invalid byte's diagnostic."""
+def _decode(text: Union[str, bytes]) -> tuple[str, bytes, list[ParseDiagnostic]]:
+    """The text, its UTF-8 bytes, and an invalid byte's diagnostic."""
     if isinstance(text, str):
-        return text, (None if text.isascii() else text.encode("utf-8")), []
+        return text, text.encode("utf-8"), []
     try:
-        return text.decode("utf-8"), (None if text.isascii() else text), []
+        return text.decode("utf-8"), text, []
     except UnicodeDecodeError as exc:
         column = exc.start - text.rfind(b"\n", 0, exc.start)
         span = SourceSpan(text.count(b"\n", 0, exc.start) + 1, column, exc.start, exc.end)
@@ -118,8 +118,8 @@ def _decode(text: Union[str, bytes]) -> tuple[str, Optional[bytes], list[ParseDi
 
 
 class _Parser:
-    def __init__(self, text: str, data: Optional[bytes], diagnostics: list[ParseDiagnostic]):
-        self.data = data  # the bytes of text, or None when it is ASCII
+    def __init__(self, text: str, data: bytes, diagnostics: list[ParseDiagnostic]):
+        self.data = data  # the bytes of text
         self.diagnostics = diagnostics
         self.lines = text.split("\n")
         self.line_no = 0  # 1-based number of the line being parsed
@@ -132,8 +132,7 @@ class _Parser:
         """Byte offsets of the start and the end of a line."""
         if self._starts is None:
             # decoding keeps every newline byte, so data has the same lines
-            sizes = self.lines if self.data is None else self.data.split(b"\n")
-            self._starts = list(accumulate((len(size) + 1 for size in sizes), initial=0))
+            self._starts = list(accumulate((len(line) + 1 for line in self.data.split(b"\n")), initial=0))
         return self._starts[line_no - 1], self._starts[line_no] - 1
 
     def span(self, tokens: list[str], i: int) -> SourceSpan:
@@ -159,7 +158,7 @@ class _Parser:
             if len(tok) == 1 and tok not in _ONE_CHARACTER_TOKENS:
                 # the first bad token ends the line
                 span = self.span(tokens, tokens.index(tok))
-                end = span.end if self.data is None else _char_end(self.data, span.start, tok)
+                end = _char_end(self.data, span.start, tok)
                 self.error(f"unexpected character {tok!r}", SourceSpan(span.line, span.column, span.start, end))
                 return []
         return tokens

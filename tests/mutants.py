@@ -380,8 +380,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A line's byte offset counts the characters before it, not their bytes.
         "dsl.py",
-        'sizes = self.lines if self.data is None else self.data.split(b"\\n")',
-        "sizes = self.lines",
+        'len(line) + 1 for line in self.data.split(b"\\n")',
+        "len(line) + 1 for line in self.lines",
         ("tests/test_dsl.py::test_diagnostics_pinned", "tests/test_dsl.py::test_spans_land_on_their_bytes_in_mutated_corpus"),
     ),
     (
