@@ -5,12 +5,7 @@ from .axiomatic import (
     CandidateExecution,
     ExecutionJudgment,
     check_axioms,
-    compute_hb,
-    compute_sb,
-    compute_sw,
-    detect_races,
     enumerate_cxx11,
-    release_sequence,
 )
 from .dot import execution_dot, trace_dot
 from .dsl import (
@@ -68,10 +63,6 @@ __all__ = [
     "TraceStep",
     "Verdict",
     "check_axioms",
-    "compute_hb",
-    "compute_sb",
-    "compute_sw",
-    "detect_races",
     "enumerate_cxx11",
     "enumerate_sc",
     "enumerate_tso",
@@ -82,7 +73,6 @@ __all__ = [
     "parse_expectations",
     "parse_litmus",
     "print_litmus",
-    "release_sequence",
     "trace_dot",
     "validate",
     "with_fences_after_stores",

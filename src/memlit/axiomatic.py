@@ -58,11 +58,12 @@ of each location, sw, the hb closure, COHERENT-READ and the races once per
 rf map and sw input (`_Frame.sync_heads`), and only the other axiom tests
 once per candidate.  `Relation` appears only at the API boundary.
 
-Building a candidate checks nothing.  Every function that reads one takes
-(program, candidate) and checks the candidate against the program first, in
-`_checked_frame`, raising ValueError when it is not one of the program's.
-compute_sw alone skips the check for a witness enumerate_cxx11 returned for
-that very program object: it carries the kernel's frame and mo orders.
+Building a candidate checks nothing.  The functions that read one,
+check_axioms and execution_dot, take (program, candidate) and check the
+candidate against the program first, in `_checked_frame`, raising ValueError
+when it is not one of the program's.  execution_dot alone skips the check for
+a witness enumerate_cxx11 returned for that very program object: it carries
+the kernel's frame and mo orders, which `_compute_sw` reads.
 
 On an S that embeds hb and mo between seq_cst events, SC-READ and
 SC-FENCE-1..4 are S edges that rf, mo and hb fix, save one disjunctive case
@@ -211,24 +212,6 @@ def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
     return frame
 
 
-def compute_sb(program: Program) -> Relation:
-    """Sequenced-before: the per-thread total order, transitively closed.
-    The universe covers every event id, initialization writes included."""
-    return _rows_relation(_Frame(program, _events(program, {})).sb)
-
-
-def release_sequence(program: Program, candidate: CandidateExecution, head_id: int) -> tuple[int, ...]:
-    """Maximal release sequence headed by a release-class atomic write:
-    contiguous mo-successors that are same-thread atomic writes or RMWs from
-    any thread."""
-    frame = _checked_frame(program, candidate)
-    # A write's tag holds its own bit exactly when it is a release-class atomic write.
-    if not (head_id in frame.tags and frame.tags[head_id] >> head_id & 1):
-        raise ValueError(f"event {head_id} does not head a release sequence")
-    mo = _MoOrder(frame, candidate.mo[candidate.events[head_id].location])
-    return tuple(w for w in mo.order if mo.heads.get(w, 0) >> head_id & 1)
-
-
 # ---------------------------------------------------------------------------
 # the kernel: bitmask rows, bit i standing for event id i
 
@@ -249,7 +232,7 @@ class _Frame:
     branching fixes; each thread's events must come in program order.  sb,
     hb's base rows, the writes of each location and the sw tables are built
     at once; what only the axioms read is built on first use, so
-    `compute_sw` never builds it.
+    `_compute_sw` never builds it.
     """
 
     def __init__(self, program: Program, events: Sequence[Event]) -> None:
@@ -652,16 +635,8 @@ def _sw_relation(n: int, sw: Mapping[int, int]) -> Relation:
     return Relation(frozenset(range(n)), frozenset((a, b) for b, sources in sw.items() for a in _bits(sources)))
 
 
-def _candidate_hb(program: Program, candidate: CandidateExecution):
-    """The kernel's view of a candidate: its frame, mo orders, sw edges, hb
-    rows and whether hb is cyclic."""
-    frame = _checked_frame(program, candidate)
-    mo = frame.mo_orders(candidate.mo)
-    sw = _sw_edges(frame, frame.sync_heads(mo, candidate.rf))
-    return (frame, mo, sw) + _hb_rows(frame, sw)
-
-
-def compute_sw(program: Program, candidate: CandidateExecution) -> Relation:
+def _compute_sw(program: Program, candidate: CandidateExecution) -> Relation:
+    """The sw edges execution_dot draws."""
     known = getattr(candidate, "_kernel", None)  # (frame, mo orders) of a witness enumerate_cxx11 returned
     if known is None or known[0].program is not program:
         frame = _checked_frame(program, candidate)
@@ -670,23 +645,16 @@ def compute_sw(program: Program, candidate: CandidateExecution) -> Relation:
     return _sw_relation(frame.n, _sw_edges(frame, frame.sync_heads(mo, candidate.rf)))
 
 
-def compute_hb(program: Program, candidate: CandidateExecution) -> Relation:
-    """Transitive closure of sb, sw, and the initialization edges."""
-    return _rows_relation(_candidate_hb(program, candidate)[3])
-
-
-def detect_races(program: Program, candidate: CandidateExecution) -> tuple[tuple[int, int], ...]:
-    """Conflicting same-location accesses from different threads, at least
-    one non-atomic, unordered by happens-before.  Pairs are (lower id,
-    higher id), sorted."""
-    frame, _, _, hb, _ = _candidate_hb(program, candidate)
-    return _races(frame, hb)
-
-
 def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJudgment:
-    """Judge a candidate by every name in AXIOMS."""
-    frame, mo, sw, hb, cyclic = _candidate_hb(program, candidate)
+    """Judge a candidate by every name in AXIOMS.  Races are the conflicting
+    same-location accesses from different threads, at least one non-atomic,
+    that hb leaves unordered, as (lower id, higher id) pairs, sorted; an
+    inconsistent candidate reports none."""
+    frame = _checked_frame(program, candidate)
+    mo = frame.mo_orders(candidate.mo)
     rf, s = candidate.rf, candidate.sc_order
+    sw = _sw_edges(frame, frame.sync_heads(mo, rf))
+    hb, cyclic = _hb_rows(frame, sw)
     violated: set[str] = set()
     if cyclic:
         violated.add("HB-IRREFLEXIVE")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .axiomatic import CandidateExecution, compute_sw
+from .axiomatic import CandidateExecution, _compute_sw
 from .model import INIT_THREAD, Event, EventKind, Program, TraceStep
 
 
@@ -27,7 +27,7 @@ def _event_label(event: Event) -> str:
 def execution_dot(program: Program, candidate: CandidateExecution, *, title: str = "execution") -> str:
     """Candidate execution as a digraph: sb between consecutive same-thread
     events, rf write-to-read, mo between mo-adjacent writes, sw edges."""
-    sw = compute_sw(program, candidate)  # checks the candidate, unless enumerate_cxx11 built it for program
+    sw = _compute_sw(program, candidate)  # checks the candidate, unless enumerate_cxx11 built it for program
     events = candidate.events
     lines = [
         f"digraph {_quote(title)} {{",
@@ -37,7 +37,7 @@ def execution_dot(program: Program, candidate: CandidateExecution, *, title: str
     for e in events:
         lines.append(f"  e{e.id} [label={_quote(_event_label(e))}];")
 
-    # Each thread's events come together, in program order: compute_sw checked it, or the enumerator built them.
+    # Each thread's events come together, in program order: _compute_sw checked it, or the enumerator built them.
     edges = {
         "sb": [(a.id, b.id) for a, b in zip(events, events[1:]) if a.thread == b.thread != INIT_THREAD],
         "rf": sorted((w_id, r_id) for r_id, w_id in candidate.rf.items()),

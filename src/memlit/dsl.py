@@ -106,9 +106,11 @@ def _char_end(data: bytes, start: int, char: str) -> int:
 
 
 def _decode(text: Union[str, bytes]) -> tuple[str, bytes, list[ParseDiagnostic]]:
-    """The text, its UTF-8 bytes, and an invalid byte's diagnostic."""
+    """The text, its UTF-8 bytes, and an invalid byte's diagnostic.  A str
+    holding a lone surrogate is not UTF-8 either: surrogatepass keeps it as
+    bytes that fail to decode."""
     if isinstance(text, str):
-        return text, text.encode("utf-8"), []
+        text = text.encode("utf-8", "surrogatepass")
     try:
         return text.decode("utf-8"), text, []
     except UnicodeDecodeError as exc:

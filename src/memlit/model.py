@@ -262,9 +262,13 @@ def _literal_ok(value: Optional[int]) -> bool:
 def check_runnable(program: Program) -> None:
     """ValueError naming the first fault a backend cannot run: an initial
     value or a literal (operand, expected, desired) outside 0..MAX_VALUE,
-    which no byte holds, or an atomic kind without its memory order (a CAS
-    without its failure order).  The backends call this, not validate, which
-    costs more and reports every fault."""
+    which no byte holds, an atomic kind without its memory order (a CAS
+    without its failure order), or thread names that repeat or are not one
+    per thread.  The backends call this, not validate, which costs more and
+    reports every fault."""
+    names = program.thread_names
+    if len(set(names)) != len(names) or len(names) != len(program.threads):
+        raise ValueError(f"thread names {names} do not name {len(program.threads)} threads once each")
     for loc, value in program.init.items():
         if not 0 <= value <= MAX_VALUE:
             raise ValueError(f"init {loc} = {value} outside 0..{MAX_VALUE}")
@@ -373,12 +377,12 @@ def validate(program: Program) -> list[Diagnostic]:
         written.append(regs)
 
     known_locs = set(program.locations)
-    names = {name: idx for idx, name in enumerate(program.thread_names)}
+    written_by = dict(zip(program.thread_names, written))  # a name without a thread names none
     for atom in atoms(program.assertion.formula):
         if isinstance(atom, RegAtom):
-            if atom.thread not in names:
+            if atom.thread not in written_by:
                 bad("unknown assertion thread", f"no thread named {atom.thread}")
-            elif atom.register not in written[names[atom.thread]]:
+            elif atom.register not in written_by[atom.thread]:
                 bad(
                     "unwritten assertion register",
                     f"{atom.thread}:{atom.register} is never assigned",

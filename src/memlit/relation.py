@@ -1,9 +1,9 @@
 """Finite binary relations over integer event ids, and ordered linear
 extensions of a partial order given as predecessor bitmasks.
 
-`Relation` is the value type the API returns (`compute_sb`, `compute_sw`,
-`compute_hb`, `check_axioms`); the axiom kernel itself works on bitmask
-rows.  `ordered_extensions` enumerates the seq_cst order S.
+`Relation` is the value type of the sb, sw and hb that `check_axioms`
+returns; the axiom kernel itself works on bitmask rows.
+`ordered_extensions` enumerates the seq_cst order S.
 """
 
 from __future__ import annotations

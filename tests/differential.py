@@ -29,7 +29,8 @@ subprocess.  Each run yields its outcome set, racy, stats.explored,
 stats.complete_runs and the text of each witness's trace_dot or
 execution_dot, or the budget it exceeded.  Each side also judges those
 candidates with its own check_axioms, and yields how many are consistent
-and a digest of their consistent flags.  Any difference between the sides
+and a digest of each whole judgment: consistent, violated, races and the sb,
+sw and hb pairs.  Any difference between the sides
 is printed, and the script exits 1; it exits 0 when there is none.  pytest
 does not collect this file.
 """
@@ -145,7 +146,7 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
             continue
         program = parse_litmus(text)
         if "judge" in case:
-            flags = ""
+            judgments = []
             for c in case["judge"]:
                 events = tuple(
                     Event(i, t, x, EventKind(kind), atomic, order and MemoryOrder(order), *rest)
@@ -153,11 +154,12 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
                 )
                 mo = {loc: tuple(order) for loc, order in c["mo"].items()}
                 candidate = CandidateExecution(events, dict(c["rf"]), mo, tuple(c["sc"]))
-                flags += "1" if check_axioms(program, candidate).consistent else "0"
+                j = check_axioms(program, candidate)
+                judgments.append([j.consistent, j.violated, j.races] + [sorted(r.pairs) for r in (j.sb, j.sw, j.hb)])
             results[f"{case['name']} | check_axioms"] = {
-                "candidates": len(flags),
-                "consistent": flags.count("1"),
-                "consistent sha256": hashlib.sha256(flags.encode()).hexdigest(),
+                "candidates": len(judgments),
+                "consistent": sum(j[0] for j in judgments),
+                "judgment sha256": hashlib.sha256(json.dumps(judgments).encode()).hexdigest(),
             }
         for model, budget in case["models"]:
             dot = execution_dot if model == "cxx11" else trace_dot

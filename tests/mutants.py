@@ -93,7 +93,7 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "axiomatic.py",
         "(frame.rmw >> z & 1 or frame.thread[z] == frame.thread[x])",
         "frame.thread[z] == frame.thread[x]",
-        (f"{AXIOMATIC}::TestReleaseSequence::test_other_thread_rmw_extends",),
+        (f"{AXIOMATIC}::TestSynchronizesWith::test_read_of_another_threads_rmw_syncs_with_head",),
     ),
     (
         # An sw edge that closes an hb cycle is not flagged.
@@ -293,14 +293,14 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         ),
     ),
     (
-        # compute_sw trusts an enumerator witness drawn for any program.
+        # execution_dot trusts an enumerator witness drawn for any program.
         "axiomatic.py",
         "    if known is None or known[0].program is not program:",
         "    if known is None:",
         (f"{WITNESS_DOT}::test_witness_drawn_for_another_program_is_checked",),
     ),
     (
-        # compute_sw draws every candidate without the check.
+        # execution_dot draws every candidate without the check.
         "axiomatic.py",
         "        frame = _checked_frame(program, candidate)\n        known = frame,",
         "        frame = _Frame(program, candidate.events)\n        known = frame,",

@@ -15,7 +15,7 @@ import random
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 from hypothesis import strategies as st
 
@@ -811,17 +811,18 @@ def mutated_corpus(seed: int, count: int) -> list[bytes]:
     return texts
 
 
-def span_problems(data: bytes) -> tuple[int, list[str]]:
-    """(diagnostics, problems) of parse_litmus(data), where a problem is a
-    span that leaves data, that does not start at the byte its line and
+def span_problems(source: Union[str, bytes]) -> tuple[int, list[str]]:
+    """(diagnostics, problems) of parse_litmus(source), where a problem is a
+    span that leaves its bytes, that does not start at the byte its line and
     column name, or that does not cover the token an unexpected-character or
-    trailing-input message quotes.  Bytes that are not UTF-8 cover the U+FFFD
-    they decode to."""
+    trailing-input message quotes.  A str's bytes are its surrogatepass
+    encoding.  Bytes that are not UTF-8 cover the U+FFFD they decode to."""
     try:
-        parse_litmus(data)
+        parse_litmus(source)
         return 0, []
     except ParseError as exc:
         diagnostics = exc.diagnostics
+    data = source.encode("utf-8", "surrogatepass") if isinstance(source, str) else source
     lines = data.split(b"\n")
     line_starts = list(itertools.accumulate((len(line) + 1 for line in lines), initial=0))
     problems = []

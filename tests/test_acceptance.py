@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from memlit.axiomatic import AXIOMS, compute_sw, detect_races, enumerate_cxx11
+from memlit.axiomatic import AXIOMS, check_axioms, enumerate_cxx11
 from memlit.dsl import parse_litmus, print_litmus
 from memlit.model import Kind, force_seq_cst
 from memlit.operational import enumerate_sc
@@ -78,7 +78,7 @@ def test_03_release_sequences(corpus, capsys):
             for outcome, cand in result.witnesses.items()
             if outcome.register("P1", "r1") == 2
         )
-        assert (3, 5) in compute_sw(entry.program, witness).pairs
+        assert (3, 5) in check_axioms(entry.program, witness).sw.pairs
 
         # Two chained release CAS heads: reading the second write
         # synchronizes with both heads (events 3 and 4 -> load 5).
@@ -89,7 +89,7 @@ def test_03_release_sequences(corpus, capsys):
             for outcome, cand in cas.results["cxx11"].witnesses.items()
             if outcome.register("P2", "r2") == 2
         )
-        sw = compute_sw(cas.program, witness).pairs
+        sw = check_axioms(cas.program, witness).sw.pairs
         assert (3, 5) in sw and (4, 5) in sw
 
     criterion(capsys, 3, "release sequences: relaxed tail and double CAS", body)
@@ -107,7 +107,7 @@ def test_04_race_detection(corpus, capsys):
             for o in result.outcomes
             if o.register("P1", "r1") == 1 and o.register("P1", "r2") == 1
         )
-        assert detect_races(handoff.program, result.witnesses[synced]) == ()
+        assert check_axioms(handoff.program, result.witnesses[synced]).races == ()
 
     criterion(capsys, 4, "data races: flagged when free-running, absent under handoff", body)
 

@@ -16,15 +16,10 @@ from hypothesis import assume, given, settings
 from memlit.axiomatic import (
     AXIOMS,
     CandidateExecution,
-    _candidate_hb,
+    _checked_frame,
     _sc_edges,
     check_axioms,
-    compute_hb,
-    compute_sb,
-    compute_sw,
-    detect_races,
     enumerate_cxx11,
-    release_sequence,
 )
 from memlit.dot import execution_dot
 from memlit.dsl import parse_litmus
@@ -60,7 +55,6 @@ from support import (
     SW_INPUT_PROGRAMS,
     SW_ORDERS_MO,
     W,
-    _sequence_from,
     _sequenced,
     ev,
     grounded_candidates,
@@ -195,7 +189,7 @@ class TestCandidateValidation:
             with pytest.raises(ValueError, match="not a permutation of its writes"):
                 check_axioms(program, CandidateExecution(events, {}, {"x": order}, ()))
 
-    @pytest.mark.parametrize("read", [check_axioms, compute_hb, detect_races, compute_sw])
+    @pytest.mark.parametrize("read", [check_axioms, execution_dot])
     def test_atomic_kind_without_its_order_is_a_value_error(self, read):
         # The witness of the ordered twin, with the order taken off the store
         # event too, so that the layout matches.
@@ -208,18 +202,7 @@ class TestCandidateValidation:
         with pytest.raises(ValueError, match="^P0 instruction 0: store without its memory order$"):
             read(program, candidate)
 
-    @pytest.mark.parametrize(
-        "read",
-        [
-            check_axioms,
-            compute_hb,
-            detect_races,
-            compute_sw,
-            lambda program, candidate: release_sequence(program, candidate, 3),
-            execution_dot,
-        ],
-        ids=["check_axioms", "compute_hb", "detect_races", "compute_sw", "release_sequence", "execution_dot"],
-    )
+    @pytest.mark.parametrize("read", [check_axioms, execution_dot])
     def test_every_function_that_reads_a_candidate_checks_it(self, read):
         program, cand = mp_candidate(handoff=True)
         read(program, cand)
@@ -236,7 +219,8 @@ class TestSequencedBefore:
             "name: t\ninit: x = 0\nthread P0:\n  store x 1\n  store x 2\n  store x 3\n"
             "thread P1:\n  r1 = load x\nexists: x = 3\n"
         )
-        sb = compute_sb(program)
+        witness = next(iter(enumerate_cxx11(program).witnesses.values()))
+        sb = check_axioms(program, witness).sb
         # init gets id 0; P0 events 1..3; P1 event 4
         assert sb.pairs == frozenset({(1, 2), (2, 3), (1, 3)})
         assert sb.universe == frozenset(range(5))
@@ -244,77 +228,20 @@ class TestSequencedBefore:
     def test_agrees_with_the_oracle_on_the_corpus(self, corpus):
         for entry in corpus.values():
             events = program_events(entry.program, {})
-            want = {(a.id, b.id) for a in events for b in events if _sequenced(a, b)}
-            assert compute_sb(entry.program) == Relation(frozenset(range(len(events))), frozenset(want)), entry.path
-
-
-class TestReleaseSequence:
-    def test_same_thread_relaxed_store_extends(self):
-        program = litmus("x = 0", ("store x 1 release", "store x 2 relaxed"))
-        events = (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, REL, "x", written=1),
-            ev(2, 0, 1, W, RLX, "x", written=2),
-        )
-        cand = CandidateExecution(events, {}, {"x": (0, 1, 2)}, ())
-        assert release_sequence(program, cand, 1) == (1, 2)
-
-    def test_other_thread_store_breaks(self):
-        program = litmus("x = 0", ("store x 1 release",), ("store x 2 relaxed",))
-        events = (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, REL, "x", written=1),
-            ev(2, 1, 0, W, RLX, "x", written=2),
-        )
-        cand = CandidateExecution(events, {}, {"x": (0, 1, 2)}, ())
-        assert release_sequence(program, cand, 1) == (1,)
-
-    def test_other_thread_rmw_extends(self):
-        program = litmus("x = 0", ("store x 1 release",), ("r1 = fetch_add x 1 relaxed",))
-        events = (
-            init_w(0, "x"),
-            ev(1, 0, 0, W, REL, "x", written=1),
-            ev(2, 1, 0, RMW, RLX, "x", read=1, written=2),
-        )
-        cand = CandidateExecution(events, {2: 1}, {"x": (0, 1, 2)}, ())
-        assert release_sequence(program, cand, 1) == (1, 2)
-
-    def test_non_release_head_rejected(self):
-        program = litmus("x = 0", ("store x 1 relaxed",))
-        events = (init_w(0, "x"), ev(1, 0, 0, W, RLX, "x", written=1))
-        cand = CandidateExecution(events, {}, {"x": (0, 1)}, ())
-        with pytest.raises(ValueError, match="release sequence"):
-            release_sequence(program, cand, 1)
-        with pytest.raises(ValueError, match="release sequence"):
-            release_sequence(program, cand, 0)  # init write
-        with pytest.raises(ValueError, match="release sequence"):
-            release_sequence(program, cand, -1)
-
-    def test_agrees_with_the_oracle_on_the_corpus(self, corpus):
-        # The last program puts a same-thread non-atomic store, which ends a
-        # release sequence, among atomic stores and another thread's RMW.
-        mixed = parse_litmus(
-            "name: t\ninit: x = 0\nthread P0:\n  store x 1 release\n  na_store x 2\n  store x 3 relaxed\n"
-            "thread P1:\n  r1 = fetch_add x 1 relaxed\nexists: x = 1\n"
-        )
-        heads = 0
-        for program in [entry.program for entry in corpus.values()] + [mixed]:
-            for cand in grounded_candidates(program, limit=2_000) or ():
-                for head in cand.events:
-                    if head.writes_memory and head.atomic and head.order in RELEASE_CLASS:
-                        assert release_sequence(program, cand, head.id) == _sequence_from(cand.events, cand.mo, head)
-                        heads += 1
-        assert heads > 1_000
+            pairs = {(a.id, b.id) for a in events for b in events if _sequenced(a, b)}
+            want = Relation(frozenset(range(len(events))), frozenset(pairs))
+            for witness in entry.results["cxx11"].witnesses.values():
+                assert check_axioms(entry.program, witness).sb == want, entry.path
 
 
 class TestSynchronizesWith:
     def test_release_write_to_acquire_read(self):
         program, cand = mp_candidate(handoff=True)
-        assert compute_sw(program, cand).pairs == frozenset({(3, 4)})
+        assert check_axioms(program, cand).sw.pairs == frozenset({(3, 4)})
 
     def test_no_handoff_no_sync(self):
         program, cand = mp_candidate(handoff=False)
-        assert compute_sw(program, cand).pairs == frozenset()
+        assert check_axioms(program, cand).sw.pairs == frozenset()
 
     def test_read_of_sequence_tail_syncs_with_head(self):
         program = litmus("y = 0", ("store y 1 release", "store y 2 relaxed"), ("r1 = load y acquire",))
@@ -325,7 +252,21 @@ class TestSynchronizesWith:
             ev(3, 1, 0, R, ACQ, "y", read=2),
         )
         cand = CandidateExecution(events, {3: 2}, {"y": (0, 1, 2)}, ())
-        assert compute_sw(program, cand).pairs == frozenset({(1, 3)})
+        assert check_axioms(program, cand).sw.pairs == frozenset({(1, 3)})
+
+    def test_read_of_another_threads_rmw_syncs_with_head(self):
+        # The RMW extends P0's release sequence though it is P1's.
+        program = litmus(
+            "x = 0", ("store x 1 release",), ("r1 = fetch_add x 1 relaxed",), ("r2 = load x acquire",)
+        )
+        events = (
+            init_w(0, "x"),
+            ev(1, 0, 0, W, REL, "x", written=1),
+            ev(2, 1, 0, RMW, RLX, "x", read=1, written=2),
+            ev(3, 2, 0, R, ACQ, "x", read=2),
+        )
+        cand = CandidateExecution(events, {2: 1, 3: 2}, {"x": (0, 1, 2)}, ())
+        assert check_axioms(program, cand).sw.pairs == frozenset({(1, 3)})
 
     def test_interposed_foreign_store_breaks_sync(self):
         program = litmus("y = 0", ("store y 1 release",), ("store y 2 relaxed",), ("r1 = load y acquire",))
@@ -336,7 +277,7 @@ class TestSynchronizesWith:
             ev(3, 2, 0, R, ACQ, "y", read=2),
         )
         cand = CandidateExecution(events, {3: 2}, {"y": (0, 1, 2)}, ())
-        assert compute_sw(program, cand).pairs == frozenset()
+        assert check_axioms(program, cand).sw.pairs == frozenset()
 
     def test_fence_to_fence(self):
         program = litmus(
@@ -355,7 +296,7 @@ class TestSynchronizesWith:
             ev(7, 1, 2, R, RLX, "x", read=1),
         )
         cand = CandidateExecution(events, {5: 4, 7: 2}, {"x": (0, 2), "y": (1, 4)}, ())
-        assert compute_sw(program, cand).pairs == frozenset({(3, 6)})
+        assert check_axioms(program, cand).sw.pairs == frozenset({(3, 6)})
 
     def test_fence_to_acquire_read(self):
         program = litmus("y = 0", ("fence release", "store y 1 relaxed"), ("r1 = load y acquire",))
@@ -366,7 +307,7 @@ class TestSynchronizesWith:
             ev(3, 1, 0, R, ACQ, "y", read=1),
         )
         cand = CandidateExecution(events, {3: 2}, {"y": (0, 2)}, ())
-        assert compute_sw(program, cand).pairs == frozenset({(1, 3)})
+        assert check_axioms(program, cand).sw.pairs == frozenset({(1, 3)})
 
     def test_release_write_to_acquire_fence(self):
         program = litmus("y = 0", ("store y 1 release",), ("r1 = load y relaxed", "fence acquire"))
@@ -377,7 +318,7 @@ class TestSynchronizesWith:
             ev(3, 1, 1, F, ACQ),
         )
         cand = CandidateExecution(events, {2: 1}, {"y": (0, 1)}, ())
-        assert compute_sw(program, cand).pairs == frozenset({(1, 3)})
+        assert check_axioms(program, cand).sw.pairs == frozenset({(1, 3)})
 
     @pytest.mark.parametrize("fenced", [False, True])
     @pytest.mark.parametrize("writer", ["relaxed", "acquire", "release", "acq_rel", "seq_cst"])
@@ -398,20 +339,20 @@ class TestSynchronizesWith:
 class TestHappensBefore:
     def test_handoff_orders_payload_before_read(self):
         program, cand = mp_candidate(handoff=True)
-        hb = compute_hb(program, cand)
+        hb = check_axioms(program, cand).hb
         assert (2, 5) in hb.pairs
         assert all((0, e) in hb.pairs for e in (2, 3, 4, 5))
 
     def test_without_sync_threads_stay_unordered(self):
         program, cand = mp_candidate(handoff=False)
-        hb = compute_hb(program, cand)
+        hb = check_axioms(program, cand).hb
         assert (2, 5) not in hb.pairs and (5, 2) not in hb.pairs
 
     def test_layout_mismatch_rejected(self):
         program, _ = mp_candidate(handoff=True)
         other = CandidateExecution((init_w(0, "x"),), {}, {"x": (0,)}, ())
         with pytest.raises(ValueError, match="layout"):
-            compute_hb(program, other)
+            check_axioms(program, other)
 
     def test_atomicity_contradicting_the_program_rejected(self):
         # Labelling the na_store atomic would hide its race with the load.
@@ -427,11 +368,10 @@ class TestHappensBefore:
             )
             for order, atomic in ((None, False), (RLX, True), (None, True))
         )
-        assert detect_races(program, honest) == ((1, 2),)
+        assert check_axioms(program, honest).races == ((1, 2),)
         for cand in relabeled:
-            for judge_fn in (check_axioms, compute_hb, detect_races):
-                with pytest.raises(ValueError, match="layout"):
-                    judge_fn(program, cand)
+            with pytest.raises(ValueError, match="layout"):
+                check_axioms(program, cand)
 
     def test_load_and_store_with_swapped_kinds_rejected(self):
         program = parse_litmus(
@@ -444,9 +384,8 @@ class TestHappensBefore:
             {"x": (0, 2)},
             (),
         )
-        for judge_fn in (check_axioms, compute_hb, detect_races):
-            with pytest.raises(ValueError, match="layout"):
-                judge_fn(program, swapped)
+        with pytest.raises(ValueError, match="layout"):
+            check_axioms(program, swapped)
 
     def test_order_or_location_contradicting_the_program_rejected(self):
         program, cand = mp_candidate(handoff=False)
@@ -490,15 +429,15 @@ def mp_na_candidate(handoff: bool) -> tuple:
 class TestRaces:
     def test_synchronized_handoff_is_race_free(self):
         program, cand = mp_na_candidate(handoff=True)
-        assert detect_races(program, cand) == ()
+        assert check_axioms(program, cand).races == ()
 
     def test_unsynchronized_non_atomics_race(self):
         program, cand = mp_na_candidate(handoff=False)
-        assert detect_races(program, cand) == ((2, 5),)
+        assert check_axioms(program, cand).races == ((2, 5),)
 
     def test_atomics_never_race(self):
         program, cand = mp_candidate(handoff=False)
-        assert detect_races(program, cand) == ()
+        assert check_axioms(program, cand).races == ()
 
 
 # ---------------------------------------------------------------------------
@@ -840,12 +779,16 @@ def assert_derived_s_edges_necessary(program, candidates) -> int:
     candidates broke an edge."""
     broken = 0
     for candidate in candidates:
-        frame, mo, _, hb, cyclic = _candidate_hb(program, candidate)
+        judgment = check_axioms(program, candidate)
         violated = reference_judgment(program, candidate).violated
-        if cyclic or "S-EMBED" in violated:
+        if "HB-IRREFLEXIVE" in judgment.violated or "S-EMBED" in violated:
             continue
+        frame = _checked_frame(program, candidate)
+        hb = [0] * frame.n
+        for a, b in judgment.hb.pairs:
+            hb[a] |= 1 << b
         pos = {e: i for i, e in enumerate(candidate.sc_order)}
-        edges, _ = _sc_edges(frame, mo, candidate.rf, hb)
+        edges, _ = _sc_edges(frame, frame.mo_orders(candidate.mo), candidate.rf, hb)
         names = {axiom for axiom, a, b in edges if pos[a] > pos[b]}
         if names:
             broken += 1
@@ -900,15 +843,21 @@ class TestAgainstReference:
         # compared too, with the value mutants of each candidate, until every
         # axiom has rejected some candidate.
         # Grounded candidates pass NO-THIN-AIR, and only their value mutants
-        # break it.  The last program puts an acq_rel fence
+        # break it.  The next-to-last program puts an acq_rel fence
         # between a load and a store that another thread's RMW extends: a
-        # fence must never synchronize with itself.
+        # fence must never synchronize with itself.  The last puts a
+        # same-thread non-atomic store, which ends a release sequence, among
+        # atomic stores and another thread's RMW.
         self_sync = (
             "name: t\ninit: x = 0\nthread P0:\n  r1 = load x relaxed\n  fence acq_rel\n  store x 1 relaxed\n"
             "thread P1:\n  r2 = fetch_add x 1 relaxed\nexists: P0:r1 = 2\n"
         )
+        mixed = (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1 release\n  na_store x 2\n  store x 3 relaxed\n"
+            "thread P1:\n  r1 = fetch_add x 1 relaxed\nexists: x = 1\n"
+        )
         texts = [entry.text for entry in corpus.values()] + [case[1] for case in SINGLE_AXIOM_CASES]
-        texts += S_EDGE_PROGRAMS + [self_sync]
+        texts += S_EDGE_PROGRAMS + [self_sync, mixed]
         seen: set[str] = set()
         for text in texts:
             program = parse_litmus(text)

@@ -260,8 +260,9 @@ def _diagnostics(source):
     return [(d.message, d.span.line, d.span.column, d.span.start, d.span.end) for d in exc.value.diagnostics]
 
 
-# Input that is not UTF-8 has no str form.  Spans count its own bytes: a
-# byte that decodes to U+FFFD is that one byte, not the three of U+FFFD.
+# Input that is not UTF-8 is bytes, or a str holding a lone surrogate, whose
+# bytes are its surrogatepass encoding.  Spans count those bytes: a byte that
+# decodes to U+FFFD is that one byte, not the three of U+FFFD.
 @pytest.mark.parametrize(
     "data, expected",
     [
@@ -277,6 +278,20 @@ def _diagnostics(source):
         (
             b"name: t\ninit: x = 0\nthread P0:\n  store x 1 \xe2\x9c\nexists: x = 0\n",
             [("input is not valid UTF-8", 4, 13, 43, 45), ("unexpected character '\ufffd'", 4, 13, 43, 45)],
+        ),
+        # a lone surrogate in a str, as surrogateescape decoding leaves one
+        (
+            "name: t\n# \udcff\n",
+            [
+                ("input is not valid UTF-8", 2, 3, 10, 11),
+                ("expected init section", 3, 1, 14, 14),
+                ("expected at least one thread", 3, 1, 14, 14),
+                ("expected an exists or forall condition", 3, 1, 14, 14),
+            ],
+        ),
+        (
+            "name: t\ninit: x = 0\nthread P0:\n  store x 1 # \ud800\nexists: x = 0\n",
+            [("input is not valid UTF-8", 4, 15, 45, 46)],
         ),
     ],
 )
@@ -352,3 +367,4 @@ def test_round_trip_identity(p):
 @settings(max_examples=300)
 def test_fuzz_never_crashes(data):
     assert span_problems(data)[1] == []
+    assert span_problems(data.decode("utf-8", "surrogateescape"))[1] == []

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -227,6 +229,17 @@ class TestValidation:
         p = prog([body, body], names=("P0",))
         assert validate(p) == [Diagnostic("malformed program", "thread name count does not match thread count")]
 
+    def test_assertion_on_a_name_without_a_thread(self):
+        p = prog(
+            [[Instruction(Kind.NA_LOAD, location="x", dest="r1")]],
+            assertion=Assertion("exists", RegAtom("P1", "r1", 0)),
+            names=("P0", "P1"),
+        )
+        assert validate(p) == [
+            Diagnostic("malformed program", "thread name count does not match thread count"),
+            Diagnostic("unknown assertion thread", "no thread named P1"),
+        ]
+
     @pytest.mark.parametrize(
         "init, instr, atom, diagnostic",
         [
@@ -251,10 +264,16 @@ BACKENDS = pytest.mark.parametrize(
 )
 
 
+THREAD_NAMES = pytest.mark.parametrize(
+    "names", [("P0", "P0"), ("P0",), ("P0", "P1", "P2")], ids=["repeated", "too-few", "too-many"]
+)
+
+
 class TestBackendsRejectWhatTheyCannotRun:
     """The backends do not call validate, but each raises ValueError, naming
-    the first fault, for a value outside 0..255 or an atomic kind without its
-    order, where a store of 300 would be reported or carry into a neighbour."""
+    the first fault, for a value outside 0..255, an atomic kind without its
+    order or thread names that are not one per thread, where a store of 300
+    would be reported or carry into a neighbour."""
 
     @BACKENDS
     @pytest.mark.parametrize(
@@ -321,6 +340,23 @@ class TestBackendsRejectWhatTheyCannotRun:
         assert not validate(program)
         (outcome,) = backend(program).outcomes
         assert outcome.memory == (("x", 255), ("y", 255))
+
+    @BACKENDS
+    @THREAD_NAMES
+    def test_thread_names_not_one_per_thread(self, backend, names):
+        # Run, repeated names would lose outcomes and a missing name would drop its thread's registers.
+        body = [Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED)]
+        program = prog([body, body], names=names)
+        assert validate(program)
+        with pytest.raises(ValueError, match=rf"^thread names {re.escape(str(names))} do not name 2 threads once each$"):
+            backend(program)
+
+    @THREAD_NAMES
+    def test_check_axioms_rejects_thread_names_not_one_per_thread(self, names):
+        body = [Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED)]
+        program = prog([body, body], names=names)
+        with pytest.raises(ValueError, match="do not name 2 threads once each"):
+            check_axioms(program, CandidateExecution((), {}, {}, ()))
 
     @pytest.mark.parametrize("backend", [enumerate_sc, enumerate_tso], ids=["sc", "tso"])
     def test_operand_register_never_assigned(self, backend):
