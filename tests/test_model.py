@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import re
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -344,11 +342,11 @@ class TestBackendsRejectWhatTheyCannotRun:
     @BACKENDS
     @THREAD_NAMES
     def test_thread_names_not_one_per_thread(self, backend, names):
-        # Run, repeated names would lose outcomes and a missing name would drop its thread's registers.
+        # Run anyway, they would lose outcomes under repeated names and a thread's registers under missing ones.
         body = [Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED)]
         program = prog([body, body], names=names)
         assert validate(program)
-        with pytest.raises(ValueError, match=rf"^thread names {re.escape(str(names))} do not name 2 threads once each$"):
+        with pytest.raises(ValueError, match="do not name 2 threads once each$"):
             backend(program)
 
     @THREAD_NAMES
