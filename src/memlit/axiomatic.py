@@ -166,8 +166,8 @@ def _checked_frame(program: Program, candidate: CandidateExecution) -> _Frame:
     and a write or fence no read value, rf must map each read to another write to its
     location that wrote the value it read, mo must order each written
     location's writes initialization first, and sc_order the seq_cst events.
-    A program the kernel cannot judge (see check_runnable) is a ValueError
-    before any of that."""
+    Before any of that, check_runnable raises ValueError, with validate's
+    first diagnostic as its text, for a program no backend can run."""
     check_runnable(program)
     events = candidate.events
     layout = _events(program, {(e.thread, e.index): e.kind is EventKind.RMW for e in events})
@@ -724,8 +724,8 @@ def enumerate_cxx11(
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
     Witnesses share their `Event` objects, which are immutable: one per event
-    and pair of values in each CAS branching.  ValueError for a value
-    outside 0..MAX_VALUE or an atomic kind without its order.
+    and pair of values in each CAS branching.  ValueError, from
+    check_runnable, for a program no backend can run.
     """
     check_runnable(program)
     stats = ExplorationStats()

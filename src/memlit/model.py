@@ -90,6 +90,8 @@ class EventKind(enum.Enum):
 
 _RMW_FIELDS = ("dest", "location", "operand", "order")
 _CAS_FIELDS = ("dest", "location", "expected", "desired", "order", "failure_order")
+# An Instruction's optional fields, in _check_shape's order; Kind.shape marks a kind's own.
+_SHAPE_FIELDS = ("location", "dest", "operand", "expected", "desired", "failure_order", "order")
 
 
 class Kind(enum.Enum):
@@ -125,6 +127,7 @@ class Kind(enum.Enum):
         member = object.__new__(cls)
         member._value_ = token
         member.fields, member.event, member.atomic, member.update = fields, event, atomic, update
+        member.shape = tuple(name in fields for name in _SHAPE_FIELDS)
         return member
 
     def __str__(self) -> str:
@@ -194,14 +197,15 @@ class Assertion:
     formula: BoolExpr
 
 
-def atoms(expr: BoolExpr) -> Iterator[Union[RegAtom, MemAtom]]:
-    if isinstance(expr, (RegAtom, MemAtom)):
-        yield expr
-    elif isinstance(expr, Not):
+def atoms(expr: BoolExpr) -> Iterator[object]:
+    """A formula's leaves: its atoms, and anything in it that is no formula."""
+    if isinstance(expr, Not):
         yield from atoms(expr.operand)
-    else:
+    elif isinstance(expr, (And, Or)):
         yield from atoms(expr.left)
         yield from atoms(expr.right)
+    else:
+        yield expr
 
 
 # ---------------------------------------------------------------------------
@@ -255,46 +259,72 @@ class Diagnostic:
         return f"{where}{self.rule}: {self.message}"
 
 
-def _literal_ok(value: Optional[int]) -> bool:
-    return value is None or 0 <= value <= MAX_VALUE
+def _is_byte(value: object) -> bool:
+    return value.__class__ is int and 0 <= value <= MAX_VALUE
 
 
-def check_runnable(program: Program) -> None:
-    """ValueError naming the first fault a backend cannot run: an initial
-    value or a literal (operand, expected, desired) outside 0..MAX_VALUE,
-    which no byte holds, an atomic kind without its memory order (a CAS
-    without its failure order), or thread names that repeat or are not one
-    per thread.  The backends call this, not validate, which costs more and
-    reports every fault."""
-    names = program.thread_names
-    if len(set(names)) != len(names) or len(names) != len(program.threads):
-        raise ValueError(f"thread names {names} do not name {len(program.threads)} threads once each")
-    for loc, value in program.init.items():
-        if not 0 <= value <= MAX_VALUE:
-            raise ValueError(f"init {loc} = {value} outside 0..{MAX_VALUE}")
-    for thread, body in zip(program.thread_names, program.threads):
-        for index, instr in enumerate(body):
-            for name, value in (("operand", instr.operand), ("expected", instr.expected), ("desired", instr.desired)):
-                if value.__class__ is int and not 0 <= value <= MAX_VALUE:
-                    raise ValueError(f"{thread} instruction {index}: {name} {value} outside 0..{MAX_VALUE}")
-            if instr.kind.atomic and (instr.order is None or instr.kind in CAS_KINDS and instr.failure_order is None):
-                raise ValueError(f"{thread} instruction {index}: {instr.kind} without its memory order")
-
-
-_SHAPE_FIELDS = ("location", "dest", "operand", "expected", "desired", "failure_order")
+def _set_fields(instr: Instruction) -> tuple[bool, ...]:
+    """Per name in _SHAPE_FIELDS, whether it is set: its kind's shape when well formed."""
+    return (instr.location is not None, instr.dest is not None, instr.operand is not None, instr.expected is not None,
+            instr.desired is not None, instr.failure_order is not None, instr.order is not None)
 
 
 def _check_shape(instr: Instruction) -> Optional[str]:
-    """A field is set exactly when its kind lists it; _order_diagnostics
-    judges the orders, but a failure order on a kind without one is malformed."""
-    fields = instr.kind.fields
-    for name in _SHAPE_FIELDS:
-        present = getattr(instr, name) is not None
-        if present and name not in fields:
+    """A field is set exactly when its kind lists it; the orders are judged
+    apart, but a failure order on a kind without one is malformed."""
+    for name, present, listed in zip(_SHAPE_FIELDS, _set_fields(instr), instr.kind.shape):
+        if present and not listed and name != "order":
             return f"{instr.kind} takes no {name}"
-        if not present and name in fields and name != "failure_order":
+        if listed and not present and name not in ("order", "failure_order"):
             return f"missing {name}"
     return None
+
+
+def _faults(program: Program) -> Iterator[Diagnostic]:
+    """Each fault that stops a backend, in program order: thread names not one
+    per thread, an init value or literal (operand, expected, desired) not an
+    int in 0..MAX_VALUE, an instruction without exactly its kind's fields
+    (judged no further) or orders, an operand register not yet assigned."""
+    names = program.thread_names
+    if len(names) != len(program.threads):
+        yield Diagnostic("malformed program", "thread name count does not match thread count")
+    if len(set(names)) != len(names):
+        yield Diagnostic("duplicate thread name", "thread names must be unique")
+    for loc, value in program.init.items():
+        if not _is_byte(value):
+            yield Diagnostic("value out of range", f"init {loc} = {value} outside 0..{MAX_VALUE}")
+    for t, body in enumerate(program.threads):
+        assigned: set[str] = set()
+        for i, instr in enumerate(body):
+            kind = instr.kind
+            if _set_fields(instr) != kind.shape:  # a well-formed instruction costs this compare alone
+                shape = _check_shape(instr)
+                if shape is not None:
+                    yield Diagnostic("malformed instruction", shape, t, i)
+                    continue
+                if kind.atomic and instr.order is None:
+                    yield Diagnostic("missing memory order", f"{kind} requires a memory order", t, i)
+                elif kind in CAS_KINDS and instr.failure_order is None:
+                    yield Diagnostic("missing memory order", "cas requires a failure order", t, i)
+            operand = instr.operand
+            if operand.__class__ is str:
+                if operand not in assigned:
+                    yield Diagnostic("unwritten register", f"operand register {operand} not yet assigned", t, i)
+            elif operand is not None and not _is_byte(operand):
+                yield Diagnostic("value out of range", f"operand {operand} outside 0..{MAX_VALUE}", t, i)
+            if kind in CAS_KINDS:
+                for name, value in (("expected", instr.expected), ("desired", instr.desired)):
+                    if not _is_byte(value):
+                        yield Diagnostic("value out of range", f"{name} {value} outside 0..{MAX_VALUE}", t, i)
+            if instr.dest is not None:
+                assigned.add(instr.dest)
+
+
+def check_runnable(program: Program) -> None:
+    """ValueError whose text is the first of _faults: what no backend and no
+    reader of a candidate can run.  validate reports them all, then policy."""
+    for fault in _faults(program):
+        raise ValueError(str(fault))
 
 
 def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
@@ -303,16 +333,8 @@ def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
         if instr.order is not None:
             yield "order on non-atomic access", f"{k} carries no memory order"
         return
-    if instr.order is None:
-        yield "missing memory order", f"{k} requires a memory order"
-        return
-    orders = [("order", instr.order)]
-    if "failure_order" in k.fields:
-        if instr.failure_order is None:
-            yield "missing memory order", "cas requires a failure order"
-        else:
-            orders.append(("failure order", instr.failure_order))
-    for slot, order in orders:
+    # _faults reports an order that is missing, or a failure order on a kind without one.
+    for slot, order in (("order", instr.order), ("failure order", instr.failure_order)):
         if order is MemoryOrder.CONSUME:
             yield "consume rejected", f"memory_order_consume is not supported ({slot})"
             continue
@@ -330,29 +352,17 @@ def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
 
 
 def validate(program: Program) -> list[Diagnostic]:
-    """Structural and memory-order checks.  Empty result means acceptable.
-
-    Pure: no side effects, same diagnostics for the same program.
-    """
-    diags: list[Diagnostic] = []
+    """Every fault of _faults, then the policy rules: the limits, the orders
+    each kind admits and the assertion.  Empty means acceptable.  Pure: no
+    side effects, same diagnostics for the same program."""
+    diags = list(_faults(program))
 
     def bad(rule: str, message: str, thread: Optional[int] = None, instr: Optional[int] = None) -> None:
         diags.append(Diagnostic(rule, message, thread, instr))
 
     if len(program.threads) > MAX_THREADS:
         bad("thread limit exceeded", f"{len(program.threads)} threads, limit {MAX_THREADS}")
-    if len(program.thread_names) != len(program.threads):
-        bad("malformed program", "thread name count does not match thread count")
-    if len(set(program.thread_names)) != len(program.thread_names):
-        bad("duplicate thread name", "thread names must be unique")
-
-    for loc, value in program.init.items():
-        if not _literal_ok(value):
-            bad("value out of range", f"init {loc} = {value} outside 0..{MAX_VALUE}")
-
-    written: list[set[str]] = []
     for t, body in enumerate(program.threads):
-        regs: set[str] = set()
         if len(body) > MAX_INSTRUCTIONS:
             bad(
                 "instruction limit exceeded",
@@ -360,40 +370,30 @@ def validate(program: Program) -> list[Diagnostic]:
                 thread=t,
             )
         for i, instr in enumerate(body):
-            shape = _check_shape(instr)
-            if shape is not None:
-                bad("malformed instruction", shape, thread=t, instr=i)
-                continue
             for rule, message in _order_diagnostics(instr):
                 bad(rule, message, thread=t, instr=i)
-            if isinstance(instr.operand, int) and not _literal_ok(instr.operand):
-                bad("value out of range", f"operand {instr.operand} outside 0..{MAX_VALUE}", t, i)
-            if not _literal_ok(instr.expected) or not _literal_ok(instr.desired):
-                bad("value out of range", "cas literal outside 0..255", t, i)
-            if isinstance(instr.operand, str) and instr.operand not in regs:
-                bad("unwritten register", f"operand register {instr.operand} not yet assigned", t, i)
-            if instr.dest is not None:
-                regs.add(instr.dest)
-        written.append(regs)
 
-    known_locs = set(program.locations)
-    written_by = dict(zip(program.thread_names, written))  # a name without a thread names none
+    quantifier = program.assertion.quantifier
+    if quantifier not in ("exists", "forall"):
+        bad("malformed assertion", f"quantifier {quantifier!r} is neither exists nor forall")
+    named = set(program.thread_names[: len(program.threads)])  # a name without a thread names none
+    assigned = set(program.registers)  # repeated names pool their threads' registers
     for atom in atoms(program.assertion.formula):
+        if not isinstance(atom, (RegAtom, MemAtom)):
+            bad("malformed assertion", f"{atom!r} is not a boolean expression")
+            continue
         if isinstance(atom, RegAtom):
-            if atom.thread not in written_by:
+            if atom.thread not in named:
                 bad("unknown assertion thread", f"no thread named {atom.thread}")
-            elif atom.register not in written_by[atom.thread]:
+            elif (atom.thread, atom.register) not in assigned:
                 bad(
                     "unwritten assertion register",
                     f"{atom.thread}:{atom.register} is never assigned",
                 )
-            if not _literal_ok(atom.value):
-                bad("value out of range", f"assertion value {atom.value} outside 0..255")
-        else:
-            if atom.location not in known_locs:
-                bad("unknown assertion location", f"{atom.location} does not appear in the program")
-            if not _literal_ok(atom.value):
-                bad("value out of range", f"assertion value {atom.value} outside 0..255")
+        elif atom.location not in program.locations:
+            bad("unknown assertion location", f"{atom.location} does not appear in the program")
+        if not _is_byte(atom.value):
+            bad("value out of range", f"assertion value {atom.value} outside 0..255")
     return diags
 
 
@@ -481,6 +481,8 @@ def eval_assertion(assertion: Assertion, outcomes: OutcomeSet) -> Verdict:
     outcomes (satisfying ones for allowed, violating ones for fails), sorted
     by `Outcome.format`.
     """
+    if assertion.quantifier not in ("exists", "forall"):
+        raise ValueError(f"quantifier {assertion.quantifier!r} is neither exists nor forall")
     wanted = assertion.quantifier == "exists"
     found = tuple(
         sorted((o for o in outcomes.outcomes if satisfies(assertion.formula, o) == wanted), key=Outcome.format)

@@ -27,8 +27,8 @@ A state is one int of bit fields, from the lowest bit up:
   slot per store instruction of the thread, oldest entry lowest: a value in
   the low 8 bits with its location index above.
 `_resolve` builds this layout, and turns each instruction's names into field
-shifts and its kind into an opcode, once per exploration; it raises
-ValueError for a program the machine cannot represent.  One function,
+shifts and its kind into an opcode, once per exploration; check_runnable
+first raises ValueError for a program no backend can run.  One function,
 `_successors`, defines which transitions a state enables and the states they
 lead to, as arithmetic on the int, and the search, `_explore`, is its only
 caller.  A state is terminal when every pc is at its thread's end and every
@@ -94,8 +94,9 @@ class _Machine(NamedTuple):
 
 def _resolve(program: Program, buffered: bool) -> _Machine:
     """The machine of `program`, built in one pass over its instructions,
-    with buffer fields when `buffered`.  ValueError for what it cannot run
-    (see check_runnable) or a register operand its thread never assigns."""
+    with buffer fields when `buffered`.  ValueError, from check_runnable,
+    for a program no backend can run; past it, every operand register has
+    a slot and every value fits its 8-bit field."""
     check_runnable(program)
     locations = {loc: i for i, loc in enumerate(program.locations)}
     slots = {reg: i for i, reg in enumerate(program.registers)}  # keyed (thread name, register): no literal matches
@@ -108,18 +109,15 @@ def _resolve(program: Program, buffered: bool) -> _Machine:
     done = done_mask = 0
     for t, (name, body) in enumerate(zip(program.thread_names, program.threads)):
         resolved = []
-        for i, instr in enumerate(body):
+        for instr in body:
             op = _OPCODES.get(instr.kind, _OPCODES[instr.kind.event])
             if op == _FENCE and instr.order is MemoryOrder.SEQ_CST:
                 op = _MFENCE
             loc = locations.get(instr.location)
             dest = slots.get((name, instr.dest))
             source = None
-            if instr.operand.__class__ is str:
-                source = slots.get((name, instr.operand))
-                if source is None:
-                    raise ValueError(f"{name} instruction {i}: operand register {instr.operand} is never assigned")
-                source = registers + 8 * source
+            if instr.operand.__class__ is str:  # check_runnable saw it assigned earlier in this thread
+                source = registers + 8 * slots[name, instr.operand]
             resolved.append((
                 op, instr.operand, None if loc is None else 8 * loc, loc,
                 None if dest is None else registers + 8 * dest, source, instr,

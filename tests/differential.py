@@ -13,11 +13,13 @@ themselves.  The parser is compared on its own, too: each side parses every
 case text, and the texts of MUTATIONS corpus files mutated with seed S by
 `mutated_corpus` in tests/support.py, as str and as bytes.  It yields the
 print_litmus text of the program or each diagnostic's message, line,
-column, start and end, and then what parse_expectations finds in the text.
-Only the mutated texts that are UTF-8 and end in a newline are kept: a
-revision whose spans count an invalid byte as the three bytes of U+FFFD,
-or whose end-of-file column ignores a last line with no newline, differs
-from the working tree there by design.  Each corpus file and hand-built
+column, start and end, then what parse_expectations finds in the text,
+and, when the text parses, validate's diagnostics as a sorted list of
+(rule, message, thread, instruction).  Only the mutated texts that are
+UTF-8 and end in a newline are kept: a revision whose spans count an
+invalid byte as the three bytes of U+FFFD, or whose end-of-file column
+ignores a last line with no newline, differs from the working tree there
+by design.  Each corpus file and hand-built
 program also carries every candidate `grounded_candidates` in
 tests/support.py builds for it, as plain data, when there are at most
 JUDGE_LIMIT of them.  The hand-built programs reach what the corpus does
@@ -125,7 +127,7 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
     sys.path.insert(0, src)
     from memlit import (
         ParseError, ResourceLimitError, enumerate_cxx11, enumerate_sc, enumerate_tso, parse_expectations, parse_litmus,
-        print_litmus,
+        print_litmus, validate,
     )
     from memlit.axiomatic import CandidateExecution, check_axioms
     from memlit.dot import execution_dot, trace_dot
@@ -137,11 +139,20 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
         except ParseError as exc:
             return [[d.message, d.span.line, d.span.column, d.span.start, d.span.end] for d in exc.diagnostics]
 
+    def validated(source):
+        try:
+            program = parse_litmus(source)
+        except ParseError:
+            return None
+        return sorted(([d.rule, d.message, d.thread, d.instruction] for d in validate(program)), key=json.dumps)
+
     enumerate_model = {"sc": enumerate_sc, "tso": enumerate_tso, "cxx11": enumerate_cxx11}
     results = {}
     for case in json.loads(Path(cases_path).read_text()):
         text = case["text"]
-        results[f"{case['name']} | parse"] = [parsed(text), parsed(text.encode("utf-8")), parse_expectations(text)]
+        results[f"{case['name']} | parse"] = [
+            parsed(text), parsed(text.encode("utf-8")), parse_expectations(text), validated(text)
+        ]
         if not case["models"]:
             continue
         program = parse_litmus(text)

@@ -41,6 +41,7 @@ MESSAGE_PASSING = f"{AXIOMATIC}::TestSynchronizesWith::test_message_passing_need
 WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
 HB_PER_SW_INPUT = f"{AXIOMATIC}::TestHbPerSwInput"
 SW_INPUT_ORACLE = f"{ORACLE}::test_on_sw_input_programs"
+EVERY_READER = "tests/test_model.py::test_every_reader_rejects_what_validate_reports_first"
 
 # (file under src/memlit, exact old text, new text, tests that must kill it)
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
@@ -366,9 +367,23 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # The backends hold a literal outside a byte.
         "model.py",
-        "                if value.__class__ is int and not 0 <= value <= MAX_VALUE:",
-        "                if False:",
+        "    return value.__class__ is int and 0 <= value <= MAX_VALUE",
+        "    return value.__class__ is int",
         ("tests/test_model.py::TestBackendsRejectWhatTheyCannotRun::test_value_outside_a_byte",),
+    ),
+    (
+        # An instruction without exactly its kind's fields reaches the backends.
+        "model.py",
+        "                if shape is not None:",
+        "                if False:",
+        (EVERY_READER,),
+    ),
+    (
+        # A register operand need not be assigned before it is read.
+        "model.py",
+        "                if operand not in assigned:",
+        "                if False:",
+        (EVERY_READER,),
     ),
     (
         # A line after a condition that fails to parse is one more instruction.

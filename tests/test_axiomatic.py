@@ -199,7 +199,8 @@ class TestCandidateValidation:
         program = replace(ordered, threads=((replace(store, order=None),),))
         events = tuple(replace(e, order=None) if e.thread == 0 else e for e in witness.events)
         candidate = CandidateExecution(events, dict(witness.rf), dict(witness.mo), ())
-        with pytest.raises(ValueError, match="^P0 instruction 0: store without its memory order$"):
+        message = "^thread 0 instruction 0: missing memory order: store requires a memory order$"
+        with pytest.raises(ValueError, match=message):
             read(program, candidate)
 
     @pytest.mark.parametrize("read", [check_axioms, execution_dot])

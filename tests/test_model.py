@@ -242,7 +242,7 @@ class TestValidation:
         "init, instr, atom, diagnostic",
         [
             ({"x": 256}, _NA_LOAD, MemAtom("x", 0), Diagnostic(_RANGE, "init x = 256 outside 0..255")),
-            ({"x": 0}, _CAS_256, MemAtom("x", 0), Diagnostic(_RANGE, "cas literal outside 0..255", 0, 0)),
+            ({"x": 0}, _CAS_256, MemAtom("x", 0), Diagnostic(_RANGE, "expected 256 outside 0..255", 0, 0)),
             ({"x": 0}, _NA_LOAD, MemAtom("x", 256), Diagnostic(_RANGE, "assertion value 256 outside 0..255")),
             ({"x": 0}, _NA_LOAD, RegAtom("P0", "r1", 256), Diagnostic(_RANGE, "assertion value 256 outside 0..255")),
         ],
@@ -250,6 +250,26 @@ class TestValidation:
     )
     def test_values_out_of_range(self, init, instr, atom, diagnostic):
         assert validate(prog([[instr]], assertion=Assertion("exists", atom), init=init)) == [diagnostic]
+
+    def test_repeated_names_pool_their_registers(self):
+        # The assertion's P0:r1 is the first P0's register, so only the repeated name is a fault.
+        load = Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED)
+        store = Instruction(Kind.STORE, location="x", operand=1, order=MemoryOrder.RELAXED)
+        p = prog([[load], [store]], assertion=Assertion("exists", RegAtom("P0", "r1", 0)), names=("P0", "P0"))
+        assert validate(p) == [Diagnostic("duplicate thread name", "thread names must be unique")]
+
+    @pytest.mark.parametrize(
+        "assertion, message",
+        [
+            (Assertion("exists", 5), "5 is not a boolean expression"),
+            (Assertion("forall", And(MemAtom("x", 0), Not("x = 0"))), "'x = 0' is not a boolean expression"),
+            (Assertion("exist", MemAtom("x", 0)), "quantifier 'exist' is neither exists nor forall"),
+        ],
+        ids=["formula", "nested-formula", "quantifier"],
+    )
+    def test_malformed_assertion(self, assertion, message):
+        p = prog([[Instruction(Kind.NA_LOAD, location="x", dest="r1")]], assertion=assertion)
+        assert validate(p) == [Diagnostic("malformed assertion", message)]
 
     def test_diagnostic_text_names_where(self):
         assert str(Diagnostic("rule", "message")) == "rule: message"
@@ -262,31 +282,43 @@ BACKENDS = pytest.mark.parametrize(
 )
 
 
+_NAME_COUNT = "^malformed program: thread name count does not match thread count$"
 THREAD_NAMES = pytest.mark.parametrize(
-    "names", [("P0", "P0"), ("P0",), ("P0", "P1", "P2")], ids=["repeated", "too-few", "too-many"]
+    "names, message",
+    [
+        (("P0", "P0"), "^duplicate thread name: thread names must be unique$"),
+        (("P0",), _NAME_COUNT),
+        (("P0", "P1", "P2"), _NAME_COUNT),
+    ],
+    ids=["repeated", "too-few", "too-many"],
 )
 
 
 class TestBackendsRejectWhatTheyCannotRun:
-    """The backends do not call validate, but each raises ValueError, naming
-    the first fault, for a value outside 0..255, an atomic kind without its
-    order or thread names that are not one per thread, where a store of 300
-    would be reported or carry into a neighbour."""
+    """The backends do not call validate, but each raises ValueError whose
+    text is validate's first diagnostic, for a value outside 0..255, an
+    atomic kind without its order or thread names that are not one per
+    thread, where a store of 300 would be reported or carry into a
+    neighbour."""
 
     @BACKENDS
     @pytest.mark.parametrize(
         "init, instr, message",
         [
-            ({"x": 300}, Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED), "init x = 300"),
+            (
+                {"x": 300},
+                Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED),
+                "value out of range: init x = 300",
+            ),
             (
                 {"x": 0},
                 Instruction(Kind.STORE, location="x", operand=256, order=MemoryOrder.RELAXED),
-                "P0 instruction 1: operand 256",
+                "thread 0 instruction 1: value out of range: operand 256",
             ),
             (
                 {"x": 0},
                 Instruction(Kind.FETCH_ADD, dest="r2", location="x", operand=-1, order=MemoryOrder.RELAXED),
-                "P0 instruction 1: operand -1",
+                "thread 0 instruction 1: value out of range: operand -1",
             ),
             (
                 {"x": 0},
@@ -294,7 +326,7 @@ class TestBackendsRejectWhatTheyCannotRun:
                     Kind.CAS_WEAK, dest="r2", location="x", expected=256, desired=1,
                     order=MemoryOrder.SEQ_CST, failure_order=MemoryOrder.SEQ_CST,
                 ),
-                "P0 instruction 1: expected 256",
+                "thread 0 instruction 1: value out of range: expected 256",
             ),
             (
                 {"x": 0},
@@ -302,7 +334,7 @@ class TestBackendsRejectWhatTheyCannotRun:
                     Kind.CAS_STRONG, dest="r2", location="x", expected=0, desired=999,
                     order=MemoryOrder.SEQ_CST, failure_order=MemoryOrder.SEQ_CST,
                 ),
-                "P0 instruction 1: desired 999",
+                "thread 0 instruction 1: value out of range: desired 999",
             ),
         ],
         ids=["init", "operand", "negative-operand", "expected", "desired"],
@@ -310,24 +342,27 @@ class TestBackendsRejectWhatTheyCannotRun:
     def test_value_outside_a_byte(self, backend, init, instr, message):
         first = Instruction(Kind.STORE, location="x", operand=1, order=MemoryOrder.RELAXED)
         program = prog([[first, instr]], init=init)
-        assert validate(program)
+        assert str(validate(program)[0]) == f"{message} outside 0..255"
         with pytest.raises(ValueError, match=f"^{message} outside 0..255$"):
             backend(program)
 
     @BACKENDS
     @pytest.mark.parametrize(
-        "instr",
+        "instr, message",
         [
-            Instruction(Kind.STORE, location="x", operand=1),
-            Instruction(Kind.FENCE),
-            Instruction(Kind.CAS_STRONG, dest="r1", location="x", expected=0, desired=1, order=MemoryOrder.SEQ_CST),
+            (Instruction(Kind.STORE, location="x", operand=1), "store requires a memory order"),
+            (Instruction(Kind.FENCE), "fence requires a memory order"),
+            (
+                Instruction(Kind.CAS_STRONG, dest="r1", location="x", expected=0, desired=1, order=MemoryOrder.SEQ_CST),
+                "cas requires a failure order",
+            ),
         ],
         ids=["store", "fence", "cas-failure-order"],
     )
-    def test_atomic_kind_without_its_order(self, backend, instr):
+    def test_atomic_kind_without_its_order(self, backend, instr, message):
         program = prog([[instr]])
         assert validate(program)
-        with pytest.raises(ValueError, match=f"^P0 instruction 0: {instr.kind} without its memory order$"):
+        with pytest.raises(ValueError, match=f"^thread 0 instruction 0: missing memory order: {message}$"):
             backend(program)
 
     @BACKENDS
@@ -341,26 +376,114 @@ class TestBackendsRejectWhatTheyCannotRun:
 
     @BACKENDS
     @THREAD_NAMES
-    def test_thread_names_not_one_per_thread(self, backend, names):
+    def test_thread_names_not_one_per_thread(self, backend, names, message):
         # Run anyway, they would lose outcomes under repeated names and a thread's registers under missing ones.
         body = [Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED)]
         program = prog([body, body], names=names)
         assert validate(program)
-        with pytest.raises(ValueError, match="do not name 2 threads once each$"):
+        with pytest.raises(ValueError, match=message):
             backend(program)
 
     @THREAD_NAMES
-    def test_check_axioms_rejects_thread_names_not_one_per_thread(self, names):
+    def test_check_axioms_rejects_thread_names_not_one_per_thread(self, names, message):
         body = [Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELAXED)]
         program = prog([body, body], names=names)
-        with pytest.raises(ValueError, match="do not name 2 threads once each"):
+        with pytest.raises(ValueError, match=message):
             check_axioms(program, CandidateExecution((), {}, {}, ()))
 
-    @pytest.mark.parametrize("backend", [enumerate_sc, enumerate_tso], ids=["sc", "tso"])
+    @BACKENDS
     def test_operand_register_never_assigned(self, backend):
         program = prog([[Instruction(Kind.STORE, location="x", operand="r9", order=MemoryOrder.RELAXED)]])
-        with pytest.raises(ValueError, match="^P0 instruction 0: operand register r9 is never assigned$"):
+        with pytest.raises(
+            ValueError, match="^thread 0 instruction 0: unwritten register: operand register r9 not yet assigned$"
+        ):
             backend(program)
+
+
+_RLX = MemoryOrder.RELAXED
+_LOAD_Y = Instruction(Kind.LOAD, location="y", dest="r1", order=_RLX)
+_AT = "thread 0 instruction 0: "
+# (init, body of thread P0, validate's first diagnostic), each a program a backend cannot run.
+_UNRUNNABLE = {
+    "store-without-location": (
+        {},
+        [Instruction(Kind.STORE, operand=1, order=_RLX)],
+        _AT + "malformed instruction: missing location",
+    ),
+    "load-without-dest": (
+        {},
+        [Instruction(Kind.LOAD, location="x", order=_RLX)],
+        _AT + "malformed instruction: missing dest",
+    ),
+    "store-without-operand": (
+        {},
+        [Instruction(Kind.STORE, location="x", order=_RLX)],
+        _AT + "malformed instruction: missing operand",
+    ),
+    "fetch-add-without-operand": (
+        {},
+        [Instruction(Kind.FETCH_ADD, location="x", dest="r1", order=_RLX)],
+        _AT + "malformed instruction: missing operand",
+    ),
+    "load-with-operand": (
+        {},
+        [Instruction(Kind.LOAD, location="x", dest="r1", operand=1, order=_RLX)],
+        _AT + "malformed instruction: load takes no operand",
+    ),
+    "store-with-dest": (
+        {},
+        [Instruction(Kind.STORE, location="x", dest="r1", operand=1, order=_RLX)],
+        _AT + "malformed instruction: store takes no dest",
+    ),
+    "fence-with-location": (
+        {},
+        [Instruction(Kind.FENCE, location="x", order=MemoryOrder.SEQ_CST)],
+        _AT + "malformed instruction: fence takes no location",
+    ),
+    "cas-without-expected": (
+        {},
+        [Instruction(Kind.CAS_STRONG, location="x", dest="r1", desired=1, order=_RLX, failure_order=_RLX)],
+        _AT + "malformed instruction: missing expected",
+    ),
+    "float-operand": (
+        {},
+        [Instruction(Kind.STORE, location="x", operand=1.5, order=_RLX)],
+        _AT + "value out of range: operand 1.5 outside 0..255",
+    ),
+    "float-init": ({"x": 2.5}, [_LOAD_Y], "value out of range: init x = 2.5 outside 0..255"),
+    "register-before-its-load": (
+        {},
+        [Instruction(Kind.STORE, location="x", operand="r1", order=_RLX), _LOAD_Y],
+        _AT + "unwritten register: operand register r1 not yet assigned",
+    ),
+    "register-never-assigned": (
+        {},
+        [Instruction(Kind.STORE, location="x", operand="r9", order=_RLX)],
+        _AT + "unwritten register: operand register r9 not yet assigned",
+    ),
+}
+
+
+def _judge_empty_candidate(program):
+    return check_axioms(program, CandidateExecution((), {}, {}, ()))
+
+
+@pytest.mark.parametrize(
+    "read",
+    [enumerate_sc, enumerate_tso, enumerate_cxx11, _judge_empty_candidate],
+    ids=["sc", "tso", "cxx11", "check_axioms"],
+)
+@pytest.mark.parametrize("probe", list(_UNRUNNABLE))
+def test_every_reader_rejects_what_validate_reports_first(read, probe):
+    """One definition of a runnable program: every backend and check_axioms
+    raise ValueError whose text is validate's first diagnostic, and none
+    raises another error or returns outcomes."""
+    init, body, message = _UNRUNNABLE[probe]
+    program = prog([body], init={"x": 0, "y": 0} | init)
+    assert str(validate(program)[0]) == message
+    with pytest.raises(ValueError) as caught:
+        read(program)
+    assert str(caught.value) == message
 
 
 class TestProgramTransforms:
@@ -431,6 +554,13 @@ class TestOutcomesAndAssertions:
         assert fails.kind == "fails" and fails.witnesses == (bad,)
         holds = eval_assertion(Assertion("forall", Or(MemAtom("x", 3), MemAtom("x", 0))), outs)
         assert holds.kind == "holds" and holds.witnesses == ()
+
+    def test_eval_rejects_an_unknown_quantifier(self):
+        from memlit.model import OutcomeSet
+
+        _, o = self._outcome(3, 1)
+        with pytest.raises(ValueError, match="^quantifier 'exist' is neither exists nor forall$"):
+            eval_assertion(Assertion("exist", MemAtom("x", 0)), OutcomeSet(frozenset({o})))
 
     def test_witnesses_sorted_by_format(self):
         from memlit.model import OutcomeSet
