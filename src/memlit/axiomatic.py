@@ -54,9 +54,9 @@ relation.  `_events` builds each CAS branching's events once, without
 values; what depends only on them (sb, locations, which events can
 synchronize, what each value is made from) is computed once per branching,
 the values once per rf map, what depends on mo once per modification order
-of each location, sw, the hb closure, COHERENT-READ and the races once per
-rf map and sw input (`_Frame.sync_heads`), and only the other axiom tests
-once per candidate.  `Relation` appears only at the API boundary.
+of each location, sw, the hb closure, COHERENT-READ, the races and S-EMBED's
+hb half once per rf map and sw input (`_Frame.sync_heads`), and the other
+axioms once per candidate.  `Relation` appears only at the API boundary.
 
 Building a candidate checks nothing.  The functions that read one,
 check_axioms and execution_dot, take (program, candidate) and check the
@@ -68,9 +68,11 @@ the kernel's frame and mo orders, which `_compute_sw` reads.
 On an S that embeds hb and mo between seq_cst events, SC-READ and
 SC-FENCE-1..4 are S edges that rf, mo and hb fix, save one disjunctive case
 of SC-READ (`_sc_edges`).  check_axioms reports an axiom whose edge S
-breaks.  The enumerator adds every edge before it generates any S: a cycle
-rules the candidate out at once, and otherwise only orders that keep them
-are tried, each checked against the disjunctive SC-READs alone.
+breaks.  The enumerator adds every edge before it looks for S, and finds the
+first order that keeps them in one pass (`first_extension`), or a cycle that
+rules the candidate out.  Only a disjunctive SC-READ can reject that order;
+when there is one, `ordered_extensions` generates the orders in turn, each
+checked against the disjunctive SC-READs alone.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ from .model import (
     ResourceLimitError,
     check_runnable,
 )
-from .relation import Relation, ordered_extensions
+from .relation import Relation, first_extension, ordered_extensions
 
 AXIOMS = (
     "HB-IRREFLEXIVE",
@@ -533,16 +535,21 @@ def _ground(plan: _Plan, rf: Mapping[int, int]) -> Optional[tuple[dict[int, int]
     return value_read, value_written
 
 
-def _s_embedding(frame: _Frame, mo: Sequence[_MoOrder], hb: Sequence[int]) -> dict[int, int]:
-    """S-EMBED: each seq_cst event's mask of the seq_cst events S must put
-    before it, the seq_cst writes mo-before it and the seq_cst events that
-    happen-before it."""
+def _s_hb_preds(frame: _Frame, hb: Sequence[int]) -> dict[int, int]:
+    """S-EMBED's hb half: per seq_cst event, the mask of seq_cst events that happen-before it."""
     preds = dict.fromkeys(frame.sc_ids, 0)
-    for e, li in frame.sc_writes:
-        preds[e] = mo[li].before[e] & frame.sc_mask
     for a in frame.sc_ids:
         for b in _bits(hb[a] & frame.sc_mask):
             preds[b] |= 1 << a
+    return preds
+
+
+def _s_embedding(frame: _Frame, mo: Sequence[_MoOrder], hb_preds: Mapping[int, int]) -> dict[int, int]:
+    """S-EMBED: each seq_cst event's mask of the seq_cst events S must put
+    before it: `hb_preds`, its hb half, and the seq_cst writes mo-before it."""
+    preds = dict(hb_preds)
+    for e, li in frame.sc_writes:
+        preds[e] |= mo[li].before[e] & frame.sc_mask
     return preds
 
 
@@ -663,7 +670,7 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
             violated.add("HB-MO")
         if _coherent_read_violated(frame, rf, hb):
             violated.add("COHERENT-READ")
-        preds = _s_embedding(frame, mo, hb)
+        preds = _s_embedding(frame, mo, _s_hb_preds(frame, hb))
         placed = dict(zip(s, itertools.accumulate((1 << e for e in s), int.__or__, initial=0)))  # S-predecessors
         if any(preds[e] & ~before for e, before in placed.items()):
             violated.add("S-EMBED")
@@ -720,7 +727,8 @@ def enumerate_cxx11(
     which consistent S witnessed them.  Only orders S that keep the S-EMBED
     edges and the SC axioms' edges for the candidate's rf and mo are tried
     (see `_sc_edges`); the first consistent S is the same as without
-    pruning.
+    pruning.  The first such order comes in one pass; the later ones are
+    generated only when a disjunctive SC-READ can reject it.
 
     stats.explored counts the (rf, mo) pairs plus the S orders tried.
     Witnesses share their `Event` objects, which are immutable: one per event
@@ -774,10 +782,10 @@ def enumerate_cxx11(
             # with given last writes builds it, and later ones cannot add one.
             seen_lasts: set[tuple[int, ...]] = set()
             witness_events: Optional[tuple[Event, ...]] = None
-            # mo reaches hb only through sw's input, so hb, COHERENT-READ and
-            # the races are judged once per input: (whether hb passes, hb,
-            # whether sw has an edge, racy).
-            by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool]] = {}
+            # mo reaches hb only through sw's input, so hb, COHERENT-READ,
+            # the races and S-EMBED's hb half are judged once per input:
+            # (whether hb passes, hb, whether sw has an edge, racy, hb half).
+            by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool, dict[int, int]]] = {}
             for mo in itertools.product(*mo_choices):
                 bump()
                 # Without RMWs RMW-IMMEDIATE holds, and without seq_cst events
@@ -790,8 +798,9 @@ def enumerate_cxx11(
                     sw = _sw_edges(frame, heads)
                     hb, cyclic = _hb_rows(frame, sw)
                     ok = not (cyclic or _coherent_read_violated(frame, rf, hb))
-                    judged = by_heads[heads] = ok, hb, bool(sw), ok and bool(_races(frame, hb))
-                ok, hb, synced, hb_racy = judged
+                    judged = by_heads[heads] = ok, hb, bool(sw), ok and bool(_races(frame, hb)), (
+                        _s_hb_preds(frame, hb) if ok and frame.sc_ids else {})
+                ok, hb, synced, hb_racy, hb_preds = judged
                 # Every mo choice extends the base rows, so only sw can break HB-MO.
                 if not ok or synced and _hb_mo_violated(mo, hb):
                     continue
@@ -799,14 +808,14 @@ def enumerate_cxx11(
                 s_orders: Iterable[tuple[int, ...]] = ((),)
                 disjunctions: Sequence[tuple[int, int, int]] = ()
                 if frame.sc_ids:
-                    preds = _s_embedding(frame, mo, hb)
+                    preds = _s_embedding(frame, mo, hb_preds)
                     edges, disjunctions = _sc_edges(frame, mo, rf, hb)
                     for _, a, b in edges:
                         preds[b] |= 1 << a
-                    try:
-                        s_orders = ordered_extensions(preds)
-                    except ValueError:
+                    first = first_extension(preds)
+                    if first is None:
                         continue  # no S passes S-EMBED and the SC axioms
+                    s_orders = ordered_extensions(preds) if disjunctions else (first,)
                 for s_order in s_orders:
                     bump()
                     if disjunctions and _sc_read_broken(frame, s_order, disjunctions):

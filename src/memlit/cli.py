@@ -92,7 +92,8 @@ def _load(path: str) -> Optional[tuple[Program, tuple[tuple[str, str], ...]]]:
     problems = validate(program)
     if problems:
         for d in problems:
-            place = "" if d.thread is None else f" (thread {d.thread}, instruction {d.instruction})"
+            at = "" if d.instruction is None else f", instruction {d.instruction}"
+            place = "" if d.thread is None else f" (thread {d.thread}{at})"
             print(f"{path}: error: {d.rule}: {d.message}{place}", file=sys.stderr)
         return None
 

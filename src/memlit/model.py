@@ -227,7 +227,7 @@ class Program:
             for instr in body:
                 if instr.location is not None:
                     locs.add(instr.location)
-        return tuple(sorted(locs))
+        return tuple(sorted(locs, key=str))  # key=str: a name not a str is a fault of _faults, not a TypeError here
 
     @cached_property
     def registers(self) -> tuple[tuple[str, str], ...]:
@@ -235,7 +235,7 @@ class Program:
         return tuple(
             (name, reg)
             for name, body in zip(self.thread_names, self.threads)
-            for reg in sorted({instr.dest for instr in body if instr.dest is not None})
+            for reg in sorted({instr.dest for instr in body if instr.dest is not None}, key=str)
         )
 
     def initial_value(self, location: str) -> int:
@@ -282,15 +282,18 @@ def _check_shape(instr: Instruction) -> Optional[str]:
 
 def _faults(program: Program) -> Iterator[Diagnostic]:
     """Each fault that stops a backend, in program order: thread names not one
-    per thread, an init value or literal (operand, expected, desired) not an
-    int in 0..MAX_VALUE, an instruction without exactly its kind's fields
-    (judged no further) or orders, an operand register not yet assigned."""
+    per thread, a location or dest register not a str, an init value or
+    literal (operand, expected, desired) not an int in 0..MAX_VALUE, an
+    instruction without exactly its kind's fields (judged no further) or
+    orders, an operand register not yet assigned."""
     names = program.thread_names
     if len(names) != len(program.threads):
         yield Diagnostic("malformed program", "thread name count does not match thread count")
     if len(set(names)) != len(names):
         yield Diagnostic("duplicate thread name", "thread names must be unique")
     for loc, value in program.init.items():
+        if loc.__class__ is not str:
+            yield Diagnostic("malformed program", f"init location {loc!r} is not a name")
         if not _is_byte(value):
             yield Diagnostic("value out of range", f"init {loc} = {value} outside 0..{MAX_VALUE}")
     for t, body in enumerate(program.threads):
@@ -306,6 +309,9 @@ def _faults(program: Program) -> Iterator[Diagnostic]:
                     yield Diagnostic("missing memory order", f"{kind} requires a memory order", t, i)
                 elif kind in CAS_KINDS and instr.failure_order is None:
                     yield Diagnostic("missing memory order", "cas requires a failure order", t, i)
+            for field, name in (("location", instr.location), ("dest", instr.dest)):
+                if name is not None and name.__class__ is not str:
+                    yield Diagnostic("malformed instruction", f"{field} {name!r} is not a name", t, i)
             operand = instr.operand
             if operand.__class__ is str:
                 if operand not in assigned:

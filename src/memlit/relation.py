@@ -2,8 +2,8 @@
 extensions of a partial order given as predecessor bitmasks.
 
 `Relation` is the value type of the sb, sw and hb that `check_axioms`
-returns; the axiom kernel itself works on bitmask rows.
-`ordered_extensions` enumerates the seq_cst order S.
+returns; the axiom kernel itself works on bitmask rows.  The seq_cst order
+S is `first_extension`, in one pass, or one of `ordered_extensions`.
 """
 
 from __future__ import annotations
@@ -30,6 +30,22 @@ class Relation:
         return pair in self.pairs
 
 
+def first_extension(preds: Mapping[int, int]) -> tuple[int, ...] | None:
+    """The first of `ordered_extensions(preds)`: at each step the smallest key
+    whose predecessors are placed.  None exactly when the constraint is cyclic."""
+    left, order, placed = sorted(preds), [], 0
+    while left:
+        for e in left:
+            if not preds[e] & ~placed:
+                break
+        else:
+            return None
+        left.remove(e)
+        order.append(e)
+        placed |= 1 << e
+    return tuple(order)
+
+
 def ordered_extensions(preds: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
     """All total orders over the keys of `preds` that place each key after
     every key whose bit its mask sets, lazily and in lexicographic order.
@@ -37,16 +53,8 @@ def ordered_extensions(preds: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
     Keys are non-negative and masks set only bits of keys.  Raises
     ValueError at once if the constraint is cyclic.
     """
-    elems = sorted(preds)
-    placed = 0
-    left = elems
-    while left:
-        ready = [e for e in left if not preds[e] & ~placed]
-        if not ready:
-            raise ValueError("cyclic constraint has no linear extension")
-        for e in ready:
-            placed |= 1 << e
-        left = [e for e in left if not placed >> e & 1]
+    if first_extension(preds) is None:
+        raise ValueError("cyclic constraint has no linear extension")
 
     acc: list[int] = []
 
@@ -60,4 +68,4 @@ def ordered_extensions(preds: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
                 yield from generate([x for x in remaining if x != e], placed | 1 << e)
                 acc.pop()
 
-    return generate(elems, 0)
+    return generate(sorted(preds), 0)

@@ -28,8 +28,9 @@ not: no corpus candidate breaks SC-FENCE-2 alone.
 `git archive` extracts src/ at REV into a temporary directory; that copy
 and the working tree's src/ then run every case, each in its own
 subprocess.  Each run yields its outcome set, racy, stats.explored,
-stats.complete_runs and the text of each witness's trace_dot or
-execution_dot, or the budget it exceeded.  Each side also judges those
+stats.complete_runs, the text of each witness's trace_dot or
+execution_dot and each cxx11 witness's S (which no dot draws), or the budget
+it exceeded.  Each side also judges those
 candidates with its own check_axioms, and yields how many are consistent
 and a digest of each whole judgment: consistent, violated, races and the sb,
 sw and hb pairs.  Any difference between the sides
@@ -190,6 +191,7 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
                     o.format(): hashlib.sha256(dot(program, w).encode()).hexdigest()
                     for o, w in result.witnesses.items()
                 },
+                "witness S": {o.format(): getattr(w, "sc_order", None) for o, w in result.witnesses.items()},
             }
     Path(out_path).write_text(json.dumps(results, sort_keys=True))
 

@@ -226,6 +226,13 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         (f"{AXIOMATIC}::TestCandidateSpace::test_disjunctive_sc_read_is_judged_on_every_s",),
     ),
     (
+        # enumerate_cxx11 tries only the first S, even where a disjunctive SC-READ can reject it.
+        "axiomatic.py",
+        "s_orders = ordered_extensions(preds) if disjunctions else (first,)",
+        "s_orders = (first,)",
+        (f"{AXIOMATIC}::TestCandidateSpace::test_disjunctive_sc_read_is_judged_on_every_s",),
+    ),
+    (
         # check_axioms never reports S-EMBED.
         "axiomatic.py",
         '            violated.add("S-EMBED")',
@@ -242,9 +249,20 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # S-EMBED leaves mo out: S may order two seq_cst writes against mo.
         "axiomatic.py",
-        "        preds[e] = mo[li].before[e] & frame.sc_mask",
-        "        preds[e] = 0",
+        "        preds[e] |= mo[li].before[e] & frame.sc_mask",
+        "        pass",
         (f"{ORACLE}::test_on_corpus_and_s_edge_programs",),
+    ),
+    (
+        # The first S takes the largest ready event, not the smallest: a
+        # witness no longer carries the first consistent S.
+        "relation.py",
+        "        for e in left:",
+        "        for e in reversed(left):",
+        (
+            "tests/test_relation.py::test_first_extension_is_the_first_ordered_extension",
+            f"{AXIOMATIC}::TestCandidateSpace::test_witness_s_is_the_first_consistent_order",
+        ),
     ),
     (
         # SC-FENCE-2 is never reported.
@@ -264,7 +282,7 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         # enumerate_cxx11 shares its hb judgments across the rf maps of a
         # branching, although COHERENT-READ depends on rf.
         "axiomatic.py",
-        "            by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool]] = {}",
+        "            by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool, dict[int, int]]] = {}",
         '            by_heads = shared.setdefault("by_heads", {})',
         (f"{HB_PER_SW_INPUT}::test_a_release_sequence_broken_in_mo_is_judged_per_mo", SW_INPUT_ORACLE),
     ),
@@ -375,6 +393,20 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         # An instruction without exactly its kind's fields reaches the backends.
         "model.py",
         "                if shape is not None:",
+        "                if False:",
+        (EVERY_READER,),
+    ),
+    (
+        # An init location that is not a str reaches the backends.
+        "model.py",
+        "        if loc.__class__ is not str:",
+        "        if False:",
+        (EVERY_READER,),
+    ),
+    (
+        # An instruction's location or dest that is not a str reaches the backends.
+        "model.py",
+        "                if name is not None and name.__class__ is not str:",
         "                if False:",
         (EVERY_READER,),
     ),

@@ -8,6 +8,7 @@ against the operational backends where the models coincide.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -739,6 +740,24 @@ class TestCandidateSpace:
         # states it, so each S tried is checked against it, and some fail.
         result = enumerate_cxx11(parse_litmus(DISJUNCTIVE_SC_READ))
         assert (result.stats.explored, len(result.outcomes)) == (49, 6)
+
+    @pytest.mark.parametrize(
+        "text",
+        S_EDGE_PROGRAMS + [DISJUNCTIVE_SC_READ, ladder((2, 2), "seq_cst", "seq_cst")],
+        ids=[f"s-edge-{i}" for i in range(len(S_EDGE_PROGRAMS))] + ["disjunctive-sc-read", "seq_cst-2x2"],
+    )
+    def test_witness_s_is_the_first_consistent_order(self, text):
+        # S choices stop at the first consistent one per (rf, mo), in
+        # lexicographic order: pruning and the one-pass first order change
+        # which S is tried, never which one a witness carries.
+        program = parse_litmus(text)
+        for witness in enumerate_cxx11(program).witnesses.values():
+            first = next(
+                s
+                for s in itertools.permutations(sorted(witness.sc_order))
+                if check_axioms(program, replace(witness, sc_order=s)).consistent
+            )
+            assert witness.sc_order == first
 
     def test_seq_cst_4x2_is_sc(self):
         # DRF-SC: a race-free all-seq_cst program has exactly its SC outcomes.

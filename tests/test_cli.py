@@ -63,6 +63,19 @@ class TestExitCodes:
         assert main(["check", path]) == 2
         assert "r9" in capsys.readouterr().err
 
+    def test_thread_level_diagnostic_names_only_the_thread(self, tmp_path, capsys):
+        stores = "".join(f"  store x {v}\n" for v in range(1, 10))
+        path = write(tmp_path, f"name: t\ninit: x = 0\nthread P0:\n{stores}exists: x = 1\n")
+        assert main(["check", path]) == 2
+        assert capsys.readouterr().err == (
+            f"{path}: error: instruction limit exceeded: 9 instructions, limit 8 (thread 0)\n"
+        )
+
+    def test_instruction_level_diagnostic_names_its_place(self, tmp_path, capsys):
+        path = write(tmp_path, INVALID)
+        assert main(["check", path]) == 2
+        assert "(thread 0, instruction 0)\n" in capsys.readouterr().err
+
     def test_malformed_expectation_is_two(self, tmp_path, capsys):
         path = write(
             tmp_path,

@@ -461,6 +461,17 @@ _UNRUNNABLE = {
         [Instruction(Kind.STORE, location="x", operand="r9", order=_RLX)],
         _AT + "unwritten register: operand register r9 not yet assigned",
     ),
+    "location-not-a-name": (
+        {},
+        [Instruction(Kind.STORE, location=5, operand=1, order=_RLX)],
+        _AT + "malformed instruction: location 5 is not a name",
+    ),
+    "init-location-not-a-name": ({5: 0}, [_LOAD_Y], "malformed program: init location 5 is not a name"),
+    "dest-not-a-name": (
+        {},
+        [_LOAD_Y, Instruction(Kind.LOAD, location="x", dest=5, order=_RLX)],
+        "thread 0 instruction 1: malformed instruction: dest 5 is not a name",
+    ),
 }
 
 

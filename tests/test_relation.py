@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from memlit.relation import Relation
+from memlit.relation import Relation, first_extension, ordered_extensions
 
 from support import (
     compose,
@@ -149,3 +149,29 @@ def test_extensions_linearize_acyclic_relations(r):
         if seen >= 24:
             break
     assert seen >= 1
+
+
+@st.composite
+def predecessor_masks(draw):
+    """Up to six keys with random predecessor masks.  Half the draws take
+    each key's predecessors from the keys before it in a random order, so
+    they are acyclic; the rest may set any key's bit, its own included."""
+    keys = draw(st.lists(st.integers(0, 9), unique=True, max_size=6))
+    ranked = draw(st.booleans())
+    preds = {}
+    for i, k in enumerate(keys):
+        allowed = keys[:i] if ranked else keys
+        preds[k] = sum(1 << j for j in draw(st.sets(st.sampled_from(allowed)))) if allowed else 0
+    return preds
+
+
+@given(predecessor_masks())
+def test_first_extension_is_the_first_ordered_extension(preds):
+    first = first_extension(preds)
+    constraint = rel(preds, {(a, b) for b, mask in preds.items() for a in preds if mask >> a & 1})
+    assert (first is None) == (not is_irreflexive_and_acyclic(constraint))
+    if first is None:
+        with pytest.raises(ValueError):
+            ordered_extensions(preds)
+    else:
+        assert first == next(ordered_extensions(preds))
