@@ -56,14 +56,18 @@ synchronize, what each value is made from) is computed once per branching,
 the values once per rf map, what depends on mo once per modification order
 of each location, sw, the hb closure, COHERENT-READ, the races and S-EMBED's
 hb half once per rf map and sw input (`_Frame.sync_heads`), and the other
-axioms once per candidate.  `Relation` appears only at the API boundary.
+axioms once per candidate.  In a sync-free frame (no RMW, no seq_cst event,
+no possible sw edge) the enumerator visits only the first mo with each tuple
+of mo-last writes, and `explored` counts each pair it skips as judged like
+that one.  `Relation` appears only at the API boundary.
 
 Building a candidate checks nothing.  The functions that read one,
 check_axioms and execution_dot, take (program, candidate) and check the
 candidate against the program first, in `_checked_frame`, raising ValueError
 when it is not one of the program's.  execution_dot alone skips the check for
 a witness enumerate_cxx11 returned for that very program object: it carries
-the kernel's frame and mo orders, which `_compute_sw` reads.
+the kernel's frame and mo orders, which `_compute_sw` reads.  enumerate_cxx11
+builds each witness when it is first read.
 
 On an S that embeds hb and mo between seq_cst events, SC-READ and
 SC-FENCE-1..4 are S edges that rf, mo and hb fix, save one disjunctive case
@@ -71,13 +75,14 @@ of SC-READ (`_sc_edges`).  check_axioms reports an axiom whose edge S
 breaks.  The enumerator adds every edge before it looks for S, and finds the
 first order that keeps them in one pass (`first_extension`), or a cycle that
 rules the candidate out.  Only a disjunctive SC-READ can reject that order;
-when there is one, `ordered_extensions` generates the orders in turn, each
+when there is one, the ordered extensions are generated in turn, each
 checked against the disjunctive SC-READs alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,7 +105,7 @@ from .model import (
     ResourceLimitError,
     check_runnable,
 )
-from .relation import Relation, first_extension, ordered_extensions
+from .relation import Relation, _extensions, first_extension, ordered_extensions
 
 AXIOMS = (
     "HB-IRREFLEXIVE",
@@ -714,6 +719,40 @@ def _valued(
     return valued
 
 
+class _Witnesses(Mapping[Outcome, CandidateExecution]):
+    """enumerate_cxx11's witnesses, read-only, each built on its first read
+    from its recipe (rf map record, frame, mo orders, S).  A record is [rf,
+    value_read, value_written, the branching's shared valued events, None];
+    its first witness fills the last slot with the events and rf it shares."""
+
+    def __init__(self, recipes: dict[Outcome, tuple]) -> None:
+        self._recipes = recipes
+        self._built: dict[Outcome, CandidateExecution] = {}
+
+    def __getitem__(self, outcome: Outcome) -> CandidateExecution:
+        witness = self._built.get(outcome)
+        if witness is None:
+            record, frame, mo, s_order = self._recipes[outcome]
+            rf, value_read, value_written, shared, made = record
+            if made is None:
+                events = tuple(_valued(shared, e, value_read.get(e.id), value_written.get(e.id)) for e in frame.events)
+                made = record[4] = events, MappingProxyType(rf)
+            # rf and mo are read-only; dataclasses.replace drops _kernel.
+            mo_map = MappingProxyType({loc: t.order for loc, t in zip(frame.locations, mo)})
+            witness = self._built[outcome] = CandidateExecution(*made, mo_map, s_order)
+            object.__setattr__(witness, "_kernel", (frame, mo))
+        return witness
+
+    def __contains__(self, outcome: object) -> bool:
+        return outcome in self._recipes
+
+    def __iter__(self) -> Iterator[Outcome]:
+        return iter(self._recipes)
+
+    def __len__(self) -> int:
+        return len(self._recipes)
+
+
 def enumerate_cxx11(
     program: Program,
     *,
@@ -730,22 +769,25 @@ def enumerate_cxx11(
     pruning.  The first such order comes in one pass; the later ones are
     generated only when a disjunctive SC-READ can reject it.
 
-    stats.explored counts the (rf, mo) pairs plus the S orders tried.
-    Witnesses share their `Event` objects, which are immutable: one per event
-    and pair of values in each CAS branching.  ValueError, from
+    In a sync-free frame (no RMW, no seq_cst event, no possible sw edge)
+    only the first mo with each tuple of mo-last writes is visited, and
+    stats.explored, the (rf, mo) pairs plus the S orders tried, counts each
+    pair skipped as judged like that first one.  Witnesses are built when
+    read, and share their `Event` objects, which are immutable: one per
+    event and pair of values in each CAS branching.  ValueError, from
     check_runnable, for a program no backend can run.
     """
     check_runnable(program)
     stats = ExplorationStats()
-    witnesses: dict[Outcome, CandidateExecution] = {}
+    recipes: dict[Outcome, tuple] = {}
     racy = False
 
     cas_sites = [
         (t, i) for t, body in enumerate(program.threads) for i, instr in enumerate(body) if instr.kind in CAS_KINDS
     ]
 
-    def bump() -> None:
-        stats.explored += 1
+    def bump(count: int = 1) -> None:
+        stats.explored += count
         if stats.explored > max_candidates:
             raise ResourceLimitError("candidate", max_candidates)
 
@@ -759,16 +801,24 @@ def enumerate_cxx11(
         reads = [r for r, _ in frame.read_checks]
         choices = [list(_bits(others & ~frame.sb[r])) for r, others in frame.read_checks]
 
-        # Witnesses share their valued events, one per (id, value read,
-        # value written) in this branching: events are immutable.
-        shared: dict[tuple, Event] = {}
+        shared: dict[tuple, Event] = {}  # the valued events this branching's witnesses share
 
         # Modification orders of each location: initialization first, each
         # thread's writes in program order.
         mo_choices = []
         for writes in frame.loc_writes:
             preds = {w: sum(1 << v for v in _bits(writes) if frame.base[v] >> w & 1) for w in _bits(writes)}
-            mo_choices.append([_MoOrder(frame, order) for order in ordered_extensions(preds)])
+            mo_choices.append(list(ordered_extensions(preds)))
+        # Sync-free: sw is empty, hb is the base rows, HB-MO holds and the RMW
+        # and SC axioms are vacuous, so all mo of an rf map are judged alike.
+        syncs = bool(frame.tags and frame.sync_reads)
+        skipped = 0
+        if not frame.rmw and not frame.sc_ids and not syncs:
+            pairs = math.prod(map(len, mo_choices))
+            for orders in mo_choices:  # keep each order no earlier one ends with the same write
+                orders[:] = [o for i, o in enumerate(orders) if all(p[-1] != o[-1] for p in orders[:i])]
+            skipped = pairs - math.prod(map(len, mo_choices))
+        mo_choices = [[_MoOrder(frame, order) for order in orders] for orders in mo_choices]
 
         for rf_combo in itertools.product(*choices):
             rf = dict(zip(reads, rf_combo))
@@ -781,7 +831,7 @@ def enumerate_cxx11(
             # mo-last write of each location: the first consistent candidate
             # with given last writes builds it, and later ones cannot add one.
             seen_lasts: set[tuple[int, ...]] = set()
-            witness_events: Optional[tuple[Event, ...]] = None
+            record: Optional[list] = None  # this rf map's part of its witnesses' recipes
             # mo reaches hb only through sw's input, so hb, COHERENT-READ,
             # the races and S-EMBED's hb half are judged once per input:
             # (whether hb passes, hb, whether sw has an edge, racy, hb half).
@@ -792,7 +842,7 @@ def enumerate_cxx11(
                 # the SC axioms do.
                 if frame.rmw and _rmw_immediate_violated(mo, rf):
                     continue
-                heads = frame.sync_heads(mo, rf)
+                heads = frame.sync_heads(mo, rf) if syncs else ()  # without syncs every source carries no head
                 judged = by_heads.get(heads)
                 if judged is None:
                     sw = _sw_edges(frame, heads)
@@ -815,7 +865,7 @@ def enumerate_cxx11(
                     first = first_extension(preds)
                     if first is None:
                         continue  # no S passes S-EMBED and the SC axioms
-                    s_orders = ordered_extensions(preds) if disjunctions else (first,)
+                    s_orders = _extensions(preds) if disjunctions else (first,)
                 for s_order in s_orders:
                     bump()
                     if disjunctions and _sc_read_broken(frame, s_order, disjunctions):
@@ -828,16 +878,11 @@ def enumerate_cxx11(
                     # Every location has an initialization write, so the
                     # frame's locations are the program's, in order.
                     outcome = Outcome(registers, tuple(zip(frame.locations, map(value_written.__getitem__, lasts))))
-                    if outcome not in witnesses:
-                        # rf and mo are read-only; dataclasses.replace drops _kernel.
-                        if witness_events is None:
-                            witness_events = tuple(
-                                _valued(shared, e, value_read.get(e.id), value_written.get(e.id)) for e in events
-                            )
-                            rf_view = MappingProxyType(rf)
-                        mo_map = MappingProxyType({loc: t.order for loc, t in zip(frame.locations, mo)})
-                        witnesses[outcome] = witness = CandidateExecution(witness_events, rf_view, mo_map, s_order)
-                        object.__setattr__(witness, "_kernel", (frame, mo))
+                    if outcome not in recipes:
+                        record = record or [rf, value_read, value_written, shared, None]
+                        recipes[outcome] = record, frame, mo, s_order
                     break
+            if skipped:  # each judged as its first pair with the same last writes, hb judgment `ok`
+                bump(skipped * (2 if ok else 1))
 
-    return OutcomeSet(frozenset(witnesses), racy=racy, stats=stats, witnesses=dict(witnesses))
+    return OutcomeSet(frozenset(recipes), racy=racy, stats=stats, witnesses=_Witnesses(recipes))

@@ -55,7 +55,11 @@ def ordered_extensions(preds: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
     """
     if first_extension(preds) is None:
         raise ValueError("cyclic constraint has no linear extension")
+    return _extensions(preds)
 
+
+def _extensions(preds: Mapping[int, int]) -> Iterator[tuple[int, ...]]:
+    """`ordered_extensions` without its cycle check: a cyclic constraint yields nothing."""
     acc: list[int] = []
 
     def generate(remaining: list[int], placed: int) -> Iterator[tuple[int, ...]]:

@@ -41,6 +41,7 @@ MESSAGE_PASSING = f"{AXIOMATIC}::TestSynchronizesWith::test_message_passing_need
 WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
 HB_PER_SW_INPUT = f"{AXIOMATIC}::TestHbPerSwInput"
 SW_INPUT_ORACLE = f"{ORACLE}::test_on_sw_input_programs"
+CANDIDATE_SPACE = f"{AXIOMATIC}::TestCandidateSpace"
 EVERY_READER = "tests/test_model.py::test_every_reader_rejects_what_validate_reports_first"
 
 # (file under src/memlit, exact old text, new text, tests that must kill it)
@@ -228,7 +229,7 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # enumerate_cxx11 tries only the first S, even where a disjunctive SC-READ can reject it.
         "axiomatic.py",
-        "s_orders = ordered_extensions(preds) if disjunctions else (first,)",
+        "s_orders = _extensions(preds) if disjunctions else (first,)",
         "s_orders = (first,)",
         (f"{AXIOMATIC}::TestCandidateSpace::test_disjunctive_sc_read_is_judged_on_every_s",),
     ),
@@ -328,8 +329,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A witness's rf can be changed in place under its kernel frame.
         "axiomatic.py",
-        "                            rf_view = MappingProxyType(rf)",
-        "                            rf_view = rf",
+        "made = record[4] = events, MappingProxyType(rf)",
+        "made = record[4] = events, rf",
         (f"{WITNESS_DOT}::test_witness_rf_and_mo_are_read_only",),
     ),
     (
@@ -342,9 +343,52 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # Witnesses carry nothing from the kernel, so each is checked again.
         "axiomatic.py",
-        '                        object.__setattr__(witness, "_kernel", (frame, mo))',
-        "                        pass",
+        '            object.__setattr__(witness, "_kernel", (frame, mo))',
+        "            pass",
         (f"{WITNESS_DOT}::test_witness_is_drawn_without_the_check",),
+    ),
+    (
+        # A frame with an RMW counts as sync-free: RMW-IMMEDIATE may reject
+        # the first mo with given last writes and accept a later one.
+        "axiomatic.py",
+        "        if not frame.rmw and not frame.sc_ids and not syncs:",
+        "        if not frame.sc_ids and not syncs:",
+        (f"{CANDIDATE_SPACE}::test_witness_is_the_first_consistent_candidate",),
+    ),
+    (
+        # A frame with a seq_cst event counts as sync-free.
+        "axiomatic.py",
+        "        if not frame.rmw and not frame.sc_ids and not syncs:",
+        "        if not frame.rmw and not syncs:",
+        (f"{CANDIDATE_SPACE}::test_ladder_counts",),
+    ),
+    (
+        # A frame with a possible sw edge counts as sync-free.
+        "axiomatic.py",
+        "        if not frame.rmw and not frame.sc_ids and not syncs:",
+        "        if not frame.rmw and not frame.sc_ids:",
+        (f"{CANDIDATE_SPACE}::test_ladder_counts", f"{HB_PER_SW_INPUT}::test_a_release_sequence_broken_in_mo_is_judged_per_mo"),
+    ),
+    (
+        # A sync-free frame counts each skipped pair once, as if hb failed.
+        "axiomatic.py",
+        "bump(skipped * (2 if ok else 1))",
+        "bump(skipped)",
+        (f"{CANDIDATE_SPACE}::test_ladder_counts",),
+    ),
+    (
+        # A sync-free frame visits the last mo with each last write, not the first.
+        "axiomatic.py",
+        "if all(p[-1] != o[-1] for p in orders[:i])]",
+        "if all(p[-1] != o[-1] for p in orders[i + 1 :])]",
+        (f"{CANDIDATE_SPACE}::test_witness_is_the_first_consistent_candidate",),
+    ),
+    (
+        # A witness recipe reuses the record of the rf map before: its events and rf are that map's.
+        "axiomatic.py",
+        "            record: Optional[list] = None  # this rf map's part of its witnesses' recipes",
+        "            record = next(reversed(recipes.values()))[0] if recipes else None",
+        (f"{CANDIDATE_SPACE}::test_witness_is_the_first_consistent_candidate",),
     ),
     (
         # acq_rel does not release.

@@ -745,15 +745,20 @@ def reference_outcomes(program: Program, limit: int) -> Optional[tuple[frozenset
         if not judgment.consistent:
             continue
         racy = racy or bool(judgment.races)
-        events = candidate.events
-        site = {(e.thread, e.index): e for e in events}
-        regs = [
-            {instr.dest: site[(t, i)].value_read for i, instr in enumerate(body) if instr.dest is not None}
-            for t, body in enumerate(program.threads)
-        ]
-        memory = {loc: events[order[-1]].value_written for loc, order in candidate.mo.items()}
-        outcomes.add(make_outcome(program, regs, memory))
+        outcomes.add(candidate_outcome(program, candidate))
     return frozenset(outcomes), racy
+
+
+def candidate_outcome(program: Program, candidate: CandidateExecution) -> Outcome:
+    """The registers' values read and each location's mo-last value."""
+    events = candidate.events
+    site = {(e.thread, e.index): e for e in events}
+    regs = [
+        {instr.dest: site[(t, i)].value_read for i, instr in enumerate(body) if instr.dest is not None}
+        for t, body in enumerate(program.threads)
+    ]
+    memory = {loc: events[order[-1]].value_written for loc, order in candidate.mo.items()}
+    return make_outcome(program, regs, memory)
 
 
 # ---------------------------------------------------------------------------

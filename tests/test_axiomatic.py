@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings
 
+from memlit import axiomatic
 from memlit.axiomatic import (
     AXIOMS,
     CandidateExecution,
@@ -28,6 +29,7 @@ from memlit.model import (
     Instruction,
     Kind,
     MemoryOrder,
+    Outcome,
     Program,
     ResourceLimitError,
     derive_failure_order,
@@ -57,6 +59,7 @@ from support import (
     SW_ORDERS_MO,
     W,
     _sequenced,
+    candidate_outcome,
     ev,
     grounded_candidates,
     init_w,
@@ -85,6 +88,37 @@ thread P1:
   r1 = load y acquire
   r2 = load x relaxed
 exists: P1:r1 = 1 /\\ P1:r2 = 0
+"""
+
+
+# Sync-free: no RMW, no seq_cst event, no possible sw edge.  Three writes to
+# x give three mo orders but two last writes, and the non-atomic y race.
+SYNC_FREE_NA = """\
+name: t
+init: x = 0 y = 0
+thread P0:
+  store x 1 relaxed
+  store x 2 relaxed
+  na_store y 1
+thread P1:
+  store x 3 relaxed
+  r1 = load x relaxed
+  r2 = na_load y
+exists: x = 1
+"""
+
+# Not sync-free: the first mo with last write x = 1, where the fetch_add
+# reads 5, puts the fetch_add first, and RMW-IMMEDIATE rejects it.
+RMW_LAST_WRITES = """\
+name: t
+init: x = 0
+thread P0:
+  store x 1 relaxed
+thread P1:
+  r1 = fetch_add x 1 relaxed
+thread P2:
+  store x 5 relaxed
+exists: x = 1
 """
 
 
@@ -717,12 +751,13 @@ class TestCandidateSpace:
             ((2, 3, 3), "relaxed", "relaxed", 432, 108),
             ((6, 6), "relaxed", "relaxed", 14_580, 256),
             ((2, 3, 3), "release", "acquire", 324, 63),
+            ((2, 3, 3), "seq_cst", "relaxed", 378, 90),
             ((4, 4), "seq_cst", "seq_cst", 157, 13),
             ((2, 2, 3), "seq_cst", "seq_cst", 102, 30),
             ((2, 3, 3), "seq_cst", "seq_cst", 262, 32),
             ((2, 2, 2, 2), "seq_cst", "seq_cst", 444, 120),
         ],
-        ids=["relaxed-2x4", "relaxed-2+2+3", "relaxed-2+3+3", "relaxed-2x6", "relacq-2+3+3",
+        ids=["relaxed-2x4", "relaxed-2+2+3", "relaxed-2+3+3", "relaxed-2x6", "relacq-2+3+3", "seq_cst-stores-2+3+3",
              "seq_cst-2x4", "seq_cst-2+2+3", "seq_cst-2+3+3", "seq_cst-4x2"],
     )
     def test_ladder_counts(self, lengths, stores, loads, explored, outcomes):
@@ -759,12 +794,108 @@ class TestCandidateSpace:
             )
             assert witness.sc_order == first
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ladder((2, 3, 3)),
+            ladder((2, 3, 3), "release", "relaxed"),
+            ladder((2, 3, 3), "relaxed", "acquire"),
+            SYNC_FREE_NA,
+            RMW_LAST_WRITES,
+            ladder((2, 2, 3), "release", "acquire"),
+            RELEASE_SEQUENCE_BROKEN_BY_MO,
+            ladder((2, 2), "seq_cst", "seq_cst"),
+            *S_EDGE_PROGRAMS,
+        ],
+        ids=["relaxed-2+3+3", "rel-2+3+3", "acq-2+3+3", "non-atomic", "rmw", "relacq-2+2+3", "release-sequence",
+             "seq_cst-2x2"] + [f"s-edge-{i}" for i in range(len(S_EDGE_PROGRAMS))],
+    )
+    def test_witness_is_the_first_consistent_candidate(self, text):
+        # Each witness's rf, mo and S are those of the first candidate, in
+        # grounded_candidates order, that check_axioms finds consistent and
+        # that yields the witness's outcome.  The first four programs are
+        # sync-free, so the enumerator visits only the first mo with each
+        # tuple of mo-last writes; the others need every mo.
+        program = parse_litmus(text)
+        candidates = grounded_candidates(program, 5_000)
+        assert candidates is not None
+        first: dict[Outcome, tuple] = {}
+        for c in candidates:
+            if check_axioms(program, c).consistent:
+                first.setdefault(candidate_outcome(program, c), (c.rf, c.mo, c.sc_order))
+        witnesses = enumerate_cxx11(program).witnesses
+        assert {o: (dict(w.rf), dict(w.mo), w.sc_order) for o, w in witnesses.items()} == first
+
+    @pytest.mark.parametrize("text", [ladder((2, 3, 3)), ladder((2, 2, 3), "relaxed", "acquire"), SYNC_FREE_NA])
+    def test_budget_counts_the_pairs_a_sync_free_frame_skips(self, text):
+        program = parse_litmus(text)
+        explored = enumerate_cxx11(program).stats.explored
+        assert enumerate_cxx11(program, max_candidates=explored).stats.explored == explored
+        with pytest.raises(ResourceLimitError):
+            enumerate_cxx11(program, max_candidates=explored - 1)
+
     def test_seq_cst_4x2_is_sc(self):
         # DRF-SC: a race-free all-seq_cst program has exactly its SC outcomes.
         program = parse_litmus(ladder((2, 2, 2, 2), "seq_cst", "seq_cst"))
         result = enumerate_cxx11(program)
         assert not result.racy
         assert result.outcomes == enumerate_sc(program).outcomes
+
+
+class TestWitnessesBuiltOnRead:
+    """enumerate_cxx11's witnesses are a read-only mapping that builds each
+    witness on its first read."""
+
+    # Two CAS branchings, several rf maps, and outcomes that share an rf map.
+    PROGRAM = (
+        "name: t\ninit: x = 0 y = 0\nthread P0:\n  store x 1 relaxed\n  store y 1 release\n"
+        "thread P1:\n  r1 = cas_strong x 1 2 relaxed\n  r2 = load y acquire\n"
+        "thread P2:\n  store x 3 relaxed\nexists: P1:r1 = 1\n"
+    )
+
+    def test_keys_len_and_membership_are_the_outcomes(self):
+        result = enumerate_cxx11(parse_litmus(self.PROGRAM))
+        witnesses = result.witnesses
+        assert set(witnesses) == set(witnesses.keys()) == result.outcomes
+        assert len(witnesses) == len(result.outcomes) > 4
+        assert all(o in witnesses for o in result.outcomes)
+        stranger = Outcome((("P1", "r1", 9),), (("x", 9),))
+        assert stranger not in witnesses and witnesses.get(stranger) is None
+        with pytest.raises(KeyError):
+            witnesses[stranger]
+        built = dict(witnesses)
+        assert built.keys() == result.outcomes and all(built[o] is witnesses[o] for o in built)
+        with pytest.raises(TypeError):
+            witnesses[stranger] = built[next(iter(built))]
+
+    def test_a_witness_is_built_once_on_its_first_read(self, monkeypatch):
+        calls = []
+        valued = axiomatic._valued
+        monkeypatch.setattr(axiomatic, "_valued", lambda *args: calls.append(args) or valued(*args))
+        result = enumerate_cxx11(parse_litmus(self.PROGRAM))
+        assert calls == []
+        outcome = result.sorted_outcomes()[0]
+        witness = result.witnesses[outcome]
+        assert len(calls) == len(witness.events)
+        assert result.witnesses[outcome] is witness
+        assert len(calls) == len(witness.events)
+
+    def test_read_order_changes_neither_text_nor_sharing(self):
+        program = parse_litmus(self.PROGRAM)
+        order = enumerate_cxx11(program).sorted_outcomes()
+        forward = enumerate_cxx11(program).witnesses
+        backward = enumerate_cxx11(program).witnesses
+        read_forward = [forward[o] for o in order]
+        read_backward = [backward[o] for o in reversed(order)][::-1]
+        assert [execution_dot(program, w) for w in read_forward] == [execution_dot(program, w) for w in read_backward]
+
+        def sharing(witnesses):
+            """Where each event object first appears, as (witness, event) positions."""
+            first: dict[int, tuple[int, int]] = {}
+            return [[first.setdefault(id(e), (i, j)) for j, e in enumerate(w.events)] for i, w in enumerate(witnesses)]
+
+        assert sharing(read_forward) == sharing(read_backward)
+        assert len({id(e) for w in read_forward for e in w.events}) < sum(len(w.events) for w in read_forward)
 
 
 class TestHbPerSwInput:
