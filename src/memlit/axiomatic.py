@@ -239,7 +239,9 @@ class _Frame:
     branching fixes; each thread's events must come in program order.  sb,
     hb's base rows, the writes of each location and the sw tables are built
     at once; what only the axioms read is built on first use, so
-    `_compute_sw` never builds it.
+    `_compute_sw` never builds it.  Among those are the S tables, read off
+    `sc_ids`: the seq_cst fences, reads and writes.  check_runnable admits
+    no order on a non-atomic kind, so every seq_cst event is atomic.
     """
 
     def __init__(self, program: Program, events: Sequence[Event]) -> None:
@@ -323,34 +325,28 @@ class _Frame:
         )
 
     @cached_property
-    def sc_steps(self) -> dict[int, tuple]:
-        """S: one step per seq_cst event.  Accesses are (False, reads,
-        writes, location index, atomic); fences are (True, atomic reads and
-        atomic writes sequenced after it with their location indices, mask
-        of atomic writes sequenced before it)."""
-        events = self.events
-        atomic_writes = self.atomic_writes
-        atomic_reads = self.atomic_reads
-        steps: dict[int, tuple] = {}
-        for e in self.sc_ids:
-            after = self.sb[e]
-            event = events[e]
-            if event.kind is EventKind.FENCE:
-                steps[e] = (
-                    True,
-                    tuple((b.id, self.loc_index[b.location]) for b in atomic_reads if after >> b.id & 1),
-                    tuple((b.id, self.loc_index[b.location]) for b in atomic_writes if after >> b.id & 1),
-                    sum(1 << a.id for a in atomic_writes if self.sb[a.id] >> e & 1),
-                )
-            else:
-                loc = self.loc_index[event.location]
-                steps[e] = (False, event.reads_memory, event.writes_memory, loc, event.atomic)
-        return steps
+    def sc_fence_steps(self) -> tuple[tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...]:
+        """Each seq_cst fence with the atomic reads and the atomic writes
+        sequenced after it, each with its location index."""
+
+        def after(e: int, accesses: list[Event]) -> tuple[tuple[int, int], ...]:
+            return tuple((b.id, self.loc_index[b.location]) for b in accesses if self.sb[e] >> b.id & 1)
+
+        return tuple(
+            (e, after(e, self.atomic_reads), after(e, self.atomic_writes))
+            for e in self.sc_ids
+            if self.events[e].kind is EventKind.FENCE
+        )
+
+    @cached_property
+    def sc_reads(self) -> tuple[tuple[int, int], ...]:
+        """Each seq_cst event that reads, with its location index."""
+        return tuple((e, self.loc_index[self.events[e].location]) for e in self.sc_ids if self.events[e].reads_memory)
 
     @cached_property
     def sc_writes(self) -> tuple[tuple[int, int], ...]:
-        """Each seq_cst write with its location index."""
-        return tuple((e, step[3]) for e, step in self.sc_steps.items() if not step[0] and step[2])
+        """Each seq_cst event that writes, with its location index."""
+        return tuple((e, self.loc_index[self.events[e].location]) for e in self.sc_ids if self.events[e].writes_memory)
 
     @cached_property
     def sc_loc_writes(self) -> list[int]:
@@ -364,7 +360,10 @@ class _Frame:
     def sc_fences(self) -> tuple[tuple[int, int], ...]:
         """Each seq_cst fence with atomic writes sequenced before it, and
         their mask."""
-        return tuple((e, step[3]) for e, step in self.sc_steps.items() if step[0] and step[3])
+        fences = [
+            (e, sum(1 << a.id for a in self.atomic_writes if self.sb[a.id] >> e & 1)) for e, _, _ in self.sc_fence_steps
+        ]
+        return tuple((e, before) for e, before in fences if before)
 
     @cached_property
     def plan(self) -> _Plan:
@@ -418,9 +417,8 @@ class _MoOrder:
             seen |= 1 << w
         for w in order:
             self.after[w] = seen & ~self.before[w] & ~(1 << w)
-        self.rmw_preds = tuple(
-            (w, order[i - 1] if i else None) for i, w in enumerate(order) if frame.rmw >> w & 1
-        )
+        # mo starts at an initialization write, so an RMW is never first.
+        self.rmw_preds = tuple((w, order[i - 1]) for i, w in enumerate(order) if frame.rmw >> w & 1)
         # write -> release heads whose hypothetical release sequence holds it
         self.heads: dict[int, int] = {}
         for i, x in enumerate(order):
@@ -564,36 +562,33 @@ def _sc_edges(
     """SC-READ and SC-FENCE-1..4 for this rf and mo, judged on an S that
     passes S-EMBED.  Such an S orders seq_cst writes as mo does, so each
     axiom holds exactly when S keeps its edges, each (axiom, a, b) saying
-    that S puts a before b.  The one exception is an SC-READ from a plain
-    source whose hb-later seq_cst writes are not the mo-latest ones: it
-    holds when the last seq_cst write before the read in S is not one of
-    them, a disjunction no edge states.  Those come second, one (read,
-    location index, forced writes) each, for `_sc_read_broken`."""
+    that S puts a before b: SC-FENCE-1, 3 and 4 per seq_cst fence, and
+    SC-READ and SC-FENCE-2 per seq_cst read, which is atomic.  The one
+    exception is an SC-READ from a plain source whose hb-later seq_cst
+    writes are not the mo-latest ones: it holds when the last seq_cst write
+    before the read in S is not one of them, a disjunction no edge states.
+    Those come second, one (read, location index, forced writes) each, for
+    `_sc_read_broken`."""
     edges: list[tuple[str, int, int]] = []
     disjunctions: list[tuple[int, int, int]] = []
     add = edges.append
     fences = frame.sc_fences
-    for e, step in frame.sc_steps.items():
-        if step[0]:
-            _, reads_after, writes_after, _ = step
-            for b, li in reads_after:
-                later = mo[li].after[rf[b]]
-                # SC-FENCE-1: no seq_cst write mo-after b's source precedes e.
-                for a in _bits(later & frame.sc_loc_writes[li]):
-                    add(("SC-FENCE-1", e, a))
-                # SC-FENCE-3: e precedes every other fence after such a write.
-                for x, before in fences:
-                    if x != e and before & later & ~(1 << b):
-                        add(("SC-FENCE-3", e, x))
-            # SC-FENCE-4: likewise for a write mo-after b.
-            for b, li in writes_after:
-                for x, before in fences:
-                    if x != e and before & mo[li].after[b]:
-                        add(("SC-FENCE-4", e, x))
-            continue
-        _, reads, _, li, atomic = step
-        if not reads:
-            continue
+    for e, reads_after, writes_after in frame.sc_fence_steps:
+        for b, li in reads_after:
+            later = mo[li].after[rf[b]]
+            # SC-FENCE-1: no seq_cst write mo-after b's source precedes e.
+            for a in _bits(later & frame.sc_loc_writes[li]):
+                add(("SC-FENCE-1", e, a))
+            # SC-FENCE-3: e precedes every other fence after such a write.
+            for x, before in fences:
+                if x != e and before & later & ~(1 << b):
+                    add(("SC-FENCE-3", e, x))
+        # SC-FENCE-4: likewise for a write mo-after b.
+        for b, li in writes_after:
+            for x, before in fences:
+                if x != e and before & mo[li].after[b]:
+                    add(("SC-FENCE-4", e, x))
+    for e, li in frame.sc_reads:
         w = rf[e]
         later = mo[li].after[w]
         others = frame.sc_loc_writes[li] & ~(1 << e)
@@ -612,10 +607,9 @@ def _sc_edges(
         for a in _bits(forced):
             add(("SC-READ", e, a))
         # SC-FENCE-2: e precedes every fence after a write mo-after w.
-        if atomic:
-            for x, before in fences:
-                if before & later & ~(1 << e):
-                    add(("SC-FENCE-2", e, x))
+        for x, before in fences:
+            if before & later & ~(1 << e):
+                add(("SC-FENCE-2", e, x))
     return edges, disjunctions
 
 
@@ -772,10 +766,12 @@ def enumerate_cxx11(
     In a sync-free frame (no RMW, no seq_cst event, no possible sw edge)
     only the first mo with each tuple of mo-last writes is visited, and
     stats.explored, the (rf, mo) pairs plus the S orders tried, counts each
-    pair skipped as judged like that first one.  Witnesses are built when
-    read, and share their `Event` objects, which are immutable: one per
+    pair skipped as judged like that first one.  Each outcome's witness is
+    the first consistent candidate with that outcome, built when read; the
+    witnesses share their `Event` objects, which are immutable: one per
     event and pair of values in each CAS branching.  ValueError, from
-    check_runnable, for a program no backend can run.
+    check_runnable, for a program no backend can run, such as one whose
+    non-atomic access carries an order.
     """
     check_runnable(program)
     stats = ExplorationStats()
@@ -827,10 +823,6 @@ def enumerate_cxx11(
                 continue
             value_read, value_written = grounded
             registers = tuple((t, r, value_read[e]) for (t, r), e in zip(program.registers, plan.registers))
-            # rf fixes the registers, so an outcome of this rf is fixed by the
-            # mo-last write of each location: the first consistent candidate
-            # with given last writes builds it, and later ones cannot add one.
-            seen_lasts: set[tuple[int, ...]] = set()
             record: Optional[list] = None  # this rf map's part of its witnesses' recipes
             # mo reaches hb only through sw's input, so hb, COHERENT-READ,
             # the races and S-EMBED's hb half are judged once per input:
@@ -871,12 +863,11 @@ def enumerate_cxx11(
                     if disjunctions and _sc_read_broken(frame, s_order, disjunctions):
                         continue
                     racy = racy or hb_racy
+                    # rf fixes the registers, and the mo-last writes the final
+                    # values.  Every location has an initialization write, so
+                    # the frame's locations are the program's, in order.  An
+                    # outcome keeps the recipe of its first consistent candidate.
                     lasts = tuple(t.order[-1] for t in mo)
-                    if lasts in seen_lasts:
-                        break
-                    seen_lasts.add(lasts)
-                    # Every location has an initialization write, so the
-                    # frame's locations are the program's, in order.
                     outcome = Outcome(registers, tuple(zip(frame.locations, map(value_written.__getitem__, lasts))))
                     if outcome not in recipes:
                         record = record or [rf, value_read, value_written, shared, None]

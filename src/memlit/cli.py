@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ class ModelReport:
 
     @property
     def explored(self) -> int:
-        return self.outcomes.stats.explored if self.outcomes.stats else 0
+        return self.outcomes.stats.explored
 
 
 @dataclass
@@ -212,17 +211,12 @@ def _json_document(report: RunReport) -> dict:
     return doc
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]", "_", name) or "litmus"
-
-
 def _write_dots(report: RunReport, program: Program, directory: Path, out) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    base = _safe_name(report.name)
     for model, m in report.models.items():
         for i, outcome in enumerate(m.outcomes.sorted_outcomes()):
             witness = m.outcomes.witnesses[outcome]  # every backend keeps one per outcome
-            title = f"{base}-{model}-{i}"
+            title = f"{report.name}-{model}-{i}"  # the parser admits only [A-Za-z_][A-Za-z0-9_]* names
             if model == "cxx11":
                 text = execution_dot(program, witness, title=title)
             else:

@@ -285,7 +285,9 @@ def _faults(program: Program) -> Iterator[Diagnostic]:
     per thread, a location or dest register not a str, an init value or
     literal (operand, expected, desired) not an int in 0..MAX_VALUE, an
     instruction without exactly its kind's fields (judged no further) or
-    orders, an operand register not yet assigned."""
+    orders (an atomic kind without its order, a CAS without its failure
+    order, a non-atomic kind with an order), an operand register not yet
+    assigned."""
     names = program.thread_names
     if len(names) != len(program.threads):
         yield Diagnostic("malformed program", "thread name count does not match thread count")
@@ -309,6 +311,8 @@ def _faults(program: Program) -> Iterator[Diagnostic]:
                     yield Diagnostic("missing memory order", f"{kind} requires a memory order", t, i)
                 elif kind in CAS_KINDS and instr.failure_order is None:
                     yield Diagnostic("missing memory order", "cas requires a failure order", t, i)
+                elif not kind.atomic:  # with its fields right, a non-atomic kind misses its shape only by an order
+                    yield Diagnostic("order on non-atomic access", f"{kind} carries no memory order", t, i)
             for field, name in (("location", instr.location), ("dest", instr.dest)):
                 if name is not None and name.__class__ is not str:
                     yield Diagnostic("malformed instruction", f"{field} {name!r} is not a name", t, i)
@@ -334,12 +338,11 @@ def check_runnable(program: Program) -> None:
 
 
 def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
+    # _faults reports an order that is missing or on a non-atomic kind, and
+    # a failure order on a kind without one.
     k = instr.kind
     if not k.atomic:
-        if instr.order is not None:
-            yield "order on non-atomic access", f"{k} carries no memory order"
         return
-    # _faults reports an order that is missing, or a failure order on a kind without one.
     for slot, order in (("order", instr.order), ("failure order", instr.failure_order)):
         if order is MemoryOrder.CONSUME:
             yield "consume rejected", f"memory_order_consume is not supported ({slot})"

@@ -4,26 +4,27 @@
 
 The cases are every corpus file and every program of SINGLE_AXIOM_CASES,
 S_EDGE_PROGRAMS and SW_INPUT_PROGRAMS in tests/support.py under sc, tso and
-cxx11, every ladder rung of the benchmark (`perfbench/workloads.py`,
-imported read-only: its LADDERS and BASELINE rungs, under the rung's model
-and candidate budget) and N distinct programs drawn from `programs()` in
-tests/support.py with seed S, under all three models at a budget of
-RANDOM_BUDGET.  Each case is litmus text, so both sides parse it
-themselves.  The parser is compared on its own, too: each side parses every
-case text, and the texts of MUTATIONS corpus files mutated with seed S by
-`mutated_corpus` in tests/support.py, as str and as bytes.  It yields the
-print_litmus text of the program or each diagnostic's message, line,
-column, start and end, then what parse_expectations finds in the text,
-and, when the text parses, validate's diagnostics as a sorted list of
-(rule, message, thread, instruction).  Only the mutated texts that are
-UTF-8 and end in a newline are kept: a revision whose spans count an
-invalid byte as the three bytes of U+FFFD, or whose end-of-file column
-ignores a last line with no newline, differs from the working tree there
-by design.  Each corpus file and hand-built
-program also carries every candidate `grounded_candidates` in
-tests/support.py builds for it, as plain data, when there are at most
-JUDGE_LIMIT of them.  The hand-built programs reach what the corpus does
-not: no corpus candidate breaks SC-FENCE-2 alone.
+cxx11, once without a budget and once at a budget of TIGHT_BUDGET, which
+more than half of those runs exceed (68 of the 123 corpus runs), so where a
+budget stops each backend is compared too; every ladder rung of the
+benchmark (`perfbench/workloads.py`, imported read-only: its LADDERS and
+BASELINE rungs, under the rung's model and candidate budget); and N distinct
+programs drawn from `programs()` in tests/support.py with seed S, under all
+three models at a budget of RANDOM_BUDGET.  Each case is litmus text, so
+both sides parse it themselves.  The parser is compared on its own, too:
+each side parses every case text, and the texts of MUTATIONS corpus files
+mutated with seed S by `mutated_corpus` in tests/support.py, as str and as
+bytes.  It yields the print_litmus text of the program or each diagnostic's
+message, line, column, start and end, then what parse_expectations finds in
+the text, and, when the text parses, validate's diagnostics as a sorted list
+of (rule, message, thread, instruction).  Only the mutated texts that are
+UTF-8 and end in a newline are kept: a revision whose spans count an invalid
+byte as the three bytes of U+FFFD, or whose end-of-file column ignores a
+last line with no newline, differs from the working tree there by design.
+Each corpus file and hand-built program also carries every candidate
+`grounded_candidates` in tests/support.py builds for it, as plain data, when
+there are at most JUDGE_LIMIT of them.  The hand-built programs reach what
+the corpus does not: no corpus candidate breaks SC-FENCE-2 alone.
 
 `git archive` extracts src/ at REV into a temporary directory; that copy
 and the working tree's src/ then run every case, each in its own
@@ -51,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_BUDGET = 20_000
+TIGHT_BUDGET = 8
 JUDGE_LIMIT = 2_000
 MUTATIONS = 2_000
 MODELS = ("sc", "tso", "cxx11")
@@ -82,12 +84,14 @@ def build_cases(count: int, seed: int) -> list[dict]:
     named += [(f"single-axiom {case[0]}", case[1]) for case in SINGLE_AXIOM_CASES]
     named += [(f"s-edge {i}", text) for i, text in enumerate(S_EDGE_PROGRAMS)]
     named += [(f"sw-input {i}", text) for i, text in enumerate(SW_INPUT_PROGRAMS)]
+    tight_models = [[model, TIGHT_BUDGET] for model in MODELS]
     for name, text in named:
         case = {"name": name, "text": text, "models": every_model}
         candidates = grounded_candidates(parse_litmus(text), JUDGE_LIMIT)
         if candidates is not None:
             case["judge"] = [plain(c) for c in candidates]
         cases.append(case)
+        cases.append({"name": f"{name} (budget {TIGHT_BUDGET})", "text": text, "models": tight_models})
     rungs = [(rung, LADDER_CANDIDATES) for ladder in LADDERS.values() for rung in ladder]
     rungs += [(rung, None) for pins in BASELINE.values() for rung, _ in pins]
     for rung, budget in rungs:

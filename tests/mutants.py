@@ -194,8 +194,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         # SC-FENCE-3 counts a fence's own earlier writes against its own later
         # reads: its edge orders the fence before itself.
         "axiomatic.py",
-        "                    if x != e and before & later & ~(1 << b):",
-        "                    if before & later & ~(1 << b):",
+        "                if x != e and before & later & ~(1 << b):",
+        "                if before & later & ~(1 << b):",
         (f"{ORACLE}::test_on_corpus_and_s_edge_programs",),
     ),
     (
@@ -268,8 +268,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # SC-FENCE-2 is never reported.
         "axiomatic.py",
-        '                    add(("SC-FENCE-2", e, x))',
-        "                    pass",
+        '                add(("SC-FENCE-2", e, x))',
+        "                pass",
         (f"{SINGLE}::test_exactly_the_named_axiom_fails",),
     ),
     (
@@ -452,6 +452,13 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "model.py",
         "                if name is not None and name.__class__ is not str:",
         "                if False:",
+        (EVERY_READER,),
+    ),
+    (
+        # A non-atomic access may carry a memory order, which cxx11 alone reads.
+        "model.py",
+        "                elif not kind.atomic:",
+        "                elif False:",
         (EVERY_READER,),
     ),
     (

@@ -472,6 +472,14 @@ _UNRUNNABLE = {
         [_LOAD_Y, Instruction(Kind.LOAD, location="x", dest=5, order=_RLX)],
         "thread 0 instruction 1: malformed instruction: dest 5 is not a name",
     ),
+    "non-atomic-with-order": (
+        {},
+        [
+            Instruction(Kind.NA_STORE, location="x", operand=1, order=MemoryOrder.SEQ_CST),
+            Instruction(Kind.NA_LOAD, location="x", dest="r1", order=MemoryOrder.SEQ_CST),
+        ],
+        _AT + "order on non-atomic access: na_store carries no memory order",
+    ),
 }
 
 
@@ -495,6 +503,14 @@ def test_every_reader_rejects_what_validate_reports_first(read, probe):
     with pytest.raises(ValueError) as caught:
         read(program)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("probe", list(_UNRUNNABLE))
+def test_validate_lists_each_fault_once(probe):
+    """validate's policy rules judge no fault that _faults already reports."""
+    init, body, _ = _UNRUNNABLE[probe]
+    listed = [str(d) for d in validate(prog([body], init={"x": 0, "y": 0} | init))]
+    assert len(listed) == len(set(listed))
 
 
 class TestProgramTransforms:
