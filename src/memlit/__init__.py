@@ -37,7 +37,6 @@ from .model import (
     with_fences_after_stores,
 )
 from .operational import enumerate_sc, enumerate_tso
-from .relation import Relation
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "ParseDiagnostic",
     "ParseError",
     "Program",
-    "Relation",
     "ResourceLimitError",
     "SourceSpan",
     "TraceStep",

@@ -59,7 +59,8 @@ hb half once per rf map and sw input (`_Frame.sync_heads`), and the other
 axioms once per candidate.  In a sync-free frame (no RMW, no seq_cst event,
 no possible sw edge) the enumerator visits only the first mo with each tuple
 of mo-last writes, and `explored` counts each pair it skips as judged like
-that one.  `Relation` appears only at the API boundary.
+that one.  check_axioms returns sb, sw and hb as frozensets of (a, b)
+pairs, read off the rows.
 
 Building a candidate checks nothing.  The functions that read one,
 check_axioms and execution_dot, take (program, candidate) and check the
@@ -105,7 +106,7 @@ from .model import (
     ResourceLimitError,
     check_runnable,
 )
-from .relation import Relation, _extensions, first_extension, ordered_extensions
+from .relation import first_extension, ordered_extensions
 
 AXIOMS = (
     "HB-IRREFLEXIVE",
@@ -141,9 +142,9 @@ class ExecutionJudgment:
     consistent: bool
     violated: tuple[str, ...]
     races: tuple[tuple[int, int], ...]
-    sb: Relation
-    sw: Relation
-    hb: Relation
+    sb: frozenset[tuple[int, int]]
+    sw: frozenset[tuple[int, int]]
+    hb: frozenset[tuple[int, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -633,22 +634,22 @@ def _races(frame: _Frame, hb: Sequence[int]) -> tuple[tuple[int, int], ...]:
     return tuple((a, b) for a, b in frame.conflicts if not (hb[a] >> b & 1 or hb[b] >> a & 1))
 
 
-def _rows_relation(rows: Sequence[int]) -> Relation:
-    return Relation(frozenset(range(len(rows))), frozenset((a, b) for a, row in enumerate(rows) for b in _bits(row)))
+def _rows_relation(rows: Sequence[int]) -> frozenset[tuple[int, int]]:
+    return frozenset((a, b) for a, row in enumerate(rows) for b in _bits(row))
 
 
-def _sw_relation(n: int, sw: Mapping[int, int]) -> Relation:
-    return Relation(frozenset(range(n)), frozenset((a, b) for b, sources in sw.items() for a in _bits(sources)))
+def _sw_relation(sw: Mapping[int, int]) -> frozenset[tuple[int, int]]:
+    return frozenset((a, b) for b, sources in sw.items() for a in _bits(sources))
 
 
-def _compute_sw(program: Program, candidate: CandidateExecution) -> Relation:
+def _compute_sw(program: Program, candidate: CandidateExecution) -> frozenset[tuple[int, int]]:
     """The sw edges execution_dot draws."""
     known = getattr(candidate, "_kernel", None)  # (frame, mo orders) of a witness enumerate_cxx11 returned
     if known is None or known[0].program is not program:
         frame = _checked_frame(program, candidate)
         known = frame, frame.mo_orders(candidate.mo)
     frame, mo = known
-    return _sw_relation(frame.n, _sw_edges(frame, frame.sync_heads(mo, candidate.rf)))
+    return _sw_relation(_sw_edges(frame, frame.sync_heads(mo, candidate.rf)))
 
 
 def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJudgment:
@@ -693,7 +694,7 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
         tuple(sorted(violated, key=AXIOMS.index)),
         races,
         _rows_relation(frame.sb),
-        _sw_relation(frame.n, sw),
+        _sw_relation(sw),
         _rows_relation(hb),
     )
 
@@ -857,7 +858,7 @@ def enumerate_cxx11(
                     first = first_extension(preds)
                     if first is None:
                         continue  # no S passes S-EMBED and the SC axioms
-                    s_orders = _extensions(preds) if disjunctions else (first,)
+                    s_orders = ordered_extensions(preds) if disjunctions else (first,)
                 for s_order in s_orders:
                     bump()
                     if disjunctions and _sc_read_broken(frame, s_order, disjunctions):

@@ -42,7 +42,7 @@ def execution_dot(program: Program, candidate: CandidateExecution, *, title: str
         "sb": [(a.id, b.id) for a, b in zip(events, events[1:]) if a.thread == b.thread != INIT_THREAD],
         "rf": sorted((w_id, r_id) for r_id, w_id in candidate.rf.items()),
         "mo": sorted(pair for order in candidate.mo.values() for pair in zip(order, order[1:])),
-        "sw": sorted(sw.pairs),
+        "sw": sorted(sw),
     }
     style = {
         "sb": "",
@@ -78,7 +78,8 @@ def trace_dot(program: Program, trace: Sequence[TraceStep], *, title: str = "tra
             lines.append(f"  s{i} [label={_quote(label)}];")
 
     # The k-th exec step of thread t runs program.threads[t][k]; a store step
-    # waits for its thread's next dequeue (SC traces have none).
+    # waits for its thread's next dequeue (SC traces have none), unless a
+    # locked RMW of its thread, a failed CAS too, drains it first.
     executed: dict[int, list[int]] = {}
     pending: dict[int, list[int]] = {}
     edges: list[tuple[int, int, str]] = []
@@ -91,8 +92,11 @@ def trace_dot(program: Program, trace: Sequence[TraceStep], *, title: str = "tra
         done = executed.setdefault(step.thread, [])
         if done:
             edges.append((done[-1], i, "po"))
-        if program.threads[step.thread][len(done)].kind.event is EventKind.WRITE:
+        event = program.threads[step.thread][len(done)].kind.event
+        if event is EventKind.WRITE:
             pending.setdefault(step.thread, []).append(i)
+        elif event is EventKind.RMW:
+            pending.pop(step.thread, None)
         done.append(i)
 
     style = {"po": "", "prop": ", color=blue, fontcolor=blue, style=dashed"}

@@ -34,7 +34,8 @@ execution_dot and each cxx11 witness's S (which no dot draws), or the budget
 it exceeded.  Each side also judges those
 candidates with its own check_axioms, and yields how many are consistent
 and a digest of each whole judgment: consistent, violated, races and the sb,
-sw and hb pairs.  Any difference between the sides
+sw and hb pairs, read from a pair set or, at a revision that still returns
+the `Relation` wrapper, from its pairs.  Any difference between the sides
 is printed, and the script exits 1; it exits 0 when there is none.  pytest
 does not collect this file.
 """
@@ -171,7 +172,9 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
                 mo = {loc: tuple(order) for loc, order in c["mo"].items()}
                 candidate = CandidateExecution(events, dict(c["rf"]), mo, tuple(c["sc"]))
                 j = check_axioms(program, candidate)
-                judgments.append([j.consistent, j.violated, j.races] + [sorted(r.pairs) for r in (j.sb, j.sw, j.hb)])
+                # A revision that still has the `Relation` wrapper returns it for sb, sw and hb.
+                pairs = [sorted(getattr(r, "pairs", r)) for r in (j.sb, j.sw, j.hb)]
+                judgments.append([j.consistent, j.violated, j.races] + pairs)
             results[f"{case['name']} | check_axioms"] = {
                 "candidates": len(judgments),
                 "consistent": sum(j[0] for j in judgments),

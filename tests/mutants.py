@@ -229,7 +229,7 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # enumerate_cxx11 tries only the first S, even where a disjunctive SC-READ can reject it.
         "axiomatic.py",
-        "s_orders = _extensions(preds) if disjunctions else (first,)",
+        "s_orders = ordered_extensions(preds) if disjunctions else (first,)",
         "s_orders = (first,)",
         (f"{AXIOMATIC}::TestCandidateSpace::test_disjunctive_sc_read_is_judged_on_every_s",),
     ),
@@ -498,6 +498,24 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
             f"{REFERENCE}::test_value_mutants_match_pair_set_judge",
             "tests/test_model.py::TestRmwArithmetic::test_sub_wraps_below_zero",
         ),
+    ),
+    (
+        # check_axioms and execution_dot give each sw edge backwards.
+        "axiomatic.py",
+        "return frozenset((a, b) for b, sources in sw.items() for a in _bits(sources))",
+        "return frozenset((b, a) for b, sources in sw.items() for a in _bits(sources))",
+        (
+            f"{AXIOMATIC}::TestSynchronizesWith::test_release_write_to_acquire_read",
+            "tests/test_witnesses.py::test_witnesses_match_the_table",
+        ),
+    ),
+    (
+        # A locked RMW leaves its thread's buffered stores queued in trace_dot,
+        # so a later dequeue's prop edge starts at a drained store.
+        "dot.py",
+        "            pending.pop(step.thread, None)",
+        "            pass",
+        ("tests/test_dot.py::TestTraceDot::test_locked_rmw_drains_the_stores_before_it",),
     ),
 ]
 

@@ -2,9 +2,9 @@
 hand-built programs that the tests and tests/differential.py share.
 
 The operational oracles re-derive the semantics from scratch on plain dicts,
-and the axiomatic oracle judges candidates on pair sets with the `Relation`
-helpers, so the backends are checked against an independent implementation,
-not against themselves.
+and the axiomatic oracle judges candidates on frozensets of (a, b) pairs
+with the relation helpers below, so the backends are checked against an
+independent implementation, not against themselves.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from memlit.model import (
     Program,
     validate,
 )
-from memlit.relation import Relation, ordered_extensions
+from memlit.relation import ordered_extensions
 
 # The oracles' own classification, written out here so that a wrong row in
 # memlit's instruction table is not mirrored by the oracle that checks it.
@@ -274,16 +274,19 @@ def reachable_pairs(universe, pairs) -> frozenset[tuple[int, int]]:
 # relation algebra: the vocabulary of the axiomatic oracle
 
 
-def _adjacency(r: Relation) -> tuple[list[int], dict[int, int], list[int]]:
-    nodes = sorted(r.universe)
+Pairs = frozenset[tuple[int, int]]
+
+
+def _adjacency(r: Pairs) -> tuple[list[int], dict[int, int], list[int]]:
+    nodes = sorted({e for pair in r for e in pair})
     index = {n: i for i, n in enumerate(nodes)}
     adj = [0] * len(nodes)
-    for a, b in r.pairs:
+    for a, b in r:
         adj[index[a]] |= 1 << index[b]
     return nodes, index, adj
 
 
-def transitive_closure(r: Relation) -> Relation:
+def transitive_closure(r: Pairs) -> Pairs:
     nodes, _, adj = _adjacency(r)
     n = len(nodes)
     # Floyd-Warshall, one bitmask row per node.
@@ -302,50 +305,37 @@ def transitive_closure(r: Relation) -> Relation:
                 pairs.add((nodes[i], nodes[j]))
             row >>= 1
             j += 1
-    return Relation(r.universe, frozenset(pairs))
+    return frozenset(pairs)
 
 
-def is_irreflexive_and_acyclic(r: Relation) -> bool:
+def is_irreflexive_and_acyclic(r: Pairs) -> bool:
     closed = transitive_closure(r)
-    return all(a != b for a, b in closed.pairs)
+    return all(a != b for a, b in closed)
 
 
-def union(r: Relation, s: Relation) -> Relation:
-    if r.universe != s.universe:
-        raise ValueError("universe mismatch in union")
-    return Relation(r.universe, r.pairs | s.pairs)
-
-
-def compose(r: Relation, s: Relation) -> Relation:
-    if r.universe != s.universe:
-        raise ValueError("universe mismatch in compose")
+def compose(r: Pairs, s: Pairs) -> Pairs:
     by_src: dict[int, list[int]] = {}
-    for b, c in s.pairs:
+    for b, c in s:
         by_src.setdefault(b, []).append(c)
-    pairs = {(a, c) for a, b in r.pairs for c in by_src.get(b, ())}
-    return Relation(r.universe, frozenset(pairs))
+    return frozenset((a, c) for a, b in r for c in by_src.get(b, ()))
 
 
-def restrict(r: Relation, keep: Callable[[int], bool]) -> Relation:
-    return Relation(r.universe, frozenset((a, b) for a, b in r.pairs if keep(a) and keep(b)))
+def restrict(r: Pairs, keep: Callable[[int], bool]) -> Pairs:
+    return frozenset((a, b) for a, b in r if keep(a) and keep(b))
 
 
-def linear_extensions(partial: Relation, elements: Iterable[int]) -> Iterator[tuple[int, ...]]:
+def linear_extensions(partial: Pairs, elements: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """All total orders over `elements` consistent with `partial`, lazily.
 
     Deterministic: at each step candidates are tried in ascending id order.
-    Raises ValueError if `elements` strays outside the universe or the
-    restriction of `partial` to `elements` is cyclic.
+    Yields nothing if the restriction of `partial` to `elements` is cyclic.
     """
     elems = sorted(set(elements))
-    if not set(elems) <= partial.universe:
-        raise ValueError("elements outside universe")
     index = {e: i for i, e in enumerate(elems)}
     preds = dict.fromkeys(range(len(elems)), 0)
-    for a, b in partial.pairs:
+    for a, b in partial:
         if a in index and b in index and a != b:
             preds[index[b]] |= 1 << index[a]
-    # ordered_extensions is called, and a cycle reported, right here
     return (tuple(elems[i] for i in order) for order in ordered_extensions(preds))
 
 
@@ -354,18 +344,17 @@ def linear_extensions(partial: Relation, elements: Iterable[int]) -> Iterator[tu
 
 
 def reference_judgment(program: Program, candidate: CandidateExecution) -> ExecutionJudgment:
-    """The axioms of memlit.axiomatic evaluated on `Relation` pair sets.
+    """The axioms of memlit.axiomatic evaluated on sets of (a, b) pairs.
     NO-THIN-AIR holds when the candidate's values are the ones `_ground`
     derives from its rf, a failed cas_weak being free to fail spuriously."""
     events = candidate.events
     rf = candidate.rf
     mo = candidate.mo
     mo_pos = {w: i for order in mo.values() for i, w in enumerate(order)}
-    universe = frozenset(range(len(events)))
-    sb = Relation(universe, frozenset((a.id, b.id) for a in events for b in events if _sequenced(a, b)))
-    sw = Relation(universe, _sw_pairs(events, rf, mo))
-    init = Relation(universe, frozenset((i.id, e.id) for i in events if i.is_init for e in events if not e.is_init))
-    hb = transitive_closure(union(union(sb, sw), init))
+    sb = frozenset((a.id, b.id) for a in events for b in events if _sequenced(a, b))
+    sw = _sw_pairs(events, rf, mo)
+    init = frozenset((i.id, e.id) for i in events if i.is_init for e in events if not e.is_init)
+    hb = transitive_closure(sb | sw | init)
     s = candidate.sc_order
     s_pos = {eid: i for i, eid in enumerate(s)}
 
@@ -373,18 +362,18 @@ def reference_judgment(program: Program, candidate: CandidateExecution) -> Execu
     # The SC axioms are judged only on an S that is C++11's: one consistent
     # with an acyclic hb and with mo.
     s_embeds = False
-    if any(a == b for a, b in hb.pairs):
+    if any(a == b for a, b in hb):
         violated.append("HB-IRREFLEXIVE")
     else:
-        if _hb_mo_violated(events, mo_pos, hb.pairs):
+        if _hb_mo_violated(events, mo_pos, hb):
             violated.append("HB-MO")
         if _coherent_read_violated(events, rf, hb):
             violated.append("COHERENT-READ")
-        if _s_embed_violated(mo, s_pos, hb.pairs):
+        if _s_embed_violated(mo, s_pos, hb):
             violated.append("S-EMBED")
         else:
             s_embeds = True
-    if s_embeds and _sc_read_violated(events, rf, s, s_pos, hb.pairs):
+    if s_embeds and _sc_read_violated(events, rf, s, s_pos, hb):
         violated.append("SC-READ")
     if _rmw_immediate_violated(events, rf, mo):
         violated.append("RMW-IMMEDIATE")
@@ -398,7 +387,7 @@ def reference_judgment(program: Program, candidate: CandidateExecution) -> Execu
         violated.append("NO-THIN-AIR")
 
     consistent = not violated
-    races = _race_pairs(events, hb.pairs) if consistent else ()
+    races = _race_pairs(events, hb) if consistent else ()
     return ExecutionJudgment(consistent, tuple(violated), races, sb, sw, hb)
 
 
@@ -462,7 +451,7 @@ def _hb_mo_violated(events, mo_pos, hb_pairs) -> bool:
     )
 
 
-def _coherent_read_violated(events, rf, hb: Relation) -> bool:
+def _coherent_read_violated(events, rf, hb: Pairs) -> bool:
     """Only called on an acyclic hb, so a write interposed between w and r
     is neither of them."""
     for loc in {e.location for e in events if e.reads_memory}:

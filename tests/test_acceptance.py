@@ -78,7 +78,7 @@ def test_03_release_sequences(corpus, capsys):
             for outcome, cand in result.witnesses.items()
             if outcome.register("P1", "r1") == 2
         )
-        assert (3, 5) in check_axioms(entry.program, witness).sw.pairs
+        assert (3, 5) in check_axioms(entry.program, witness).sw
 
         # Two chained release CAS heads: reading the second write
         # synchronizes with both heads (events 3 and 4 -> load 5).
@@ -89,7 +89,7 @@ def test_03_release_sequences(corpus, capsys):
             for outcome, cand in cas.results["cxx11"].witnesses.items()
             if outcome.register("P2", "r2") == 2
         )
-        sw = check_axioms(cas.program, witness).sw.pairs
+        sw = check_axioms(cas.program, witness).sw
         assert (3, 5) in sw and (4, 5) in sw
 
     criterion(capsys, 3, "release sequences: relaxed tail and double CAS", body)

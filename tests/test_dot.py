@@ -171,6 +171,23 @@ class TestTraceDot:
         assert len(load_steps) == 2 and len(dequeue_steps) == 2
         assert max(load_steps) < min(dequeue_steps)
 
+    @pytest.mark.parametrize("rmw", ["r1 = fetch_add y 1", "r1 = cas_strong y 5 7 seq_cst seq_cst"])
+    def test_locked_rmw_drains_the_stores_before_it(self, rmw):
+        # The RMW (a failed CAS too) drains `store x 1`, so the one dequeue
+        # publishes `store z 1`.
+        program = parse_litmus(
+            "name: drain\ninit: x = 0 y = 0 z = 0\n"
+            f"thread P0:\n  store x 1\n  {rmw}\n  store z 1\n"
+            "thread P1:\n  r2 = load z\nexists: P1:r2 = 0\n"
+        )
+        result = enumerate_tso(program)
+        cand = witness_for(result, {("P0", "r1"): 0, ("P1", "r2"): 0})
+        text = trace_dot(program, cand)
+        assert '"3. P0: store z 1 -> buffer"' in text and '"5. P0 dequeue: z = 1"' in text
+        assert [line for line in text.splitlines() if "prop" in line] == [
+            '  s2 -> s4 [label="prop", color=blue, fontcolor=blue, style=dashed];'
+        ]
+
     def test_empty_trace_is_header_only(self):
         program = parse_litmus("name: empty\ninit: x = 0\nthread P0:\nexists: x = 0\n")
         result = enumerate_sc(program)
