@@ -381,6 +381,15 @@ class TestHappensBefore:
         hb = check_axioms(program, cand).hb
         assert (2, 5) not in hb and (5, 2) not in hb
 
+    def test_pairs_lie_within_the_events_and_hb_closes_sb_and_sw(self, corpus):
+        for entry in corpus.values():
+            for witness in entry.results["cxx11"].witnesses.values():
+                j = check_axioms(entry.program, witness)
+                ids = range(len(witness.events))
+                assert all(a in ids and b in ids for a, b in j.sb | j.sw | j.hb), entry.path
+                assert j.sb | j.sw <= j.hb, entry.path
+                assert {(a, d) for a, b in j.hb for c, d in j.hb if b == c} <= j.hb, entry.path
+
     def test_layout_mismatch_rejected(self):
         program, _ = mp_candidate(handoff=True)
         other = CandidateExecution((init_w(0, "x"),), {}, {"x": (0,)}, ())

@@ -30,6 +30,11 @@ class TestClosure:
         assert transitive_closure(r) == expected
         assert reachable_pairs(range(4), r) == expected
 
+    def test_isolated_elements_add_no_pairs(self):
+        r = frozenset({(0, 1)})
+        assert transitive_closure(r) == r
+        assert reachable_pairs(range(5), r) == r
+
 
 class TestAcyclicity:
     def test_dag(self):
@@ -73,6 +78,16 @@ class TestLinearExtensions:
     def test_cyclic_constraint_yields_nothing(self):
         assert list(linear_extensions(frozenset({(0, 1), (1, 0)}), range(2))) == []
         assert first_extension({0: 0b10, 1: 0b01}) is None
+
+    def test_cycle_among_later_keys_yields_no_prefix(self):
+        # 0 is free, but 1 and 2 wait on each other: no order, not even (0,).
+        preds = {0: 0, 1: 0b100, 2: 0b010}
+        assert list(ordered_extensions(preds)) == []
+        assert first_extension(preds) is None
+
+    def test_empty_constraint_has_one_empty_order(self):
+        assert list(ordered_extensions({})) == [()]
+        assert first_extension({}) == ()
 
     def test_subset_ignores_outside_constraints(self):
         r = frozenset({(0, 3), (1, 2)})
