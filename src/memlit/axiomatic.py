@@ -104,6 +104,7 @@ from .model import (
     OutcomeSet,
     Program,
     ResourceLimitError,
+    Witnesses,
     check_runnable,
 )
 from .relation import first_extension, ordered_extensions
@@ -714,38 +715,21 @@ def _valued(
     return valued
 
 
-class _Witnesses(Mapping[Outcome, CandidateExecution]):
-    """enumerate_cxx11's witnesses, read-only, each built on its first read
-    from its recipe (rf map record, frame, mo orders, S).  A record is [rf,
-    value_read, value_written, the branching's shared valued events, None];
-    its first witness fills the last slot with the events and rf it shares."""
-
-    def __init__(self, recipes: dict[Outcome, tuple]) -> None:
-        self._recipes = recipes
-        self._built: dict[Outcome, CandidateExecution] = {}
-
-    def __getitem__(self, outcome: Outcome) -> CandidateExecution:
-        witness = self._built.get(outcome)
-        if witness is None:
-            record, frame, mo, s_order = self._recipes[outcome]
-            rf, value_read, value_written, shared, made = record
-            if made is None:
-                events = tuple(_valued(shared, e, value_read.get(e.id), value_written.get(e.id)) for e in frame.events)
-                made = record[4] = events, MappingProxyType(rf)
-            # rf and mo are read-only; dataclasses.replace drops _kernel.
-            mo_map = MappingProxyType({loc: t.order for loc, t in zip(frame.locations, mo)})
-            witness = self._built[outcome] = CandidateExecution(*made, mo_map, s_order)
-            object.__setattr__(witness, "_kernel", (frame, mo))
-        return witness
-
-    def __contains__(self, outcome: object) -> bool:
-        return outcome in self._recipes
-
-    def __iter__(self) -> Iterator[Outcome]:
-        return iter(self._recipes)
-
-    def __len__(self) -> int:
-        return len(self._recipes)
+def _witness(recipe: tuple) -> CandidateExecution:
+    """An enumerate_cxx11 witness, built from its recipe (rf map record,
+    frame, mo orders, S).  A record is [rf, value_read, value_written, the
+    branching's shared valued events, None]; its first witness fills the
+    last slot with the events and rf it shares."""
+    record, frame, mo, s_order = recipe
+    rf, value_read, value_written, shared, made = record
+    if made is None:
+        events = tuple(_valued(shared, e, value_read.get(e.id), value_written.get(e.id)) for e in frame.events)
+        made = record[4] = events, MappingProxyType(rf)
+    # rf and mo are read-only; dataclasses.replace drops _kernel.
+    mo_map = MappingProxyType({loc: t.order for loc, t in zip(frame.locations, mo)})
+    witness = CandidateExecution(*made, mo_map, s_order)
+    object.__setattr__(witness, "_kernel", (frame, mo))
+    return witness
 
 
 def enumerate_cxx11(
@@ -877,4 +861,4 @@ def enumerate_cxx11(
             if skipped:  # each judged as its first pair with the same last writes, hb judgment `ok`
                 bump(skipped * (2 if ok else 1))
 
-    return OutcomeSet(frozenset(recipes), racy=racy, stats=stats, witnesses=_Witnesses(recipes))
+    return OutcomeSet(frozenset(recipes), racy=racy, stats=stats, witnesses=Witnesses(recipes, _witness))

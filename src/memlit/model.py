@@ -447,12 +447,37 @@ class ExplorationStats:
     complete_runs: int = 0
 
 
+class Witnesses(Mapping[Outcome, object]):
+    """A backend's witnesses, read-only: the search keeps a recipe per
+    outcome, and `build` turns it into the witness on its first read."""
+
+    def __init__(self, recipes: dict[Outcome, object], build: Callable[[object], object]) -> None:
+        self._recipes, self._build, self._built = recipes, build, {}
+
+    def __getitem__(self, outcome: Outcome) -> object:
+        witness = self._built.get(outcome)
+        if witness is None:
+            witness = self._built[outcome] = self._build(self._recipes[outcome])
+        return witness
+
+    def __contains__(self, outcome: object) -> bool:
+        return outcome in self._recipes
+
+    def __iter__(self) -> Iterator[Outcome]:
+        return iter(self._recipes)
+
+    def __len__(self) -> int:
+        return len(self._recipes)
+
+
 @dataclass(frozen=True)
 class OutcomeSet:
     """Deduplicated final outcomes plus a race flag.
 
     stats and witnesses are exploration byproducts and do not participate in
-    equality; witnesses maps an outcome to one execution that produced it.
+    equality; witnesses maps an outcome to one execution that produced it: a
+    cxx11 CandidateExecution, or an sc/tso trace (a tuple of TraceSteps).
+    Every backend returns them as `Witnesses`, each built on its first read.
     """
 
     outcomes: frozenset[Outcome]

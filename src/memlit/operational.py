@@ -28,12 +28,15 @@ A state is one int of bit fields, from the lowest bit up:
   the low 8 bits with its location index above.
 `_resolve` builds this layout, and turns each instruction's names into field
 shifts and its kind into an opcode, once per exploration; check_runnable
-first raises ValueError for a program no backend can run.  One function,
-`_successors`, defines which transitions a state enables and the states they
-lead to, as arithmetic on the int, and the search, `_explore`, is its only
-caller.  A state is terminal when every pc is at its thread's end and every
-buffer count is 0, one masked compare.  A step records what it did as data;
-its text is built only for the path a new outcome stores as its witness.
+first raises ValueError for a program no backend can run.  A thread is one
+flat row (index, body, length, field shifts and masks), and a thread with no
+buffer (every one under SC) never reads a buffer count.  One function, `_successors`, defines
+which transitions a state enables and the states they lead to, as arithmetic
+on the int, and the search, `_explore`, is its only caller.  A state is
+terminal when every pc is at its thread's end and every buffer count is 0,
+one masked compare.  A step records what it did as data.  Each outcome keeps
+the steps of the first path to it, and `witnesses`, a read-only `Witnesses`
+mapping, builds its trace on the first read, one TraceStep per distinct step.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .model import (
     Program,
     ResourceLimitError,
     TraceStep,
+    Witnesses,
     check_runnable,
 )
 
@@ -79,10 +83,10 @@ _OPCODES = {EventKind.WRITE: _STORE, EventKind.READ: _LOAD, EventKind.FENCE: _FE
 class _Machine(NamedTuple):
     """A program's resolved instructions and the field layout of its states."""
 
-    # Per thread: (body, pc shift, pc mask, count shift, count mask, buffer
-    # shift, buffer mask); body[pc] is (opcode, literal operand, location
-    # shift, location index, dest shift, register operand's shift or None,
-    # instruction).  Without buffers the count and buffer masks are 0.
+    # Per thread, a flat row: (thread index, body, body length, pc shift, pc mask,
+    # count shift, count mask, buffer shift, buffer mask); body[pc] is (opcode,
+    # literal operand, location shift, location index, dest shift, register
+    # operand's shift or None, instruction).  Without buffers the count and buffer masks are 0.
     threads: tuple[tuple, ...]
     entry_bits: int  # one buffer entry: 8 value bits, then the location index
     memory: tuple[int, ...]  # each location's shift
@@ -127,8 +131,8 @@ def _resolve(program: Program, buffered: bool) -> _Machine:
         count_bits = stores.bit_length()
         count_mask = (1 << count_bits) - 1
         threads.append(
-            (tuple(resolved), pc_shift, (1 << pc_bits) - 1, cursor, count_mask, cursor + count_bits,
-             (1 << stores * entry_bits) - 1)
+            (t, tuple(resolved), len(resolved), pc_shift, (1 << pc_bits) - 1, cursor, count_mask,
+             cursor + count_bits, (1 << stores * entry_bits) - 1)
         )
         done += len(body) << pc_shift
         done_mask |= (1 << pc_bits) - 1 << pc_shift | count_mask << cursor
@@ -153,11 +157,10 @@ def _successors(machine: _Machine, state: int) -> list[Step]:
     entry_bits = machine.entry_bits
     entry_mask = (1 << entry_bits) - 1
     successors: list[Step] = []
-    for t, (body, pc_shift, pc_mask, count_shift, count_mask, buffer_shift, buffer_mask) in enumerate(machine.threads):
+    for t, body, length, pc_shift, pc_mask, count_shift, count_mask, buffer_shift, buffer_mask in machine.threads:
         pc = state >> pc_shift & pc_mask
-        n = state >> count_shift & count_mask  # the thread's buffered stores
-        # mfence: blocked until the thread's own buffer has drained.
-        if pc < len(body) and not (n and body[pc][0] == _MFENCE):
+        n = state >> count_shift & count_mask if count_mask else 0  # the thread's buffered stores
+        if pc < length:
             op, literal, at, loc, dest, source, instr = body[pc]
             operand = literal if source is None else state >> source & _BYTE
             after = state + (1 << pc_shift)
@@ -175,8 +178,9 @@ def _successors(machine: _Machine, state: int) -> list[Step]:
                         payload = entry & _BYTE | _FORWARDED
                 succ = after + (((payload & _BYTE) - (state >> dest & _BYTE)) << dest)
                 successors.append((succ, t, pc, payload))
-            elif op <= _MFENCE:
-                successors.append((after, t, pc, None))
+            elif op <= _MFENCE:  # mfence: blocked until the thread's own buffer has drained
+                if not (n and op == _MFENCE):
+                    successors.append((after, t, pc, None))
             else:
                 # Locked RMW: drain the buffer, then act on memory, in this one transition.
                 if n:  # each entry, oldest first, reaches memory; then the buffer fields clear
@@ -232,12 +236,12 @@ def _trace_step(program: Program, step: tuple[int, Optional[int], Optional[int]]
 
 def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet:
     stats = ExplorationStats()
-    witnesses: dict[Outcome, tuple[TraceStep, ...]] = {}
+    paths: dict[Outcome, tuple[Step, ...]] = {}  # each outcome's witness recipe: the steps that reached it
     machine = _resolve(program, buffered)
     seen = {machine.root}
     path: list[Step] = []
     explored = 0
-    # Witnesses share their TraceSteps: each distinct step is built once.
+    # Witnesses share their TraceSteps: each distinct step is built once, on its first read.
     trace_step = functools.cache(lambda step: _trace_step(program, step, buffered))
     registers = tuple(zip(program.registers, machine.registers))
     memory = tuple(zip(program.locations, machine.memory))
@@ -256,7 +260,7 @@ def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet
                 tuple((t, r, state >> s & _BYTE) for (t, r), s in registers),
                 tuple((loc, state >> s & _BYTE) for loc, s in memory),
             )
-            witnesses[outcome] = tuple(trace_step(step[1:]) for step in path)
+            paths[outcome] = tuple(path)
             return
         for step in _successors(machine, state):
             succ = step[0]
@@ -270,7 +274,8 @@ def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet
         visit(machine.root)
     finally:
         stats.explored = explored
-    return OutcomeSet(frozenset(witnesses), racy=False, stats=stats, witnesses=witnesses)
+    witnesses = Witnesses(paths, lambda steps: tuple(trace_step(step[1:]) for step in steps))
+    return OutcomeSet(frozenset(paths), racy=False, stats=stats, witnesses=witnesses)
 
 
 def enumerate_sc(

@@ -35,9 +35,11 @@ it exceeded.  Each side also judges those
 candidates with its own check_axioms, and yields how many are consistent
 and a digest of each whole judgment: consistent, violated, races and the sb,
 sw and hb pairs, read from a pair set or, at a revision that still returns
-the `Relation` wrapper, from its pairs.  Any difference between the sides
-is printed, and the script exits 1; it exits 0 when there is none.  pytest
-does not collect this file.
+the `Relation` wrapper, from its pairs.  For each case that differs
+between the sides (the first 20), the script prints the name of each field
+that differs and, for a dict-valued field such as the witness dot digests,
+the keys whose values differ, and it exits 1; it exits 0 when nothing
+differs.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -156,9 +158,12 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
     results = {}
     for case in json.loads(Path(cases_path).read_text()):
         text = case["text"]
-        results[f"{case['name']} | parse"] = [
-            parsed(text), parsed(text.encode("utf-8")), parse_expectations(text), validated(text)
-        ]
+        results[f"{case['name']} | parse"] = {
+            "parse str": parsed(text),
+            "parse bytes": parsed(text.encode("utf-8")),
+            "expectations": parse_expectations(text),
+            "validate": validated(text),
+        }
         if not case["models"]:
             continue
         program = parse_litmus(text)
@@ -203,6 +208,27 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
     Path(out_path).write_text(json.dumps(results, sort_keys=True))
 
 
+def differing_fields(old: object, new: object) -> list[str]:
+    """One line per field that differs between two results of one case: its
+    name, then the keys whose values differ for a dict-valued field, or
+    else both values, each cut at 200 characters."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):  # one side has no such case
+        return [f"whole result: {json.dumps(old)[:200]} -> {json.dumps(new)[:200]}"]
+    lines = []
+    absent = object()
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, absent), new.get(name, absent)
+        if a == b:
+            continue
+        if isinstance(a, dict) and isinstance(b, dict):
+            keys = sorted(k for k in a.keys() | b.keys() if a.get(k, absent) != b.get(k, absent))
+            lines.append(f"{name}: {len(keys)} keys differ: {', '.join(keys)}")
+        else:
+            shown = [json.dumps(v)[:200] if v is not absent else "(absent)" for v in (a, b)]
+            lines.append(f"{name}: {shown[0]} -> {shown[1]}")
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", help="the git revision to compare the working tree with")
@@ -236,7 +262,9 @@ def main() -> int:
 
     differences = [key for key in sorted(rev.keys() | tree.keys()) if rev.get(key) != tree.get(key)]
     for key in differences[:20]:
-        print(f"DIFFERS: {key}\n  {args.rev}: {json.dumps(rev.get(key))[:400]}\n  tree: {json.dumps(tree.get(key))[:400]}")
+        print(f"DIFFERS: {key} ({args.rev} -> tree)")
+        for line in differing_fields(rev.get(key), tree.get(key)):
+            print(f"  {line}")
     exits = sum("exit" in result for result in tree.values() if isinstance(result, dict))
     parses = sum(key.endswith(" | parse") for key in tree)
     mutated = sum(case["name"].startswith("mutated ") for case in cases)

@@ -36,6 +36,7 @@ REFERENCE = f"{AXIOMATIC}::TestAgainstReference"
 TSO_FROZEN = "tests/test_tso.py::TestFrozenPrograms"
 TSO_STATE_SPACE = "tests/test_tso.py::TestStateSpace"
 TSO_PACKED = "tests/test_tso.py::TestPackedState"
+TRACES_ON_READ = "tests/test_tso.py::TestTracesBuiltOnRead"
 SC = "tests/test_sc.py"
 MESSAGE_PASSING = f"{AXIOMATIC}::TestSynchronizesWith::test_message_passing_needs_a_releasing_and_an_acquiring_order"
 WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
@@ -135,8 +136,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # mfence runs while its thread's buffer holds stores.
         "operational.py",
-        "not (n and body[pc][0] == _MFENCE)",
-        "not (False and body[pc][0] == _MFENCE)",
+        "if not (n and op == _MFENCE):",
+        "if not (False and op == _MFENCE):",
         (f"{TSO_FROZEN}::test_mfence_restores_dekker",),
     ),
     (
@@ -175,6 +176,23 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "            if succ not in seen:",
         "            if True:",
         (f"{TSO_STATE_SPACE}::test_ladder_explored_counts",),
+    ),
+    (
+        # A buffered thread is read as unbuffered: no load forwards, no
+        # mfence waits and no store ever leaves its buffer.
+        "operational.py",
+        "state >> count_shift & count_mask if count_mask else 0",
+        "0",
+        (f"{TSO_FROZEN}::test_dekker_gains_both_zero",),
+    ),
+    (
+        # A witness keeps the search's live path, not a copy of the path that
+        # first reached its outcome: read after the search, each trace is
+        # built from the last path the search held.
+        "operational.py",
+        "            paths[outcome] = tuple(path)",
+        "            paths[outcome] = path",
+        (f"{TRACES_ON_READ}::test_each_trace_runs_every_instruction_once",),
     ),
     (
         # cas_weak never fails spuriously.
@@ -343,8 +361,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # Witnesses carry nothing from the kernel, so each is checked again.
         "axiomatic.py",
-        '            object.__setattr__(witness, "_kernel", (frame, mo))',
-        "            pass",
+        '    object.__setattr__(witness, "_kernel", (frame, mo))',
+        "    pass",
         (f"{WITNESS_DOT}::test_witness_is_drawn_without_the_check",),
     ),
     (

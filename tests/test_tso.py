@@ -10,11 +10,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from memlit import operational
 from memlit.dsl import parse_litmus
-from memlit.model import ResourceLimitError, eval_assertion, with_fences_after_stores
+from memlit.model import Outcome, ResourceLimitError, eval_assertion, with_fences_after_stores
 from memlit.operational import enumerate_sc, enumerate_tso
 
-from support import ladder, programs, sc_outcomes, tso_search
+from support import CORPUS_DIR, ladder, programs, sc_outcomes, tso_search
 
 DEKKER = """\
 name: dekker
@@ -203,6 +204,75 @@ class TestStateSpace:
         # buffered, so no witness holds a dequeue step.
         for trace in enumerate_sc(program).witnesses.values():
             assert all(step.kind == "exec" for step in trace)
+
+
+# One corpus file and one ladder rung, each under sc and tso.
+TRACED = {"dekker": (CORPUS_DIR / "dekker.lit").read_text(), "ladder-2x3": ladder((2, 3))}
+TRACED_CASES = pytest.mark.parametrize("model, name", [(m, n) for m in ("sc", "tso") for n in TRACED])
+
+
+class TestTracesBuiltOnRead:
+    """sc and tso witnesses are a read-only mapping: the search keeps each
+    outcome's path, and a trace is built from it on its first read."""
+
+    @staticmethod
+    def run(model, name):
+        run = enumerate_sc if model == "sc" else enumerate_tso
+        return run(parse_litmus(TRACED[name]))
+
+    @TRACED_CASES
+    def test_keys_len_and_membership_are_the_outcomes(self, model, name):
+        result = self.run(model, name)
+        witnesses = result.witnesses
+        assert set(witnesses) == set(witnesses.keys()) == result.outcomes
+        assert len(witnesses) == len(result.outcomes) > 1
+        assert all(o in witnesses for o in result.outcomes)
+        stranger = Outcome((("P0", "r1", 9),), (("x", 9),))
+        assert stranger not in witnesses and witnesses.get(stranger) is None
+        with pytest.raises(KeyError):
+            witnesses[stranger]
+        built = dict(witnesses)
+        assert built.keys() == result.outcomes and all(built[o] is witnesses[o] for o in built)
+        with pytest.raises(TypeError):
+            witnesses[stranger] = ()
+
+    @TRACED_CASES
+    def test_each_trace_runs_every_instruction_once(self, model, name):
+        result = self.run(model, name)
+        program = parse_litmus(TRACED[name])
+        for trace in result.witnesses.values():
+            ran = [step.thread for step in trace if step.kind == "exec"]
+            assert sorted(ran) == [t for t, body in enumerate(program.threads) for _ in body]
+
+    @TRACED_CASES
+    def test_a_trace_is_built_once_on_its_first_read(self, model, name, monkeypatch):
+        calls = []
+        trace_step = operational._trace_step
+        monkeypatch.setattr(operational, "_trace_step", lambda *args: calls.append(args) or trace_step(*args))
+        result = self.run(model, name)
+        assert calls == []
+        outcome = result.sorted_outcomes()[0]
+        trace = result.witnesses[outcome]
+        assert trace and len(calls) == len({id(s) for s in trace})
+        assert result.witnesses[outcome] is trace
+        assert len(calls) == len({id(s) for s in trace})
+
+    @TRACED_CASES
+    def test_read_order_changes_neither_text_nor_sharing(self, model, name):
+        order = self.run(model, name).sorted_outcomes()
+        forward = self.run(model, name).witnesses
+        backward = self.run(model, name).witnesses
+        read_forward = [forward[o] for o in order]
+        read_backward = [backward[o] for o in reversed(order)][::-1]
+        assert read_forward == read_backward
+
+        def sharing(traces):
+            """Where each step object first appears, as (trace, step) positions."""
+            first: dict[int, tuple[int, int]] = {}
+            return [[first.setdefault(id(s), (i, j)) for j, s in enumerate(trace)] for i, trace in enumerate(traces)]
+
+        assert sharing(read_forward) == sharing(read_backward)
+        assert len({id(s) for trace in read_forward for s in trace}) < sum(map(len, read_forward))
 
 
 class TestPackedState:
