@@ -56,11 +56,12 @@ synchronize, what each value is made from) is computed once per branching,
 the values once per rf map, what depends on mo once per modification order
 of each location, sw, the hb closure, COHERENT-READ, the races and S-EMBED's
 hb half once per rf map and sw input (`_Frame.sync_heads`), and the other
-axioms once per candidate.  In a sync-free frame (no RMW, no seq_cst event,
-no possible sw edge) the enumerator visits only the first mo with each tuple
-of mo-last writes, and `explored` counts each pair it skips as judged like
-that one.  check_axioms returns sb, sw and hb as frozensets of (a, b)
-pairs, read off the rows.
+axioms once per candidate.  The enumerator also judges COHERENT-READ per
+read and rf option, to drop options before the rf product.  In a sync-free
+frame (no RMW, no seq_cst event, no possible sw edge) the enumerator visits
+only the first mo with each tuple of mo-last writes, and `explored` counts
+each pair it skips as judged like that one.  check_axioms returns sb, sw
+and hb as frozensets of (a, b) pairs, read off the rows.
 
 Building a candidate checks nothing.  The functions that read one,
 check_axioms and execution_dot, take (program, candidate) and check the
@@ -469,8 +470,10 @@ def _hb_mo_violated(mo: Sequence[_MoOrder], hb: Sequence[int]) -> bool:
     return any(hb[w] & earlier for t in mo for w, earlier in t.before.items())
 
 
-def _coherent_read_violated(frame: _Frame, rf: Mapping[int, int], hb: Sequence[int]) -> bool:
-    for r, others in frame.read_checks:
+def _coherent_read_violated(reads: Iterable[tuple[int, int]], rf: Mapping[int, int], hb: Sequence[int]) -> bool:
+    """COHERENT-READ on `reads`, `_Frame.read_checks` or some of them: each
+    a read with the other writes to its location."""
+    for r, others in reads:
         w = rf[r]
         if hb[r] >> w & 1:
             return True
@@ -669,7 +672,7 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
     else:
         if _hb_mo_violated(mo, hb):
             violated.add("HB-MO")
-        if _coherent_read_violated(frame, rf, hb):
+        if _coherent_read_violated(frame.read_checks, rf, hb):
             violated.add("COHERENT-READ")
         preds = _s_embedding(frame, mo, _s_hb_preds(frame, hb))
         placed = dict(zip(s, itertools.accumulate((1 << e for e in s), int.__or__, initial=0)))  # S-predecessors
@@ -702,6 +705,31 @@ def check_axioms(program: Program, candidate: CandidateExecution) -> ExecutionJu
 
 # ---------------------------------------------------------------------------
 # candidate enumeration
+
+
+def _rf_options(frame: _Frame) -> tuple[list[list[int]], list[list[int]]]:
+    """Each read's rf options, in `read_checks` order, and those kept: the
+    other writes to its location, except its own later ones, whose reading
+    always violates hb; and of those, the ones that pass COHERENT-READ
+    under the base rows.  Every hb holds those rows, and more hb only
+    breaks COHERENT-READ more, so an option that breaks it there does
+    under every mo."""
+    choices = [list(_bits(others & ~frame.sb[r])) for r, others in frame.read_checks]
+    kept = [
+        [w for w in sources if not _coherent_read_violated(((r, others),), {r: w}, frame.base)]
+        for (r, others), sources in zip(frame.read_checks, choices)
+    ]
+    return choices, kept
+
+
+def _doomed_maps(choices: Sequence[list[int]], kept: Sequence[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Each rf combination drawn from `choices` that takes some source
+    outside `kept`, once: per read i, those whose first such source is
+    read i's."""
+    for i, (sources, keep) in enumerate(zip(choices, kept)):
+        dropped = [w for w in sources if w not in keep]
+        if dropped:
+            yield from itertools.product(*kept[:i], dropped, *choices[i + 1 :])
 
 
 def _valued(
@@ -748,11 +776,15 @@ def enumerate_cxx11(
     pruning.  The first such order comes in one pass; the later ones are
     generated only when a disjunctive SC-READ can reject it.
 
-    In a sync-free frame (no RMW, no seq_cst event, no possible sw edge)
-    only the first mo with each tuple of mo-last writes is visited, and
-    stats.explored, the (rf, mo) pairs plus the S orders tried, counts each
-    pair skipped as judged like that first one.  Each outcome's witness is
-    the first consistent candidate with that outcome, built when read; the
+    An rf option that breaks COHERENT-READ under hb's base rows (sb and
+    initialization) breaks it under every mo, so it is dropped before the
+    rf product, and stats.explored, the (rf, mo) pairs plus the S orders
+    tried, counts every pair of each grounded rf map that takes one as
+    judged and rejected.  In a sync-free frame (no RMW, no seq_cst event,
+    no possible sw edge) only the first mo with each tuple of mo-last
+    writes is visited, and stats.explored counts each pair skipped as
+    judged like that first one.  Each outcome's witness is the first
+    consistent candidate with that outcome, built when read; the
     witnesses share their `Event` objects, which are immutable: one per
     event and pair of values in each CAS branching.  ValueError, from
     check_runnable, for a program no backend can run, such as one whose
@@ -776,11 +808,8 @@ def enumerate_cxx11(
         events = _events(program, dict(zip(cas_sites, combo)))
         frame = _Frame(program, events)
         plan = frame.plan
-
-        # A read's rf options are the other writes to its location, except
-        # its own later ones: reading one always violates hb.
         reads = [r for r, _ in frame.read_checks]
-        choices = [list(_bits(others & ~frame.sb[r])) for r, others in frame.read_checks]
+        choices, kept = _rf_options(frame)
 
         shared: dict[tuple, Event] = {}  # the valued events this branching's witnesses share
 
@@ -790,18 +819,29 @@ def enumerate_cxx11(
         for writes in frame.loc_writes:
             preds = {w: sum(1 << v for v in _bits(writes) if frame.base[v] >> w & 1) for w in _bits(writes)}
             mo_choices.append(list(ordered_extensions(preds)))
+        pairs = math.prod(map(len, mo_choices))
+        # Each grounded rf map with a dropped option counts all its pairs, as
+        # if each were judged and rejected.  Without rules or CAS every map
+        # grounds.
+        if plan.rules or plan.cas:
+            doomed = sum(_ground(plan, dict(zip(reads, c))) is not None for c in _doomed_maps(choices, kept))
+        else:
+            doomed = math.prod(map(len, choices)) - math.prod(map(len, kept))
+        bump(doomed * pairs)
         # Sync-free: sw is empty, hb is the base rows, HB-MO holds and the RMW
         # and SC axioms are vacuous, so all mo of an rf map are judged alike.
         syncs = bool(frame.tags and frame.sync_reads)
         skipped = 0
         if not frame.rmw and not frame.sc_ids and not syncs:
-            pairs = math.prod(map(len, mo_choices))
             for orders in mo_choices:  # keep each order no earlier one ends with the same write
                 orders[:] = [o for i, o in enumerate(orders) if all(p[-1] != o[-1] for p in orders[:i])]
             skipped = pairs - math.prod(map(len, mo_choices))
         mo_choices = [[_MoOrder(frame, order) for order in orders] for orders in mo_choices]
 
-        for rf_combo in itertools.product(*choices):
+        # An sw input with no head leaves hb at the base rows, where every
+        # kept rf map passes COHERENT-READ: one judgment serves them all.
+        unsynced: Optional[tuple[bool, list[int], bool, bool, dict[int, int]]] = None
+        for rf_combo in itertools.product(*kept):
             rf = dict(zip(reads, rf_combo))
             grounded = _ground(plan, rf)
             if grounded is None:
@@ -822,11 +862,16 @@ def enumerate_cxx11(
                 heads = frame.sync_heads(mo, rf) if syncs else ()  # without syncs every source carries no head
                 judged = by_heads.get(heads)
                 if judged is None:
-                    sw = _sw_edges(frame, heads)
-                    hb, cyclic = _hb_rows(frame, sw)
-                    ok = not (cyclic or _coherent_read_violated(frame, rf, hb))
-                    judged = by_heads[heads] = ok, hb, bool(sw), ok and bool(_races(frame, hb)), (
-                        _s_hb_preds(frame, hb) if ok and frame.sc_ids else {})
+                    if any(heads):
+                        sw = _sw_edges(frame, heads)
+                        hb, cyclic = _hb_rows(frame, sw)
+                        ok = not (cyclic or _coherent_read_violated(frame.read_checks, rf, hb))
+                        judged = ok, hb, bool(sw), ok and bool(_races(frame, hb)), (
+                            _s_hb_preds(frame, hb) if ok and frame.sc_ids else {})
+                    else:
+                        judged = unsynced = unsynced or (True, frame.base, False, bool(_races(frame, frame.base)), (
+                            _s_hb_preds(frame, frame.base) if frame.sc_ids else {}))
+                    by_heads[heads] = judged
                 ok, hb, synced, hb_racy, hb_preds = judged
                 # Every mo choice extends the base rows, so only sw can break HB-MO.
                 if not ok or synced and _hb_mo_violated(mo, hb):
@@ -858,7 +903,7 @@ def enumerate_cxx11(
                         record = record or [rf, value_read, value_written, shared, None]
                         recipes[outcome] = record, frame, mo, s_order
                     break
-            if skipped:  # each judged as its first pair with the same last writes, hb judgment `ok`
-                bump(skipped * (2 if ok else 1))
+            if skipped:  # each judged as its first pair with the same last writes: consistent, one S
+                bump(2 * skipped)
 
     return OutcomeSet(frozenset(recipes), racy=racy, stats=stats, witnesses=Witnesses(recipes, _witness))

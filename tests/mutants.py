@@ -43,6 +43,7 @@ WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
 HB_PER_SW_INPUT = f"{AXIOMATIC}::TestHbPerSwInput"
 SW_INPUT_ORACLE = f"{ORACLE}::test_on_sw_input_programs"
 CANDIDATE_SPACE = f"{AXIOMATIC}::TestCandidateSpace"
+COHERENT_SOURCES = f"{AXIOMATIC}::TestCoherentSources"
 EVERY_READER = "tests/test_model.py::test_every_reader_rejects_what_validate_reports_first"
 
 # (file under src/memlit, exact old text, new text, tests that must kill it)
@@ -224,6 +225,15 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         (f"{REFERENCE}::test_every_axiom_seen_on_corpus_and_single_axiom_programs",),
     ),
     (
+        # A read may observe a write that another write to its location
+        # happens between, in check_axioms, on the enumerator's sw path and
+        # in the filter of rf options alike.
+        "axiomatic.py",
+        "            if hb[c] >> r & 1:\n                return True",
+        "            if False:\n                return True",
+        (f"{REFERENCE}::test_every_axiom_seen_on_corpus_and_single_axiom_programs", f"{CANDIDATE_SPACE}::test_ladder_counts"),
+    ),
+    (
         # SC-READ lets a seq_cst read observe a non-seq_cst write that happens before the last seq_cst one.
         "axiomatic.py",
         "            forced = hb[w] & others",
@@ -390,9 +400,24 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A sync-free frame counts each skipped pair once, as if hb failed.
         "axiomatic.py",
-        "bump(skipped * (2 if ok else 1))",
+        "bump(2 * skipped)",
         "bump(skipped)",
         (f"{CANDIDATE_SPACE}::test_ladder_counts",),
+    ),
+    (
+        # The rf maps that take a dropped option add nothing to explored.
+        "axiomatic.py",
+        "        bump(doomed * pairs)",
+        "        pass",
+        (f"{CANDIDATE_SPACE}::test_ladder_counts", f"{COHERENT_SOURCES}::test_budget_edge_counts_the_doomed_maps"),
+    ),
+    (
+        # Every rf map with a dropped option is counted as grounded, even
+        # where register stores or a CAS can leave it ungrounded.
+        "axiomatic.py",
+        "        if plan.rules or plan.cas:",
+        "        if False:",
+        (f"{COHERENT_SOURCES}::test_doomed_maps_with_register_stores_are_ground_only_to_be_counted",),
     ),
     (
         # A sync-free frame visits the last mo with each last write, not the first.

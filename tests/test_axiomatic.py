@@ -9,6 +9,7 @@ against the operational backends where the models coincide.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,11 @@ from memlit.axiomatic import (
     AXIOMS,
     CandidateExecution,
     _checked_frame,
+    _coherent_read_violated,
+    _doomed_maps,
+    _events,
+    _Frame,
+    _rf_options,
     _sc_edges,
     check_axioms,
     enumerate_cxx11,
@@ -43,6 +49,7 @@ from memlit.operational import enumerate_sc, enumerate_tso
 from support import (
     ACQ,
     ACQUIRE_CLASS,
+    CAS_KINDS,
     DISJUNCTIVE_SC_READ,
     F,
     R,
@@ -927,6 +934,123 @@ class TestHbPerSwInput:
         result = enumerate_cxx11(program)
         assert (result.stats.explored, len(result.outcomes)) == (7, 3)
         assert eval_assertion(program.assertion, result).kind == "forbidden"
+
+
+def branching_frames(program):
+    """The kernel frame of each CAS branching of `program`, in the
+    enumerator's order."""
+    sites = [(t, i) for t, body in enumerate(program.threads) for i, instr in enumerate(body) if instr.kind in CAS_KINDS]
+    for combo in itertools.product((True, False), repeat=len(sites)):
+        yield _Frame(program, _events(program, dict(zip(sites, combo))))
+
+
+def assert_dropped_exactly_where_incoherent(program) -> int:
+    """For each CAS branching and each rf map the enumerator could build, a
+    map takes a dropped option exactly when it breaks COHERENT-READ under
+    the base rows, and `_doomed_maps` yields exactly those maps, each once.
+    Returns how many maps took a dropped option."""
+    doomed = 0
+    for frame in branching_frames(program):
+        choices, kept = _rf_options(frame)
+        reads = [r for r, _ in frame.read_checks]
+        assert all(set(keep) <= set(sources) for sources, keep in zip(choices, kept))
+        dropped = []
+        for combo in itertools.product(*choices):
+            incoherent = _coherent_read_violated(frame.read_checks, dict(zip(reads, combo)), frame.base)
+            assert any(w not in keep for w, keep in zip(combo, kept)) == incoherent, (program.name, combo)
+            if incoherent:
+                dropped.append(combo)
+        assert sorted(_doomed_maps(choices, kept)) == dropped
+        doomed += len(dropped)
+    return doomed
+
+
+# Two register stores make an ungrounded rf map: P0 reads P1's x store while
+# P1 reads P0's y store.  P2's load of z from initialization passes over
+# P2's own z store, so every map where it does is doomed.  x has three
+# program writes in three threads: six mo orders with three last writes.
+REGISTER_STORE_DOOMED = """\
+name: t
+init: x = 0 y = 0 z = 0
+thread P0:
+  r1 = load x relaxed
+  store y r1 relaxed
+  store x 4 relaxed
+thread P1:
+  r2 = load y relaxed
+  store x r2 relaxed
+thread P2:
+  store z 1 relaxed
+  r3 = load z relaxed
+  store x 3 relaxed
+exists: x = 0
+"""
+
+
+class TestCoherentSources:
+    """enumerate_cxx11 drops each rf option that breaks COHERENT-READ under
+    the base rows before the rf product, and counts the maps that take one
+    without judging them: each grounded one adds its full mo product to
+    `explored`, as if every pair were judged and rejected."""
+
+    def test_dropped_options_are_the_incoherent_ones_on_the_corpus(self, corpus):
+        doomed = sum(assert_dropped_exactly_where_incoherent(entry.program) for entry in corpus.values())
+        assert doomed > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs(max_total=5))
+    def test_dropped_options_are_the_incoherent_ones_on_random_programs(self, program):
+        assert_dropped_exactly_where_incoherent(program)
+
+    @staticmethod
+    def counted_grounds(monkeypatch) -> list:
+        """Every `_ground` call from now on, as (rf, result)."""
+        calls = []
+        ground = axiomatic._ground
+
+        def counted(plan, rf):
+            result = ground(plan, rf)
+            calls.append((dict(rf), result))
+            return result
+
+        monkeypatch.setattr(axiomatic, "_ground", counted)
+        return calls
+
+    def test_a_literal_ladder_grounds_only_its_kept_maps(self, monkeypatch):
+        # Relaxed 2x4: 36 rf maps, 16 with every read coherent under sb.
+        # With literal stores only, every map grounds, so the 20 doomed
+        # maps are counted in closed form, 4 mo orders each.
+        program = parse_litmus(ladder((4, 4)))
+        (frame,) = branching_frames(program)
+        choices, kept = _rf_options(frame)
+        assert (math.prod(map(len, choices)), math.prod(map(len, kept))) == (36, 16)
+        calls = self.counted_grounds(monkeypatch)
+        assert enumerate_cxx11(program).stats.explored == 208
+        assert len(calls) == 16
+
+    def test_doomed_maps_with_register_stores_are_ground_only_to_be_counted(self, monkeypatch):
+        # 12 rf maps: P0 reads x from init, P1 or P2 (3 options), P1 reads y
+        # from init or P0 (2), P2 reads z from init or its own store (2), of
+        # which init is dropped.  Each map is ground once.  Of the 6 doomed
+        # maps one is ungrounded and adds 0; the 5 others add 6 pairs each.
+        program = parse_litmus(REGISTER_STORE_DOOMED)
+        z_read, z_init = 9, 2
+        calls = self.counted_grounds(monkeypatch)
+        result = enumerate_cxx11(program)
+        assert result.stats.explored == 90
+        assert len(calls) == len({tuple(sorted(rf.items())) for rf, _ in calls}) == 12
+        doomed = [grounded for rf, grounded in calls if rf[z_read] == z_init]
+        assert (len(doomed), doomed.count(None)) == (6, 1)
+        monkeypatch.setattr(axiomatic, "_doomed_maps", lambda choices, kept: iter(()))
+        assert enumerate_cxx11(program).stats.explored == 90 - 5 * 6
+
+    def test_budget_edge_counts_the_doomed_maps(self):
+        # 80 of relaxed 2x4's 208 candidates are its 20 doomed maps' pairs.
+        program = parse_litmus(ladder((4, 4)))
+        assert enumerate_cxx11(program, max_candidates=208).stats.explored == 208
+        with pytest.raises(ResourceLimitError) as exceeded:
+            enumerate_cxx11(program, max_candidates=207)
+        assert exceeded.value.limit == 207
 
 
 def assert_derived_s_edges_necessary(program, candidates) -> int:
