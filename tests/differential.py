@@ -34,8 +34,8 @@ execution_dot and each cxx11 witness's S (which no dot draws), or the budget
 it exceeded.  Each side also judges those
 candidates with its own check_axioms, and yields how many are consistent
 and a digest of each whole judgment: consistent, violated, races and the sb,
-sw and hb pairs, read from a pair set or, at a revision that still returns
-the `Relation` wrapper, from its pairs.  For each case that differs
+sw and hb pair sets, so REV must be 2cf8531 or later, where check_axioms
+returns pair sets.  For each case that differs
 between the sides (the first 20), the script prints the name of each field
 that differs and, for a dict-valued field such as the witness dot digests,
 the keys whose values differ, and it exits 1; it exits 0 when nothing
@@ -177,8 +177,7 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
                 mo = {loc: tuple(order) for loc, order in c["mo"].items()}
                 candidate = CandidateExecution(events, dict(c["rf"]), mo, tuple(c["sc"]))
                 j = check_axioms(program, candidate)
-                # A revision that still has the `Relation` wrapper returns it for sb, sw and hb.
-                pairs = [sorted(getattr(r, "pairs", r)) for r in (j.sb, j.sw, j.hb)]
+                pairs = [sorted(r) for r in (j.sb, j.sw, j.hb)]
                 judgments.append([j.consistent, j.violated, j.races] + pairs)
             results[f"{case['name']} | check_axioms"] = {
                 "candidates": len(judgments),

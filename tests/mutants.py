@@ -33,11 +33,11 @@ ENUMERATION = f"{AXIOMATIC}::TestEnumeration"
 VALIDATION = f"{AXIOMATIC}::TestCandidateValidation"
 ORACLE = f"{AXIOMATIC}::TestAgainstEnumeratingOracle"
 REFERENCE = f"{AXIOMATIC}::TestAgainstReference"
-TSO_FROZEN = "tests/test_tso.py::TestFrozenPrograms"
-TSO_STATE_SPACE = "tests/test_tso.py::TestStateSpace"
-TSO_PACKED = "tests/test_tso.py::TestPackedState"
-TRACES_ON_READ = "tests/test_tso.py::TestTracesBuiltOnRead"
-SC = "tests/test_sc.py"
+OPERATIONAL = "tests/test_operational.py"
+FROZEN = f"{OPERATIONAL}::TestFrozenPrograms"
+STATE_SPACE = f"{OPERATIONAL}::TestStateSpace"
+PACKED = f"{OPERATIONAL}::TestPackedState"
+TRACES_ON_READ = f"{OPERATIONAL}::TestTracesBuiltOnRead"
 MESSAGE_PASSING = f"{AXIOMATIC}::TestSynchronizesWith::test_message_passing_needs_a_releasing_and_an_acquiring_order"
 WITNESS_DOT = "tests/test_dot.py::TestEnumeratorWitnessesDrawnWithoutRecheck"
 HB_PER_SW_INPUT = f"{AXIOMATIC}::TestHbPerSwInput"
@@ -125,21 +125,21 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "operational.py",
         "                for k in range(n):  # forward the newest own store",
         "                for k in reversed(range(n)):",
-        (f"{TSO_FROZEN}::test_forwarding_sees_own_newest_store",),
+        (f"{FROZEN}::test_forwarding_sees_own_newest_store",),
     ),
     (
         # A locked RMW leaves its thread's buffer undrained.
         "operational.py",
         "                if n:  # each entry, oldest first, reaches memory; then the buffer fields clear",
         "                if False:",
-        (f"{TSO_FROZEN}::test_locked_rmw_publishes_earlier_stores",),
+        (f"{FROZEN}::test_locked_rmw_publishes_earlier_stores",),
     ),
     (
         # mfence runs while its thread's buffer holds stores.
         "operational.py",
         "if not (n and op == _MFENCE):",
         "if not (False and op == _MFENCE):",
-        (f"{TSO_FROZEN}::test_mfence_restores_dekker",),
+        (f"{FROZEN}::test_mfence_restores_dekker",),
     ),
     (
         # Every fence is an mfence: acquire, release and acq_rel fences wait
@@ -147,14 +147,14 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "operational.py",
         "            if op == _FENCE and instr.order is MemoryOrder.SEQ_CST:",
         "            if op == _FENCE:",
-        (f"{TSO_FROZEN}::test_weaker_fences_do_not_wait",),
+        (f"{FROZEN}::test_weaker_fences_do_not_wait",),
     ),
     (
         # A dequeue publishes the newest buffered store instead of the oldest.
         "operational.py",
         "            entry = buffer & entry_mask\n            rest = buffer >> entry_bits\n",
         "            entry = buffer >> (n - 1) * entry_bits\n            rest = buffer - (entry << (n - 1) * entry_bits)\n",
-        (f"{TSO_FROZEN}::test_memory_updates_are_fifo",),
+        (f"{FROZEN}::test_memory_updates_are_fifo",),
     ),
     (
         # A dequeue clears the oldest entry but leaves the rest in their slots,
@@ -162,21 +162,21 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "operational.py",
         "            rest = buffer >> entry_bits\n",
         "            rest = buffer - entry\n",
-        (f"{TSO_PACKED}::test_eight_stores_fill_the_buffer",),
+        (f"{PACKED}::test_eight_stores_fill_the_buffer",),
     ),
     (
         # A register operand reads the slot before its own.
         "operational.py",
         "            operand = literal if source is None else state >> source & _BYTE",
         "            operand = literal if source is None else state >> source - 8 & _BYTE",
-        (f"{SC}::TestSingleThread::test_register_operands_read_their_own_registers",),
+        (f"{OPERATIONAL}::TestSingleThread::test_register_operands_read_their_own_registers",),
     ),
     (
         # The search visits a successor again although it is already in seen.
         "operational.py",
         "            if succ not in seen:",
         "            if True:",
-        (f"{TSO_STATE_SPACE}::test_ladder_explored_counts",),
+        (f"{STATE_SPACE}::test_ladder_explored_counts",),
     ),
     (
         # A buffered thread is read as unbuffered: no load forwards, no
@@ -184,7 +184,7 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "operational.py",
         "state >> count_shift & count_mask if count_mask else 0",
         "0",
-        (f"{TSO_FROZEN}::test_dekker_gains_both_zero",),
+        (f"{FROZEN}::test_dekker_both_zero_only_under_tso",),
     ),
     (
         # A witness keeps the search's live path, not a copy of the path that
@@ -200,7 +200,7 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "operational.py",
         "if op == _CAS_WEAK:",
         "if False:",
-        (f"{SC}::TestWeakCas::test_spurious_failure_branches",),
+        (f"{OPERATIONAL}::TestWeakCas::test_spurious_failure_branches",),
     ),
     (
         # A witness trace marks stores as buffered under SC.
@@ -467,14 +467,14 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "model.py",
         "lambda old, operand: (old + operand) & MAX_VALUE",
         "lambda old, operand: old + operand",
-        (f"{TSO_PACKED}::test_fetch_add_and_fetch_sub_wrap",),
+        (f"{PACKED}::test_fetch_add_and_fetch_sub_wrap",),
     ),
     (
         # The backends hold a literal outside a byte.
         "model.py",
         "    return value.__class__ is int and 0 <= value <= MAX_VALUE",
         "    return value.__class__ is int",
-        ("tests/test_model.py::TestBackendsRejectWhatTheyCannotRun::test_value_outside_a_byte",),
+        (EVERY_READER,),
     ),
     (
         # An instruction without exactly its kind's fields reaches the backends.

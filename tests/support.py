@@ -12,7 +12,7 @@ from __future__ import annotations
 import ast
 import itertools
 import random
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Union
@@ -34,7 +34,6 @@ from memlit.model import (
     Program,
     validate,
 )
-from memlit.relation import ordered_extensions
 
 # The oracles' own classification, written out here so that a wrong row in
 # memlit's instruction table is not mirrored by the oracle that checks it.
@@ -62,6 +61,11 @@ def make_outcome(program: Program, registers: list[Mapping[str, int]], memory: M
     threads = dict(zip(program.thread_names, registers))
     regs = tuple((name, reg, threads[name][reg]) for name, reg in program.registers)
     return Outcome(regs, tuple((loc, memory.get(loc, program.initial_value(loc))) for loc in program.locations))
+
+
+def reg_pairs(result, a=("P0", "r1"), b=("P1", "r2")) -> set[tuple[int, int]]:
+    """The (a, b) register value pairs over a result's outcomes, each register a (thread, name)."""
+    return {(o.register(*a), o.register(*b)) for o in result.outcomes}
 
 
 def _final_outcome(program: Program, mem, regs) -> Outcome:
@@ -322,21 +326,6 @@ def compose(r: Pairs, s: Pairs) -> Pairs:
 
 def restrict(r: Pairs, keep: Callable[[int], bool]) -> Pairs:
     return frozenset((a, b) for a, b in r if keep(a) and keep(b))
-
-
-def linear_extensions(partial: Pairs, elements: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """All total orders over `elements` consistent with `partial`, lazily.
-
-    Deterministic: at each step candidates are tried in ascending id order.
-    Yields nothing if the restriction of `partial` to `elements` is cyclic.
-    """
-    elems = sorted(set(elements))
-    index = {e: i for i, e in enumerate(elems)}
-    preds = dict.fromkeys(range(len(elems)), 0)
-    for a, b in partial:
-        if a in index and b in index and a != b:
-            preds[index[b]] |= 1 << index[a]
-    return (tuple(elems[i] for i in order) for order in ordered_extensions(preds))
 
 
 # ---------------------------------------------------------------------------

@@ -75,13 +75,10 @@ from support import (
     programs,
     reference_judgment,
     reference_outcomes,
+    reg_pairs,
     value_mutants,
     with_cas_kind,
 )
-
-
-def reg_pairs(outcomes, a=("P0", "r1"), b=("P1", "r2")):
-    return {(o.register(*a), o.register(*b)) for o in outcomes.outcomes}
 
 
 MP_REL_ACQ = """\
@@ -192,11 +189,25 @@ class TestCandidateValidation:
         with pytest.raises(ValueError, match="rf must give every read exactly one source"):
             check_axioms(program, CandidateExecution(events, {}, {"x": (0,)}, ()))
 
-    def test_write_cannot_read(self):
-        program = litmus("x = 0", ("store x 1 relaxed",))
-        events = (init_w(0, "x"), ev(1, 0, 0, W, RLX, "x", read=0, written=1))
-        with pytest.raises(ValueError, match="write events carry no read value"):
-            check_axioms(program, CandidateExecution(events, {}, {"x": (0, 1)}, ()))
+    @pytest.mark.parametrize(
+        "line, kind, rf, mo, message",
+        [
+            ("store x 1 relaxed", W, {}, (0, 1), "write events carry no read value"),
+            ("r1 = load x relaxed", R, {1: 0}, (0,), "read events carry no written value"),
+        ],
+        ids=["write", "read"],
+    )
+    def test_write_cannot_read(self, line, kind, rf, mo, message):
+        # Each event carries both a read and a written value: the one its kind lacks is the fault.
+        events = (init_w(0, "x"), ev(1, 0, 0, kind, RLX, "x", read=0, written=1))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_axioms(litmus("x = 0", (line,)), CandidateExecution(events, rf, {"x": mo}, ()))
+
+    def test_fence_cannot_have_a_location(self):
+        program = litmus("x = 0", ("fence seq_cst",))
+        events = (init_w(0, "x"), ev(1, 0, 0, F, SC, "x"))
+        with pytest.raises(ValueError, match="^candidate does not match the program's event layout$"):
+            check_axioms(program, CandidateExecution(events, {}, {"x": (0,)}, (1,)))
 
     def test_fence_carries_no_value(self):
         program = litmus("x = 0", ("fence seq_cst",))

@@ -13,8 +13,12 @@ from mutants import MUTANTS, ROOT
 
 def _test_names(path: str) -> set[str]:
     """The node ids pytest collects from a test file, without parametrize ids:
-    "path::test" for a module function, "path::Class::test" for a method."""
-    tree = ast.parse((ROOT / path).read_text())
+    "path::test" for a module function, "path::Class::test" for a method.
+    A file that is gone names no tests, so an entry that names one is stale."""
+    file = ROOT / path
+    if not file.exists():
+        return set()
+    tree = ast.parse(file.read_text())
     names = set()
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):

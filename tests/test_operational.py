@@ -1,21 +1,37 @@
-"""Store-buffer machine tests.
+"""The SC/TSO machine, under both of its models: SC is the machine whose
+stores commit at once, TSO the one whose stores wait in a FIFO buffer.
 
-Frozen outcome sets below come from the independent search in support.py.
-The machine is reached only through enumerate_sc and enumerate_tso, so buffer
-mechanics are pinned by outcome sets, witness traces and explored counts.
+Frozen outcome sets below come from support.py's two oracles: sc_outcomes,
+which runs every interleaving on one shared memory, and tso_search, which
+searches the store-buffer machine on plain tuples.  The machine is reached
+only through enumerate_sc and enumerate_tso, so buffer mechanics are pinned
+by outcome sets, witness traces and explored counts.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 
 from memlit import operational
 from memlit.dsl import parse_litmus
-from memlit.model import Outcome, ResourceLimitError, eval_assertion, with_fences_after_stores
+from memlit.model import (
+    Assertion,
+    Kind,
+    MemAtom,
+    Outcome,
+    ResourceLimitError,
+    eval_assertion,
+    with_fences_after_stores,
+)
 from memlit.operational import enumerate_sc, enumerate_tso
 
-from support import CORPUS_DIR, ladder, programs, sc_outcomes, tso_search
+from support import CORPUS_DIR, ladder, programs, reg_pairs, sc_outcomes, tso_search, with_cas_kind
+
+RUN = {"sc": enumerate_sc, "tso": enumerate_tso}
+MODELS = pytest.mark.parametrize("model", list(RUN))
 
 DEKKER = """\
 name: dekker
@@ -56,16 +72,17 @@ exists: P1:r1 = 1 /\\ P1:r2 = 0
 """
 
 
-def reg_pairs(outcomes, a=("P0", "r1"), b=("P1", "r2")):
-    return {(o.register(*a), o.register(*b)) for o in outcomes.outcomes}
-
-
 class TestFrozenPrograms:
-    def test_dekker_gains_both_zero(self):
+    @pytest.mark.parametrize(
+        "model, pairs, verdict",
+        [("sc", {(0, 1), (1, 0), (1, 1)}, "forbidden"), ("tso", {(0, 0), (0, 1), (1, 0), (1, 1)}, "allowed")],
+        ids=list(RUN),
+    )
+    def test_dekker_both_zero_only_under_tso(self, model, pairs, verdict):
         program = parse_litmus(DEKKER)
-        result = enumerate_tso(program)
-        assert reg_pairs(result) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-        assert eval_assertion(program.assertion, result).kind == "allowed"
+        result = RUN[model](program)
+        assert reg_pairs(result) == pairs
+        assert eval_assertion(program.assertion, result).kind == verdict
 
     def test_mfence_restores_dekker(self):
         program = parse_litmus(DEKKER_FENCED)
@@ -82,13 +99,13 @@ class TestFrozenPrograms:
         assert reg_pairs(result) == {(0, 0), (0, 1), (1, 0), (1, 1)}
         assert eval_assertion(program.assertion, result).kind == "allowed"
 
-    def test_message_passing_stays_ordered(self):
+    @MODELS
+    def test_message_passing_stays_ordered(self, model):
         # Stores leave the buffer in order and loads are never reordered,
         # so TSO adds nothing to message passing.
         program = parse_litmus(MESSAGE_PASSING)
-        result = enumerate_tso(program)
-        pairs = {(o.register("P1", "r1"), o.register("P1", "r2")) for o in result.outcomes}
-        assert pairs == {(0, 0), (0, 1), (1, 1)}
+        result = RUN[model](program)
+        assert reg_pairs(result, ("P1", "r1"), ("P1", "r2")) == {(0, 0), (0, 1), (1, 1)}
         assert eval_assertion(program.assertion, result).kind == "forbidden"
 
     def test_forwarding_sees_own_newest_store(self):
@@ -118,8 +135,7 @@ class TestFrozenPrograms:
             "thread P1:\n  r2 = load y\n  r3 = load x\nexists: P1:r2 = 1 /\\ P1:r3 = 0\n"
         )
         result = enumerate_tso(program)
-        pairs = {(o.register("P1", "r2"), o.register("P1", "r3")) for o in result.outcomes}
-        assert pairs == {(0, 0), (0, 1), (1, 1)}
+        assert reg_pairs(result, ("P1", "r2"), ("P1", "r3")) == {(0, 0), (0, 1), (1, 1)}
         assert eval_assertion(program.assertion, result).kind == "forbidden"
 
     def test_memory_updates_are_fifo(self):
@@ -128,9 +144,115 @@ class TestFrozenPrograms:
             "thread P1:\n  r1 = load x\n  r2 = load x\nexists: P1:r1 = 2 /\\ P1:r2 = 1\n"
         )
         result = enumerate_tso(program)
-        pairs = {(o.register("P1", "r1"), o.register("P1", "r2")) for o in result.outcomes}
+        pairs = reg_pairs(result, ("P1", "r1"), ("P1", "r2"))
         assert pairs == {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
         assert eval_assertion(program.assertion, result).kind == "forbidden"
+
+
+class TestWeakCas:
+    PROGRAM = """\
+name: weak
+init: x = 0
+thread P0:
+  r1 = cas_weak x 0 1
+exists: x = 1
+"""
+
+    @MODELS
+    def test_spurious_failure_branches(self, model):
+        result = RUN[model](parse_litmus(self.PROGRAM))
+        assert {o.location("x") for o in result.outcomes} == {0, 1}
+        assert all(o.register("P0", "r1") == 0 for o in result.outcomes)
+
+    @MODELS
+    def test_spurious_failures_suppressed(self, model):
+        result = RUN[model](with_cas_kind(parse_litmus(self.PROGRAM), Kind.CAS_STRONG))
+        assert {o.location("x") for o in result.outcomes} == {1}
+
+
+class TestSingleThread:
+    PROGRAM = """\
+name: chain
+init: x = 10
+thread P0:
+  r1 = fetch_add x 5
+  r2 = fetch_sub x 1
+  r3 = load x
+exists: P0:r3 = 14
+"""
+
+    @MODELS
+    def test_deterministic(self, model):
+        result = RUN[model](parse_litmus(self.PROGRAM))
+        (outcome,) = result.outcomes
+        assert outcome.format() == "P0:r1=10 P0:r2=15 P0:r3=14 | x=14"
+        assert result.stats.complete_runs == 1
+
+    @MODELS
+    def test_register_operands_read_their_own_registers(self, model):
+        # Each operand names a different slot, and P1 reuses P0's register names.
+        program = parse_litmus(
+            "name: operands\ninit: x = 1 y = 2 w = 5\nthread P0:\n  r1 = load x\n  r2 = load y\n  store z r2\n"
+            "  r3 = fetch_add z r1\n  r4 = exchange x r3\nthread P1:\n  r1 = load w\n  na_store v r1\nexists: z = 3\n"
+        )
+        (outcome,) = RUN[model](program).outcomes
+        assert outcome.format() == "P0:r1=1 P0:r2=2 P0:r3=2 P0:r4=1 P1:r1=5 | v=5 w=5 x=2 y=2 z=3"
+
+    @MODELS
+    @given(programs(max_threads=1, with_cas=False))
+    @settings(max_examples=40, deadline=None)
+    def test_single_thread_has_one_outcome(self, model, program):
+        assert len(RUN[model](program).outcomes) == 1
+
+
+class TestLimits:
+    @pytest.mark.parametrize("model, budget", [("sc", 3), ("tso", 5)])
+    def test_state_budget(self, model, budget):
+        with pytest.raises(ResourceLimitError) as exc:
+            RUN[model](parse_litmus(DEKKER), max_states=budget)
+        assert (exc.value.limit_name, exc.value.limit) == ("state", budget)
+
+    @MODELS
+    def test_never_reports_races(self, model):
+        assert RUN[model](parse_litmus(DEKKER)).racy is False
+
+    @MODELS
+    def test_stats_populated(self, model):
+        result = RUN[model](parse_litmus(DEKKER))
+        assert result.stats.explored > 0
+        assert result.stats.complete_runs > 0
+
+
+class TestSymmetry:
+    @MODELS
+    @given(programs())
+    @settings(max_examples=60, deadline=None)
+    def test_outcomes_invariant_under_thread_renaming(self, model, program):
+        run = RUN[model]
+        renamed = replace(program, thread_names=tuple(f"T{n}" for n in program.thread_names))
+        back = dict(zip(renamed.thread_names, program.thread_names))
+        mapped = {(tuple((back[t], r, v) for t, r, v in o.registers), o.memory) for o in run(renamed).outcomes}
+        assert mapped == {(o.registers, o.memory) for o in run(program).outcomes}
+
+    @MODELS
+    def test_outcomes_invariant_under_thread_swap(self, model):
+        program = parse_litmus(DEKKER)
+        swapped = replace(
+            program,
+            threads=program.threads[::-1],
+            assertion=Assertion("exists", MemAtom("x", 1)),
+        )
+
+        def canon(result):
+            shapes = set()
+            for o in result.outcomes:
+                groups: dict[str, list[tuple[str, int]]] = {}
+                for t, r, v in o.registers:
+                    groups.setdefault(t, []).append((r, v))
+                shapes.add((tuple(sorted(tuple(sorted(g)) for g in groups.values())), o.memory))
+            return shapes
+
+        assert canon(RUN[model](swapped)) == canon(RUN[model](program))
 
 
 class TestWitnessTraces:
@@ -147,16 +269,6 @@ class TestWitnessTraces:
         dequeues = [i for i, s in enumerate(trace) if s.kind == "dequeue"]
         assert len(loads) == 2 and len(dequeues) == 2
         assert max(loads) < min(dequeues)
-
-
-class TestLimits:
-    def test_state_budget(self):
-        with pytest.raises(ResourceLimitError) as exc:
-            enumerate_tso(parse_litmus(DEKKER), max_states=5)
-        assert exc.value.limit_name == "state"
-
-    def test_never_reports_races(self):
-        assert enumerate_tso(parse_litmus(DEKKER)).racy is False
 
 
 class TestCorpusDiscipline:
@@ -183,12 +295,11 @@ class TestStateSpace:
         ids=["sc-2x6", "tso-2x6", "sc-3x4", "tso-3x4"],
     )
     def test_ladder_explored_counts(self, model, lengths, explored):
-        run = enumerate_sc if model == "sc" else enumerate_tso
-        assert run(parse_litmus(ladder(lengths))).stats.explored == explored
+        assert RUN[model](parse_litmus(ladder(lengths))).stats.explored == explored
 
-    @pytest.mark.parametrize("model", ["sc", "tso"])
+    @MODELS
     def test_budget_of_exactly_the_explored_count_decides(self, model):
-        run = enumerate_sc if model == "sc" else enumerate_tso
+        run = RUN[model]
         program = parse_litmus(ladder((4, 4)))
         result = run(program)
         explored = result.stats.explored
@@ -208,7 +319,7 @@ class TestStateSpace:
 
 # One corpus file and one ladder rung, each under sc and tso.
 TRACED = {"dekker": (CORPUS_DIR / "dekker.lit").read_text(), "ladder-2x3": ladder((2, 3))}
-TRACED_CASES = pytest.mark.parametrize("model, name", [(m, n) for m in ("sc", "tso") for n in TRACED])
+TRACED_CASES = pytest.mark.parametrize("model, name", [(m, n) for m in RUN for n in TRACED])
 
 
 class TestTracesBuiltOnRead:
@@ -217,8 +328,7 @@ class TestTracesBuiltOnRead:
 
     @staticmethod
     def run(model, name):
-        run = enumerate_sc if model == "sc" else enumerate_tso
-        return run(parse_litmus(TRACED[name]))
+        return RUN[model](parse_litmus(TRACED[name]))
 
     @TRACED_CASES
     def test_keys_len_and_membership_are_the_outcomes(self, model, name):
@@ -320,7 +430,7 @@ class TestPackedState:
         )
         for result in (sc, tso):
             assert {o.memory for o in result.outcomes} == {(("x", 0), ("y", 255), ("z", 7))}
-            assert {(o.register("P0", "r1"), o.register("P0", "r2")) for o in result.outcomes} == {(255, 0)}
+            assert reg_pairs(result, ("P0", "r1"), ("P0", "r2")) == {(255, 0)}
 
     def test_cas_weak_after_a_drain(self):
         # The locked cas_weak drains x = 1 first, so it may succeed on it.
@@ -333,6 +443,12 @@ class TestPackedState:
 
 
 class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(programs())
+    def test_matches_reference_interleaver(self, program):
+        result = enumerate_sc(program)
+        assert result.outcomes == sc_outcomes(program)
+
     @settings(max_examples=100, deadline=None)
     @given(programs())
     def test_matches_reference_search(self, program):
@@ -351,3 +467,9 @@ class TestAgainstOracle:
     @given(programs())
     def test_contains_every_sc_outcome(self, program):
         assert enumerate_sc(program).outcomes <= enumerate_tso(program).outcomes
+
+    @MODELS
+    @given(programs())
+    @settings(max_examples=25, deadline=None)
+    def test_repeat_runs_agree(self, model, program):
+        assert RUN[model](program).outcomes == RUN[model](program).outcomes
