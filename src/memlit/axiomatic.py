@@ -101,8 +101,8 @@ from .model import (
     Instruction,
     Kind,
     MemoryOrder,
-    Outcome,
     OutcomeSet,
+    PackedOutcomes,
     Program,
     ResourceLimitError,
     Witnesses,
@@ -783,16 +783,22 @@ def enumerate_cxx11(
     judged and rejected.  In a sync-free frame (no RMW, no seq_cst event,
     no possible sw edge) only the first mo with each tuple of mo-last
     writes is visited, and stats.explored counts each pair skipped as
-    judged like that first one.  Each outcome's witness is the first
-    consistent candidate with that outcome, built when read; the
-    witnesses share their `Event` objects, which are immutable: one per
-    event and pair of values in each CAS branching.  ValueError, from
-    check_runnable, for a program no backend can run, such as one whose
-    non-atomic access carries an order.
+    judged like that first one.  Outcomes are ints, as `PackedOutcomes`
+    packs them: the registers are packed once per rf map, and each
+    consistent (rf, mo) ORs in the values of its mo-last writes.  Each
+    outcome's witness is the first consistent candidate with that outcome,
+    built when read; the witnesses share their `Event` objects, which are
+    immutable: one per event and pair of values in each CAS branching.
+    ValueError, from check_runnable, for a program no backend can run, such
+    as one whose non-atomic access carries an order.
     """
     check_runnable(program)
     stats = ExplorationStats()
-    recipes: dict[Outcome, tuple] = {}
+    recipes: dict[int, tuple] = {}  # each packed outcome's witness recipe
+    outcomes = PackedOutcomes(recipes.keys(), program.locations, program.registers)
+    # Every location has an initialization write, so each frame's locations
+    # are the program's, in order, as mo's orders are.
+    location_shifts = outcomes.location_shifts
     racy = False
 
     cas_sites = [
@@ -847,7 +853,7 @@ def enumerate_cxx11(
             if grounded is None:
                 continue
             value_read, value_written = grounded
-            registers = tuple((t, r, value_read[e]) for (t, r), e in zip(program.registers, plan.registers))
+            registers = sum(value_read[e] << s for e, s in zip(plan.registers, outcomes.register_shifts))
             record: Optional[list] = None  # this rf map's part of its witnesses' recipes
             # mo reaches hb only through sw's input, so hb, COHERENT-READ,
             # the races and S-EMBED's hb half are judged once per input:
@@ -894,16 +900,16 @@ def enumerate_cxx11(
                         continue
                     racy = racy or hb_racy
                     # rf fixes the registers, and the mo-last writes the final
-                    # values.  Every location has an initialization write, so
-                    # the frame's locations are the program's, in order.  An
-                    # outcome keeps the recipe of its first consistent candidate.
-                    lasts = tuple(t.order[-1] for t in mo)
-                    outcome = Outcome(registers, tuple(zip(frame.locations, map(value_written.__getitem__, lasts))))
-                    if outcome not in recipes:
+                    # values.  An outcome keeps the recipe of its first
+                    # consistent candidate.
+                    key = registers
+                    for t, shift in zip(mo, location_shifts):
+                        key |= value_written[t.order[-1]] << shift
+                    if key not in recipes:
                         record = record or [rf, value_read, value_written, shared, None]
-                        recipes[outcome] = record, frame, mo, s_order
+                        recipes[key] = record, frame, mo, s_order
                     break
             if skipped:  # each judged as its first pair with the same last writes: consistent, one S
                 bump(2 * skipped)
 
-    return OutcomeSet(frozenset(recipes), racy=racy, stats=stats, witnesses=Witnesses(recipes, _witness))
+    return OutcomeSet(outcomes, racy=racy, stats=stats, witnesses=Witnesses(outcomes, recipes, _witness))

@@ -9,7 +9,7 @@ most 8 instructions each.  Registers are thread-local and write-once-visible
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Set, Sized
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Optional, Union
@@ -447,24 +447,141 @@ class ExplorationStats:
     complete_runs: int = 0
 
 
-class Witnesses(Mapping[Outcome, object]):
-    """A backend's witnesses, read-only: the search keeps a recipe per
-    outcome, and `build` turns it into the witness on its first read."""
+class PackedOutcomes(Set[Outcome]):
+    """A program's outcomes as ints, read as a set of `Outcome`s.
 
-    def __init__(self, recipes: dict[Outcome, object], build: Callable[[object], object]) -> None:
-        self._recipes, self._build, self._built = recipes, build, {}
+    An outcome packs into one int of 8-bit fields: location i of `locations`
+    at bits 8*i, then register j of `registers` (its (thread name, register)
+    pairs) at bits 8*(len(locations) + j).  Those are the low fields of an
+    sc/tso state, and every value is a byte (`_faults`).
+
+    The set is read-only.  Iteration decodes each int once: the first full
+    read keeps the decoded outcomes for later reads, and decoded outcomes
+    with the same memory, or the same registers, share that tuple.  `in`
+    and `key` know those outcomes by identity and encode any other object,
+    so anything that is no outcome of this layout, such as one holding
+    True or 1.0 for a 1, is absent whether or not the set has been read.
+    The set compares and hashes like the frozenset of its outcomes.
+    """
+
+    def __init__(self, keys: Set[int], locations: tuple[str, ...], registers: tuple[tuple[str, str], ...]) -> None:
+        self.keys = keys
+        self.layout = locations, registers
+        self.location_shifts, self.register_shifts, _ = self.shifts(locations, registers)
+        self._locations = tuple(zip(locations, self.location_shifts))
+        self._registers = tuple(zip(registers, self.register_shifts))
+        self._decoded: Optional[tuple[Outcome, ...]] = None
+        self._decoded_keys: dict[int, int] = {}  # each decoded outcome's int, by its id while _decoded holds it
+        # Each decoded memory and register tuple, by its bits.
+        self._memory_mask = sum(MAX_VALUE << s for s in self.location_shifts)
+        self._memory_rows: dict[int, tuple[tuple[str, int], ...]] = {}
+        self._register_rows: dict[int, tuple[tuple[str, str, int], ...]] = {}
+
+    @staticmethod
+    def shifts(locations: Sized, registers: Sized) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """The shift of each location's field and of each register's field,
+        and the width of an outcome in bits: the one place that lays out
+        an outcome, and the low fields of an sc/tso state."""
+        registers_base = 8 * len(locations)
+        width = registers_base + 8 * len(registers)
+        return tuple(range(0, registers_base, 8)), tuple(range(registers_base, width, 8)), width
+
+    @classmethod
+    def pack(cls, outcomes: Iterable[Outcome]) -> PackedOutcomes:
+        """A caller's outcomes, in the layout the first one names.
+        ValueError unless each names the same locations and registers in the
+        same order, with byte values."""
+        outcomes = list(outcomes)
+        first = outcomes[0] if outcomes and outcomes[0].__class__ is Outcome else Outcome((), ())
+        layout = tuple(loc for loc, _ in first.memory), tuple((t, r) for t, r, _ in first.registers)
+        keys = frozenset(map(cls(frozenset(), *layout)._encode, outcomes))
+        if None in keys:
+            raise ValueError("outcomes of one set name the same locations and registers, each holding a byte")
+        return cls(keys, *layout)
+
+    def decode(self, key: int) -> Outcome:
+        memory_bits = key & self._memory_mask
+        register_bits = key ^ memory_bits
+        memory = self._memory_rows.get(memory_bits)
+        if memory is None:
+            memory = tuple((loc, key >> s & MAX_VALUE) for loc, s in self._locations)
+            self._memory_rows[memory_bits] = memory
+        registers = self._register_rows.get(register_bits)
+        if registers is None:
+            registers = tuple((t, r, key >> s & MAX_VALUE) for (t, r), s in self._registers)
+            self._register_rows[register_bits] = registers
+        return Outcome(registers, memory)
+
+    def _encode(self, outcome: object) -> Optional[int]:
+        """The int of an outcome in this layout, or None for anything else."""
+        if outcome.__class__ is not Outcome:
+            return None
+        if (len(outcome.memory), len(outcome.registers)) != (len(self._locations), len(self._registers)):
+            return None
+        key = 0
+        for (loc, value), (name, shift) in zip(outcome.memory, self._locations):
+            if loc != name or not _is_byte(value):
+                return None
+            key |= value << shift
+        for (t, r, value), (name, shift) in zip(outcome.registers, self._registers):
+            if (t, r) != name or not _is_byte(value):
+                return None
+            key |= value << shift
+        return key
+
+    def key(self, outcome: object) -> Optional[int]:
+        """The int of `outcome` when the set holds it, else None."""
+        key = self._decoded_keys.get(id(outcome))
+        if key is None:
+            key = self._encode(outcome)
+        return key if key is not None and key in self.keys else None
+
+    def __contains__(self, outcome: object) -> bool:
+        return self.key(outcome) is not None
+
+    def __iter__(self) -> Iterator[Outcome]:
+        if self._decoded is None:
+            keys = tuple(self.keys)
+            self._decoded = tuple(map(self.decode, keys))
+            self._decoded_keys = dict(zip(map(id, self._decoded), keys))
+        return iter(self._decoded)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @classmethod
+    def _from_iterable(cls, outcomes: Iterable[Outcome]) -> frozenset[Outcome]:
+        return frozenset(outcomes)
+
+    def __hash__(self) -> int:
+        return self._hash()
+
+    def __repr__(self) -> str:
+        return f"PackedOutcomes({set(self)!r})"
+
+
+class Witnesses(Mapping[Outcome, object]):
+    """A backend's witnesses, read-only, keyed like its outcomes: the search
+    keeps a recipe per packed outcome, and `build` turns it into the witness
+    on its first read."""
+
+    def __init__(self, outcomes: PackedOutcomes, recipes: dict[int, object], build: Callable[[object], object]) -> None:
+        self._outcomes, self._recipes, self._build, self._built = outcomes, recipes, build, {}
 
     def __getitem__(self, outcome: Outcome) -> object:
-        witness = self._built.get(outcome)
+        key = self._outcomes.key(outcome)
+        if key is None:
+            raise KeyError(outcome)
+        witness = self._built.get(key)
         if witness is None:
-            witness = self._built[outcome] = self._build(self._recipes[outcome])
+            witness = self._built[key] = self._build(self._recipes[key])
         return witness
 
     def __contains__(self, outcome: object) -> bool:
-        return outcome in self._recipes
+        return outcome in self._outcomes
 
     def __iter__(self) -> Iterator[Outcome]:
-        return iter(self._recipes)
+        return iter(self._outcomes)
 
     def __len__(self) -> int:
         return len(self._recipes)
@@ -474,32 +591,46 @@ class Witnesses(Mapping[Outcome, object]):
 class OutcomeSet:
     """Deduplicated final outcomes plus a race flag.
 
-    stats and witnesses are exploration byproducts and do not participate in
-    equality; witnesses maps an outcome to one execution that produced it: a
-    cxx11 CandidateExecution, or an sc/tso trace (a tuple of TraceSteps).
-    Every backend returns them as `Witnesses`, each built on its first read.
+    outcomes is a `PackedOutcomes`: a set of `Outcome`s given as a frozenset
+    is packed when the OutcomeSet is built.  stats and witnesses are
+    exploration byproducts and do not participate in equality; witnesses
+    maps an outcome to one execution that produced it: a cxx11
+    CandidateExecution, or an sc/tso trace (a tuple of TraceSteps).  Every
+    backend returns them as `Witnesses`, each built on its first read.
     """
 
-    outcomes: frozenset[Outcome]
+    outcomes: Set[Outcome]
     racy: bool = False
     stats: Optional[ExplorationStats] = field(default=None, compare=False, repr=False)
     witnesses: Optional[Mapping[Outcome, object]] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.outcomes, PackedOutcomes):
+            object.__setattr__(self, "outcomes", PackedOutcomes.pack(self.outcomes))
 
     def sorted_outcomes(self) -> list[Outcome]:
         return sorted(self.outcomes, key=Outcome.format)
 
 
-def satisfies(expr: BoolExpr, outcome: Outcome) -> bool:
-    if isinstance(expr, RegAtom):
-        return outcome.register(expr.thread, expr.register) == expr.value
-    if isinstance(expr, MemAtom):
-        return outcome.location(expr.location) == expr.value
+def _compile(expr: BoolExpr, shifts: Mapping[object, int]) -> Callable[[int], bool]:
+    """`expr` as a test on a packed outcome.  An atom compares the field at
+    the shift `shifts` gives its location, or its (thread, register), with
+    its value; an atom whose name has no field, or whose value is no byte,
+    never holds."""
+    if isinstance(expr, (RegAtom, MemAtom)):
+        shift = shifts.get((expr.thread, expr.register) if isinstance(expr, RegAtom) else expr.location)
+        value = expr.value
+        if shift is None or not _is_byte(value):
+            return lambda key: False
+        return lambda key: key >> shift & MAX_VALUE == value
     if isinstance(expr, Not):
-        return not satisfies(expr.operand, outcome)
-    if isinstance(expr, And):
-        return satisfies(expr.left, outcome) and satisfies(expr.right, outcome)
-    if isinstance(expr, Or):
-        return satisfies(expr.left, outcome) or satisfies(expr.right, outcome)
+        operand = _compile(expr.operand, shifts)
+        return lambda key: not operand(key)
+    if isinstance(expr, (And, Or)):
+        left, right = _compile(expr.left, shifts), _compile(expr.right, shifts)
+        if isinstance(expr, And):
+            return lambda key: left(key) and right(key)
+        return lambda key: left(key) or right(key)
     raise TypeError(f"not a boolean expression: {expr!r}")
 
 
@@ -513,14 +644,18 @@ def eval_assertion(assertion: Assertion, outcomes: OutcomeSet) -> Verdict:
     """exists: allowed iff some outcome satisfies the formula.
     forall: holds iff every outcome does; witnesses carry the relevant
     outcomes (satisfying ones for allowed, violating ones for fails), sorted
-    by `Outcome.format`.
+    by `Outcome.format`.  The formula is compiled once into tests on the
+    packed outcomes, and only the outcomes returned are decoded.
     """
     if assertion.quantifier not in ("exists", "forall"):
         raise ValueError(f"quantifier {assertion.quantifier!r} is neither exists nor forall")
     wanted = assertion.quantifier == "exists"
-    found = tuple(
-        sorted((o for o in outcomes.outcomes if satisfies(assertion.formula, o) == wanted), key=Outcome.format)
-    )
+    packed = outcomes.outcomes
+    locations, registers = packed.layout
+    # The first field of a name wins, as Outcome.register reads the first.
+    shifts = dict(reversed([*zip(locations, packed.location_shifts), *zip(registers, packed.register_shifts)]))
+    holds = _compile(assertion.formula, shifts)
+    found = tuple(sorted((packed.decode(key) for key in packed.keys if holds(key) == wanted), key=Outcome.format))
     if wanted:
         return Verdict("allowed" if found else "forbidden", found)
     return Verdict("fails" if found else "holds", found)

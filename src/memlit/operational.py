@@ -26,17 +26,21 @@ A state is one int of bit fields, from the lowest bit up:
 - under TSO, per thread, the count of its buffered stores and then one entry
   slot per store instruction of the thread, oldest entry lowest: a value in
   the low 8 bits with its location index above.
-`_resolve` builds this layout, and turns each instruction's names into field
-shifts and its kind into an opcode, once per exploration; check_runnable
+`_resolve` builds this layout, its location and register fields as
+`model.PackedOutcomes.shifts` gives them, and turns each instruction's names
+into field shifts and its kind into an opcode, once per exploration; check_runnable
 first raises ValueError for a program no backend can run.  A thread is one
 flat row (index, body, length, field shifts and masks), and a thread with no
 buffer (every one under SC) never reads a buffer count.  One function, `_successors`, defines
 which transitions a state enables and the states they lead to, as arithmetic
 on the int, and the search, `_explore`, is its only caller.  A state is
 terminal when every pc is at its thread's end and every buffer count is 0,
-one masked compare.  A step records what it did as data.  Each outcome keeps
-the steps of the first path to it, and `witnesses`, a read-only `Witnesses`
-mapping, builds its trace on the first read, one TraceStep per distinct step.
+one masked compare.  Its location and register fields are its outcome as
+`model.PackedOutcomes` packs one, so the outcome is the state masked to
+them, and no `Outcome` is built during the search.  A step records what it
+did as data.  Each outcome keeps the steps of the first path to it, and
+`witnesses`, a read-only `Witnesses` mapping, builds its trace on the first
+read, one TraceStep per distinct step.
 """
 
 from __future__ import annotations
@@ -52,8 +56,8 @@ from .model import (
     ExplorationStats,
     Kind,
     MemoryOrder,
-    Outcome,
     OutcomeSet,
+    PackedOutcomes,
     Program,
     ResourceLimitError,
     TraceStep,
@@ -89,8 +93,7 @@ class _Machine(NamedTuple):
     # operand's shift or None, instruction).  Without buffers the count and buffer masks are 0.
     threads: tuple[tuple, ...]
     entry_bits: int  # one buffer entry: 8 value bits, then the location index
-    memory: tuple[int, ...]  # each location's shift
-    registers: tuple[int, ...]  # each register slot's shift
+    outcome_mask: int  # every location and register field: a state's outcome, packed as model.PackedOutcomes packs it
     root: int  # the initial state
     done_mask: int  # every pc and buffer count field
     done: int  # every pc at its thread's end, every count 0
@@ -103,11 +106,12 @@ def _resolve(program: Program, buffered: bool) -> _Machine:
     a slot and every value fits its 8-bit field."""
     check_runnable(program)
     locations = {loc: i for i, loc in enumerate(program.locations)}
-    slots = {reg: i for i, reg in enumerate(program.registers)}  # keyed (thread name, register): no literal matches
+    # A state's low fields are its outcome, laid out as PackedOutcomes lays one out.
+    location_shifts, register_shifts, pc_base = PackedOutcomes.shifts(program.locations, program.registers)
+    # Each register field's shift, keyed (thread name, register): no literal matches.
+    slots = dict(zip(program.registers, register_shifts))
     entry_bits = 8 + (len(locations) - 1).bit_length()
     pc_bits = max(map(len, program.threads), default=0).bit_length()
-    registers = 8 * len(locations)  # the first register slot's shift
-    pc_base = registers + 8 * len(slots)
     cursor = pc_base + pc_bits * len(program.threads)  # the next free bit: each thread's buffer fields follow the pcs
     threads = []
     done = done_mask = 0
@@ -121,11 +125,8 @@ def _resolve(program: Program, buffered: bool) -> _Machine:
             dest = slots.get((name, instr.dest))
             source = None
             if instr.operand.__class__ is str:  # check_runnable saw it assigned earlier in this thread
-                source = registers + 8 * slots[name, instr.operand]
-            resolved.append((
-                op, instr.operand, None if loc is None else 8 * loc, loc,
-                None if dest is None else registers + 8 * dest, source, instr,
-            ))
+                source = slots[name, instr.operand]
+            resolved.append((op, instr.operand, None if loc is None else location_shifts[loc], loc, dest, source, instr))
         pc_shift = pc_base + t * pc_bits
         stores = sum(entry[0] == _STORE for entry in resolved) if buffered else 0
         count_bits = stores.bit_length()
@@ -140,9 +141,8 @@ def _resolve(program: Program, buffered: bool) -> _Machine:
     return _Machine(
         tuple(threads),
         entry_bits,
-        tuple(8 * i for i in range(len(locations))),
-        tuple(range(registers, pc_base, 8)),
-        sum(value << 8 * locations[loc] for loc, value in program.init.items()),
+        (1 << pc_base) - 1,
+        sum(value << location_shifts[locations[loc]] for loc, value in program.init.items()),
         done_mask,
         done,
     )
@@ -236,16 +236,14 @@ def _trace_step(program: Program, step: tuple[int, Optional[int], Optional[int]]
 
 def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet:
     stats = ExplorationStats()
-    paths: dict[Outcome, tuple[Step, ...]] = {}  # each outcome's witness recipe: the steps that reached it
+    paths: dict[int, tuple[Step, ...]] = {}  # each packed outcome's witness recipe: the steps that reached it
     machine = _resolve(program, buffered)
     seen = {machine.root}
     path: list[Step] = []
     explored = 0
     # Witnesses share their TraceSteps: each distinct step is built once, on its first read.
     trace_step = functools.cache(lambda step: _trace_step(program, step, buffered))
-    registers = tuple(zip(program.registers, machine.registers))
-    memory = tuple(zip(program.locations, machine.memory))
-    done_mask, done = machine.done_mask, machine.done
+    outcome_mask, done_mask, done = machine.outcome_mask, machine.done_mask, machine.done
 
     def visit(state: int) -> None:
         nonlocal explored
@@ -256,11 +254,7 @@ def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet
             # All threads done and all buffers drained.  A terminal state's
             # fields other than its values are fixed, so each is a new outcome.
             stats.complete_runs += 1
-            outcome = Outcome(
-                tuple((t, r, state >> s & _BYTE) for (t, r), s in registers),
-                tuple((loc, state >> s & _BYTE) for loc, s in memory),
-            )
-            paths[outcome] = tuple(path)
+            paths[state & outcome_mask] = tuple(path)
             return
         for step in _successors(machine, state):
             succ = step[0]
@@ -274,8 +268,9 @@ def _explore(program: Program, *, buffered: bool, max_states: int) -> OutcomeSet
         visit(machine.root)
     finally:
         stats.explored = explored
-    witnesses = Witnesses(paths, lambda steps: tuple(trace_step(step[1:]) for step in steps))
-    return OutcomeSet(frozenset(paths), racy=False, stats=stats, witnesses=witnesses)
+    outcomes = PackedOutcomes(paths.keys(), program.locations, program.registers)
+    witnesses = Witnesses(outcomes, paths, lambda steps: tuple(trace_step(step[1:]) for step in steps))
+    return OutcomeSet(outcomes, racy=False, stats=stats, witnesses=witnesses)
 
 
 def enumerate_sc(

@@ -45,6 +45,7 @@ SW_INPUT_ORACLE = f"{ORACLE}::test_on_sw_input_programs"
 CANDIDATE_SPACE = f"{AXIOMATIC}::TestCandidateSpace"
 COHERENT_SOURCES = f"{AXIOMATIC}::TestCoherentSources"
 EVERY_READER = "tests/test_model.py::test_every_reader_rejects_what_validate_reports_first"
+PACKED_OUTCOMES = "tests/test_model.py::TestPackedOutcomes"
 
 # (file under src/memlit, exact old text, new text, tests that must kill it)
 MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
@@ -191,8 +192,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         # first reached its outcome: read after the search, each trace is
         # built from the last path the search held.
         "operational.py",
-        "            paths[outcome] = tuple(path)",
-        "            paths[outcome] = path",
+        "            paths[state & outcome_mask] = tuple(path)",
+        "            paths[state & outcome_mask] = path",
         (f"{TRACES_ON_READ}::test_each_trace_runs_every_instruction_once",),
     ),
     (
@@ -333,8 +334,8 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
     (
         # A location's final value comes from its highest-id write, not its mo-last one.
         "axiomatic.py",
-        "lasts = tuple(t.order[-1] for t in mo)",
-        "lasts = tuple(max(t.order) for t in mo)",
+        "key |= value_written[t.order[-1]] << shift",
+        "key |= value_written[max(t.order)] << shift",
         (
             f"{ENUMERATION}::test_exchange_writes_only_once_its_read_is_grounded",
             f"{ORACLE}::test_on_corpus_and_s_edge_programs",
@@ -510,6 +511,32 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         "                if operand not in assigned:",
         "                if False:",
         (EVERY_READER,),
+    ),
+    (
+        # A packed outcome's register is read from the slot above its own.
+        "model.py",
+        "tuple((t, r, key >> s & MAX_VALUE) for (t, r), s in self._registers)",
+        "tuple((t, r, key >> s + 8 & MAX_VALUE) for (t, r), s in self._registers)",
+        (f"{PACKED_OUTCOMES}::test_on_random_programs", f"{FROZEN}::test_dekker_both_zero_only_under_tso"),
+    ),
+    (
+        # The outcome layout puts the registers first.  Every backend packs
+        # and decodes alike and stays right, but outcomes no longer have
+        # the documented layout.
+        "model.py",
+        "        return tuple(range(0, registers_base, 8)), tuple(range(registers_base, width, 8)), width",
+        "        return tuple(range(width - registers_base, width, 8)), tuple(range(0, width - registers_base, 8)), width",
+        (f"{PACKED_OUTCOMES}::test_on_the_corpus", f"{PACKED_OUTCOMES}::test_on_random_programs"),
+    ),
+    (
+        # A compiled Not keeps its operand's value.
+        "model.py",
+        "        return lambda key: not operand(key)",
+        "        return lambda key: operand(key)",
+        (
+            "tests/test_model.py::TestOutcomesAndAssertions::test_satisfies_connectives",
+            f"{PACKED_OUTCOMES}::test_eval_assertion_matches_the_oracle",
+        ),
     ),
     (
         # A line after a condition that fails to parse is one more instruction.

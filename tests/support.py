@@ -23,15 +23,20 @@ from memlit.axiomatic import CandidateExecution, ExecutionJudgment
 from memlit.dsl import ParseError, parse_litmus
 from memlit.model import (
     INIT_THREAD,
+    And,
     Assertion,
+    BoolExpr,
     Event,
     EventKind,
     Instruction,
     Kind,
     MemAtom,
     MemoryOrder,
+    Not,
+    Or,
     Outcome,
     Program,
+    RegAtom,
     validate,
 )
 
@@ -66,6 +71,21 @@ def make_outcome(program: Program, registers: list[Mapping[str, int]], memory: M
 def reg_pairs(result, a=("P0", "r1"), b=("P1", "r2")) -> set[tuple[int, int]]:
     """The (a, b) register value pairs over a result's outcomes, each register a (thread, name)."""
     return {(o.register(*a), o.register(*b)) for o in result.outcomes}
+
+
+def satisfies(expr: BoolExpr, outcome: Outcome) -> bool:
+    """The assertion oracle: `expr` read recursively on a decoded outcome."""
+    if isinstance(expr, RegAtom):
+        return outcome.register(expr.thread, expr.register) == expr.value
+    if isinstance(expr, MemAtom):
+        return outcome.location(expr.location) == expr.value
+    if isinstance(expr, Not):
+        return not satisfies(expr.operand, outcome)
+    if isinstance(expr, And):
+        return satisfies(expr.left, outcome) and satisfies(expr.right, outcome)
+    if isinstance(expr, Or):
+        return satisfies(expr.left, outcome) or satisfies(expr.right, outcome)
+    raise TypeError(f"not a boolean expression: {expr!r}")
 
 
 def _final_outcome(program: Program, mem, regs) -> Outcome:
@@ -909,6 +929,21 @@ def programs(draw, max_threads: int = 3, max_total: int = 6, atomic_only: bool =
     )
     assert not validate(program), validate(program)
     return program
+
+
+def formulas(program: Program) -> st.SearchStrategy[BoolExpr]:
+    """Formulas over `program`'s registers and locations, with a name it
+    lacks and values just outside a byte among the atoms."""
+    values = st.integers(-1, 3) | st.just(256)
+    registers = st.sampled_from([*program.registers, ("P0", "r9"), ("P9", "r1")])
+    atom = st.builds(lambda name, v: RegAtom(*name, v), registers, values) | st.builds(
+        MemAtom, st.sampled_from([*program.locations, "z"]), values
+    )
+    return st.recursive(
+        atom,
+        lambda inner: st.builds(Not, inner) | st.builds(And, inner, inner) | st.builds(Or, inner, inner),
+        max_leaves=6,
+    )
 
 
 def with_cas_kind(program: Program, kind: Kind) -> Program:

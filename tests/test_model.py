@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import pytest
+from dataclasses import replace
+
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memlit.axiomatic import CandidateExecution, check_axioms, enumerate_cxx11
 from memlit.model import (
@@ -16,18 +19,20 @@ from memlit.model import (
     MemoryOrder,
     Not,
     Or,
+    Outcome,
+    OutcomeSet,
+    PackedOutcomes,
     Program,
     RegAtom,
     derive_failure_order,
     eval_assertion,
     force_seq_cst,
-    satisfies,
     validate,
     with_fences_after_stores,
 )
 from memlit.operational import enumerate_sc, enumerate_tso
 
-from support import make_outcome, programs, value_universe
+from support import formulas, make_outcome, programs, satisfies, value_universe
 
 
 def prog(threads, assertion=None, init=None, names=None):
@@ -85,10 +90,6 @@ class TestRmwArithmetic:
         assert {kind for kind in rmw if kind.update is None} == {Kind.CAS_STRONG, Kind.CAS_WEAK}
 
 
-def _rules(program):
-    return {d.rule for d in validate(program)}
-
-
 class TestValidation:
     """The policy rules validate adds to _faults; what _faults reports is
     _UNRUNNABLE's, below."""
@@ -113,50 +114,50 @@ class TestValidation:
 
     def test_consume_rejected(self):
         p = prog([[Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.CONSUME)]])
-        assert "consume rejected" in _rules(p)
+        assert validate(p) == [Diagnostic("consume rejected", "memory_order_consume is not supported (order)", 0, 0)]
 
     def test_release_load_rejected(self):
         p = prog([[Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.RELEASE)]])
-        assert "release on read operation" in _rules(p)
+        assert validate(p) == [Diagnostic("release on read operation", "order release is write-only", 0, 0)]
 
     def test_acquire_store_rejected(self):
         p = prog([[Instruction(Kind.STORE, location="x", operand=1, order=MemoryOrder.ACQUIRE)]])
-        assert "acquire on write operation" in _rules(p)
+        assert validate(p) == [Diagnostic("acquire on write operation", "order acquire is read-only", 0, 0)]
 
     def test_acq_rel_plain_access_rejected(self):
         p = prog([[Instruction(Kind.STORE, location="x", operand=1, order=MemoryOrder.ACQ_REL)]])
-        assert "acq_rel on non-RMW" in _rules(p)
+        assert validate(p) == [Diagnostic("acq_rel on non-RMW", "order acq_rel requires a read-modify-write", 0, 0)]
 
     def test_thread_limit(self):
         body = [Instruction(Kind.NA_STORE, location="x", operand=1)]
         p = prog([body] * 5)
-        assert "thread limit exceeded" in _rules(p)
+        assert validate(p) == [Diagnostic("thread limit exceeded", "5 threads, limit 4")]
 
     def test_instruction_limit(self):
         body = [Instruction(Kind.NA_STORE, location="x", operand=1)] * 9
         p = prog([body])
-        assert "instruction limit exceeded" in _rules(p)
+        assert validate(p) == [Diagnostic("instruction limit exceeded", "9 instructions, limit 8", 0)]
 
     def test_assertion_unknown_thread(self):
         p = prog(
             [[Instruction(Kind.NA_STORE, location="x", operand=1)]],
             assertion=Assertion("exists", RegAtom("P7", "r1", 0)),
         )
-        assert "unknown assertion thread" in _rules(p)
+        assert validate(p) == [Diagnostic("unknown assertion thread", "no thread named P7")]
 
     def test_assertion_unwritten_register(self):
         p = prog(
             [[Instruction(Kind.NA_STORE, location="x", operand=1)]],
             assertion=Assertion("exists", RegAtom("P0", "r1", 0)),
         )
-        assert "unwritten assertion register" in _rules(p)
+        assert validate(p) == [Diagnostic("unwritten assertion register", "P0:r1 is never assigned")]
 
     def test_assertion_unknown_location(self):
         p = prog(
             [[Instruction(Kind.NA_STORE, location="x", operand=1)]],
             assertion=Assertion("exists", MemAtom("z", 0)),
         )
-        assert "unknown assertion location" in _rules(p)
+        assert validate(p) == [Diagnostic("unknown assertion location", "z does not appear in the program")]
 
     @pytest.mark.parametrize(
         "instr, message",
@@ -463,16 +464,15 @@ class TestOutcomesAndAssertions:
         assert o.location("x") == 7
 
     def test_satisfies_connectives(self):
-        p, o = self._outcome(3, 1)
+        _, o = self._outcome(3, 1)
+        outs = OutcomeSet(frozenset({o}))
         reg = RegAtom("P0", "r1", 1)
         mem = MemAtom("x", 3)
-        assert satisfies(And(reg, mem), o)
-        assert satisfies(Or(RegAtom("P0", "r1", 9), mem), o)
-        assert not satisfies(Not(mem), o)
+        for formula, holds in ((And(reg, mem), True), (Or(RegAtom("P0", "r1", 9), mem), True), (Not(mem), False)):
+            assert eval_assertion(Assertion("exists", formula), outs).witnesses == ((o,) if holds else ())
+            assert eval_assertion(Assertion("forall", formula), outs).witnesses == (() if holds else (o,))
 
     def test_eval_exists_and_forall(self):
-        from memlit.model import OutcomeSet
-
         p, good = self._outcome(3, 1)
         _, bad = self._outcome(0, 0)
         outs = OutcomeSet(frozenset({good, bad}))
@@ -486,15 +486,11 @@ class TestOutcomesAndAssertions:
         assert holds.kind == "holds" and holds.witnesses == ()
 
     def test_eval_rejects_an_unknown_quantifier(self):
-        from memlit.model import OutcomeSet
-
         _, o = self._outcome(3, 1)
         with pytest.raises(ValueError, match="^quantifier 'exist' is neither exists nor forall$"):
             eval_assertion(Assertion("exist", MemAtom("x", 0)), OutcomeSet(frozenset({o})))
 
     def test_witnesses_sorted_by_format(self):
-        from memlit.model import OutcomeSet
-
         # By value the hits would run 2, 9, 10, 25, 100; by format() they do not.
         hits = [self._outcome(3, r1)[1] for r1 in (100, 9, 25, 2, 10)]
         misses = [self._outcome(0, r1)[1] for r1 in (7, 1, 30)]
@@ -504,6 +500,131 @@ class TestOutcomesAndAssertions:
         assert allowed.kind == "allowed" and [o.format() for o in allowed.witnesses] == want
         fails = eval_assertion(Assertion("forall", MemAtom("x", 0)), outs)
         assert fails.kind == "fails" and [o.format() for o in fails.witnesses] == want
+
+
+class TestPackedOutcomes:
+    """OutcomeSet.outcomes holds one int per outcome and reads as the
+    frozenset of the outcomes it decodes to."""
+
+    @staticmethod
+    def check_round_trip(result):
+        packed = result.outcomes
+        decoded = [packed.decode(key) for key in packed.keys]
+        # Location i at bits 8*i, then register j at bits 8*(locations + j).
+        for key, o in zip(packed.keys, decoded):
+            assert tuple(loc for loc, _ in o.memory) == packed.layout[0]
+            values = [v for _, v in o.memory] + [v for _, _, v in o.registers]
+            assert values == [key >> 8 * i & 255 for i in range(len(values))] and key >> 8 * len(values) == 0
+        assert [packed.key(o) for o in decoded] == list(packed.keys)
+        assert set(packed) == set(decoded) and len(set(decoded)) == len(decoded)
+        shared: dict = {}  # outcomes with equal memory or registers share the tuple
+        assert all(shared.setdefault(row, row) is row for o in packed for row in (o.memory, o.registers))
+        assert [packed.key(o) for o in decoded] == list(packed.keys)
+        # The outcomes iteration returns each give back the int they decode from.
+        assert all(packed.decode(packed.key(o)) == o for o in packed)
+
+    @staticmethod
+    def check_as_frozensets(results):
+        # Backend sets, a caller's repacked copy (same layout) and the empty set (another layout).
+        sets = [r.outcomes for r in results] + [OutcomeSet(frozenset(results[0].outcomes)).outcomes]
+        sets.append(OutcomeSet(frozenset()).outcomes)
+        frozen = [frozenset(s) for s in sets]
+        for a, fa in zip(sets, frozen):
+            assert len(a) == len(fa) and hash(a) == hash(fa) and a == fa and fa == a
+            for b, fb in zip(sets, frozen):
+                assert (a == b) == (a == fb) == (fa == b) == (fa == fb)
+                assert (a != b) == (fa != fb)
+                assert (a <= b) == (a <= fb) == (fa <= b) == (fa <= fb)
+                assert (a < b) == (fa < fb) and (a >= b) == (fa >= fb)
+                assert a - b == a - fb == fa - b == fa - fb
+                assert frozenset(a - b) == fa - fb and len(a - b) == len(fa - fb)
+
+    @staticmethod
+    def check_strangers(result):
+        # A fresh copy of the set, asked before its first full read and after it.
+        packed = PackedOutcomes(result.outcomes.keys, *result.outcomes.layout)
+        outcomes = [packed.decode(key) for key in list(packed.keys)[:3]]
+        strangers = [None, 0, frozenset(), ()]
+        for o in outcomes:
+            (loc, value), *memory = o.memory
+            strangers += [
+                replace(o, memory=(("zz", value), *memory)),
+                replace(o, memory=(*memory, (loc, value))) if memory else None,
+                replace(o, memory=tuple(memory)),
+                replace(o, memory=((loc, 256), *memory)),
+                replace(o, memory=((loc, -1), *memory)),
+                replace(o, memory=((loc, str(value)), *memory)),
+                # Equal to o, and hashed like it, but 1.0 and True are no bytes.
+                replace(o, memory=((loc, float(value)), *memory)),
+                replace(o, memory=((loc, bool(value)), *memory)) if value in (0, 1) else None,
+                replace(o, registers=(*o.registers, ("P9", "r1", 0))),
+                o.format(),
+                (o.registers, o.memory),
+            ]
+            if o.registers:
+                (t, r, v), *registers = o.registers
+                strangers += [
+                    replace(o, registers=((t + "x", r, v), *registers)),
+                    replace(o, registers=((t, r + "x", v), *registers)),
+                    replace(o, registers=((t, r, 256), *registers)),
+                    replace(o, registers=((t, r, float(v)), *registers)),
+                    replace(o, registers=((t, r, bool(v)), *registers)) if v in (0, 1) else None,
+                ]
+        for read in (False, True):
+            if read:
+                assert set(packed) >= set(outcomes)
+            for stranger in strangers:
+                assert stranger not in packed and packed.key(stranger) is None
+                assert stranger not in result.witnesses
+                with pytest.raises(KeyError):
+                    result.witnesses[stranger]
+
+    @settings(max_examples=40, deadline=None)
+    @given(programs(max_total=5))
+    def test_on_random_programs(self, program):
+        results = [enumerate_sc(program), enumerate_tso(program), enumerate_cxx11(program)]
+        for result in results:
+            self.check_round_trip(result)
+            self.check_strangers(result)
+        self.check_as_frozensets(results)
+
+    def test_on_the_corpus(self, corpus):
+        for entry in corpus.values():
+            results = list(entry.results.values())
+            for result in results:
+                self.check_round_trip(result)
+                self.check_strangers(result)
+            self.check_as_frozensets(results)
+
+    def test_a_caller_set_shares_one_layout_of_bytes(self):
+        p = prog([[Instruction(Kind.LOAD, location="x", dest="r1", order=MemoryOrder.SEQ_CST)]])
+        o = make_outcome(p, [{"r1": 1}], {"x": 3})
+        assert OutcomeSet(frozenset({o})) == OutcomeSet(frozenset({o}))
+        for bad in (replace(o, memory=(("y", 3),)), replace(o, memory=(("x", 256),)), "x=3"):
+            with pytest.raises(ValueError, match="name the same locations and registers"):
+                OutcomeSet(frozenset({o, bad}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_eval_assertion_matches_the_oracle(self, data):
+        program = data.draw(programs(max_total=4))
+        result = data.draw(st.sampled_from([enumerate_sc, enumerate_cxx11]))(program)
+        formula = data.draw(formulas(program))
+        for quantifier in ("exists", "forall"):
+            wanted = quantifier == "exists"
+            found = sorted((o for o in frozenset(result.outcomes) if satisfies(formula, o) == wanted), key=Outcome.format)
+            verdict = eval_assertion(Assertion(quantifier, formula), result)
+            assert verdict.witnesses == tuple(found)
+            assert verdict.kind == {(True, True): "allowed", (True, False): "forbidden",
+                                    (False, True): "fails", (False, False): "holds"}[wanted, bool(found)]
+
+    def test_eval_assertion_matches_the_oracle_on_the_corpus(self, corpus):
+        for entry in corpus.values():
+            formula = entry.program.assertion.formula
+            wanted = entry.program.assertion.quantifier == "exists"
+            for model, result in entry.results.items():
+                found = sorted((o for o in result.outcomes if satisfies(formula, o) == wanted), key=Outcome.format)
+                assert entry.verdicts[model].witnesses == tuple(found), (entry.path, model)
 
 
 class TestEventShape:
