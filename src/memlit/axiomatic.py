@@ -53,10 +53,14 @@ Relations are bitmask rows: row[a] has bit b set when (a, b) is in the
 relation.  `_events` builds each CAS branching's events once, without
 values; what depends only on them (sb, locations, which events can
 synchronize, what each value is made from) is computed once per branching,
-the values once per rf map, what depends on mo once per modification order
-of each location, sw, the hb closure, COHERENT-READ, the races and S-EMBED's
-hb half once per rf map and sw input (`_Frame.sync_heads`), and the other
-axioms once per candidate.  The enumerator also judges COHERENT-READ per
+the values and the packed registers once per rf map, what depends on mo once
+per modification order of each location, sw, the hb closure, COHERENT-READ,
+the races and S-EMBED's hb half once per rf map and sw input
+(`_Frame.sync_heads`), and the other axioms once per candidate.  rf alone
+fixes the sw input in a frame where nothing can synchronize, or where no
+release sequence grows past its head (`_Frame.heads_fixed_by_rf`); there
+the enumerator takes that input and its judgment once per rf map, not per
+(rf, mo) pair.  The enumerator also judges COHERENT-READ per
 read and rf option, to drop options before the rf product.  In a sync-free
 frame (no RMW, no seq_cst event, no possible sw edge) the enumerator visits
 only the first mo with each tuple of mo-last writes, and `explored` counts
@@ -311,6 +315,22 @@ class _Frame:
         return tuple([mo[li].heads.get(rf[y], 0) for y, li, _, _ in self.sync_reads])
 
     @cached_property
+    def heads_fixed_by_rf(self) -> bool:
+        """Whether `sync_heads` is `rf_heads` under every mo: with no RMW,
+        and no thread writing one location twice atomically, no release
+        sequence grows past its head."""
+        if self.rmw:
+            return False
+        writers = {(x.thread, x.location) for x in self.atomic_writes}
+        return len(writers) == len(self.atomic_writes)
+
+    def rf_heads(self, rf: Mapping[int, int]) -> tuple[int, ...]:
+        """Per sync read, its source's release heads alone: `sync_heads`
+        where `heads_fixed_by_rf` holds."""
+        tags = self.tags
+        return tuple([tags.get(rf[y], 0) for y, _, _, _ in self.sync_reads])
+
+    @cached_property
     def conflicts(self) -> tuple[tuple[int, int], ...]:
         """Races: conflicting pairs, lower id first, that only hb can order."""
         by_loc: dict[str, list] = {}
@@ -501,43 +521,56 @@ class _Plan(NamedTuple):
 def _ground(plan: _Plan, rf: Mapping[int, int]) -> Optional[tuple[dict[int, int], dict[int, int]]]:
     """NO-THIN-AIR: the values read and written, by event id, that rf
     grounds, each computed once from the values it needs.  A read takes its
-    source's value.  A write the plan does not fix needs its register
-    operand and, for an RMW, its own read, even an exchange, whose value
-    ignores it.  None when a value needs itself, or when a CAS took the
-    branch its read does not select; a failed cas_weak may read expected."""
+    source's value: in one pass where the plan fixes it.  Only the reads of
+    the other writes, the plan's rules, recurse: such a write needs its
+    register operand and, for an RMW, its own read, even an exchange, whose
+    value ignores it.  None when a value needs itself, or when a CAS took
+    the branch its read does not select; a failed cas_weak may read
+    expected.  Without rules, the values written are the plan's own `fixed`
+    dict, which no reader mutates."""
+    fixed = plan.fixed
     value_read: dict[int, int] = {}
-    value_written = dict(plan.fixed)
-    rules = plan.rules
-    pending: set[int] = set()  # reads whose source's value is being computed
-
-    def read(r: int) -> Optional[int]:
-        value = value_read.get(r)
+    rule_reads = []  # reads whose source is a rule's write
+    for r in plan.reads:
+        value = fixed.get(rf[r])
         if value is None:
-            value = value_written.get(rf[r])
-            if value is None:
-                if r in pending:
-                    return None
-                pending.add(r)
-                value = write(rf[r])
-                if value is None:
-                    return None
+            rule_reads.append(r)
+        else:
             value_read[r] = value
-        return value
+    value_written = fixed
+    rules = plan.rules
+    if rules:
+        value_written = dict(fixed)
+        pending: set[int] = set()  # reads whose source's value is being computed
 
-    def write(w: int) -> Optional[int]:
-        instr, own_read, source = rules[w]
-        value = instr.operand if source is None else read(source)
-        if own_read and value is not None:
-            old = read(w)
-            value = None if old is None else instr.kind.update(old, value)
-        if value is not None:
-            value_written[w] = value
-        return value
+        def read(r: int) -> Optional[int]:
+            value = value_read.get(r)
+            if value is None:
+                value = value_written.get(rf[r])
+                if value is None:
+                    if r in pending:
+                        return None
+                    pending.add(r)
+                    value = write(rf[r])
+                    if value is None:
+                        return None
+                value_read[r] = value
+            return value
 
-    if any(read(r) is None for r in plan.reads):
-        return None
-    for w in rules.keys() - value_written.keys():
-        write(w)  # every read is grounded, so this write is too
+        def write(w: int) -> Optional[int]:
+            instr, own_read, source = rules[w]
+            value = instr.operand if source is None else read(source)
+            if own_read and value is not None:
+                old = read(w)
+                value = None if old is None else instr.kind.update(old, value)
+            if value is not None:
+                value_written[w] = value
+            return value
+
+        if any(read(r) is None for r in rule_reads):
+            return None
+        for w in rules.keys() - value_written.keys():
+            write(w)  # every read is grounded, so this write is too
     if any((value_read[c] == expected) != succeeded for c, expected, succeeded in plan.cas):
         return None
     return value_read, value_written
@@ -843,41 +876,56 @@ def enumerate_cxx11(
                 orders[:] = [o for i, o in enumerate(orders) if all(p[-1] != o[-1] for p in orders[:i])]
             skipped = pairs - math.prod(map(len, mo_choices))
         mo_choices = [[_MoOrder(frame, order) for order in orders] for orders in mo_choices]
+        register_fields = tuple(zip(plan.registers, outcomes.register_shifts))  # (read, shift) per register
+        # Without syncs every source carries no head; where no release
+        # sequence grows past its head, each carries its own tags.  Either
+        # way rf alone fixes sw's input.
+        heads_by_rf = not syncs or frame.heads_fixed_by_rf
 
-        # An sw input with no head leaves hb at the base rows, where every
-        # kept rf map passes COHERENT-READ: one judgment serves them all.
+        # mo reaches hb only through sw's input, so hb, COHERENT-READ, the
+        # races and S-EMBED's hb half are judged once per input: (whether hb
+        # passes, hb, whether sw has an edge, racy, hb half).  An input with
+        # no head leaves hb at the base rows, where every kept rf map passes
+        # COHERENT-READ: one judgment serves them all.
         unsynced: Optional[tuple[bool, list[int], bool, bool, dict[int, int]]] = None
+
+        def judge(heads: tuple[int, ...], rf: Mapping[int, int]) -> tuple[bool, list[int], bool, bool, dict[int, int]]:
+            nonlocal unsynced
+            if any(heads):
+                sw = _sw_edges(frame, heads)
+                hb, cyclic = _hb_rows(frame, sw)
+                ok = not (cyclic or _coherent_read_violated(frame.read_checks, rf, hb))
+                return ok, hb, bool(sw), ok and bool(_races(frame, hb)), (
+                    _s_hb_preds(frame, hb) if ok and frame.sc_ids else {})
+            unsynced = unsynced or (True, frame.base, False, bool(_races(frame, frame.base)), (
+                _s_hb_preds(frame, frame.base) if frame.sc_ids else {}))
+            return unsynced
+
         for rf_combo in itertools.product(*kept):
             rf = dict(zip(reads, rf_combo))
             grounded = _ground(plan, rf)
             if grounded is None:
                 continue
             value_read, value_written = grounded
-            registers = sum(value_read[e] << s for e, s in zip(plan.registers, outcomes.register_shifts))
+            registers = 0
+            for r, shift in register_fields:
+                registers |= value_read[r] << shift
             record: Optional[list] = None  # this rf map's part of its witnesses' recipes
-            # mo reaches hb only through sw's input, so hb, COHERENT-READ,
-            # the races and S-EMBED's hb half are judged once per input:
-            # (whether hb passes, hb, whether sw has an edge, racy, hb half).
-            by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool, dict[int, int]]] = {}
+            if heads_by_rf:
+                judged = judge(frame.rf_heads(rf) if syncs else (), rf)
+            else:
+                by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool, dict[int, int]]] = {}
             for mo in itertools.product(*mo_choices):
                 bump()
                 # Without RMWs RMW-IMMEDIATE holds, and without seq_cst events
                 # the SC axioms do.
                 if frame.rmw and _rmw_immediate_violated(mo, rf):
                     continue
-                heads = frame.sync_heads(mo, rf) if syncs else ()  # without syncs every source carries no head
-                judged = by_heads.get(heads)
-                if judged is None:
-                    if any(heads):
-                        sw = _sw_edges(frame, heads)
-                        hb, cyclic = _hb_rows(frame, sw)
-                        ok = not (cyclic or _coherent_read_violated(frame.read_checks, rf, hb))
-                        judged = ok, hb, bool(sw), ok and bool(_races(frame, hb)), (
-                            _s_hb_preds(frame, hb) if ok and frame.sc_ids else {})
-                    else:
-                        judged = unsynced = unsynced or (True, frame.base, False, bool(_races(frame, frame.base)), (
-                            _s_hb_preds(frame, frame.base) if frame.sc_ids else {}))
-                    by_heads[heads] = judged
+                if not heads_by_rf:
+                    heads = frame.sync_heads(mo, rf)
+                    judged = by_heads.get(heads)
+                    if judged is None:
+                        judged = by_heads[heads] = judge(heads, rf)
                 ok, hb, synced, hb_racy, hb_preds = judged
                 # Every mo choice extends the base rows, so only sw can break HB-MO.
                 if not ok or synced and _hb_mo_violated(mo, hb):

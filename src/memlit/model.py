@@ -241,6 +241,12 @@ class Program:
     def initial_value(self, location: str) -> int:
         return self.init.get(location, 0)
 
+    @cached_property
+    def _fault_list(self) -> tuple[Diagnostic, ...]:
+        """Every fault of `_faults`, walked once per program object: validate,
+        each backend and each reader of a candidate read it here."""
+        return tuple(_faults(self))
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -333,8 +339,9 @@ def _faults(program: Program) -> Iterator[Diagnostic]:
 def check_runnable(program: Program) -> None:
     """ValueError whose text is the first of _faults: what no backend and no
     reader of a candidate can run.  validate reports them all, then policy."""
-    for fault in _faults(program):
-        raise ValueError(str(fault))
+    faults = program._fault_list
+    if faults:
+        raise ValueError(str(faults[0]))
 
 
 def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
@@ -362,9 +369,10 @@ def _order_diagnostics(instr: Instruction) -> Iterator[tuple[str, str]]:
 
 def validate(program: Program) -> list[Diagnostic]:
     """Every fault of _faults, then the policy rules: the limits, the orders
-    each kind admits and the assertion.  Empty means acceptable.  Pure: no
-    side effects, same diagnostics for the same program."""
-    diags = list(_faults(program))
+    each kind admits and the assertion.  Empty means acceptable.  Same
+    diagnostics for the same program, and no side effect but the fault list
+    the program object keeps for check_runnable."""
+    diags = list(program._fault_list)
 
     def bad(rule: str, message: str, thread: Optional[int] = None, instr: Optional[int] = None) -> None:
         diags.append(Diagnostic(rule, message, thread, instr))
@@ -447,6 +455,11 @@ class ExplorationStats:
     complete_runs: int = 0
 
 
+# The bytes in the order of their decimal texts, and each byte's place in it.
+_BY_TEXT = sorted(range(MAX_VALUE + 1), key=str)
+_TEXT_RANK = bytes(sorted(range(MAX_VALUE + 1), key=_BY_TEXT.__getitem__))
+
+
 class PackedOutcomes(Set[Outcome]):
     """A program's outcomes as ints, read as a set of `Outcome`s.
 
@@ -474,6 +487,7 @@ class PackedOutcomes(Set[Outcome]):
         self._decoded_keys: dict[int, int] = {}  # each decoded outcome's int, by its id while _decoded holds it
         # Each decoded memory and register tuple, by its bits.
         self._memory_mask = sum(MAX_VALUE << s for s in self.location_shifts)
+        self._register_base, self._register_bits = 8 * len(locations), 8 * len(registers)
         self._memory_rows: dict[int, tuple[tuple[str, int], ...]] = {}
         self._register_rows: dict[int, tuple[tuple[str, str, int], ...]] = {}
 
@@ -498,6 +512,28 @@ class PackedOutcomes(Set[Outcome]):
         if None in keys:
             raise ValueError("outcomes of one set name the same locations and registers, each holding a byte")
         return cls(keys, *layout)
+
+    def format_key(self, key: int) -> bytes:
+        """A key on which ints sort as the `Outcome.format` texts of their
+        outcomes do.  Those texts share every name, so they first differ in
+        a value, registers first, then memory; a value's text ends at a space
+        or at the end of the text, both below every digit, so the values
+        compare as their decimal texts.  The key is the int's bytes, the
+        register bytes first, each replaced by its rank among those texts."""
+        rotated = key >> self._register_base | (key & self._memory_mask) << self._register_bits
+        return rotated.to_bytes((self._register_base + self._register_bits) // 8, "little").translate(_TEXT_RANK)
+
+    def in_format_order(self) -> list[Outcome]:
+        """The outcomes iteration returns, the very objects, sorted as their
+        `Outcome.format` texts are, on `format_key`.  Before the first full
+        read the ints are sorted, then decoded in that order, which
+        iteration keeps."""
+        keys = sorted(self.keys, key=self.format_key)
+        if self._decoded is None:
+            self._decode_all(keys)
+            return list(self._decoded)
+        decoded = dict(zip(self._decoded_keys.values(), self._decoded))
+        return [decoded[key] for key in keys]
 
     def decode(self, key: int) -> Outcome:
         memory_bits = key & self._memory_mask
@@ -539,11 +575,14 @@ class PackedOutcomes(Set[Outcome]):
     def __contains__(self, outcome: object) -> bool:
         return self.key(outcome) is not None
 
+    def _decode_all(self, keys: Iterable[int]) -> None:
+        keys = tuple(keys)
+        self._decoded = tuple(map(self.decode, keys))
+        self._decoded_keys = dict(zip(map(id, self._decoded), keys))
+
     def __iter__(self) -> Iterator[Outcome]:
         if self._decoded is None:
-            keys = tuple(self.keys)
-            self._decoded = tuple(map(self.decode, keys))
-            self._decoded_keys = dict(zip(map(id, self._decoded), keys))
+            self._decode_all(self.keys)
         return iter(self._decoded)
 
     def __len__(self) -> int:
@@ -609,29 +648,58 @@ class OutcomeSet:
             object.__setattr__(self, "outcomes", PackedOutcomes.pack(self.outcomes))
 
     def sorted_outcomes(self) -> list[Outcome]:
-        return sorted(self.outcomes, key=Outcome.format)
+        """The outcomes, as iteration returns them (so `witnesses` knows them
+        by identity), sorted as their `Outcome.format` texts are, though no
+        text is built: `PackedOutcomes.format_key` sorts their ints."""
+        return self.outcomes.in_format_order()
+
+
+def _conjuncts(expr: BoolExpr) -> Iterator[BoolExpr]:
+    """The operands of a tree of `And`s, or `expr` itself when it is none."""
+    if isinstance(expr, And):
+        yield from _conjuncts(expr.left)
+        yield from _conjuncts(expr.right)
+    else:
+        yield expr
+
+
+def _never(key: int) -> bool:
+    return False
 
 
 def _compile(expr: BoolExpr, shifts: Mapping[object, int]) -> Callable[[int], bool]:
-    """`expr` as a test on a packed outcome.  An atom compares the field at
-    the shift `shifts` gives its location, or its (thread, register), with
-    its value; an atom whose name has no field, or whose value is no byte,
-    never holds."""
-    if isinstance(expr, (RegAtom, MemAtom)):
-        shift = shifts.get((expr.thread, expr.register) if isinstance(expr, RegAtom) else expr.location)
-        value = expr.value
-        if shift is None or not _is_byte(value):
-            return lambda key: False
-        return lambda key: key >> shift & MAX_VALUE == value
+    """`expr` as a test on a packed outcome.  An atom wants the field at the
+    shift `shifts` gives its location, or its (thread, register), to hold
+    its value; the atoms of a conjunction make one `key & mask == value`
+    test, which never holds when one of them names no field, wants a value
+    that is no byte, or contradicts another on its field.  Each `Not`,
+    `Or` and non-atom conjunct is a closure of its own."""
     if isinstance(expr, Not):
         operand = _compile(expr.operand, shifts)
         return lambda key: not operand(key)
-    if isinstance(expr, (And, Or)):
+    if isinstance(expr, Or):
         left, right = _compile(expr.left, shifts), _compile(expr.right, shifts)
-        if isinstance(expr, And):
-            return lambda key: left(key) and right(key)
         return lambda key: left(key) or right(key)
-    raise TypeError(f"not a boolean expression: {expr!r}")
+    if not isinstance(expr, (RegAtom, MemAtom, And)):
+        raise TypeError(f"not a boolean expression: {expr!r}")
+    wanted: dict[int, int] = {}  # shift -> the value its atoms want there
+    rest = []
+    satisfiable = True
+    for conjunct in _conjuncts(expr):
+        if isinstance(conjunct, (RegAtom, MemAtom)):
+            name = (conjunct.thread, conjunct.register) if isinstance(conjunct, RegAtom) else conjunct.location
+            shift, value = shifts.get(name), conjunct.value
+            if shift is None or not _is_byte(value) or wanted.setdefault(shift, value) != value:
+                satisfiable = False
+        else:
+            rest.append(_compile(conjunct, shifts))
+    if not satisfiable:
+        return _never
+    mask = sum(MAX_VALUE << shift for shift in wanted)
+    value = sum(v << shift for shift, v in wanted.items())
+    if not rest:
+        return lambda key: key & mask == value
+    return lambda key: key & mask == value and all(test(key) for test in rest)
 
 
 @dataclass(frozen=True)
@@ -644,8 +712,9 @@ def eval_assertion(assertion: Assertion, outcomes: OutcomeSet) -> Verdict:
     """exists: allowed iff some outcome satisfies the formula.
     forall: holds iff every outcome does; witnesses carry the relevant
     outcomes (satisfying ones for allowed, violating ones for fails), sorted
-    by `Outcome.format`.  The formula is compiled once into tests on the
-    packed outcomes, and only the outcomes returned are decoded.
+    as their `Outcome.format` texts are.  The formula is compiled once into
+    tests on the packed outcomes, whose ints are sorted on
+    `PackedOutcomes.format_key`, and only the outcomes returned are decoded.
     """
     if assertion.quantifier not in ("exists", "forall"):
         raise ValueError(f"quantifier {assertion.quantifier!r} is neither exists nor forall")
@@ -655,7 +724,7 @@ def eval_assertion(assertion: Assertion, outcomes: OutcomeSet) -> Verdict:
     # The first field of a name wins, as Outcome.register reads the first.
     shifts = dict(reversed([*zip(locations, packed.location_shifts), *zip(registers, packed.register_shifts)]))
     holds = _compile(assertion.formula, shifts)
-    found = tuple(sorted((packed.decode(key) for key in packed.keys if holds(key) == wanted), key=Outcome.format))
+    found = tuple(map(packed.decode, sorted((key for key in packed.keys if holds(key) == wanted), key=packed.format_key)))
     if wanted:
         return Verdict("allowed" if found else "forbidden", found)
     return Verdict("fails" if found else "holds", found)

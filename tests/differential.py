@@ -28,8 +28,10 @@ the corpus does not: no corpus candidate breaks SC-FENCE-2 alone.
 
 `git archive` extracts src/ at REV into a temporary directory; that copy
 and the working tree's src/ then run every case, each in its own
-subprocess.  Each run yields its outcome set, racy, stats.explored,
-stats.complete_runs, the text of each witness's trace_dot or
+subprocess.  Each run yields its outcome set, the outcomes in report order
+(`sorted_outcomes`, as texts), the kind of eval_assertion's verdict on the
+program's condition with its witness outcomes' texts in order, racy,
+stats.explored, stats.complete_runs, the text of each witness's trace_dot or
 execution_dot and each cxx11 witness's S (which no dot draws), or the budget
 it exceeded.  Each side also judges those
 candidates with its own check_axioms, and yields how many are consistent
@@ -134,8 +136,8 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
     """Run every case with the memlit under `src`, writing one result per run to `out_path`."""
     sys.path.insert(0, src)
     from memlit import (
-        ParseError, ResourceLimitError, enumerate_cxx11, enumerate_sc, enumerate_tso, parse_expectations, parse_litmus,
-        print_litmus, validate,
+        ParseError, ResourceLimitError, enumerate_cxx11, enumerate_sc, enumerate_tso, eval_assertion, parse_expectations,
+        parse_litmus, print_litmus, validate,
     )
     from memlit.axiomatic import CandidateExecution, check_axioms
     from memlit.dot import execution_dot, trace_dot
@@ -193,8 +195,11 @@ def run_cases(src: str, cases_path: str, out_path: str) -> None:
             except ResourceLimitError as exc:
                 results[key] = {"exit": str(exc)}
                 continue
+            verdict = eval_assertion(program.assertion, result)
             results[key] = {
                 "outcomes": sorted(o.format() for o in result.outcomes),
+                "report order": [o.format() for o in result.sorted_outcomes()],
+                "verdict": [verdict.kind, [o.format() for o in verdict.witnesses]],
                 "racy": result.racy,
                 "explored": result.stats.explored,
                 "complete_runs": result.stats.complete_runs,

@@ -312,17 +312,34 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
         # enumerate_cxx11 shares its hb judgments across the rf maps of a
         # branching, although COHERENT-READ depends on rf.
         "axiomatic.py",
-        "            by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool, dict[int, int]]] = {}",
-        '            by_heads = shared.setdefault("by_heads", {})',
+        "                by_heads: dict[tuple[int, ...], tuple[bool, list[int], bool, bool, dict[int, int]]] = {}",
+        '                by_heads = shared.setdefault("by_heads", {})',
         (f"{HB_PER_SW_INPUT}::test_a_release_sequence_broken_in_mo_is_judged_per_mo", SW_INPUT_ORACLE),
     ),
     (
         # enumerate_cxx11 reuses an hb judgment for sw inputs that differ only
         # at the first sync read.
         "axiomatic.py",
-        "                judged = by_heads.get(heads)\n",
-        "                judged = by_heads.get(heads) or next((v for k, v in by_heads.items() if k[1:] == heads[1:]), None)\n",
+        "                    judged = by_heads.get(heads)\n",
+        "                    judged = by_heads.get(heads) or next((v for k, v in by_heads.items() if k[1:] == heads[1:]), None)\n",
         (f"{HB_PER_SW_INPUT}::test_a_release_sequence_broken_in_mo_is_judged_per_mo", SW_INPUT_ORACLE),
+    ),
+    (
+        # A thread's second atomic write to a location counts as heading a
+        # release sequence of its own: relseq.lit's relaxed overwrite of y
+        # no longer carries the release store's head to P1's acquire load.
+        "axiomatic.py",
+        "        return len(writers) == len(self.atomic_writes)",
+        "        return True",
+        (f"{HB_PER_SW_INPUT}::test_heads_fixed_by_rf_on_the_corpus_and_release_acquire_ladders",
+         "tests/test_acceptance.py::test_03_release_sequences"),
+    ),
+    (
+        # The one-pass ground reads a rule's write, one it does not fix, as 0.
+        "axiomatic.py",
+        "        value = fixed.get(rf[r])\n",
+        "        value = fixed.get(rf[r], 0)\n",
+        (f"{ORACLE}::test_on_corpus_and_s_edge_programs",),
     ),
     (
         # enumerate_cxx11 skips HB-MO when sw has an edge.
@@ -537,6 +554,13 @@ MUTANTS: list[tuple[str, str, str, tuple[str, ...]]] = [
             "tests/test_model.py::TestOutcomesAndAssertions::test_satisfies_connectives",
             f"{PACKED_OUTCOMES}::test_eval_assertion_matches_the_oracle",
         ),
+    ),
+    (
+        # A conjunction drops an atom that contradicts another on its field.
+        "model.py",
+        " or wanted.setdefault(shift, value) != value:",
+        ":",
+        (f"{PACKED_OUTCOMES}::test_eval_assertion_matches_the_oracle_on_conjunctions",),
     ),
     (
         # A line after a condition that fails to parse is one more instruction.

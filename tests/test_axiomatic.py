@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from memlit import axiomatic
 from memlit.axiomatic import (
     AXIOMS,
     CandidateExecution,
+    _bits,
     _checked_frame,
     _coherent_read_violated,
     _doomed_maps,
@@ -945,6 +947,52 @@ class TestHbPerSwInput:
         result = enumerate_cxx11(program)
         assert (result.stats.explored, len(result.outcomes)) == (7, 3)
         assert eval_assertion(program.assertion, result).kind == "forbidden"
+
+    @staticmethod
+    def heads_under_every_mo(frame) -> Iterator[tuple[dict, set]]:
+        """Each kept rf map of `frame`, with the sw inputs `sync_heads` gives
+        it under every mo that starts at initialization."""
+        _, kept = _rf_options(frame)
+        reads = [r for r, _ in frame.read_checks]
+        orders = [
+            [(init, *rest) for rest in itertools.permutations(w for w in _bits(writes) if w != init)]
+            for init, writes in enumerate(frame.loc_writes)
+        ]
+        mos = [frame.mo_orders(dict(zip(frame.locations, mo))) for mo in itertools.product(*orders)]
+        for combo in itertools.product(*kept):
+            rf = dict(zip(reads, combo))
+            yield rf, {frame.sync_heads(mo, rf) for mo in mos}
+
+    @classmethod
+    def assert_heads_fixed_where_claimed(cls, program) -> int:
+        """In each CAS branching where `heads_fixed_by_rf` holds, every kept
+        rf map's `rf_heads` is its `sync_heads` under every mo.  Returns how
+        many of those branchings have a release head and a sync read."""
+        synced = 0
+        for frame in branching_frames(program):
+            if frame.heads_fixed_by_rf:
+                synced += bool(frame.tags and frame.sync_reads)
+                for rf, heads in cls.heads_under_every_mo(frame):
+                    assert heads == {frame.rf_heads(rf)}, (program.name, rf)
+        return synced
+
+    def test_heads_fixed_by_rf_on_the_corpus_and_release_acquire_ladders(self, corpus):
+        programs = [entry.program for entry in corpus.values()]
+        programs += [parse_litmus(ladder(lengths, "release", "acquire")) for lengths in ((4, 4), (2, 2, 3))]
+        assert sum(map(self.assert_heads_fixed_where_claimed, programs)) >= 16
+
+    @settings(max_examples=100, deadline=None)
+    @given(programs(max_total=5))
+    def test_heads_fixed_by_rf_on_random_programs(self, program):
+        self.assert_heads_fixed_where_claimed(program)
+
+    def test_heads_differ_by_mo_where_a_thread_writes_a_location_twice(self):
+        # P0 stores y twice, so P2's read of y = 2 carries P0's y = 1 head in
+        # every mo but the one that puts P1's y store between the two.
+        (frame,) = branching_frames(parse_litmus(RELEASE_SEQUENCE_BROKEN_BY_MO))
+        assert not frame.heads_fixed_by_rf
+        varying = [(rf, heads) for rf, heads in self.heads_under_every_mo(frame) if len(heads) > 1]
+        assert varying and all(frame.rf_heads(rf) in heads for rf, heads in varying)
 
 
 def branching_frames(program):

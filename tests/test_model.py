@@ -6,7 +6,10 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memlit import model
 from memlit.axiomatic import CandidateExecution, check_axioms, enumerate_cxx11
+from memlit.dot import execution_dot
+from memlit.dsl import parse_litmus
 from memlit.model import (
     And,
     Assertion,
@@ -409,6 +412,22 @@ def test_every_reader_rejects_what_validate_reports_first(reader, probe):
     assert str(caught.value) == diagnostics[0]
 
 
+def test_faults_are_walked_once_per_program_object(monkeypatch):
+    walked = []
+    faults = model._faults
+    monkeypatch.setattr(model, "_faults", lambda program: walked.append(program) or faults(program))
+    program = prog([[_STORE_X], [_LOAD_X]])
+    assert validate(program) == []
+    results = {name: backend(program) for name, backend in BACKENDS.items()}
+    for witness in results["cxx11"].witnesses.values():
+        assert check_axioms(program, witness).consistent
+        execution_dot(program, witness)
+    assert walked == [program]
+    copy = replace(program)
+    assert validate(copy) == [] and enumerate_cxx11(copy).outcomes == results["cxx11"].outcomes
+    assert walked == [program, copy] and walked[1] is copy
+
+
 @pytest.mark.parametrize("backend", list(BACKENDS))
 def test_values_at_the_ends_of_a_byte_run(backend):
     program = prog([[Instruction(Kind.STORE, location="x", operand=255, order=_RLX)]], init={"x": 0, "y": 255})
@@ -604,12 +623,8 @@ class TestPackedOutcomes:
             with pytest.raises(ValueError, match="name the same locations and registers"):
                 OutcomeSet(frozenset({o, bad}))
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.data())
-    def test_eval_assertion_matches_the_oracle(self, data):
-        program = data.draw(programs(max_total=4))
-        result = data.draw(st.sampled_from([enumerate_sc, enumerate_cxx11]))(program)
-        formula = data.draw(formulas(program))
+    @staticmethod
+    def check_eval_against_the_oracle(formula, result):
         for quantifier in ("exists", "forall"):
             wanted = quantifier == "exists"
             found = sorted((o for o in frozenset(result.outcomes) if satisfies(formula, o) == wanted), key=Outcome.format)
@@ -617,6 +632,55 @@ class TestPackedOutcomes:
             assert verdict.witnesses == tuple(found)
             assert verdict.kind == {(True, True): "allowed", (True, False): "forbidden",
                                     (False, True): "fails", (False, False): "holds"}[wanted, bool(found)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_eval_assertion_matches_the_oracle(self, data):
+        program = data.draw(programs(max_total=4))
+        result = data.draw(st.sampled_from([enumerate_sc, enumerate_cxx11]))(program)
+        self.check_eval_against_the_oracle(data.draw(formulas(program)), result)
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "P0:r1 = 0 /\\ P0:r1 = 1",
+            "P0:r1 = 1 /\\ x = 1 /\\ P0:r1 = 0",
+            "P0:r1 = 1 /\\ P0:r1 = 1",
+            "x = 1 /\\ !(P0:r1 = 1 /\\ P0:r1 = 0)",
+            "P0:r1 = 0 /\\ (x = 1 \\/ P0:r1 = 1)",
+        ],
+    )
+    def test_eval_assertion_matches_the_oracle_on_conjunctions(self, condition):
+        # P0:r1 ends 0 or 1, so a conjunction that wants both never holds.
+        text = "name: t\ninit: x = 0\nthread P0:\n  r1 = load x relaxed\nthread P1:\n  store x 1 relaxed\n"
+        program = parse_litmus(text + f"exists: {condition}\n")
+        for result in (enumerate_sc(program), enumerate_cxx11(program)):
+            assert {o.register("P0", "r1") for o in result.outcomes} == {0, 1}
+            self.check_eval_against_the_oracle(program.assertion.formula, result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_sorted_outcomes_follow_the_format_texts(self, data):
+        # Values whose decimal texts order apart from their numbers.
+        values = st.sampled_from([0, 1, 2, 9, 10, 19, 20, 99, 100, 199, 200, 255])
+        locations = ("x", "y", "z")[: data.draw(st.integers(0, 3))]
+        registers = (("P0", "r1"), ("P0", "r2"), ("P1", "r1"))[: data.draw(st.integers(0, 3))]
+        rows = data.draw(st.sets(st.tuples(*[values] * (len(locations) + len(registers))), min_size=1, max_size=40))
+        outcomes = frozenset(
+            Outcome(tuple((t, r, v) for (t, r), v in zip(registers, row[len(locations):])), tuple(zip(locations, row)))
+            for row in rows
+        )
+        want = sorted(o.format() for o in outcomes)
+        for read_first in (False, True):
+            result = OutcomeSet(outcomes)
+            iterated = list(result.outcomes) if read_first else None
+            ordered = result.sorted_outcomes()
+            assert [o.format() for o in ordered] == want
+            # The very objects iteration returns, before and after the sort.
+            assert {id(o) for o in ordered} == {id(o) for o in (iterated or result.outcomes)}
+            assert all(o in result.outcomes for o in ordered)
+            everything = eval_assertion(Assertion("forall", MemAtom("nowhere", 0)), result)
+            assert [o.format() for o in everything.witnesses] == want
 
     def test_eval_assertion_matches_the_oracle_on_the_corpus(self, corpus):
         for entry in corpus.values():
